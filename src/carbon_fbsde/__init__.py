@@ -18,7 +18,7 @@ from .model import (CapFunction, CoefficientSet, MarketSpec, SampleBox,
                     make_cap_msr, smoothed_indicator, validate_cap,
                     validate_coefficients, validate_terminal)
 from .pde_kernel import (KernelDiagnostics, SolverConfig, ValueGrid,
-                         diagnostics, evaluate, solve_one_period, z_diagnostic)
+                         diagnostics, evaluate, solve_one_period)
 from .multi_period import (MultiPeriodField, read_field_dir,
                            solve_multi_period, translation_check,
                            write_field_dir)
@@ -38,7 +38,7 @@ __all__ = [
     "make_cap_msr", "smoothed_indicator", "validate_cap",
     "validate_coefficients", "validate_terminal",
     "KernelDiagnostics", "SolverConfig", "ValueGrid", "diagnostics",
-    "evaluate", "solve_one_period", "z_diagnostic",
+    "evaluate", "solve_one_period",
     "MultiPeriodField", "read_field_dir", "solve_multi_period",
     "translation_check", "write_field_dir",
     "PicardState", "picard_step", "solve_infinite",

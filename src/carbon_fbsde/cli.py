@@ -23,7 +23,6 @@ import os
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import __version__
 from .config import RunPlan, load_config
@@ -99,8 +98,7 @@ def _write_manifest(out: Path, command: str, plan: RunPlan, seeds, artifacts,
 
 
 def _grid_report(grid, label: str) -> dict:
-    shim = SimpleNamespace(mono_l1=float(grid.meta.get("mono_l1", 1.0)))
-    d = diagnostics(grid, shim)
+    d = diagnostics(grid, float(grid.meta.get("mono_l1", 1.0)))
     return {
         "grid": label,
         "passed": bool(d.passed),
@@ -128,7 +126,7 @@ def cmd_price_multi(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.verify_only:
-        return cmd_verify(SimpleNamespace(artifact=str(out)))
+        return _verify(out)
 
     t_start = time.monotonic()
     field = solve_multi_period(plan.spec, plan.solver, threads=_threads(args))
@@ -168,7 +166,7 @@ def cmd_price_infinite(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.verify_only:
-        return cmd_verify(SimpleNamespace(artifact=str(out)))
+        return _verify(out)
 
     spec = plan.spec
     t_start = time.monotonic()
@@ -324,7 +322,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     """Re-run invariant suites against stored artifacts, no solving."""
-    target = Path(args.artifact)
+    return _verify(Path(args.artifact))
+
+
+def _verify(target: Path) -> int:
     if not target.exists():
         raise ConfigError(f"{target}: no such artifact")
 

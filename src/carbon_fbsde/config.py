@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .gridio import canonical_json, sha256_hex
-from .model import (CapFunction, CoefficientSet, MarketSpec,
+from .model import (CapFunction, CoefficientSet, MarketSpec, SampleBox,
                     make_cap_allocation, make_cap_msr, validate_coefficients)
 from .pde_kernel import SolverConfig
 
@@ -306,7 +306,7 @@ def _build_caps(tree: dict, horizon: str, n_periods: int):
 
 
 def _auto_e_grid(spec_levels, speed: float, horizon_T: float,
-                 grid: dict, align: Optional[float]):
+                 grid: dict, explicit: dict, align: Optional[float]):
     """Fill e_min / e_max / n_e, honouring explicit values.
 
     The default box runs from one safety margin below the lowest of
@@ -314,6 +314,9 @@ def _auto_e_grid(spec_levels, speed: float, horizon_T: float,
     margin_factor * horizon * peak emission speed.  With ``align`` set
     (the rolling allocation), the cell width is snapped so the
     allocation is a whole number of cells and lands on a cell edge.
+    ``grid`` is the block merged with the defaults; ``explicit`` is the
+    block as the config wrote it, which decides whether the box is ours
+    to snap.
     """
     margin = grid["margin_factor"] * horizon_T * speed
     lo_lvl = min([0.0] + list(spec_levels))
@@ -330,7 +333,7 @@ def _auto_e_grid(spec_levels, speed: float, horizon_T: float,
         e_min_new = math.floor(e_min / de) * de
         n_e_new = int(math.ceil((e_max - e_min_new) / de - 1e-9))
         e_max_new = e_min_new + n_e_new * de
-        if "e_min" in grid or "e_max" in grid or "n_e" in grid:
+        if "e_min" in explicit or "e_max" in explicit or "n_e" in explicit:
             # explicit grids must already be aligned; fix silently only
             # when we chose the box ourselves
             js = align / ((e_max - e_min) / n_e)
@@ -368,12 +371,6 @@ def build_plan(tree: dict) -> RunPlan:
         coeffs = expression_coefficients(coeff_cfg["expression"], rate)
     else:
         raise ConfigError("coefficients needs 'preset' or 'expression'")
-    report = validate_coefficients(coeffs)
-    if not report.passed:
-        raise ConfigError(
-            "coefficients fail their declared regularity: "
-            + "; ".join(report.violations)
-        )
 
     term = resolved["terminal"]
     if term["kind"] not in ("indicator", "smoothed-indicator"):
@@ -421,17 +418,19 @@ def build_plan(tree: dict) -> RunPlan:
             reach = abs(float(sim["p0"])) + 4.0 * vol_hi * math.sqrt(horizon_T)
             p_min, p_max = -reach, reach
         n_p = int(grid.get("n_p", DEFAULTS["grid"]["n_p"]))
-        p_probe = np.linspace(p_min, p_max, 257)
-        speed = float(max(
-            np.max(np.abs(np.asarray(coeffs.emissions_rate(
-                p_probe, np.zeros_like(p_probe)), dtype=float))),
-            np.max(np.abs(np.asarray(coeffs.emissions_rate(
-                p_probe, np.ones_like(p_probe)), dtype=float))),
-        ))
+        speed = coeffs.peak_speed(np.linspace(p_min, p_max, 257))
+        box = SampleBox(p_low=[p_min], p_high=[p_max])
     else:
         p_min = p_max = n_p = None
-        mu = coeffs.emissions_rate
-        speed = max(abs(float(mu(None, 0.0))), abs(float(mu(None, 1.0))))
+        speed = coeffs.peak_speed()
+        box = SampleBox()
+    # regularity is checked on the factor range the solver will use
+    report = validate_coefficients(coeffs, box)
+    if not report.passed:
+        raise ConfigError(
+            "coefficients fail their declared regularity: "
+            + "; ".join(report.violations)
+        )
 
     if horizon == "finite":
         levels = []
@@ -444,7 +443,8 @@ def build_plan(tree: dict) -> RunPlan:
                 levels.extend([float(lv.min()), float(lv.max())])
     else:
         levels = [lam_align]
-    e_min, e_max, n_e = _auto_e_grid(levels, speed, horizon_T, grid, lam_align)
+    e_min, e_max, n_e = _auto_e_grid(levels, speed, horizon_T, grid,
+                                     tree.get("grid", {}), lam_align)
 
     try:
         solver = SolverConfig(

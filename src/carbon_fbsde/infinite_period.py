@@ -187,14 +187,7 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
         max_iter = default_max_iter(coeffs.rate, period_length,
                                     rel_tol=tol_l1 / span)
 
-    mu = coeffs.emissions_rate
-    if coeffs.dim_p == 0:
-        speed = max(abs(float(mu(None, 0.0))), abs(float(mu(None, 1.0))))
-    else:
-        p = config.p_nodes()
-        speed = float(max(np.abs(np.asarray(mu(p, np.zeros_like(p)))).max(),
-                          np.abs(np.asarray(mu(p, np.ones_like(p)))).max()))
-    need = speed * period_length
+    need = coeffs.peak_speed(config.p_nodes()) * period_length
     if config.e_min > 0.0 - need + 1e-9 or config.e_max < cap_per_period + need - 1e-9:
         raise CoverageError(
             f"emissions domain [{config.e_min:g}, {config.e_max:g}] leaves less "

@@ -122,6 +122,24 @@ class CoefficientSet:
         out = np.asarray(self.emissions_rate(p, y), dtype=float)
         return out
 
+    def rate_range(self, p_nodes=None):
+        """Lowest and highest emission rate over prices in [0, 1].
+
+        The rate falls in ``y``, so the extremes sit at ``y = 1`` and
+        ``y = 0`` of the given factor nodes (ignored when ``dim_p == 0``).
+        """
+        mu = self.emissions_rate
+        if self.dim_p == 0:
+            return float(mu(None, 1.0)), float(mu(None, 0.0))
+        p = np.asarray(p_nodes, dtype=float)
+        return (float(np.min(np.asarray(mu(p, np.ones_like(p)), dtype=float))),
+                float(np.max(np.asarray(mu(p, np.zeros_like(p)), dtype=float))))
+
+    def peak_speed(self, p_nodes=None) -> float:
+        """Largest emission speed ``|mu|`` over prices in [0, 1]."""
+        lo, hi = self.rate_range(p_nodes)
+        return max(abs(lo), abs(hi))
+
 
 @dataclass(frozen=True)
 class SampleBox:

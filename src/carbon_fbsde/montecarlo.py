@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -25,7 +24,7 @@ import numpy as np
 from .errors import CoverageError, SimulationError, ValidationError
 from .model import MarketSpec
 from .multi_period import MultiPeriodField
-from .pde_kernel import ValueGrid
+from .pde_kernel import ValueGrid, lookup
 
 __all__ = [
     "PathBundle",
@@ -42,63 +41,6 @@ _BLOCK = 8192
 BRANCH_BELOW, BRANCH_AT, BRANCH_ABOVE, BRANCH_ABORTED = -1, 0, 1, -2
 _BRANCH_NAMES = {BRANCH_BELOW: "below", BRANCH_AT: "at", BRANCH_ABOVE: "above",
                  BRANCH_ABORTED: "aborted"}
-
-
-# ----------------------------------------------------------------------
-# clipped field probing (non-raising, mask-reporting)
-# ----------------------------------------------------------------------
-
-def _axis_pos(nodes, x):
-    h = nodes[1] - nodes[0]
-    pos = (x - nodes[0]) / h
-    ok = (pos >= -1e-9) & (pos <= nodes.size - 1 + 1e-9)
-    i = np.clip(np.floor(pos).astype(np.int64), 0, nodes.size - 2)
-    w = np.clip(pos - i, 0.0, 1.0)
-    return i, w, ok
-
-
-def _gather(S, axes):
-    acc = 0.0
-    for corner in product((0, 1), repeat=len(axes)):
-        w = 1.0
-        idx = []
-        for (i, wt), c in zip(axes, corner):
-            w = w * (wt if c else (1.0 - wt))
-            idx.append(i + c)
-        acc = acc + w * S[tuple(idx)]
-    return acc
-
-
-def _probe(grid: ValueGrid, t: float, P, E, eparam):
-    """Field value at scalar time ``t`` for path arrays; returns (y, ok).
-
-    Out-of-box points are clipped for the lookup and flagged in ``ok``;
-    the caller decides whether that aborts the path.
-    """
-    times = grid.times
-    t = min(max(t, times[0]), times[-1])
-    it = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2))
-    wt = (t - times[it]) / (times[it + 1] - times[it])
-    wt = min(max(wt, 0.0), 1.0)
-
-    axes = []
-    ok = np.ones(np.shape(E), dtype=bool)
-    if grid.has_p:
-        i, w, good = _axis_pos(grid.p_nodes, np.asarray(P, dtype=float))
-        axes.append((i, w))
-        ok &= good
-    i, w, good = _axis_pos(grid.e_nodes, np.asarray(E, dtype=float))
-    axes.append((i, w))
-    ok &= good
-    if grid.has_eparam:
-        i, w, good = _axis_pos(grid.eparam_nodes, np.asarray(eparam, dtype=float))
-        axes.append((i, w))
-        ok &= good
-
-    y = _gather(grid.values[it], axes)
-    if wt > 0.0:
-        y = (1.0 - wt) * y + wt * _gather(grid.values[it + 1], axes)
-    return y, ok
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +225,7 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
             use_ep = grid.has_eparam
             for j in range(steps_per_period):
                 t = times[gstep]
-                y_new, ok = _probe(grid, t if e_off == 0.0 else t - t0,
+                y_new, ok = lookup(grid, t if e_off == 0.0 else t - t0,
                                    P, E - e_off,
                                    (eparam - e_off) if use_ep else None)
                 newly = alive & ~ok
@@ -313,7 +255,7 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
                 E_pred = E + mu0 * dt
                 t_pred = min((t + dt) if e_off == 0.0 else t + dt - t0,
                              grid.last_interior_time)
-                y_pred, okp = _probe(grid, t_pred, P, E_pred - e_off,
+                y_pred, okp = lookup(grid, t_pred, P, E_pred - e_off,
                                      (eparam - e_off) if use_ep else None)
                 mu1 = np.asarray(coeffs.mu(P, np.where(okp, y_pred, Y)),
                                  dtype=float)
@@ -330,7 +272,7 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
                 lvl = np.full(bs, e_off + spec.cap_per_period)
             # grid.last_interior_time is global for chained fields and
             # period-local for the rolling grid, same as the step reads
-            y_left, okl = _probe(grid, grid.last_interior_time, P, E - e_off,
+            y_left, okl = lookup(grid, grid.last_interior_time, P, E - e_off,
                                  (eparam - e_off) if use_ep else None)
             ng = next_grids[k]
             if ng is None:
@@ -341,10 +283,10 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
             else:
                 off_n = periods[k + 1][3] if k + 1 < q else e_off + spec.cap_per_period
                 if isinstance(field, MultiPeriodField):
-                    y_right, okr = _probe(ng, ng.t0, P, E,
+                    y_right, okr = lookup(ng, ng.t0, P, E,
                                           E if ng.has_eparam else None)
                 else:
-                    y_right, okr = _probe(ng, 0.0, P, E - off_n, None)
+                    y_right, okr = lookup(ng, 0.0, P, E - off_n, None)
             newly = alive & ~(okl & okr)
             if newly.any():
                 abort_step[lo:hi][newly] = gstep
@@ -413,13 +355,7 @@ def _check_reach_box(coeffs, spec, g0, periods, p0, e0):
                 f"factor box [{p_nodes[0]:g}, {p_nodes[-1]:g}] may not hold "
                 f"4-sigma excursions (|p| up to {reach:g})"
             )
-        mu_hi = float(np.max(np.asarray(coeffs.emissions_rate(
-            p_nodes, np.zeros_like(p_nodes)), dtype=float)))
-        mu_lo = float(np.min(np.asarray(coeffs.emissions_rate(
-            p_nodes, np.ones_like(p_nodes)), dtype=float)))
-    else:
-        mu_hi = float(coeffs.emissions_rate(None, 0.0))
-        mu_lo = float(coeffs.emissions_rate(None, 1.0))
+    mu_lo, mu_hi = coeffs.rate_range(g0.p_nodes)
     # grids are read in period-local coordinates for the rolling market,
     # so the per-period drift bound applies to each period separately
     rolling = periods[0][4] is None

@@ -35,16 +35,6 @@ __all__ = [
 _DIR_FORMAT = "carbon-fbsde/field-dir/1"
 
 
-def _peak_speed(spec: MarketSpec, config: SolverConfig) -> float:
-    mu = spec.coefficients.emissions_rate
-    if spec.coefficients.dim_p == 0:
-        return max(abs(float(mu(None, 0.0))), abs(float(mu(None, 1.0))))
-    p = config.p_nodes()
-    s0 = np.abs(np.asarray(mu(p, np.zeros_like(p)), dtype=float))
-    s1 = np.abs(np.asarray(mu(p, np.ones_like(p)), dtype=float))
-    return float(max(s0.max(), s1.max()))
-
-
 def _check_margins(spec: MarketSpec, config: SolverConfig) -> None:
     """Every cap level must sit at least one domain of dependence inside.
 
@@ -52,7 +42,7 @@ def _check_margins(spec: MarketSpec, config: SolverConfig) -> None:
     length; violating it lets boundary data reach the cap region and
     silently corrupt the field, so it is a hard error.
     """
-    speed = _peak_speed(spec, config)
+    speed = spec.coefficients.peak_speed(config.p_nodes())
     e_nodes = config.e_cells()
     problems = []
     for k, cap in enumerate(spec.caps, start=1):
@@ -124,31 +114,6 @@ class MultiPeriodField:
         t = min(max(t, g.t0), g.tau)
         return evaluate(g, t, p if g.has_p else None, e,
                         eparam if g.has_eparam else None)
-
-    def period_start_slice(self, k: int) -> np.ndarray:
-        return self.period_grid(k).values[0]
-
-    def compliance_pair(self, k: int, p, e, eparam=None):
-        """Left and right prices around compliance date T_k.
-
-        The left limit reads the last interior slice of period ``k``;
-        the right value is the next period's start field on the diagonal
-        or, after the final period, the penalty indicator itself.
-        Returns ``(left, right, cap_level)``.
-        """
-        g = self.period_grid(k)
-        left = evaluate(g, g.last_interior_time, p if g.has_p else None, e,
-                        eparam if g.has_eparam else None)
-        cap = self.spec.caps[k - 1]
-        lvl = cap.constant_value if cap.is_constant else cap.level(eparam)
-        if k < self.n_periods:
-            gn = self.period_grid(k + 1)
-            nxt = evaluate(gn, gn.t0, p if gn.has_p else None, e,
-                           e if gn.has_eparam else None)
-            right = np.where(np.asarray(e, dtype=float) < lvl, nxt, 1.0)
-        else:
-            right = (np.asarray(e, dtype=float) >= lvl).astype(float)
-        return left, right, lvl
 
 
 def solve_multi_period(spec: MarketSpec, config: SolverConfig,

@@ -30,10 +30,9 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import CoverageError, SolverError, ValidationError
@@ -46,14 +45,15 @@ __all__ = [
     "make_flux",
     "mollify_terminal",
     "solve_one_period",
+    "lookup",
     "evaluate",
     "diagnostics",
     "KernelDiagnostics",
-    "z_diagnostic",
 ]
 
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _FLUX_SCHEMES = ("godunov", "engquist-osher")
+_SLACK = 1e-9  # relative-position tolerance of the stored box
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +161,7 @@ class ValueGrid:
 
     def at_start(self, p, e, eparam=None):
         """Field value on the first stored slice (start of the period)."""
-        return _interp_slice(self, self.values[0], p, e, eparam)
+        return evaluate(self, self.t0, p, e, eparam)
 
     def start_slice(self) -> np.ndarray:
         return self.values[0]
@@ -172,61 +172,66 @@ class ValueGrid:
                 f"rate={self.rate:g})")
 
 
-def _locate(nodes: np.ndarray, x, name: str):
-    """Uniform-grid bracketing indices and weights, with bounds check."""
-    x = np.asarray(x, dtype=float)
-    h = nodes[1] - nodes[0]
-    pos = (x - nodes[0]) / h
-    tol = 1e-9
-    if np.any(pos < -tol) or np.any(pos > nodes.size - 1 + tol):
-        lo, hi = float(np.min(pos)), float(np.max(pos))
-        raise CoverageError(
-            f"{name} query outside grid range [{nodes[0]:g}, {nodes[-1]:g}] "
-            f"(relative positions {lo:.3g}..{hi:.3g})"
-        )
+def _locate(nodes: np.ndarray, x):
+    """Uniform-grid bracketing indices, weights and in-range mask."""
+    pos = (np.asarray(x, dtype=float) - nodes[0]) / (nodes[1] - nodes[0])
+    ok = (pos >= -_SLACK) & (pos <= nodes.size - 1 + _SLACK)
     i = np.clip(np.floor(pos).astype(np.int64), 0, nodes.size - 2)
     w = np.clip(pos - i, 0.0, 1.0)
-    return i, w
+    return i, w, ok, pos
 
 
-def _locate_time(times: np.ndarray, t: float):
-    """Bracketing index and weight on the (possibly non-uniform) time axis.
-
-    Marching under a stability target leaves one shorter remainder step,
-    so the uniform-grid locator does not apply here.
-    """
-    if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-        raise CoverageError(
-            f"time query outside grid range [{times[0]:g}, {times[-1]:g}] (t={t:g})"
-        )
-    it = int(np.searchsorted(times, t, side="right")) - 1
-    it = min(max(it, 0), times.size - 2)
-    wt = (t - times[it]) / (times[it + 1] - times[it])
-    return it, min(max(wt, 0.0), 1.0)
-
-
-def _interp_slice(grid: ValueGrid, S: np.ndarray, p, e, eparam):
-    """Multilinear interpolation on one stored time slice."""
+def _query_axes(grid: ValueGrid, p, e, eparam):
+    """``(name, nodes, query)`` for each stored spatial axis, in order."""
     axes = []
     if grid.has_p:
         if p is None:
             raise ValidationError("grid has a factor axis; pass p")
-        axes.append(_locate(grid.p_nodes, p, "factor"))
-    axes.append(_locate(grid.e_nodes, e, "emissions"))
+        axes.append(("factor", grid.p_nodes, p))
+    axes.append(("emissions", grid.e_nodes, e))
     if grid.has_eparam:
         if eparam is None:
             raise ValidationError("grid has a recorded-emissions axis; pass eparam")
-        axes.append(_locate(grid.eparam_nodes, eparam, "recorded emissions"))
+        axes.append(("recorded emissions", grid.eparam_nodes, eparam))
+    return axes
 
+
+def _interp_slice(S: np.ndarray, located):
+    """Multilinear interpolation on one stored time slice."""
     acc = 0.0
-    for corner in product((0, 1), repeat=len(axes)):
+    for corner in product((0, 1), repeat=len(located)):
         w = 1.0
         idx = []
-        for (i, wt), c in zip(axes, corner):
+        for (i, wt), c in zip(located, corner):
             w = w * (wt if c else (1.0 - wt))
             idx.append(i + c)
         acc = acc + w * S[tuple(idx)]
     return acc
+
+
+def lookup(grid: ValueGrid, t: float, p, e, eparam=None):
+    """Multilinear field value at time ``t`` with an in-box mask.
+
+    ``t`` is clamped to ``[t0, tau]``; the stored time axis may hold
+    one shorter remainder step, so its bracket comes from a search.
+    Points outside the spatial box are clamped onto it for the value and
+    marked ``False`` in the mask; the caller decides what that means.
+    Returns ``(value, in_box)``.
+    """
+    times = grid.times
+    t = min(max(t, times[0]), times[-1])
+    it = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
+    wt = min(max((t - times[it]) / (times[it + 1] - times[it]), 0.0), 1.0)
+
+    located, in_box = [], True
+    for _, nodes, x in _query_axes(grid, p, e, eparam):
+        i, w, ok, _ = _locate(nodes, x)
+        located.append((i, w))
+        in_box = in_box & ok
+    value = _interp_slice(grid.values[it], located)
+    if wt > 0.0:
+        value = (1.0 - wt) * value + wt * _interp_slice(grid.values[it + 1], located)
+    return value, in_box
 
 
 def evaluate(grid: ValueGrid, t: float, p, e, eparam=None):
@@ -234,14 +239,25 @@ def evaluate(grid: ValueGrid, t: float, p, e, eparam=None):
 
     ``t`` must lie in ``[t0, tau]``; the final slice is the projected
     terminal datum, so queries meant as left limits should stay at or
-    below ``grid.last_interior_time``.
+    below ``grid.last_interior_time``.  Queries outside the stored box
+    raise :class:`CoverageError`.
     """
-    it, wt = _locate_time(grid.times, float(t))
-    v0 = _interp_slice(grid, grid.values[it], p, e, eparam)
-    if wt == 0.0:
-        return v0
-    v1 = _interp_slice(grid, grid.values[it + 1], p, e, eparam)
-    return (1.0 - wt) * v0 + wt * v1
+    t = float(t)
+    times = grid.times
+    if t < times[0] - _SLACK or t > times[-1] + _SLACK:
+        raise CoverageError(
+            f"time query outside grid range [{times[0]:g}, {times[-1]:g}] (t={t:g})"
+        )
+    value, in_box = lookup(grid, t, p, e, eparam)
+    if not np.all(in_box):
+        for name, nodes, x in _query_axes(grid, p, e, eparam):
+            _, _, ok, pos = _locate(nodes, x)
+            if not np.all(ok):
+                raise CoverageError(
+                    f"{name} query outside grid range [{nodes[0]:g}, {nodes[-1]:g}] "
+                    f"(relative positions {np.min(pos):.3g}..{np.max(pos):.3g})"
+                )
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -330,17 +346,6 @@ class FluxModel:
         """Flux at states ``y`` (factor rows broadcast at axis -2)."""
         return self._f(y)
 
-    def f_scalar(self, p, y: float) -> float:
-        """High-accuracy scalar flux for API use (quadrature if needed)."""
-        coeffs = self._coeffs
-        if coeffs.emissions_antiderivative is not None:
-            return float(-coeffs.emissions_antiderivative(p, y))
-        val, err = quad(lambda s: float(coeffs.emissions_rate(p, s)), 0.0, y,
-                        epsabs=1e-10, epsrel=1e-12, limit=200)
-        if err > 1e-10:
-            raise SolverError(f"flux quadrature error {err:.2e} above 1e-10")
-        return float(-val)
-
     # -- structure ---------------------------------------------------
 
     def _solve_y_star(self):
@@ -360,15 +365,6 @@ class FluxModel:
         if not self._rows:
             return one(None)
         return np.array([one(float(pv)) for pv in self._p_nodes])
-
-    def speed_bound(self) -> float:
-        """Largest wave speed over states in [0, 1] (monotone in y)."""
-        mu = self._coeffs.emissions_rate
-        if self._rows:
-            s0 = np.abs(np.asarray(mu(self._p_nodes, np.zeros_like(self._p_nodes))))
-            s1 = np.abs(np.asarray(mu(self._p_nodes, np.ones_like(self._p_nodes))))
-            return float(max(s0.max(), s1.max()))
-        return float(max(abs(float(mu(None, 0.0))), abs(float(mu(None, 1.0)))))
 
     def interface(self, ul, ur, scheme: str):
         """Monotone numerical flux at interfaces between ``ul`` and ``ur``."""
@@ -390,8 +386,7 @@ def make_flux(coeffs: CoefficientSet, p_nodes: Optional[np.ndarray] = None) -> F
 
     Uses the closed-form antiderivative when the coefficients carry one;
     otherwise tabulates the integral of the emission rate densely enough
-    that evaluation error stays below 1e-10 for smooth rates, and exposes
-    ``f_scalar`` backed by adaptive quadrature at the same tolerance.
+    that evaluation error stays below 1e-10 for smooth rates.
     """
     if coeffs.dim_p > 0 and p_nodes is None:
         raise ValidationError("factor coefficients need the factor nodes for the flux")
@@ -471,13 +466,12 @@ def _project_terminal(surface: TerminalSurface, e_centres_ext: np.ndarray, de: f
 # the march
 # ----------------------------------------------------------------------
 
-def _stability_rate(flux: FluxModel, coeffs: CoefficientSet, config: SolverConfig,
-                    de: float) -> float:
-    rate = flux.speed_bound() / de
+def _stability_rate(coeffs: CoefficientSet, config: SolverConfig, de: float) -> float:
+    p = config.p_nodes()
+    rate = coeffs.peak_speed(p) / de
     eps = config.viscosity
     rate += eps * eps / de ** 2
     if config.has_p:
-        p = config.p_nodes()
         dp = p[1] - p[0]
         a_max = float(np.max(np.asarray(coeffs.vol(p), dtype=float) ** 2))
         b_max = float(np.max(np.abs(np.asarray(coeffs.drift(p), dtype=float))))
@@ -609,7 +603,7 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
 
     flux = make_flux(coeffs, p_nodes)
     span = tau - t0
-    steps = _step_sizes(span, config, _stability_rate(flux, coeffs, config, de))
+    steps = _step_sizes(span, config, _stability_rate(coeffs, config, de))
     n_steps = len(steps)
     # steps run terminal side first, so any shorter remainder step lands
     # between the first two stored slices
@@ -705,8 +699,9 @@ class KernelDiagnostics:
     notes: tuple = ()
 
 
-def diagnostics(grid: ValueGrid, coeffs: CoefficientSet, tol: float = 1e-12,
+def diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
                 lipschitz_headroom: float = 0.05, min_age: float = 0.1) -> KernelDiagnostics:
+    """Scan a solved grid; ``mono_l1`` is the rate's monotonicity constant."""
     v = grid.values
     e_axis = 1 + (1 if grid.has_p else 0)
     ages = grid.tau - grid.times
@@ -730,13 +725,12 @@ def diagnostics(grid: ValueGrid, coeffs: CoefficientSet, tol: float = 1e-12,
 
     lip_excess = -1.0
     de = grid.delta_e
-    l1 = coeffs.mono_l1
     for it in range(v.shape[0]):
         age = ages[it]
         if age < min_age - 1e-12:
             continue
         q = float(np.max(np.take(diffs, it, axis=0))) / de if diffs.size else 0.0
-        lip_excess = max(lip_excess, q * l1 * age - 1.0)
+        lip_excess = max(lip_excess, q * mono_l1 * age - 1.0)
 
     left = float(np.max(np.abs(np.take(v, 0, axis=e_axis))))
     term_right = np.take(v[-1], -1, axis=e_axis - 1)
@@ -777,18 +771,3 @@ def diagnostics(grid: ValueGrid, coeffs: CoefficientSet, tol: float = 1e-12,
         passed=passed,
         notes=tuple(notes),
     )
-
-
-def z_diagnostic(grid: ValueGrid, coeffs: CoefficientSet, t: float) -> np.ndarray:
-    """Volatility loading of the price along the factor, sigma(p) d_p v.
-
-    Central differences on the stored slice nearest to ``t``; purely a
-    diagnostic, nothing downstream consumes it.
-    """
-    if not grid.has_p:
-        raise ValidationError("the factor gradient needs a factor axis")
-    it = int(np.argmin(np.abs(grid.times - t)))
-    S = grid.values[it]
-    dp = grid.p_nodes[1] - grid.p_nodes[0]
-    grad = np.gradient(S, dp, axis=0)
-    return grad * np.asarray(coeffs.vol(grid.p_nodes), dtype=float)[:, None]

@@ -111,7 +111,7 @@ def test_criterion_03_structural_invariants(preset_fields):
     for name in ALL_FIELDS:
         plan, field = preset_fields[name]
         for k in range(1, field.n_periods + 1):
-            report = diagnostics(field.period_grid(k), plan.spec.coefficients,
+            report = diagnostics(field.period_grid(k), plan.spec.coefficients.mono_l1,
                                  tol=TOL_EXACT)
             assert report.max_range_violation <= TOL_EXACT, \
                 f"{name} period {k}: range violation {report.max_range_violation:.3e}"
@@ -129,7 +129,7 @@ def test_criterion_04_lipschitz_bound(preset_fields):
     for name in ALL_FIELDS:
         plan, field = preset_fields[name]
         for k in range(1, field.n_periods + 1):
-            report = diagnostics(field.period_grid(k), plan.spec.coefficients,
+            report = diagnostics(field.period_grid(k), plan.spec.coefficients.mono_l1,
                                  lipschitz_headroom=0.05, min_age=0.1)
             assert report.lipschitz_excess <= 0.05, \
                 f"{name} period {k}: quotient excess {report.lipschitz_excess:.3f}"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carbon_fbsde.cli import main
 from carbon_fbsde.config import (
     build_plan,
     bundled_preset,
@@ -144,6 +145,47 @@ def test_rolling_grid_must_align_with_the_allocation():
     tree["grid"] = {"e_min": -1.5, "e_max": 2.53, "n_e": 400}
     with pytest.raises(ConfigError):
         build_plan(tree)
+
+
+def test_rolling_plan_without_a_grid_snaps_to_the_allocation():
+    """With no grid block the box is the plan's own choice, so it is
+    snapped: the allocation is a whole number of cells on a cell edge."""
+    tree = bundled_preset("rolling-r005")
+    del tree["grid"]
+    tree["coefficients"]["parameters"]["m0"] = 1.2
+    solver = build_plan(tree).solver
+    de = (solver.e_max - solver.e_min) / solver.n_e
+    cells, edge = 1.0 / de, (1.0 - solver.e_min) / de
+    assert abs(cells - round(cells)) <= 1e-9
+    assert abs(edge - round(edge)) <= 1e-9
+
+
+def test_bundled_rolling_grid_is_kept():
+    solver = build_plan(bundled_preset("rolling-r005")).solver
+    assert (solver.e_min, solver.e_max, solver.n_e) == (-1.5, 2.5, 400)
+
+
+def cubic_factor_tree():
+    """Factor market whose rate steepens in p: Lipschitz 1 holds on
+    [-1, 1] but not on the preset's factor box [-3, 3]."""
+    tree = bundled_preset("two-period-factor")
+    tree["coefficients"] = {"expression": {
+        "mu": "1.4 - y + 0.05*p**3", "drift": "-p", "vol": "0.5", "dim_p": 1,
+        "lipschitz_L": 1.0, "mono_l1": 1.0, "mono_l2": 1.0}}
+    return tree
+
+
+def test_coefficients_are_validated_on_the_solver_factor_box(tmp_path):
+    with pytest.raises(ConfigError, match="mu Lipschitz"):
+        build_plan(cubic_factor_tree())
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(cubic_factor_tree()))
+    assert main(["price-multi", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+    narrow = cubic_factor_tree()
+    narrow["grid"].update(p_min=-1.0, p_max=1.0)
+    assert build_plan(narrow).coefficient_report.passed
 
 
 def test_rolling_plan_resolves_tolerance_from_the_span():

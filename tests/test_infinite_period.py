@@ -74,7 +74,7 @@ def test_solve_infinite_converges_with_certificate():
     assert all(r <= cert.contraction["factor"] + 0.05
                for r in cert.observed_ratios[1:])
 
-    report = diagnostics(grid, coeffs)
+    report = diagnostics(grid, coeffs.mono_l1)
     assert report.max_range_violation <= 1e-12
     assert report.scheme_added_monotonicity <= 1e-12
 

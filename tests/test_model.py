@@ -20,7 +20,7 @@ from carbon_fbsde.model import (
     validate_coefficients,
     validate_terminal,
 )
-from carbon_fbsde.config import preset_coefficients
+from carbon_fbsde.config import expression_coefficients, preset_coefficients
 
 positive_floats = st.floats(0.05, 5.0)
 
@@ -72,6 +72,23 @@ def test_validate_coefficients_catches_increasing_rate():
 def test_sample_box_defaults_cover_the_unit_band():
     box = SampleBox()
     assert box.y_low < 0.0 < 1.0 < box.y_high
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(-2.0, 2.0), b=st.floats(-1.0, 1.0), d=st.floats(-0.5, 0.5),
+       m2=st.floats(0.05, 3.0), c=st.floats(0.0, 1.0),
+       lo=st.floats(-4.0, 0.0), width=st.floats(0.1, 8.0), n=st.integers(3, 65))
+def test_speed_helper_matches_a_brute_force_scan(a, b, d, m2, c, lo, width, n):
+    """The rate falls in y, so its extremes over y in [0, 1] on the nodes
+    are the extremes of the scan over nodes x {0, 1}, exactly."""
+    coeffs = expression_coefficients({
+        "mu": f"{a!r} + {b!r} * p + {d!r} * p * p - {m2!r} * y - {c!r} * y * y * y",
+        "drift": "-p", "vol": "0.5", "dim_p": 1,
+        "lipschitz_L": 10.0, "mono_l1": 0.1, "mono_l2": 10.0}, rate=0.0)
+    nodes = np.linspace(lo, lo + width, n)
+    rates = [float(coeffs.emissions_rate(p, y)) for p in nodes for y in (0.0, 1.0)]
+    assert coeffs.rate_range(nodes) == (min(rates), max(rates))
+    assert coeffs.peak_speed(nodes) == max(abs(r) for r in rates)
 
 
 # ----------------------------------------------------------------------

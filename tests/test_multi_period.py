@@ -32,6 +32,20 @@ def field():
     return solve_multi_period(two_period_spec(), wide_config())
 
 
+def compliance_pair(field, k, e):
+    """Left limit, right value and cap level around an inner date T_k.
+
+    The left limit reads the last interior slice of period ``k``; below
+    the cap the right value is period ``k + 1``'s start field, above it
+    the certain penalty.
+    """
+    g, gn = field.period_grid(k), field.period_grid(k + 1)
+    lvl = field.spec.caps[k - 1].constant_value
+    left = evaluate(g, g.last_interior_time, None, e)
+    right = evaluate(gn, gn.t0, None, e) if e < lvl else 1.0
+    return left, right, lvl
+
+
 def test_field_shape(field):
     assert field.n_periods == 2
     assert field.final_time == 2.0
@@ -57,12 +71,6 @@ def test_value_delegates_to_the_period_grid(field):
     assert field.value(t, None, e) == evaluate(g, t, None, e)
 
 
-def test_start_slices_match_grids(field):
-    for k in (1, 2):
-        assert np.array_equal(field.period_start_slice(k),
-                              field.period_grid(k).start_slice())
-
-
 def test_compliance_continuity_below_the_cap(field):
     """Banked positions pass through a compliance date at full value.
 
@@ -72,7 +80,7 @@ def test_compliance_continuity_below_the_cap(field):
     gaps = []
     for n_e in (96, 192):
         f = solve_multi_period(two_period_spec(), wide_config(n_e))
-        left, right, lvl = f.compliance_pair(1, None, 0.0)
+        left, right, lvl = compliance_pair(f, 1, 0.0)
         assert lvl == pytest.approx(0.6)
         gaps.append(abs(float(left) - float(right)))
     assert gaps[1] < 0.6 * gaps[0], f"one-step gap did not shrink: {gaps}"
@@ -81,7 +89,7 @@ def test_compliance_continuity_below_the_cap(field):
 
 def test_compliance_payout_above_the_cap(field):
     """Past the cap the position settles at the unit penalty."""
-    left, right, lvl = field.compliance_pair(1, None, 1.1)
+    left, right, lvl = compliance_pair(field, 1, 1.1)
     assert float(right) == 1.0
     assert left == pytest.approx(1.0, abs=5e-3)
     assert left <= 1.0 + 1e-12

@@ -1,12 +1,12 @@
 """Single-period kernel tests: flux structure, marching, diagnostics."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from carbon_fbsde.config import preset_coefficients
 from carbon_fbsde.errors import CoverageError, ValidationError
@@ -15,6 +15,7 @@ from carbon_fbsde.model import (
     CoefficientSet,
     constant_surface,
     indicator_terminal,
+    make_cap_msr,
     smoothed_indicator,
 )
 from carbon_fbsde.pde_kernel import (
@@ -22,10 +23,10 @@ from carbon_fbsde.pde_kernel import (
     ValueGrid,
     diagnostics,
     evaluate,
+    lookup,
     make_flux,
     mollify_terminal,
     solve_one_period,
-    z_diagnostic,
 )
 
 
@@ -74,8 +75,9 @@ def test_solver_config_rejects_empty_box():
 )
 def test_interface_flux_is_consistent(u, m0, m2):
     """Both schemes reduce to the physical flux on constant states."""
-    flux = make_flux(no_factor(m0, m2))
-    exact = flux.f_scalar(None, u)
+    coeffs = no_factor(m0, m2)
+    flux = make_flux(coeffs)
+    exact = -float(coeffs.emissions_antiderivative(None, u))
     for scheme in ("godunov", "engquist-osher"):
         got = float(flux.interface(np.array(u), np.array(u), scheme))
         assert got == pytest.approx(exact, abs=1e-12)
@@ -114,8 +116,7 @@ def test_y_star_is_the_stationary_state():
 
 
 def test_speed_bound_covers_unit_band_endpoints():
-    flux = make_flux(no_factor(1.2, 1.0))
-    assert flux.speed_bound() == pytest.approx(1.2, abs=1e-14)
+    assert no_factor(1.2, 1.0).peak_speed() == pytest.approx(1.2, abs=1e-14)
 
 
 def test_table_flux_matches_closed_form():
@@ -264,12 +265,66 @@ def test_evaluate_guards_the_domain(burgers_grid):
         evaluate(g, g.tau + 0.5, None, 0.0)
 
 
+@pytest.fixture(scope="module")
+def lookup_grids():
+    """A solved factor grid and a solved recorded-emissions grid."""
+    factor = solve_one_period(
+        factor_coeffs(), indicator_terminal(CapFunction.constant(0.0)), 0.0, 0.5,
+        small_config(n_e=32, p_min=-2.0, p_max=2.0, n_p=9))
+    _, reserve_cap = make_cap_msr(0.6, 0.6, 0.18, 0.72, 0.12, 0.88)
+    config = small_config(e_max=2.0, n_e=36)
+    recorded = solve_one_period(no_factor(), indicator_terminal(reserve_cap), 0.0, 0.5,
+                                config, eparam_nodes=config.e_cells())
+    return {"factor": factor, "recorded": recorded}
+
+
+# unit coordinates along an axis; the band just outside each edge where the
+# box tolerance still admits a point is left out so the expected mask is exact
+UNIT_COORD = st.floats(-0.3, 1.3).filter(
+    lambda u: not (-1e-6 < u < 0.0 or 1.0 < u < 1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("kind", ["factor", "recorded"])
+@settings(max_examples=50, deadline=None)
+@given(s=st.floats(0.0, 1.0),
+       coords=st.lists(st.tuples(UNIT_COORD, UNIT_COORD), min_size=1, max_size=16))
+def test_lookup_is_evaluate_with_an_in_box_mask(lookup_grids, kind, s, coords):
+    """Inside the box the masked lookup is evaluate, bit for bit; it flags
+    exactly the points outside, where evaluate raises."""
+    grid = lookup_grids[kind]
+    t = grid.t0 + s * (grid.tau - grid.t0)
+    u = np.array(coords)
+    side = grid.p_nodes if grid.has_p else grid.eparam_nodes
+    x = side[0] + u[:, 0] * (side[-1] - side[0])
+    e = grid.e_nodes[0] + u[:, 1] * (grid.e_nodes[-1] - grid.e_nodes[0])
+
+    def query(sel):
+        return (x[sel], e[sel], None) if grid.has_p else (None, e[sel], x[sel])
+
+    value, in_box = lookup(grid, t, *query(slice(None)))
+    inside = np.all((u >= 0.0) & (u <= 1.0), axis=1)
+    assert np.array_equal(in_box, inside)
+    if inside.any():
+        assert np.array_equal(evaluate(grid, t, *query(inside)), value[inside])
+        # the value itself against an independent multilinear interpolant
+        axes = ((grid.times, side, grid.e_nodes) if grid.has_p
+                else (grid.times, grid.e_nodes, side))
+        pts = np.column_stack([np.full(inside.sum(), t)]
+                              + [a[inside] for a in ((x, e) if grid.has_p else (e, x))])
+        ref = RegularGridInterpolator(axes, grid.values, bounds_error=False,
+                                      fill_value=None)(pts)
+        assert value[inside] == pytest.approx(ref, abs=1e-12)
+    for i in np.nonzero(~inside)[0]:
+        with pytest.raises(CoverageError):
+            evaluate(grid, t, *query(i))
+
+
 # ----------------------------------------------------------------------
 # diagnostics
 # ----------------------------------------------------------------------
 
 def test_diagnostics_pass_on_a_clean_solve(burgers_grid):
-    report = diagnostics(burgers_grid, no_factor())
+    report = diagnostics(burgers_grid, no_factor().mono_l1)
     assert report.passed, report.notes
     assert report.max_range_violation <= 1e-12
     assert report.scheme_added_monotonicity <= 1e-12
@@ -283,7 +338,7 @@ def test_diagnostics_catch_range_violations(burgers_grid):
     bad[3, 40] = 1.5
     tampered = ValueGrid(times=g.times, e_nodes=g.e_nodes, values=bad,
                          rate=g.rate, meta=dict(g.meta))
-    report = diagnostics(tampered, no_factor())
+    report = diagnostics(tampered, no_factor().mono_l1)
     assert not report.passed
     assert report.max_range_violation >= 0.5
     assert any("range" in note for note in report.notes)
@@ -299,31 +354,14 @@ def _synthetic_grid(interior, terminal):
 def test_diagnostics_net_out_inherited_defects():
     """A wiggle already present in the terminal data does not gate, but
     the same wiggle born inside the march does."""
-    coeffs = SimpleNamespace(mono_l1=1.0)
     wiggly = np.array([0.0, 0.30, 0.28, 0.60, 1.0])
     flat = np.array([0.0, 0.25, 0.50, 0.75, 1.0])
 
-    inherited = diagnostics(_synthetic_grid(flat, wiggly), coeffs)
+    inherited = diagnostics(_synthetic_grid(flat, wiggly), 1.0)
     assert inherited.passed
     assert inherited.terminal_monotonicity_defect == pytest.approx(0.02)
     assert inherited.scheme_added_monotonicity == 0.0
 
-    created = diagnostics(_synthetic_grid(wiggly, flat), coeffs)
+    created = diagnostics(_synthetic_grid(wiggly, flat), 1.0)
     assert not created.passed
     assert created.scheme_added_monotonicity == pytest.approx(0.02)
-
-
-def test_z_diagnostic_needs_a_factor_axis(burgers_grid):
-    with pytest.raises(ValidationError):
-        z_diagnostic(burgers_grid, no_factor(), 0.0)
-
-
-def test_z_diagnostic_scales_with_the_volatility():
-    config = SolverConfig(e_min=-1.0, e_max=1.0, n_e=32,
-                          p_min=-2.0, p_max=2.0, n_p=9)
-    coeffs = factor_coeffs()
-    grid = solve_one_period(coeffs, indicator_terminal(CapFunction.constant(0.0)),
-                            0.0, 0.5, config)
-    z = z_diagnostic(grid, coeffs, 0.0)
-    assert z.shape == (9, 32)
-    assert np.all(np.isfinite(z))
