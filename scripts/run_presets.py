@@ -5,7 +5,9 @@ field; the infinite-horizon preset runs the fixed-point solve and a
 rolled-forward simulation.  Everything goes through the command-line
 entry points, so what this script exercises is exactly what a user gets.
 
-Usage: python scripts/run_presets.py [--out runs/] [--paths 20000]
+Usage: python scripts/run_presets.py [--out runs/] [--paths 20000] [--threads N]
+
+``--threads`` goes to the two solve commands, ``--paths`` to ``simulate``.
 """
 
 import argparse
@@ -31,21 +33,17 @@ def main() -> None:
     args = ap.parse_args()
     root = Path(args.out)
 
-    extra = []
-    if args.threads is not None:
-        extra += ["--threads", str(args.threads)]
-    sim_extra = list(extra)
-    if args.paths is not None:
-        sim_extra += ["--paths", str(args.paths)]
+    solve_extra = [] if args.threads is None else ["--threads", str(args.threads)]
+    sim_extra = [] if args.paths is None else ["--paths", str(args.paths)]
 
     for name, tree in BUNDLED_PRESETS.items():
         cfg = f"preset:{name}"
         out = root / name
         if tree.get("horizon", "finite") == "infinite":
-            run(["price-infinite", "--config", cfg, "--out", str(out)] + extra)
+            run(["price-infinite", "--config", cfg, "--out", str(out)] + solve_extra)
             field = out / "w.grid"
         else:
-            run(["price-multi", "--config", cfg, "--out", str(out)] + extra)
+            run(["price-multi", "--config", cfg, "--out", str(out)] + solve_extra)
             field = out / "field"
         run(["simulate", "--config", cfg, "--field", str(field),
              "--out", str(out / "sim")] + sim_extra)

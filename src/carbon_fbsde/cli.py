@@ -2,10 +2,13 @@
 
 Subcommands::
 
-    carbon-fbsde price-multi    --config C --out D [--threads N] [--verify-only]
-    carbon-fbsde price-infinite --config C --out D [--threads N] [--verify-only]
+    carbon-fbsde price-multi    --config C --out D [--threads N]
+    carbon-fbsde price-infinite --config C --out D [--threads N]
     carbon-fbsde simulate       --config C --field P --out D [--paths N] [--seed S]
     carbon-fbsde verify         ARTIFACT
+
+Each command accepts only the flags it reads.  ``verify`` hashes each
+artifact as it reads it and compares the sha256 its manifest records.
 
 Exit codes are a stable contract: 0 success, 2 configuration or domain
 error, 3 solver or simulation failure, 4 invariant violation, 5
@@ -34,7 +37,8 @@ from .gridio import (canonical_json, file_sha256, read_grid, sha256_hex,
 from .infinite_period import solve_infinite
 from .montecarlo import (events_csv, jump_consistency_test, martingale_test,
                          paths_csv, simulate)
-from .multi_period import read_field_dir, solve_multi_period, write_field_dir
+from .multi_period import (MultiPeriodField, read_field_dir, solve_multi_period,
+                           write_field_dir)
 from .pde_kernel import diagnostics
 
 _EXIT_CODES = (
@@ -65,13 +69,12 @@ def _threads(args) -> int:
     return 1
 
 
-def _write_manifest(out: Path, command: str, plan: RunPlan, seeds, artifacts,
+def _write_manifest(out: Path, command: str, plan: RunPlan, seeds, artifacts: dict,
                     verification: dict, extra=None) -> dict:
-    entries = []
-    for rel in artifacts:
-        fp = out / rel
-        entries.append({"path": rel, "sha256": file_sha256(fp),
-                        "bytes": fp.stat().st_size})
+    """``artifacts`` maps each path to its writer's digest, or None to hash it here."""
+    entries = [{"path": rel, "sha256": digest or file_sha256(out / rel),
+                "bytes": (out / rel).stat().st_size}
+               for rel, digest in artifacts.items()]
     manifest = {
         "command": command,
         "config_hash": plan.config_hash,
@@ -125,20 +128,17 @@ def cmd_price_multi(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if args.verify_only:
-        return _verify(out)
-
     t_start = time.monotonic()
     field = solve_multi_period(plan.spec, plan.solver, threads=_threads(args))
     solve_seconds = time.monotonic() - t_start
 
-    write_field_dir(field, out / "field")
-    artifacts = [f"field/period_{k}.grid" for k in range(1, field.n_periods + 1)]
-    artifacts.append("field/field_manifest.json")
+    written = write_field_dir(field, out / "field")
+    artifacts = {f"field/{g['file']}": g["sha256"] for g in written["grids"]}
+    artifacts["field/field_manifest.json"] = None
     for k in range(1, field.n_periods + 1):
         rel = f"value_surface_period_{k}.csv"
         start_slice_csv(field.period_grid(k), out / rel)
-        artifacts.append(rel)
+        artifacts[rel] = None
 
     reports = [_grid_report(field.period_grid(k), f"period_{k}")
                for k in range(1, field.n_periods + 1)]
@@ -146,7 +146,7 @@ def cmd_price_multi(args) -> int:
     (out / "diagnostics.json").write_text(
         json.dumps({"reports": reports, "passed": all_ok}, indent=2,
                    sort_keys=True) + "\n", encoding="utf-8")
-    artifacts.append("diagnostics.json")
+    artifacts["diagnostics.json"] = None
 
     _write_manifest(out, "price-multi", plan, [], artifacts,
                     {"diagnostics_passed": all_ok},
@@ -164,9 +164,6 @@ def cmd_price_infinite(args) -> int:
         raise ConfigError("price-infinite needs an infinite-horizon config")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    if args.verify_only:
-        return _verify(out)
 
     spec = plan.spec
     t_start = time.monotonic()
@@ -186,7 +183,7 @@ def cmd_price_infinite(args) -> int:
         raise
     solve_seconds = time.monotonic() - t_start
 
-    write_grid(grid, out / "w.grid")
+    grid_digest = write_grid(grid, out / "w.grid")
     start_slice_csv(grid, out / "value_surface.csv")
     residuals = list(cert.residuals)
     table = [{"n": i + 1, "residual": r,
@@ -208,8 +205,8 @@ def cmd_price_infinite(args) -> int:
         json.dumps({"reports": [report], "passed": report["passed"]},
                    indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    artifacts = ["w.grid", "value_surface.csv", "picard_certificate.json",
-                 "diagnostics.json"]
+    artifacts = {"w.grid": grid_digest, "value_surface.csv": None,
+                 "picard_certificate.json": None, "diagnostics.json": None}
     _write_manifest(out, "price-infinite", plan, [], artifacts,
                     {"diagnostics_passed": report["passed"],
                      "converged": cert.converged},
@@ -242,7 +239,6 @@ def _load_field_for_simulation(plan: RunPlan, field_path: Path):
             )
         if abs(manifest["rate"] - plan.spec.coefficients.rate) > 1e-12:
             raise ArtifactError("field rate does not match the config rate")
-        from .multi_period import MultiPeriodField
         return MultiPeriodField(spec=plan.spec, config=plan.solver,
                                 grids=tuple(grids))
     if field_path.is_file():
@@ -306,7 +302,7 @@ def cmd_simulate(args) -> int:
     (out / "simulation_report.json").write_text(
         json.dumps(reports, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    artifacts = ["paths.csv", "events.csv", "simulation_report.json"]
+    artifacts = dict.fromkeys(["paths.csv", "events.csv", "simulation_report.json"])
     _write_manifest(out, "simulate", plan, [seed], artifacts,
                     {"martingale_passed": mart.passed if mart_gates else None},
                     extra={"n_paths": n_paths,
@@ -341,16 +337,12 @@ def _verify(target: Path) -> int:
                 fp = target / entry["path"]
                 if not fp.exists():
                     raise ArtifactError(f"{fp}: listed in manifest but missing")
-                digest = file_sha256(fp)
-                if digest != entry["sha256"]:
-                    raise ArtifactError(
-                        f"{fp}: sha256 mismatch (manifest {entry['sha256'][:12]}..., "
-                        f"file {digest[:12]}...)"
-                    )
                 if fp.suffix == ".grid":
-                    grids.append((entry["path"], read_grid(fp)))
+                    grids.append((entry["path"], read_grid(fp, entry["sha256"])))
+                else:
+                    file_sha256(fp, entry["sha256"])
         elif field_manifest.exists():
-            loaded, manifest = read_field_dir(target)
+            loaded, _ = read_field_dir(target)
             grids.extend((f"period_{i + 1}", g) for i, g in enumerate(loaded))
         else:
             raise ConfigError(f"{target}: no manifest.json or field_manifest.json")
@@ -383,29 +375,25 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def command(name, fn, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True,
                        help="JSON config path or preset:NAME")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--verify-only", action="store_true", dest="verify_only")
+        p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("price-multi", help="solve a finite multi-period market")
-    common(p)
-    p.set_defaults(fn=cmd_price_multi)
+    p = command("price-multi", cmd_price_multi, "solve a finite multi-period market")
+    p.add_argument("--threads", type=int, default=None)
 
-    p = sub.add_parser("price-infinite", help="solve the rolling market")
-    common(p)
-    p.set_defaults(fn=cmd_price_infinite)
+    p = command("price-infinite", cmd_price_infinite, "solve the rolling market")
+    p.add_argument("--threads", type=int, default=None)
 
-    p = sub.add_parser("simulate", help="simulate paths against a solved field")
-    common(p)
+    p = command("simulate", cmd_simulate, "simulate paths against a solved field")
     p.add_argument("--field", required=True,
                    help="field directory (finite) or w.grid file (infinite)")
-    p.set_defaults(fn=cmd_simulate)
+    p.add_argument("--paths", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("verify", help="re-check stored artifacts")
     p.add_argument("artifact", help="manifest directory or .grid file")

@@ -5,12 +5,19 @@ uint64 header length, a canonical-JSON header describing the axes and
 metadata, then the raw float64 payload in C order.  Writing the same
 grid twice produces byte-identical files, which the artifact checks
 rely on.
+
+Only this module hashes a grid, in the pass that moves its bytes:
+``write_grid`` returns the digest of what it wrote and ``read_grid``
+checks a recorded one while it reads.  ``file_sha256`` is for the
+other artifacts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 from typing import Optional, Union
@@ -31,6 +38,7 @@ __all__ = [
 ]
 
 _MAGIC = b"CFBGRID1"
+_CHUNK = 1 << 20
 
 
 def jsonable(obj):
@@ -39,14 +47,8 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return jsonable(obj.tolist())
     return obj
 
 
@@ -60,16 +62,28 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def file_sha256(path: Union[str, Path]) -> str:
+def _checked(path, sha256: Optional[str], digest: str) -> str:
+    if sha256 not in (None, digest):
+        raise ArtifactError(f"{path}: sha256 mismatch (recorded {sha256[:12]}..., "
+                            f"file {digest[:12]}...)")
+    return digest
+
+
+def file_sha256(path: Union[str, Path], sha256: Optional[str] = None) -> str:
+    """Digest of a file; with ``sha256`` given, a different digest raises."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
+        for block in iter(lambda: fh.read(_CHUNK), b""):
             h.update(block)
-    return h.hexdigest()
+    return _checked(path, sha256, h.hexdigest())
 
 
 def write_grid(grid: ValueGrid, path: Union[str, Path]) -> str:
-    """Serialise a grid; returns the sha256 of the written file."""
+    """Serialise a grid; returns the sha256 of the bytes written.
+
+    The prefix, the header and the array's own buffer pass through one
+    hasher on their way to the file; the payload is not copied.
+    """
     header = {
         "times": grid.times.tolist(),
         "e_nodes": grid.e_nodes.tolist(),
@@ -81,71 +95,76 @@ def write_grid(grid: ValueGrid, path: Union[str, Path]) -> str:
         "meta": jsonable(grid.meta),
     }
     head = canonical_json(header).encode("utf-8")
-    payload = np.ascontiguousarray(grid.values, dtype="<f8").tobytes()
-    blob = _MAGIC + struct.pack("<Q", len(head)) + head + payload
-    Path(path).write_bytes(blob)
-    return sha256_hex(blob)
+    payload = np.ascontiguousarray(grid.values, dtype="<f8").reshape(-1).view(np.uint8)
+    h = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for part in (_MAGIC, struct.pack("<Q", len(head)), head, payload):
+            h.update(part)
+            fh.write(part)
+    return h.hexdigest()
 
 
-def read_grid(path: Union[str, Path]) -> ValueGrid:
-    blob = Path(path).read_bytes()
-    if blob[:8] != _MAGIC:
-        raise ArtifactError(f"{path}: not a grid file (bad magic)")
-    (head_len,) = struct.unpack("<Q", blob[8:16])
+def _parse_header(raw: bytes, path) -> tuple:
+    """Payload shape and ValueGrid fields of a header whose axes fit its shape."""
     try:
-        header = json.loads(blob[16:16 + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"{path}: corrupt grid header") from exc
-    shape = tuple(header["shape"])
-    payload = blob[16 + head_len:]
-    expect = int(np.prod(shape)) * 8
-    if len(payload) != expect:
-        raise ArtifactError(
-            f"{path}: payload is {len(payload)} bytes, expected {expect}"
-        )
-    values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    opt = lambda key: (None if header[key] is None
-                       else np.asarray(header[key], dtype=float))
-    return ValueGrid(
-        times=np.asarray(header["times"], dtype=float),
-        e_nodes=np.asarray(header["e_nodes"], dtype=float),
-        values=values,
-        rate=float(header["rate"]),
-        p_nodes=opt("p_nodes"),
-        eparam_nodes=opt("eparam_nodes"),
-        meta=header.get("meta", {}),
-    )
+        header = json.loads(raw.decode("utf-8"))
+        fields = {key: None if key in ("p_nodes", "eparam_nodes") and header[key] is None
+                  else np.asarray(header[key], dtype=float)
+                  for key in ("times", "p_nodes", "e_nodes", "eparam_nodes")}
+        axes = [nodes for nodes in fields.values() if nodes is not None]
+        meta = header.get("meta", {})
+        if (any(nodes.ndim != 1 for nodes in axes) or not isinstance(meta, dict)
+                or list(header["shape"]) != [nodes.size for nodes in axes]):
+            raise ValueError("shape, axes and meta disagree")
+        fields.update(rate=float(header["rate"]), meta=meta)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ArtifactError(f"{path}: corrupt grid header ({exc!r})") from exc
+    return tuple(nodes.size for nodes in axes), fields
 
 
-def start_slice_csv(grid: ValueGrid, path: Union[str, Path],
-                    eparam: Optional[float] = None) -> None:
-    """Write the start-of-period slice as CSV, one row per grid node.
+def read_grid(path: Union[str, Path], sha256: Optional[str] = None) -> ValueGrid:
+    """Load a grid, hashing its bytes as they are read into the array.
 
-    A grid with a recorded-emissions axis is either dumped in full or,
-    when ``eparam`` is given, restricted to the nearest stored slice.
+    With ``sha256`` given, a file whose digest differs is refused.  Any
+    unreadable, truncated or malformed file raises :class:`ArtifactError`.
     """
-    S = grid.values[0]
-    cols = []
-    names = []
-    if grid.has_p:
-        names.append("p")
-    names.append("e")
-    take_ep = grid.has_eparam and eparam is None
-    if take_ep:
-        names.append("eparam")
-    if grid.has_eparam and eparam is not None:
-        k = int(np.argmin(np.abs(grid.eparam_nodes - eparam)))
-        S = S[..., k]
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ArtifactError(f"{path}: cannot read grid ({exc.strerror})") from exc
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        lead = fh.read(16)
+        if lead[:8] != _MAGIC:
+            raise ArtifactError(f"{path}: not a grid file (bad magic)")
+        head_len = int.from_bytes(lead[8:], "little")
+        if head_len > size - 16:
+            raise ArtifactError(f"{path}: truncated before the payload")
+        head = fh.read(head_len)
+        shape, fields = _parse_header(head, path)
+        expect = 8 * math.prod(shape)
+        if size - 16 - head_len != expect:
+            raise ArtifactError(
+                f"{path}: payload is {size - 16 - head_len} bytes, expected {expect}"
+            )
+        values = np.empty(shape, dtype="<f8")
+        payload = memoryview(values.reshape(-1).view(np.uint8))
+        h = hashlib.sha256(lead + head)
+        for at in range(0, expect, _CHUNK):
+            part = payload[at:at + _CHUNK]
+            if fh.readinto(part) != len(part):
+                raise ArtifactError(f"{path}: file shrank while being read")
+            h.update(part)
+    _checked(path, sha256, h.hexdigest())
+    return ValueGrid(values=values, **fields)
 
-    axes = []
-    if grid.has_p:
-        axes.append(grid.p_nodes)
-    axes.append(grid.e_nodes)
-    if take_ep:
-        axes.append(grid.eparam_nodes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cols = [m.ravel() for m in mesh] + [S.ravel()]
-    names.append("value")
-    data = np.column_stack(cols)
+
+def start_slice_csv(grid: ValueGrid, path: Union[str, Path]) -> None:
+    """Write the start-of-period slice as CSV, one row per grid node."""
+    named = [(name, nodes) for name, nodes in (("p", grid.p_nodes), ("e", grid.e_nodes),
+                                                ("eparam", grid.eparam_nodes))
+             if nodes is not None]
+    mesh = np.meshgrid(*(nodes for _, nodes in named), indexing="ij")
+    data = np.column_stack([m.ravel() for m in mesh] + [grid.values[0].ravel()])
     np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header=",".join(names), comments="")
+               header=",".join([name for name, _ in named] + ["value"]), comments="")

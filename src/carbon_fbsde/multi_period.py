@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .errors import ArtifactError, CoverageError, ValidationError
-from .gridio import canonical_json, file_sha256, read_grid, write_grid
+from .gridio import canonical_json, read_grid, write_grid
+from .gridio import file_sha256  # noqa: F401  bound for perfbench/tracer.py, which wraps it here
 from .model import MarketSpec, link_terminal
 from .pde_kernel import SolverConfig, ValueGrid, evaluate, solve_one_period
 
@@ -226,12 +226,10 @@ def write_field_dir(field: MultiPeriodField, path) -> dict:
     return manifest
 
 
-def read_field_dir(path, spec: Optional[MarketSpec] = None,
-                   config: Optional[SolverConfig] = None):
-    """Load a field directory, verifying the per-grid hashes.
+def read_field_dir(path) -> tuple:
+    """Load a field directory as ``(grids, manifest)``.
 
-    Returns ``(grids, manifest)``; with ``spec`` and ``config`` supplied
-    the grids are wrapped back into a :class:`MultiPeriodField`.
+    Each grid is checked against its recorded sha256 while it is read.
     """
     root = Path(path)
     mpath = root / "field_manifest.json"
@@ -240,16 +238,6 @@ def read_field_dir(path, spec: Optional[MarketSpec] = None,
     manifest = json.loads(mpath.read_text(encoding="utf-8"))
     if manifest.get("format") != _DIR_FORMAT:
         raise ArtifactError(f"{root}: unknown field format {manifest.get('format')!r}")
-    grids = []
-    for entry in manifest["grids"]:
-        fpath = root / entry["file"]
-        digest = file_sha256(fpath)
-        if digest != entry["sha256"]:
-            raise ArtifactError(
-                f"{fpath}: sha256 mismatch (manifest {entry['sha256'][:12]}..., "
-                f"file {digest[:12]}...)"
-            )
-        grids.append(read_grid(fpath))
-    if spec is not None and config is not None:
-        return MultiPeriodField(spec=spec, config=config, grids=tuple(grids))
+    grids = [read_grid(root / entry["file"], entry["sha256"])
+             for entry in manifest["grids"]]
     return grids, manifest

@@ -466,12 +466,12 @@ def _project_terminal(surface: TerminalSurface, e_centres_ext: np.ndarray, de: f
 # the march
 # ----------------------------------------------------------------------
 
-def _stability_rate(coeffs: CoefficientSet, config: SolverConfig, de: float) -> float:
-    p = config.p_nodes()
+def _stability_rate(coeffs: CoefficientSet, p: Optional[np.ndarray], eps: float,
+                    de: float) -> float:
+    """Explicit-step rate bound; factor terms only when the march has a factor axis."""
     rate = coeffs.peak_speed(p) / de
-    eps = config.viscosity
     rate += eps * eps / de ** 2
-    if config.has_p:
+    if p is not None:
         dp = p[1] - p[0]
         a_max = float(np.max(np.asarray(coeffs.vol(p), dtype=float) ** 2))
         b_max = float(np.max(np.abs(np.asarray(coeffs.drift(p), dtype=float))))
@@ -579,7 +579,7 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
         if eparam_nodes is not None:
             raise ValidationError("cell terminals do not batch over recorded emissions")
         cells_ext = np.array(terminal_cells_ext, dtype=float, copy=True)
-        want = ((config.n_p, config.n_e + 2) if coeffs.dim_p == 1
+        want = ((config.n_p, config.n_e + 2) if p_nodes is not None
                 else (config.n_e + 2,))
         if cells_ext.shape != want:
             raise ValidationError(
@@ -603,7 +603,8 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
 
     flux = make_flux(coeffs, p_nodes)
     span = tau - t0
-    steps = _step_sizes(span, config, _stability_rate(coeffs, config, de))
+    steps = _step_sizes(span, config,
+                        _stability_rate(coeffs, p_nodes, config.viscosity, de))
     n_steps = len(steps)
     # steps run terminal side first, so any shorter remainder step lands
     # between the first two stored slices
@@ -615,7 +616,7 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     storage_shape = phi_cells.shape[1:] + (phi_cells.shape[0],) if has_ep else phi_cells.shape
     values = np.empty((n_steps + 1,) + storage_shape, dtype=float)
 
-    if coeffs.dim_p == 1:
+    if p_nodes is not None:
         dp = p_nodes[1] - p_nodes[0]
         b_col = np.asarray(coeffs.drift(p_nodes), dtype=float)[:, None]
         a_col = np.asarray(coeffs.vol(p_nodes), dtype=float)[:, None] ** 2

@@ -1,10 +1,13 @@
 """End-to-end CLI tests, run in-process through main()."""
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from carbon_fbsde import gridio
 from carbon_fbsde.cli import main
 from carbon_fbsde.gridio import read_grid, write_grid
 from carbon_fbsde.pde_kernel import ValueGrid
@@ -80,13 +83,6 @@ def test_price_multi_is_reproducible(tmp_path, finite_config):
             == (out2 / "field" / "period_1.grid").read_bytes())
 
 
-def test_price_multi_verify_only_short_circuits(tmp_path, finite_config):
-    out = tmp_path / "run"
-    assert main(["price-multi", "--config", str(finite_config), "--out", str(out)]) == 0
-    assert main(["price-multi", "--config", str(finite_config), "--out", str(out),
-                 "--verify-only"]) == 0
-
-
 def test_price_multi_rejects_rolling_configs(tmp_path, rolling_config):
     assert main(["price-multi", "--config", str(rolling_config),
                  "--out", str(tmp_path / "x")]) == 2
@@ -95,6 +91,18 @@ def test_price_multi_rejects_rolling_configs(tmp_path, rolling_config):
 def test_missing_config_exits_2(tmp_path):
     assert main(["price-multi", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["price-multi", "--seed", "1"],
+    ["price-multi", "--verify-only"],
+    ["price-infinite", "--paths", "8"],
+    ["simulate", "--field", "f", "--threads", "2"],
+])
+def test_commands_refuse_flags_they_do_not_read(tmp_path, finite_config, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(finite_config), "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
 
 
 def test_bad_thread_env_exits_2(tmp_path, finite_config, monkeypatch):
@@ -215,3 +223,54 @@ def test_verify_flags_invariant_violations_in_bare_grids(tmp_path, finite_config
 def test_verify_needs_a_manifest(tmp_path):
     (tmp_path / "hollow").mkdir()
     assert main(["verify", str(tmp_path / "hollow")]) == 2
+
+
+@pytest.mark.parametrize("blob", [b"CFBGRID1\x00\x01",
+                                  b"CFBGRID1" + (2).to_bytes(8, "little") + b"{}"])
+def test_verify_exits_6_on_a_malformed_grid(tmp_path, blob):
+    bad = tmp_path / "bad.grid"
+    bad.write_bytes(blob)
+    assert main(["verify", str(bad)]) == 6
+
+
+@pytest.fixture()
+def grid_io_calls(monkeypatch):
+    """Paths passed to ``file_sha256`` and ``read_grid``, through any binding."""
+    calls = {"file_sha256": [], "read_grid": []}
+    for name, seen in calls.items():
+        original = getattr(gridio, name)
+
+        def spy(path, *args, _original=original, _seen=seen, **kwargs):
+            _seen.append(Path(path))
+            return _original(path, *args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("carbon_fbsde")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_grid_files_are_hashed_only_while_read_or_written(
+        tmp_path, finite_config, rolling_config, grid_io_calls):
+    priced, rolled = tmp_path / "run", tmp_path / "roll"
+    period = priced / "field" / "period_1.grid"
+    stationary = rolled / "w.grid"
+    runs = [
+        (["price-multi", "--config", str(finite_config), "--out", str(priced)], []),
+        (["price-infinite", "--config", str(rolling_config), "--out", str(rolled)], []),
+        (["simulate", "--config", str(finite_config), "--field", str(priced / "field"),
+          "--out", str(tmp_path / "sim1")], [period]),
+        (["simulate", "--config", str(rolling_config), "--field", str(stationary),
+          "--out", str(tmp_path / "sim2")], [stationary]),
+        (["verify", str(priced)], [period]),
+        (["verify", str(priced / "field")], [period]),
+        (["verify", str(rolled)], [stationary]),
+        (["verify", str(stationary)], [stationary]),
+    ]
+    for argv, reads in runs:
+        for seen in grid_io_calls.values():
+            seen.clear()
+        assert main(argv) == 0, argv
+        assert [p for p in grid_io_calls["file_sha256"] if p.suffix == ".grid"] == []
+        assert grid_io_calls["read_grid"] == reads, argv

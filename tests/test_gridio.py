@@ -1,6 +1,8 @@
 """Grid file format and canonical hashing tests."""
 
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -75,6 +77,79 @@ def test_read_grid_rejects_truncation(tmp_path):
     path.write_bytes(blob[: len(blob) - 16])
     with pytest.raises(ArtifactError):
         read_grid(path)
+
+
+def test_read_grid_checks_a_recorded_digest(tmp_path):
+    path = tmp_path / "g.grid"
+    digest = write_grid(sample_grid(True), path)
+    assert np.array_equal(read_grid(path, digest).values, sample_grid(True).values)
+    with pytest.raises(ArtifactError, match="sha256 mismatch"):
+        read_grid(path, "0" * 64)
+
+
+MAGIC = b"CFBGRID1"
+
+
+def raw_grid(head: bytes, payload: bytes = b"") -> bytes:
+    return MAGIC + struct.pack("<Q", len(head)) + head + payload
+
+
+@pytest.fixture(scope="module")
+def valid_blob(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("valid") / "g.grid"
+    write_grid(sample_grid(True), path)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "g.grid"
+
+
+@pytest.mark.parametrize("blob", [
+    MAGIC + b"\x00\x01",
+    raw_grid(b"{}"),
+    raw_grid(b"[]"),
+    raw_grid(json.dumps({"times": [0.0, 1.0], "e_nodes": [0.0], "p_nodes": None,
+                         "eparam_nodes": None, "rate": 0.0, "shape": [2.0, 1.5],
+                         "meta": {}}).encode(), bytes(24)),
+], ids=["short-prefix", "empty-object-header", "list-header", "shape-off-axes"])
+def test_read_grid_maps_malformed_files_to_artifact_error(tmp_path, blob):
+    path = tmp_path / "bad.grid"
+    path.write_bytes(blob)
+    with pytest.raises(ArtifactError):
+        read_grid(path)
+
+
+def test_read_grid_maps_a_missing_file_to_artifact_error(tmp_path):
+    with pytest.raises(ArtifactError):
+        read_grid(tmp_path / "absent.grid")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_grids_raise_only_artifact_error(valid_blob, fuzz_path, data):
+    """Any truncation or single-byte flip of a valid grid either still
+    parses into a consistent grid or raises ArtifactError; checked
+    against the recorded digest it always raises ArtifactError."""
+    blob = valid_blob
+    head_end = 16 + struct.unpack("<Q", blob[8:16])[0]
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = blob[:data.draw(st.integers(0, len(blob) - 1), label="keep")]
+    else:
+        at = data.draw(st.one_of(st.integers(0, head_end - 1),
+                                 st.integers(0, len(blob) - 1)), label="at")
+        damaged = bytearray(blob)
+        damaged[at] ^= data.draw(st.integers(1, 255), label="mask")
+    fuzz_path.write_bytes(damaged)
+    with pytest.raises(ArtifactError):
+        read_grid(fuzz_path, hashlib.sha256(blob).hexdigest())
+    try:
+        grid = read_grid(fuzz_path)
+    except ArtifactError:
+        return
+    axes = (grid.times, grid.p_nodes, grid.e_nodes, grid.eparam_nodes)
+    assert grid.values.shape == tuple(a.size for a in axes if a is not None)
 
 
 def test_canonical_json_is_order_insensitive():

@@ -155,11 +155,10 @@ def test_field_dir_round_trip(tmp_path, field):
     assert (tmp_path / "field" / "field_manifest.json").exists()
     assert manifest["format"].startswith("carbon-fbsde/field-dir/")
 
-    loaded = read_field_dir(tmp_path / "field", spec=two_period_spec(),
-                            config=wide_config())
+    grids, loaded = read_field_dir(tmp_path / "field")
+    assert loaded == manifest
     for k in (1, 2):
-        assert np.array_equal(loaded.period_grid(k).values,
-                              field.period_grid(k).values)
+        assert np.array_equal(grids[k - 1].values, field.period_grid(k).values)
 
 
 def test_field_dir_detects_corruption(tmp_path, field):
@@ -169,8 +168,7 @@ def test_field_dir_detects_corruption(tmp_path, field):
     blob[-3] ^= 0xFF
     victim.write_bytes(bytes(blob))
     with pytest.raises(ArtifactError):
-        read_field_dir(tmp_path / "field", spec=two_period_spec(),
-                       config=wide_config())
+        read_field_dir(tmp_path / "field")
 
 
 def test_field_dir_requires_manifest(tmp_path):

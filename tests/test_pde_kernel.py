@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
+from carbon_fbsde import pde_kernel
 from carbon_fbsde.config import preset_coefficients
 from carbon_fbsde.errors import CoverageError, ValidationError
 from carbon_fbsde.model import (
@@ -230,13 +231,41 @@ def test_solve_rejects_degenerate_horizon():
         solve_one_period(no_factor(), terminal, 1.0, 1.0, small_config())
 
 
-def test_factor_solve_is_thread_invariant():
+def test_factor_solve_is_thread_invariant(monkeypatch):
     config = SolverConfig(e_min=-1.0, e_max=1.0, n_e=48,
                           p_min=-2.0, p_max=2.0, n_p=9)
     terminal = indicator_terminal(CapFunction.constant(0.0))
     a = solve_one_period(factor_coeffs(), terminal, 0.0, 0.5, config, threads=1)
     b = solve_one_period(factor_coeffs(), terminal, 0.0, 0.5, config, threads=3)
     assert np.array_equal(a.values, b.values), "thread count changed the answer"
+
+    # a recorded-emissions batch is what the pool splits
+    pools = []
+    real_pool = pde_kernel.ThreadPoolExecutor
+    monkeypatch.setattr(pde_kernel, "ThreadPoolExecutor",
+                        lambda **kw: pools.append(kw) or real_pool(**kw))
+    _, reserve_cap = make_cap_msr(0.6, 0.6, 0.18, 0.72, 0.12, 0.88)
+    config = SolverConfig(e_min=-1.0, e_max=2.0, n_e=36,
+                          p_min=-2.0, p_max=2.0, n_p=9)
+    batch = [solve_one_period(factor_coeffs(), indicator_terminal(reserve_cap),
+                              0.0, 0.5, config, eparam_nodes=config.e_cells(),
+                              threads=threads)
+             for threads in (1, 3)]
+    assert pools == [{"max_workers": 3}]
+    assert np.array_equal(batch[0].values, batch[1].values), \
+        "thread count changed the batched answer"
+
+
+def test_factor_grid_without_factor_coefficients_is_the_plain_solve():
+    """A factor axis in the config is ignored, bit for bit, by factor-free
+    coefficients: the step size and the march both see no factor."""
+    terminal = indicator_terminal(CapFunction.constant(0.0))
+    plain = solve_one_period(no_factor(), terminal, 0.0, 0.5, small_config(n_e=32))
+    gridded = solve_one_period(no_factor(), terminal, 0.0, 0.5,
+                               small_config(n_e=32, p_min=-2.0, p_max=2.0, n_p=9))
+    assert gridded.p_nodes is None
+    assert np.array_equal(plain.times, gridded.times)
+    assert np.array_equal(plain.values, gridded.values)
 
 
 # ----------------------------------------------------------------------
