@@ -32,8 +32,8 @@ from .config import RunPlan, load_config
 from .errors import (ArtifactError, CarbonMarketError, ConfigError,
                      ConvergenceError, CoverageError, InvariantError,
                      SimulationError, SolverError, ValidationError)
-from .gridio import (canonical_json, file_sha256, read_grid, sha256_hex,
-                     start_slice_csv, write_grid)
+from .gridio import (canonical_json, file_sha256, read_grid, read_manifest,
+                     sha256_hex, start_slice_csv, write_grid)
 from .infinite_period import solve_infinite
 from .montecarlo import (events_csv, jump_consistency_test, martingale_test,
                          paths_csv, simulate)
@@ -224,11 +224,11 @@ def _load_field_for_simulation(plan: RunPlan, field_path: Path):
         grids, manifest = read_field_dir(field_path)
         run_manifest = field_path.parent / "manifest.json"
         if run_manifest.exists():
-            recorded = json.loads(run_manifest.read_text(encoding="utf-8"))
+            recorded, _ = read_manifest(run_manifest, "artifacts", ("path", "sha256"))
             if recorded.get("config_hash") not in (None, plan.config_hash):
                 raise ArtifactError(
                     "field artifact was produced by a different config "
-                    f"(hash {recorded.get('config_hash')[:12]}... vs "
+                    f"(hash {str(recorded.get('config_hash'))[:12]}... vs "
                     f"{plan.config_hash[:12]}...)"
                 )
         if plan.horizon != "finite":
@@ -332,8 +332,8 @@ def _verify(target: Path) -> int:
         run_manifest = target / "manifest.json"
         field_manifest = target / "field_manifest.json"
         if run_manifest.exists():
-            recorded = json.loads(run_manifest.read_text(encoding="utf-8"))
-            for entry in recorded.get("artifacts", []):
+            _, entries = read_manifest(run_manifest, "artifacts", ("path", "sha256"))
+            for entry in entries:
                 fp = target / entry["path"]
                 if not fp.exists():
                     raise ArtifactError(f"{fp}: listed in manifest but missing")

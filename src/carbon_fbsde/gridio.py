@@ -31,6 +31,7 @@ __all__ = [
     "write_grid",
     "read_grid",
     "file_sha256",
+    "read_manifest",
     "canonical_json",
     "sha256_hex",
     "jsonable",
@@ -72,10 +73,34 @@ def _checked(path, sha256: Optional[str], digest: str) -> str:
 def file_sha256(path: Union[str, Path], sha256: Optional[str] = None) -> str:
     """Digest of a file; with ``sha256`` given, a different digest raises."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(_CHUNK), b""):
-            h.update(block)
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(_CHUNK), b""):
+                h.update(block)
+    except OSError as exc:
+        raise ArtifactError(f"{path}: cannot read ({exc.strerror})") from exc
     return _checked(path, sha256, h.hexdigest())
+
+
+def read_manifest(path: Union[str, Path], list_key: str, fields: tuple) -> tuple:
+    """``(document, entries)`` of a JSON manifest.
+
+    The document must be a JSON object whose ``list_key`` holds a list of
+    objects with a string under each of ``fields``; that list is
+    ``entries``.  An unreadable file or any other shape raises
+    :class:`ArtifactError`.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ArtifactError(f"{path}: unreadable manifest ({exc})") from exc
+    entries = doc.get(list_key) if isinstance(doc, dict) else None
+    if not (isinstance(entries, list) and all(
+            isinstance(e, dict) and all(isinstance(e.get(k), str) for k in fields)
+            for e in entries)):
+        raise ArtifactError(f"{path}: manifest needs '{list_key}', a list of "
+                            f"objects with string {', '.join(map(repr, fields))}")
+    return doc, entries
 
 
 def write_grid(grid: ValueGrid, path: Union[str, Path]) -> str:

@@ -12,14 +12,13 @@ emissions grid a second time as the parameter axis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ArtifactError, CoverageError, ValidationError
-from .gridio import canonical_json, read_grid, write_grid
+from .gridio import canonical_json, read_grid, read_manifest, write_grid
 from .gridio import file_sha256  # noqa: F401  bound for perfbench/tracer.py, which wraps it here
 from .model import MarketSpec, link_terminal
 from .pde_kernel import SolverConfig, ValueGrid, evaluate, solve_one_period
@@ -235,9 +234,11 @@ def read_field_dir(path) -> tuple:
     mpath = root / "field_manifest.json"
     if not mpath.exists():
         raise ArtifactError(f"{root}: no field_manifest.json")
-    manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    manifest, entries = read_manifest(mpath, "grids", ("file", "sha256"))
     if manifest.get("format") != _DIR_FORMAT:
         raise ArtifactError(f"{root}: unknown field format {manifest.get('format')!r}")
-    grids = [read_grid(root / entry["file"], entry["sha256"])
-             for entry in manifest["grids"]]
+    rate = manifest.get("rate")
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+        raise ArtifactError(f"{mpath}: manifest needs a numeric 'rate'")
+    grids = [read_grid(root / entry["file"], entry["sha256"]) for entry in entries]
     return grids, manifest

@@ -17,6 +17,24 @@ node by node.  The discount term is integrated exactly by a factor
 ``exp(-r dt)`` per step, which keeps constant-in-space states constant in
 space to machine precision.
 
+The flux is convex with minimiser ``y*``, so it splits into a falling part
+``f-(u) = f(min(u, y*))`` and a rising part ``f+(u) = f(max(u, y*))``:
+Godunov is ``max(f+(u_l), f-(u_r))`` and Engquist-Osher
+``f+(u_l) + f-(u_r) - f(y*)`` (LeVeque 2002, ch. 12; Engquist and Osher
+1981).  At a Courant number of at most 1 the march is monotone and
+discounts towards zero, so every state it reaches lies in
+``[min(0, phi), max(1, phi)]`` over the terminal cells, ghosts included.
+When that range sits on one side of every ``y*``, as in markets that
+still emit at the penalty price (``y* >= 1``), all waves move one way and
+both schemes reduce to ``f`` of the upwind state: one flux evaluation per
+cell and step.
+
+A solve takes hundreds of steps on a state of some hundred kilobytes,
+and the rolling market repeats it every sweep.  Fresh temporaries of that
+size are paged in again on every step, which costs as much as the
+arithmetic, so the march keeps its state and every intermediate in
+buffers allocated once per solve and updates them in place.
+
 State layout: the emissions axis is always last; a factor axis, when
 present, sits immediately before it; a batch axis over recorded-emissions
 slices, when present, comes first.  Stored grids use the order
@@ -26,6 +44,7 @@ slices, when present, comes first.  Stored grids use the order
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -51,6 +70,7 @@ __all__ = [
     "KernelDiagnostics",
 ]
 
+_log = logging.getLogger(__name__)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _FLUX_SCHEMES = ("godunov", "engquist-osher")
 _SLACK = 1e-9  # relative-position tolerance of the stored box
@@ -278,19 +298,19 @@ class FluxModel:
                  table_span=(-0.5, 1.5), table_cells: int = 4096):
         self._coeffs = coeffs
         self._p_nodes = p_nodes
-        self._rows = p_nodes is not None
+        self._factor = p_nodes is not None
         mu = coeffs.emissions_rate
 
-        if self._rows:
+        if self._factor:
             p_col = np.asarray(p_nodes, dtype=float)[:, None]
         else:
             p_col = None
         self._p_col = p_col
 
         if coeffs.emissions_antiderivative is not None:
-            anti = coeffs.emissions_antiderivative
-            self._f = lambda y: -np.asarray(anti(p_col, y), dtype=float)
+            self._anti = coeffs.emissions_antiderivative
             self._table = None
+            self._f = self._f_closed
         else:
             # Dense cumulative Gauss-Legendre table with Hermite-cubic
             # evaluation (slopes are mu itself, known exactly).
@@ -299,7 +319,7 @@ class FluxModel:
             h = knots[1] - knots[0]
             mids = 0.5 * (knots[:-1] + knots[1:])
             pts = mids[:, None] + 0.5 * h * _GL8_X[None, :]
-            if self._rows:
+            if self._factor:
                 vals = mu(p_col[..., None], pts[None, ...])
                 incr = (vals * (0.5 * _GL8_W)).sum(axis=-1) * h
                 M = np.concatenate([np.zeros((incr.shape[0], 1)), np.cumsum(incr, axis=-1)], axis=-1)
@@ -316,7 +336,7 @@ class FluxModel:
             self._f = self._f_table
 
         self.y_star = self._solve_y_star()
-        if self._rows:
+        if self._factor:
             self._ystar_col = self.y_star[:, None]
         else:
             self._ystar_col = self.y_star
@@ -324,16 +344,19 @@ class FluxModel:
 
     # -- evaluation --------------------------------------------------
 
+    def _f_closed(self, y):
+        return -np.asarray(self._anti(self._p_col, y), dtype=float)
+
     def _f_table(self, y):
         y0, h, n, M, slopes = self._table
         y = np.asarray(y, dtype=float)
         pos = np.clip((y - y0) / h, 0.0, n - 1.0)
         i = np.clip(np.floor(pos).astype(np.int64), 0, n - 2)
         t = pos - i
-        if self._rows:
-            rows = np.arange(M.shape[0])[:, None]
-            Mi, Mi1 = M[rows, i], M[rows, i + 1]
-            mi, mi1 = slopes[rows, i], slopes[rows, i + 1]
+        if self._factor:
+            r = np.arange(M.shape[0])[:, None]
+            Mi, Mi1 = M[r, i], M[r, i + 1]
+            mi, mi1 = slopes[r, i], slopes[r, i + 1]
         else:
             Mi, Mi1 = M[i], M[i + 1]
             mi, mi1 = slopes[i], slopes[i + 1]
@@ -362,23 +385,43 @@ class FluxModel:
             return float(brentq(lambda yy: float(mu(p, yy)), lo, hi,
                                 xtol=1e-14, rtol=8.9e-16))
 
-        if not self._rows:
+        if not self._factor:
             return one(None)
         return np.array([one(float(pv)) for pv in self._p_nodes])
 
-    def interface(self, ul, ur, scheme: str):
-        """Monotone numerical flux at interfaces between ``ul`` and ``ur``."""
-        ys = self._ystar_col
+    def upwind_side(self, lo: float, hi: float) -> Optional[str]:
+        """Which state decides the flux when every state lies in ``[lo, hi]``.
+
+        ``"right"`` when ``[lo, hi]`` sits at or below every ``y*`` (the
+        flux falls there, so waves run towards lower emissions),
+        ``"left"`` when it sits at or above every ``y*``, else ``None``.
+        """
+        if np.min(self.y_star) >= hi:
+            return "right"
+        if np.max(self.y_star) <= lo:
+            return "left"
+        return None
+
+    def interface(self, ul, ur, scheme: str, upwind: Optional[str] = None):
+        """Monotone numerical flux at interfaces between ``ul`` and ``ur``.
+
+        With ``f+(u) = f(max(u, y*))`` and ``f-(u) = f(min(u, y*))``,
+        Godunov is ``max(f+(ul), f-(ur))`` and Engquist-Osher is
+        ``f+(ul) + f-(ur) - f(y*)``.  ``upwind`` from
+        :meth:`upwind_side` promises that every state lies on one side of
+        ``y*``; both schemes then reduce to ``f`` of that side's state.
+        """
+        if scheme not in _FLUX_SCHEMES:
+            raise ValidationError(f"unknown flux scheme '{scheme}'")
+        if upwind == "right":
+            return self._f(ur)
+        if upwind == "left":
+            return self._f(ul)
+        plus = self._f(np.maximum(ul, self._ystar_col))
+        minus = self._f(np.minimum(ur, self._ystar_col))
         if scheme == "godunov":
-            lo = np.minimum(ul, ur)
-            hi = np.maximum(ul, ur)
-            inner = self._f(np.clip(ys, lo, hi))
-            outer = np.maximum(self._f(ul), self._f(ur))
-            return np.where(ul <= ur, inner, outer)
-        if scheme == "engquist-osher":
-            return (self._f(np.maximum(ul, ys)) + self._f(np.minimum(ur, ys))
-                    - self.f_at_y_star)
-        raise ValidationError(f"unknown flux scheme '{scheme}'")
+            return np.maximum(plus, minus)
+        return plus + minus - self.f_at_y_star
 
 
 def make_flux(coeffs: CoefficientSet, p_nodes: Optional[np.ndarray] = None) -> FluxModel:
@@ -505,38 +548,116 @@ def _step_sizes(span: float, config: SolverConfig, stab_rate: float) -> np.ndarr
     return steps
 
 
-def _march(u, phi_gl, phi_gr, out_store, flux: FluxModel, scheme: str,
+def _sign_runs(b: np.ndarray) -> list:
+    """``(start, stop, shift)`` runs of factor nodes with one upwind side.
+
+    Node ``j`` sits in row ``j + 1`` of the march's buffers and takes its
+    upwind neighbour from row ``j + shift``: ``j + 2`` (the node above)
+    where ``b > 0``, ``j`` (the node below) elsewhere.
+    """
+    shifts = np.where(b > 0.0, 2, 0)
+    cuts = [0] + [j for j in range(1, b.size) if shifts[j] != shifts[j - 1]] + [b.size]
+    return [(a, c, int(shifts[a])) for a, c in zip(cuts[:-1], cuts[1:])]
+
+
+def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, scheme: str,
            r: float, steps: np.ndarray, de: float, eps: float,
-           p_ctx):
-    """Explicit backward march; writes every time slice through out_store."""
+           p_ctx, upwind: Optional[str] = None):
+    """Explicit backward march; writes every time slice through out_store.
+
+    The state lives in a contiguous buffer with a ghost cell at each end
+    of every emissions row and, with a factor, a ghost row at each end of
+    the factor axis.  Two such buffers alternate as current and next
+    state; the flux and the update terms have their own, all allocated
+    once.  Each operation covers a whole buffer, or the buffer read flat
+    and shifted by one cell (emissions) or one row (factor), so the work
+    is contiguous; ghost positions get values nobody reads and are reset
+    before each step.  Every interior element sees the same operations,
+    in the same order, as the plain array expressions of the scheme.
+    """
     n_steps = len(steps)
+    lead, n_e = u0.shape[:-1], u0.shape[-1]
+    width = n_e + 2
+    factor = p_ctx is not None
+    if factor:
+        shape = lead[:-1] + (lead[-1] + 2, width)
+        inner = (Ellipsis, slice(1, -1), slice(1, -1))
+        ghosts = (Ellipsis, slice(1, -1))
+    else:
+        shape = lead + (width,)
+        inner = (Ellipsis, slice(1, -1))
+        ghosts = (Ellipsis,)
+    # zero-filled, so positions no step writes stay finite
+    mem = np.zeros((6 if factor else 4,) + shape)
+    cur, nxt, fl, work = mem[:4]
+    fl_f, work_f = fl.reshape(-1), work.reshape(-1)
+    if factor:
+        b_col, a_col, dp = p_ctx
+        half_a, coef = mem[4:]
+        # 0.5 (a + eps^2), and the upwind coefficient: (u - u_nb) * coef is
+        # where(b > 0, u_up - u, u - u_dn) * (b / dp); only a zero difference
+        # may change sign, and the add that follows absorbs it
+        half_a[...] = np.pad(0.5 * (a_col + eps * eps), ((1, 1), (0, 0)))
+        coef[...] = np.pad(np.where(b_col > 0.0, -(b_col / dp), b_col / dp), ((1, 1), (0, 0)))
+        runs = _sign_runs(b_col[:, 0])
+    # with a one-sided flux fl holds f of each cell's own state, and the
+    # interface right of cell j takes f of cell j + 1 ("right") or j
+    shift = 0 if upwind == "left" else 1
+    rows = ghosts + (slice(None),)
+    n = cur.size
+
+    cur[inner] = u0
     bound = 1.0
-    out_store(n_steps, u)
+    out_store(n_steps, cur[inner])
     for k in range(n_steps):
         dt = float(steps[k])
         disc = math.exp(-r * dt)
         lam = dt / de
-        pad = np.empty(u.shape[:-1] + (u.shape[-1] + 2,), dtype=float)
-        pad[..., 1:-1] = u
-        pad[..., 0] = bound * phi_gl
-        pad[..., -1] = bound * phi_gr
-        F = flux.interface(pad[..., :-1], pad[..., 1:], scheme)
-        unew = u - lam * (F[..., 1:] - F[..., :-1])
+        cur_f = cur.reshape(-1)
+        cur[ghosts + (0,)] = bound * phi_gl
+        cur[ghosts + (-1,)] = bound * phi_gr
+        if factor:
+            top, bot = cur[..., 0:1, :], cur[..., -1:, :]
+            np.multiply(cur[..., 1:2, :], 2.0, out=top)
+            top -= cur[..., 2:3, :]
+            np.clip(top, 0.0, bound, out=top)
+            np.multiply(cur[..., -2:-1, :], 2.0, out=bot)
+            bot -= cur[..., -3:-2, :]
+            np.clip(bot, 0.0, bound, out=bot)
+        # the flux sees the factor rows it was built for, not the ghost rows
+        live = cur[rows]
+        if upwind is None:
+            fl[rows][..., 1:] = flux.interface(live[..., :-1], live[..., 1:], scheme)
+        else:
+            fl[rows] = flux.interface(live, live, scheme, upwind)
+        np.subtract(fl_f[1 + shift:n - 1 + shift], fl_f[shift:n - 2 + shift],
+                    out=work_f[1:-1])
+        work *= lam
+        np.subtract(cur, work, out=nxt)
         if eps > 0.0:
-            unew += (0.5 * eps * eps * dt / de ** 2) * (
-                pad[..., 2:] - 2.0 * u + pad[..., :-2])
-        if p_ctx is not None:
-            b_col, a_col, dp = p_ctx
-            top = np.clip(2.0 * u[..., 0:1, :] - u[..., 1:2, :], 0.0, bound)
-            bot = np.clip(2.0 * u[..., -1:, :] - u[..., -2:-1, :], 0.0, bound)
-            pu = np.concatenate([top, u, bot], axis=-2)
-            up, dn = pu[..., 2:, :], pu[..., :-2, :]
-            diff2 = (up - 2.0 * u + dn) / dp ** 2
-            adv = np.where(b_col > 0.0, up - u, u - dn) * (b_col / dp)
-            unew += dt * (0.5 * (a_col + eps * eps) * diff2 + adv)
-        unew *= disc
+            np.multiply(cur, 2.0, out=work)
+            np.subtract(cur_f[2:], work_f[1:-1], out=work_f[1:-1])
+            work_f[1:-1] += cur_f[:-2]
+            work *= 0.5 * eps * eps * dt / de ** 2
+            nxt += work
+        if factor:
+            np.multiply(cur, 2.0, out=work)
+            np.subtract(cur_f[2 * width:], work_f[width:-width], out=work_f[width:-width])
+            work_f[width:-width] += cur_f[:-2 * width]
+            work /= dp ** 2
+            work *= half_a
+            # the flux is spent: its buffer takes the upwind term
+            for a, c, nb in runs:
+                np.subtract(cur[..., a + 1:c + 1, :], cur[..., a + nb:c + nb, :],
+                            out=fl[..., a + 1:c + 1, :])
+            fl *= coef
+            work += fl
+            work *= dt
+            nxt += work
+        nxt *= disc
         bound *= disc
-        u = unew
+        cur, nxt = nxt, cur
+        u = cur[inner]
         out_store(n_steps - 1 - k, u)
         if (k + 1) % 32 == 0 and not np.all(np.isfinite(u)):
             raise SolverError(f"state became non-finite at step {k + 1}/{n_steps}")
@@ -603,9 +724,21 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
 
     flux = make_flux(coeffs, p_nodes)
     span = tau - t0
-    steps = _step_sizes(span, config,
-                        _stability_rate(coeffs, p_nodes, config.viscosity, de))
+    stab_rate = _stability_rate(coeffs, p_nodes, config.viscosity, de)
+    steps = _step_sizes(span, config, stab_rate)
     n_steps = len(steps)
+    courant = float(steps.max()) * stab_rate
+    # at a Courant number of at most 1 the march is monotone and discounts
+    # towards zero, so every state it reaches, ghost cells included, stays
+    # inside this range; an explicit n_steps may break that promise
+    upwind = None
+    if courant <= 1.0:
+        upwind = flux.upwind_side(min(0.0, float(cells_ext.min())),
+                                  max(1.0, float(cells_ext.max())))
+    _log.debug("solve_one_period: %d steps, Courant number %.4g, %s flux (%s)",
+               n_steps, courant,
+               "general" if upwind is None else f"one-sided ({upwind} state)",
+               "closed form" if flux._table is None else "table")
     # steps run terminal side first, so any shorter remainder step lands
     # between the first two stored slices
     times = tau - np.concatenate([[0.0], np.cumsum(steps)])[::-1]
@@ -628,15 +761,15 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
         if has_ep:
             def store(it, state):
                 values[it][..., sel] = np.moveaxis(state, 0, -1)
-            _march(phi_cells[sel].copy(), phi_gl[sel], phi_gr[sel], store, flux,
+            _march(phi_cells[sel], phi_gl[sel], phi_gr[sel], store, flux,
                    config.flux_scheme, coeffs.rate, steps, de,
-                   config.viscosity, p_ctx)
+                   config.viscosity, p_ctx, upwind)
         else:
             def store(it, state):
                 values[it] = state
-            _march(phi_cells.copy(), phi_gl, phi_gr, store, flux,
+            _march(phi_cells, phi_gl, phi_gr, store, flux,
                    config.flux_scheme, coeffs.rate, steps, de,
-                   config.viscosity, p_ctx)
+                   config.viscosity, p_ctx, upwind)
 
     if has_ep and threads > 1 and eparam_nodes.size >= 2 * threads:
         bounds = np.linspace(0, eparam_nodes.size, threads + 1).astype(int)
@@ -724,21 +857,19 @@ def diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
     else:
         mono_viol = term_defect = mono_added = 0.0
 
-    lip_excess = -1.0
     de = grid.delta_e
-    for it in range(v.shape[0]):
-        age = ages[it]
-        if age < min_age - 1e-12:
-            continue
-        q = float(np.max(np.take(diffs, it, axis=0))) / de if diffs.size else 0.0
-        lip_excess = max(lip_excess, q * mono_l1 * age - 1.0)
+    aged = ages >= min_age - 1e-12
+    if diffs.size:
+        q = diffs.reshape(diffs.shape[0], -1).max(axis=1) / de
+    else:
+        q = np.zeros(v.shape[0])
+    excess = (q * mono_l1 * ages - 1.0)[aged]
+    lip_excess = max(-1.0, float(excess.max())) if excess.size else -1.0
 
     left = float(np.max(np.abs(np.take(v, 0, axis=e_axis))))
-    term_right = np.take(v[-1], -1, axis=e_axis - 1)
-    right_res = 0.0
-    for it in range(v.shape[0]):
-        slice_right = np.take(v[it], -1, axis=e_axis - 1)
-        right_res = max(right_res, float(np.max(np.abs(slice_right - bounds[it] * term_right))))
+    right = np.take(v, -1, axis=e_axis)
+    right_bounds = bounds.reshape((-1,) + (1,) * (right.ndim - 1))
+    right_res = max(0.0, float(np.max(np.abs(right - right_bounds * right[-1]))))
 
     tail_sel = grid.e_nodes < 0.0
     if tail_sel.any():

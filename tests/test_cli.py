@@ -1,6 +1,7 @@
 """End-to-end CLI tests, run in-process through main()."""
 
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -231,6 +232,80 @@ def test_verify_exits_6_on_a_malformed_grid(tmp_path, blob):
     bad = tmp_path / "bad.grid"
     bad.write_bytes(blob)
     assert main(["verify", str(bad)]) == 6
+
+
+@pytest.fixture(scope="module")
+def priced_run(tmp_path_factory):
+    """A tiny price-multi run directory and its config, solved once."""
+    root = tmp_path_factory.mktemp("priced")
+    config = root / "finite.json"
+    config.write_text(json.dumps(TINY_FINITE))
+    assert main(["price-multi", "--config", str(config), "--out", str(root / "run")]) == 0
+    return root / "run", config
+
+
+def _without(doc, *keys):
+    """``doc`` with the key path ``keys`` removed (ints index lists)."""
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    del inner[keys[-1]]
+    return doc
+
+
+FIELD_BREAKS = {
+    "cut": lambda doc: '{"format": ',
+    "not-an-object": lambda doc: "[]",
+    "no-grids": lambda doc: json.dumps(_without(doc, "grids")),
+    "grids-not-a-list": lambda doc: json.dumps({**doc, "grids": "period_1.grid"}),
+    "no-file": lambda doc: json.dumps(_without(doc, "grids", 0, "file")),
+    "no-sha256": lambda doc: json.dumps(_without(doc, "grids", 0, "sha256")),
+    "file-not-a-string": lambda doc: json.dumps(
+        {**doc, "grids": [{**doc["grids"][0], "file": 1}]}),
+    "no-rate": lambda doc: json.dumps(_without(doc, "rate")),
+    "rate-not-a-number": lambda doc: json.dumps({**doc, "rate": "0"}),
+}
+
+RUN_BREAKS = {
+    "cut": lambda doc: '{"command": ',
+    "not-an-object": lambda doc: '"manifest"',
+    "no-artifacts": lambda doc: json.dumps(_without(doc, "artifacts")),
+    "no-path": lambda doc: json.dumps(_without(doc, "artifacts", 0, "path")),
+    "no-sha256": lambda doc: json.dumps(_without(doc, "artifacts", 0, "sha256")),
+}
+
+
+def _broken_copy(tmp_path, priced_run, name, break_doc):
+    run = tmp_path / "run"
+    shutil.copytree(priced_run[0], run)
+    target = run / name
+    target.write_text(break_doc(json.loads(target.read_text())))
+    return run
+
+
+@pytest.mark.parametrize("how", sorted(FIELD_BREAKS))
+def test_corrupt_field_manifest_exits_6(tmp_path, priced_run, how, capsys):
+    run = _broken_copy(tmp_path, priced_run, "field/field_manifest.json",
+                       FIELD_BREAKS[how])
+    assert main(["verify", str(run / "field")]) == 6
+    assert main(["simulate", "--config", str(priced_run[1]), "--field",
+                 str(run / "field"), "--out", str(tmp_path / "sim")]) == 6
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+@pytest.mark.parametrize("how", sorted(RUN_BREAKS))
+def test_corrupt_run_manifest_exits_6(tmp_path, priced_run, how, capsys):
+    run = _broken_copy(tmp_path, priced_run, "manifest.json", RUN_BREAKS[how])
+    assert main(["verify", str(run)]) == 6
+    assert main(["simulate", "--config", str(priced_run[1]), "--field",
+                 str(run / "field"), "--out", str(tmp_path / "sim")]) == 6
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_manifest_entry_naming_a_directory_exits_6(tmp_path, priced_run):
+    run = _broken_copy(tmp_path, priced_run, "manifest.json", lambda doc: json.dumps(
+        {**doc, "artifacts": [{"path": "field", "sha256": "0" * 64}]}))
+    assert main(["verify", str(run)]) == 6
 
 
 @pytest.fixture()

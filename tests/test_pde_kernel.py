@@ -394,3 +394,62 @@ def test_diagnostics_net_out_inherited_defects():
     created = diagnostics(_synthetic_grid(wiggly, flat), 1.0)
     assert not created.passed
     assert created.scheme_added_monotonicity == pytest.approx(0.02)
+
+
+def _looped_lipschitz_and_right_residual(grid, mono_l1, min_age=0.1):
+    """The Lipschitz excess and right-boundary residual, one slice at a time."""
+    v = grid.values
+    e_axis = 1 + (1 if grid.has_p else 0)
+    ages = grid.tau - grid.times
+    bounds = np.exp(-grid.rate * ages)
+    diffs = np.diff(v, axis=e_axis)
+    lip_excess = -1.0
+    for it in range(v.shape[0]):
+        age = ages[it]
+        if age < min_age - 1e-12:
+            continue
+        q = float(np.max(np.take(diffs, it, axis=0))) / grid.delta_e
+        lip_excess = max(lip_excess, q * mono_l1 * age - 1.0)
+    term_right = np.take(v[-1], -1, axis=e_axis - 1)
+    right_res = 0.0
+    for it in range(v.shape[0]):
+        slice_right = np.take(v[it], -1, axis=e_axis - 1)
+        right_res = max(right_res, float(np.max(np.abs(slice_right - bounds[it] * term_right))))
+    return lip_excess, right_res
+
+
+def test_diagnostics_match_the_per_slice_loops():
+    coeffs = factor_coeffs(rate=0.05)
+    config = SolverConfig(e_min=-1.0, e_max=2.0, n_e=36, p_min=-2.0, p_max=2.0, n_p=9)
+    _, reserve_cap = make_cap_msr(0.6, 0.6, 0.18, 0.72, 0.12, 0.88)
+    grids = [
+        solve_one_period(coeffs, indicator_terminal(CapFunction.constant(0.3)),
+                         0.0, 0.5, config),
+        solve_one_period(coeffs, indicator_terminal(reserve_cap), 0.0, 0.5, config,
+                         eparam_nodes=config.e_cells()),
+    ]
+    for grid in grids:
+        report = diagnostics(grid, coeffs.mono_l1)
+        lip, right = _looped_lipschitz_and_right_residual(grid, coeffs.mono_l1)
+        assert report.lipschitz_excess == lip
+        assert report.boundary_right_residual == right
+        assert right > 0.0  # the right edge lost value to the emissions drift
+
+
+def test_solve_logs_steps_courant_and_flux_path(caplog):
+    terminal = indicator_terminal(CapFunction.constant(0.0))
+    with caplog.at_level("DEBUG", logger="carbon_fbsde.pde_kernel"):
+        one_sided = solve_one_period(no_factor(m0=1.2), terminal, 0.0, 0.5,
+                                     small_config(n_e=32))
+        solve_one_period(no_factor(m0=0.5), terminal, 0.0, 0.5,
+                         small_config(n_e=32, n_steps=40))
+    first, second = [r.getMessage() for r in caplog.records
+                     if r.name == "carbon_fbsde.pde_kernel"]
+    assert f"{one_sided.meta['n_steps']} steps" in first
+    assert "Courant number 0.9," in first
+    assert "one-sided (right state) flux (closed form)" in first
+    assert "40 steps" in second and "general flux (closed form)" in second
+
+    caplog.clear()
+    solve_one_period(no_factor(), terminal, 0.0, 0.5, small_config(n_e=32))
+    assert caplog.records == [], "kernel logging is off by default"
