@@ -11,13 +11,18 @@ Usage: python scripts/convergence_study.py [--levels 4] [--base 100]
 
 import argparse
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from carbon_fbsde.model import CapFunction, CoefficientSet, indicator_terminal
-from carbon_fbsde.oracle import burgers_rarefaction, verify_burgers_form
 from carbon_fbsde.pde_kernel import SolverConfig, solve_one_period
+
+# the closed-form references live with the tests, outside the package
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracle import burgers_rarefaction, verify_burgers_form  # noqa: E402
 
 
 def burgers_coefficients() -> CoefficientSet:

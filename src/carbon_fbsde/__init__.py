@@ -15,13 +15,11 @@ from .errors import (ArtifactError, CarbonMarketError, ConfigError,
                      SimulationError, SolverError, ValidationError)
 from .model import (CapFunction, CoefficientSet, MarketSpec, SampleBox,
                     TerminalSurface, indicator_terminal, make_cap_allocation,
-                    make_cap_msr, smoothed_indicator, validate_cap,
-                    validate_coefficients, validate_terminal)
+                    make_cap_msr, smoothed_indicator, validate_coefficients)
 from .pde_kernel import (KernelDiagnostics, SolverConfig, ValueGrid,
                          diagnostics, evaluate, solve_one_period)
 from .multi_period import (MultiPeriodField, read_field_dir,
-                           solve_multi_period, translation_check,
-                           write_field_dir)
+                           solve_multi_period, write_field_dir)
 from .infinite_period import PicardState, picard_step, solve_infinite
 from .montecarlo import (JumpReport, MartingaleReport, PathBundle,
                          jump_consistency_test, martingale_test, simulate)
@@ -35,12 +33,11 @@ __all__ = [
     "ValidationError",
     "CapFunction", "CoefficientSet", "MarketSpec", "SampleBox",
     "TerminalSurface", "indicator_terminal", "make_cap_allocation",
-    "make_cap_msr", "smoothed_indicator", "validate_cap",
-    "validate_coefficients", "validate_terminal",
+    "make_cap_msr", "smoothed_indicator", "validate_coefficients",
     "KernelDiagnostics", "SolverConfig", "ValueGrid", "diagnostics",
     "evaluate", "solve_one_period",
     "MultiPeriodField", "read_field_dir", "solve_multi_period",
-    "translation_check", "write_field_dir",
+    "write_field_dir",
     "PicardState", "picard_step", "solve_infinite",
     "JumpReport", "MartingaleReport", "PathBundle", "jump_consistency_test",
     "martingale_test", "simulate",

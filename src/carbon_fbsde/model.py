@@ -2,11 +2,11 @@
 
 The model layer is deliberately dumb about numerics.  It holds the market
 description (factor dynamics, emission rate, compliance caps, terminal
-payout surface) and checks the structural properties the pricing theory
-needs: Lipschitz bounds, strict monotonicity of the emission rate in the
-price variable, non-increasing net supply, and the shape constraints on
-terminal surfaces (values in [0, 1], non-decreasing in cumulative
-emissions, correct far-field limits).
+payout surface) and checks the coefficient properties the pricing theory
+needs: Lipschitz bounds and strict monotonicity of the emission rate in
+the price variable.  Terminal surfaces are checked where the solver
+meets them: ``pde_kernel`` refuses projected values outside [0, 1], and
+``pde_kernel.diagnostics`` reports their monotonicity defect.
 
 Conventions
 -----------
@@ -34,16 +34,11 @@ __all__ = [
     "SampleBox",
     "validate_coefficients",
     "CapFunction",
-    "CapReport",
-    "validate_cap",
     "make_cap_allocation",
     "make_cap_msr",
     "TerminalSurface",
-    "TerminalReport",
     "indicator_terminal",
     "smoothed_indicator",
-    "constant_surface",
-    "validate_terminal",
     "link_terminal",
     "MarketSpec",
 ]
@@ -298,49 +293,6 @@ class CapFunction:
                            constant_value=value, label=label)
 
 
-@dataclass(frozen=True)
-class CapReport:
-    gamma_monotone: bool
-    max_uptick: float
-    left_edge_gamma: float
-    right_edge_gamma: float
-    admissible: bool
-    notes: tuple = ()
-
-
-def validate_cap(cap: CapFunction, eparam_low: float, eparam_high: float,
-                 n: int = 2049, tol: float = 1e-12) -> CapReport:
-    """Sampled admissibility check of a cap rule.
-
-    Net supply must be non-increasing in the recorded emissions and must
-    eventually drop (sampled proxy for divergence to minus infinity at
-    the right).  Violations are reported, never raised: rules like a
-    market stability reserve intentionally break monotonicity at the
-    band edges and stay usable.
-    """
-    grid = np.linspace(eparam_low, eparam_high, n)
-    g = cap.gamma(grid)
-    if not np.all(np.isfinite(g)):
-        raise ValidationError(f"cap '{cap.kind}' produced non-finite net supply")
-    upticks = np.diff(g)
-    max_uptick = float(upticks.max()) if upticks.size else 0.0
-    monotone = max_uptick <= tol
-    notes = []
-    if not monotone:
-        notes.append(f"net supply increases by up to {max_uptick:.6g} on the grid")
-    decreasing_overall = g[-1] < g[0] - tol
-    if not decreasing_overall:
-        notes.append("net supply does not decrease across the validation grid")
-    return CapReport(
-        gamma_monotone=monotone,
-        max_uptick=max_uptick,
-        left_edge_gamma=float(g[0]),
-        right_edge_gamma=float(g[-1]),
-        admissible=monotone and decreasing_overall,
-        notes=tuple(notes),
-    )
-
-
 def make_cap_allocation(allocations: Sequence[float],
                         mode: str = "banking-borrowing-withdrawal") -> tuple:
     """Per-period caps from a schedule of fresh allowance allocations.
@@ -450,116 +402,6 @@ def smoothed_indicator(cap: CapFunction, width: float) -> TerminalSurface:
 
     return TerminalSurface(fn=fn, lipschitz_p=0.0, parametrized=not cap.is_constant,
                            label=f"smoothstep({cap.kind},w={width:g})")
-
-
-def constant_surface(value: float) -> TerminalSurface:
-    """Constant payout, mainly for discount-identity checks.
-
-    Not an admissible terminal class member (its far-field limits are
-    wrong) but the solver accepts it; validation will flag it.
-    """
-    if not (0.0 <= value <= 1.0):
-        raise ValidationError("constant surface value must lie in [0, 1]")
-    v = float(value)
-
-    def fn(p, e, eparam=None):
-        return np.full_like(np.asarray(e, dtype=float), v)
-
-    return TerminalSurface(fn=fn, lipschitz_p=0.0, label=f"const({v:g})")
-
-
-@dataclass(frozen=True)
-class TerminalReport:
-    range_ok: bool
-    monotone_ok: bool
-    left_limit: float
-    right_limit: float
-    limits_ok: bool
-    lipschitz_p_measured: float
-    diagonal_monotone_ok: bool
-    passed: bool
-    notes: tuple = ()
-
-
-def validate_terminal(surface: TerminalSurface, e_low: float, e_high: float,
-                      p_low=None, p_high=None, eparam_low=None, eparam_high=None,
-                      n: int = 513, tol: float = 1e-9) -> TerminalReport:
-    """Sampled class membership check for a terminal surface.
-
-    Checks range [0, 1], monotonicity in ``e``, the far-field limits at
-    the grid edges, a measured factor-Lipschitz quotient, and (for
-    parametrised surfaces) monotonicity of the diagonal family
-    ``(p, x) -> phi(p, e + x, x)``.  Produces a report; never refuses
-    construction.
-    """
-    e = np.linspace(e_low, e_high, n)
-    notes = []
-    if p_low is None:
-        p_samples = [None]
-    else:
-        p_samples = list(np.linspace(p_low, p_high, 5))
-    ep_samples = [None]
-    if surface.parametrized:
-        lo = e_low if eparam_low is None else eparam_low
-        hi = e_high if eparam_high is None else eparam_high
-        ep_samples = list(np.linspace(lo, hi, 7))
-
-    vmin, vmax = np.inf, -np.inf
-    worst_down = 0.0
-    left, right = np.inf, -np.inf
-    for ps in p_samples:
-        for eps_ in ep_samples:
-            vals = surface(ps, e, eps_)
-            if not np.all(np.isfinite(vals)):
-                raise ValidationError("terminal surface returned non-finite values")
-            vmin, vmax = min(vmin, float(vals.min())), max(vmax, float(vals.max()))
-            d = np.diff(vals)
-            if d.size:
-                worst_down = max(worst_down, float((-d).max()))
-            left = min(left, float(vals[0]))
-            right = max(right, float(vals[-1]))
-
-    range_ok = vmin >= -tol and vmax <= 1.0 + tol
-    monotone_ok = worst_down <= tol
-    limits_ok = left <= tol and right >= 1.0 - tol
-    if not range_ok:
-        notes.append(f"values leave [0,1]: min={vmin:.3g}, max={vmax:.3g}")
-    if not monotone_ok:
-        notes.append(f"decreases along e by up to {worst_down:.3g}")
-    if not limits_ok:
-        notes.append(f"edge limits ({left:.3g}, {right:.3g}) instead of (0, 1)")
-
-    lip_measured = 0.0
-    if p_low is not None and len(p_samples) > 1:
-        for pa, pb in zip(p_samples[:-1], p_samples[1:]):
-            if pb == pa:
-                continue
-            diff = np.abs(surface(pa, e, ep_samples[0]) - surface(pb, e, ep_samples[0]))
-            lip_measured = max(lip_measured, float(diff.max()) / abs(pb - pa))
-        if surface.lipschitz_p is not None and lip_measured > surface.lipschitz_p + tol:
-            notes.append(
-                f"measured factor Lipschitz {lip_measured:.3g} exceeds declared "
-                f"{surface.lipschitz_p:.3g}"
-            )
-
-    diag_ok = True
-    if surface.parametrized and len(ep_samples) > 1:
-        xs = np.linspace(ep_samples[0], ep_samples[-1], n)
-        for offset in np.linspace(e_low - e_high, e_high - e_low, 5):
-            for ps in p_samples:
-                diag = surface(ps, xs + offset, xs)
-                dd = np.diff(diag)
-                if dd.size and float((-dd).max()) > tol:
-                    diag_ok = False
-        if not diag_ok:
-            notes.append("diagonal family is not monotone in the recorded emissions")
-
-    passed = range_ok and monotone_ok and limits_ok and diag_ok
-    return TerminalReport(range_ok=range_ok, monotone_ok=monotone_ok,
-                          left_limit=left, right_limit=right, limits_ok=limits_ok,
-                          lipschitz_p_measured=lip_measured,
-                          diagonal_monotone_ok=diag_ok, passed=passed,
-                          notes=tuple(notes))
 
 
 def link_terminal(next_grid, cap: CapFunction) -> TerminalSurface:

@@ -5,8 +5,8 @@ cumulative-emissions state moves at the emission rate evaluated at the
 current price, and the price itself is read back from the solved field
 at every sub-step.  Paths are processed in fixed-size blocks, each block
 drawing from a counter-based stream keyed by (seed, block index), so
-results are bit-identical regardless of thread count or how many paths
-run (prefixes agree).
+results are bit-identical regardless of how many paths run (prefixes
+agree).
 
 A path that leaves the stored grid box is frozen where it was and
 reported; the run only fails when more than 0.1% of paths do that.

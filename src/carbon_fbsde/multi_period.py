@@ -26,7 +26,6 @@ from .pde_kernel import SolverConfig, ValueGrid, evaluate, solve_one_period
 __all__ = [
     "MultiPeriodField",
     "solve_multi_period",
-    "translation_check",
     "write_field_dir",
     "read_field_dir",
 ]
@@ -147,56 +146,6 @@ def solve_multi_period(spec: MarketSpec, config: SolverConfig,
         grids[k - 1] = g
         next_grid = g
     return MultiPeriodField(spec=spec, config=config, grids=tuple(grids))
-
-
-def translation_check(field_long: MultiPeriodField, field_short: MultiPeriodField,
-                      k: int, shift: float, e_window: tuple) -> dict:
-    """Compare period ``k`` of one market against period ``k-1`` of another.
-
-    For markets that differ by dropping the first of several identical
-    periods (same length, every allocation equal), the later market's
-    field is the earlier one translated by one period in time and by one
-    allocation in cumulative emissions.  Both fields must share the
-    emissions grid and the shift must be a whole number of cells; the
-    comparison is then node-by-node over the stored slices, restricted
-    to ``e_window`` so the report is not dominated by domain-truncation
-    effects near the boundary.
-    """
-    if k < 2:
-        raise ValidationError("need k >= 2 so that period k-1 exists in the short market")
-    ga = field_long.period_grid(k)
-    gb = field_short.period_grid(k - 1)
-    if ga.e_nodes.shape != gb.e_nodes.shape or not np.allclose(ga.e_nodes, gb.e_nodes):
-        raise ValidationError("the two fields do not share an emissions grid")
-    if ga.values.shape != gb.values.shape:
-        raise ValidationError(
-            f"period grids differ in shape: {ga.values.shape} vs {gb.values.shape}"
-        )
-    de = ga.delta_e
-    js = shift / de
-    if abs(js - round(js)) > 1e-9:
-        raise ValidationError(f"shift {shift:g} is not a whole number of cells")
-    js = int(round(js))
-
-    lo, hi = e_window
-    sel = (ga.e_nodes >= lo) & (ga.e_nodes <= hi)
-    idx = np.nonzero(sel)[0]
-    if idx.size == 0:
-        raise ValidationError("empty comparison window")
-    if idx[0] - js < 0 or idx[-1] - js >= gb.e_nodes.size:
-        raise ValidationError("window minus shift leaves the grid")
-
-    e_axis = 1 + (1 if ga.has_p else 0)
-    va = np.take(ga.values, idx, axis=e_axis)
-    vb = np.take(gb.values, idx - js, axis=e_axis)
-    gap = np.abs(va - vb)
-    return {
-        "max_residual": float(gap.max()),
-        "mean_residual": float(gap.mean()),
-        "n_nodes": int(gap.size),
-        "cell_shift": js,
-        "window": (float(lo), float(hi)),
-    }
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,6 @@ from itertools import product
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import CoverageError, SolverError, ValidationError
 from .model import CoefficientSet, TerminalSurface
@@ -292,6 +291,15 @@ class FluxModel:
     solves ``mu(p, y*) = 0`` and is what the Godunov and
     Engquist-Osher formulas need.  Array evaluation broadcasts the
     factor axis at position -2 when the model carries factor rows.
+
+    ``y*`` comes from one bisection over all factor nodes at once.  With
+    ``m0 = mu(p, 0)``, the slope bound ``mono_l1`` puts the root in
+    ``[0, m0/l1 + pad]``, or in ``[m0/l1 - pad, 0]`` when ``m0 < 0``
+    (``pad = 1e-9 (1 + |m0/l1|)``).  A rate that keeps one sign on that
+    bracket falls more slowly than declared and raises
+    :class:`ValidationError`.  The bracket is halved until its ends are
+    adjacent floats, and the end with the smaller ``|mu|`` is kept; a
+    scalar for a factor-free model, one value per node otherwise.
     """
 
     def __init__(self, coeffs: CoefficientSet, p_nodes: Optional[np.ndarray],
@@ -372,22 +380,32 @@ class FluxModel:
     # -- structure ---------------------------------------------------
 
     def _solve_y_star(self):
-        mu = self._coeffs.emissions_rate
+        mu = self._coeffs.mu
         l1 = self._coeffs.mono_l1
-
-        def one(p):
-            m0 = float(mu(p, 0.0))
-            if m0 == 0.0:
-                return 0.0
-            other = m0 / l1
-            pad = 1e-9 * (1.0 + abs(other))
-            lo, hi = (0.0, other + pad) if m0 > 0 else (other - pad, 0.0)
-            return float(brentq(lambda yy: float(mu(p, yy)), lo, hi,
-                                xtol=1e-14, rtol=8.9e-16))
-
-        if not self._factor:
-            return one(None)
-        return np.array([one(float(pv)) for pv in self._p_nodes])
+        p = np.asarray(self._p_nodes, dtype=float) if self._factor else None
+        m0 = mu(p, np.zeros(1 if p is None else p.size))
+        other = m0 / l1
+        pad = 1e-9 * (1.0 + np.abs(other))
+        lo = np.where(m0 < 0, other - pad, 0.0)
+        hi = np.where(m0 > 0, other + pad, 0.0)
+        bad = ~((mu(p, lo) >= 0) & (mu(p, hi) <= 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            at = "" if p is None else f" at factor node p = {p[i]:g}"
+            raise ValidationError(
+                f"emission rate keeps one sign on the y* bracket "
+                f"[{lo[i]:.6g}, {hi[i]:.6g}]{at}: it falls more slowly than "
+                f"the declared mono_l1 = {l1:g}")
+        while True:
+            mid = 0.5 * (lo + hi)
+            active = (mid != lo) & (mid != hi)
+            if not active.any():
+                break
+            up = active & (mu(p, mid) > 0)
+            lo = np.where(up, mid, lo)
+            hi = np.where(active & ~up, mid, hi)
+        y = np.where(np.abs(mu(p, hi)) < np.abs(mu(p, lo)), hi, lo)
+        return y if self._factor else float(y[0])
 
     def upwind_side(self, lo: float, hi: float) -> Optional[str]:
         """Which state decides the flux when every state lies in ``[lo, hi]``.

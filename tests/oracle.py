@@ -1,10 +1,14 @@
-"""Independent reference solutions for validating the pricing kernel.
+"""Independent reference solutions and test-only helpers.
 
 Everything here is deliberately decoupled from the production code
 paths: the fine-grid reference builds its flux by composite Simpson
 tables and linear interpolation rather than the kernel's closed-form or
-Hermite evaluation, and it carries its own march loop.  Agreement
-between the two is then evidence, not tautology.
+Hermite evaluation, and it carries its own march loop; the flux
+minimiser is cross-checked against scipy's ``brentq`` rather than the
+kernel's bisection.  Agreement between the two is then evidence, not
+tautology.  The package never imports this module (it lives with the
+tests, and ``scripts/convergence_study.py`` puts it on its path), so
+scipy stays a test-time dependency.
 """
 
 from __future__ import annotations
@@ -16,8 +20,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import SolverError, ValidationError
-from .model import CoefficientSet
+from carbon_fbsde.errors import SolverError, ValidationError
+from carbon_fbsde.model import CoefficientSet, TerminalSurface
+from carbon_fbsde.multi_period import MultiPeriodField
+from carbon_fbsde.pde_kernel import evaluate
 
 __all__ = [
     "ReferenceSolution",
@@ -28,6 +34,9 @@ __all__ = [
     "compare_l1",
     "ou_moments",
     "picard_contraction_factor",
+    "brentq_y_star",
+    "constant_surface",
+    "translation_check",
 ]
 
 
@@ -222,8 +231,6 @@ def _as_field(obj):
     if callable(obj):
         return obj
     if hasattr(obj, "e_nodes") and hasattr(obj, "values"):
-        from .pde_kernel import evaluate
-
         def fn(t, e):
             return evaluate(obj, t, None, e)
 
@@ -259,3 +266,93 @@ def ou_moments(p0: float, kappa: float, sigma: float, t: float):
 def picard_contraction_factor(rate: float, period_length: float) -> float:
     """Per-sweep contraction factor of the stationary fixed-point map."""
     return math.exp(-rate * period_length)
+
+
+def brentq_y_star(coeffs: CoefficientSet, p_nodes=None, xtol: float = 1e-14):
+    """Flux minimiser per factor node by ``brentq`` on the kernel's bracket.
+
+    The bracket is ``[0, m0/l1 + pad]``, or ``[m0/l1 - pad, 0]`` when
+    ``m0 = mu(p, 0) < 0``; ``m0 == 0`` gives 0.  Returns a float for a
+    factor-free model and an array over ``p_nodes`` otherwise.
+    """
+    mu, l1 = coeffs.emissions_rate, coeffs.mono_l1
+
+    def one(p):
+        m0 = float(mu(p, 0.0))
+        if m0 == 0.0:
+            return 0.0
+        other = m0 / l1
+        pad = 1e-9 * (1.0 + abs(other))
+        lo, hi = (0.0, other + pad) if m0 > 0 else (other - pad, 0.0)
+        return float(brentq(lambda yy: float(mu(p, yy)), lo, hi,
+                            xtol=xtol, rtol=8.9e-16))
+
+    if p_nodes is None:
+        return one(None)
+    return np.array([one(float(pv)) for pv in p_nodes])
+
+
+def constant_surface(value: float) -> TerminalSurface:
+    """Constant payout, for discount-identity checks.
+
+    Not an admissible terminal (its far-field limits are wrong), but the
+    solver accepts it.
+    """
+    if not (0.0 <= value <= 1.0):
+        raise ValidationError("constant surface value must lie in [0, 1]")
+    v = float(value)
+
+    def fn(p, e, eparam=None):
+        return np.full_like(np.asarray(e, dtype=float), v)
+
+    return TerminalSurface(fn=fn, lipschitz_p=0.0, label=f"const({v:g})")
+
+
+def translation_check(field_long: MultiPeriodField, field_short: MultiPeriodField,
+                      k: int, shift: float, e_window: tuple) -> dict:
+    """Compare period ``k`` of one market against period ``k-1`` of another.
+
+    For markets that differ by dropping the first of several identical
+    periods (same length, every allocation equal), the later market's
+    field is the earlier one translated by one period in time and by one
+    allocation in cumulative emissions.  Both fields must share the
+    emissions grid and the shift must be a whole number of cells; the
+    comparison is then node-by-node over the stored slices, restricted
+    to ``e_window`` so the report is not dominated by domain-truncation
+    effects near the boundary.
+    """
+    if k < 2:
+        raise ValidationError("need k >= 2 so that period k-1 exists in the short market")
+    ga = field_long.period_grid(k)
+    gb = field_short.period_grid(k - 1)
+    if ga.e_nodes.shape != gb.e_nodes.shape or not np.allclose(ga.e_nodes, gb.e_nodes):
+        raise ValidationError("the two fields do not share an emissions grid")
+    if ga.values.shape != gb.values.shape:
+        raise ValidationError(
+            f"period grids differ in shape: {ga.values.shape} vs {gb.values.shape}"
+        )
+    de = ga.delta_e
+    js = shift / de
+    if abs(js - round(js)) > 1e-9:
+        raise ValidationError(f"shift {shift:g} is not a whole number of cells")
+    js = int(round(js))
+
+    lo, hi = e_window
+    sel = (ga.e_nodes >= lo) & (ga.e_nodes <= hi)
+    idx = np.nonzero(sel)[0]
+    if idx.size == 0:
+        raise ValidationError("empty comparison window")
+    if idx[0] - js < 0 or idx[-1] - js >= gb.e_nodes.size:
+        raise ValidationError("window minus shift leaves the grid")
+
+    e_axis = 1 + (1 if ga.has_p else 0)
+    va = np.take(ga.values, idx, axis=e_axis)
+    vb = np.take(gb.values, idx - js, axis=e_axis)
+    gap = np.abs(va - vb)
+    return {
+        "max_residual": float(gap.max()),
+        "mean_residual": float(gap.mean()),
+        "n_nodes": int(gap.size),
+        "cell_shift": js,
+        "window": (float(lo), float(hi)),
+    }

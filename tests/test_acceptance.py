@@ -25,14 +25,13 @@ from carbon_fbsde.config import build_plan, bundled_preset, preset_coefficients
 from carbon_fbsde.model import (
     CapFunction,
     MarketSpec,
-    constant_surface,
     indicator_terminal,
     make_cap_allocation,
     smoothed_indicator,
 )
-from carbon_fbsde.multi_period import translation_check
-from carbon_fbsde.oracle import burgers_rarefaction, compare_l1, verify_burgers_form
 from carbon_fbsde.pde_kernel import SolverConfig, diagnostics
+from oracle import (burgers_rarefaction, compare_l1, constant_surface,
+                    translation_check, verify_burgers_form)
 
 TOL_EXACT = 1e-12
 

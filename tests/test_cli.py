@@ -106,6 +106,21 @@ def test_commands_refuse_flags_they_do_not_read(tmp_path, finite_config, argv):
     assert exc.value.code == 2
 
 
+def test_rate_without_a_sign_change_on_the_y_star_bracket_exits_2(tmp_path, capsys):
+    """The declared mono_l1 = 1 holds only on [-0.25, 1.25], where the
+    coefficients are sampled; beyond it the rate falls at half that
+    speed, so it is still positive at the bracket end m0 / l1 = 3."""
+    tree = dict(TINY_FINITE, label="slow-tail", coefficients={"expression": {
+        "mu": "3 - minimum(y, 1.25) - 0.5*maximum(y - 1.25, 0)",
+        "dim_p": 0, "lipschitz_L": 2, "mono_l1": 1, "mono_l2": 1}},
+        grid={"n_e": 100})
+    path = tmp_path / "slow-tail.json"
+    path.write_text(json.dumps(tree))
+    assert main(["price-multi", "--config", str(path),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "y* bracket [0, 3]" in capsys.readouterr().err
+
+
 def test_bad_thread_env_exits_2(tmp_path, finite_config, monkeypatch):
     monkeypatch.setenv("CARBON_FBSDE_THREADS", "many")
     assert main(["price-multi", "--config", str(finite_config),

@@ -11,14 +11,11 @@ from carbon_fbsde.model import (
     CoefficientSet,
     MarketSpec,
     SampleBox,
-    constant_surface,
     indicator_terminal,
     make_cap_allocation,
     make_cap_msr,
     smoothed_indicator,
-    validate_cap,
     validate_coefficients,
-    validate_terminal,
 )
 from carbon_fbsde.config import expression_coefficients, preset_coefficients
 
@@ -142,21 +139,6 @@ def test_msr_cap_branch_arithmetic():
     assert second.level(0.6) == pytest.approx(1.2, rel=1e-12)
 
 
-def test_validate_cap_constant_is_admissible():
-    cap = CapFunction.constant(1.0)
-    report = validate_cap(cap, 0.0, 2.0)
-    assert report.admissible
-    assert report.gamma_monotone
-
-
-def test_validate_cap_reports_msr_band_upticks():
-    caps = make_cap_msr(0.6, 0.6, 0.18, 0.72, 0.12, 0.88)
-    report = validate_cap(caps[1], 0.0, 1.4)
-    assert not report.gamma_monotone
-    assert report.max_uptick > 0.0
-    assert report.notes
-
-
 # ----------------------------------------------------------------------
 # terminal surfaces
 # ----------------------------------------------------------------------
@@ -187,18 +169,6 @@ def test_smoothed_indicator_stays_in_range(width, level):
     vals = surface.fn(None, e, None)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
     assert np.all(np.diff(vals) >= -1e-15)
-
-
-def test_validate_terminal_passes_indicator():
-    surface = indicator_terminal(CapFunction.constant(0.0))
-    report = validate_terminal(surface, -1.0, 1.0)
-    assert report.passed, report.notes
-
-
-def test_validate_terminal_flags_missing_limits():
-    report = validate_terminal(constant_surface(1.0), -1.0, 1.0)
-    assert not report.limits_ok
-    assert not report.passed
 
 
 # ----------------------------------------------------------------------

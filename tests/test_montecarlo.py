@@ -1,7 +1,7 @@
 """Path simulation tests on small fields.
 
 Randomness is counter-based and keyed by (seed, path block), which is
-what the prefix and thread-invariance tests below pin down.
+what the prefix test below pins down.
 """
 
 import numpy as np
@@ -17,8 +17,8 @@ from carbon_fbsde.config import preset_coefficients
 from carbon_fbsde.errors import CoverageError, ValidationError
 from carbon_fbsde.model import MarketSpec, make_cap_allocation
 from carbon_fbsde.montecarlo import events_csv, paths_csv
-from carbon_fbsde.oracle import ou_moments
 from carbon_fbsde.pde_kernel import SolverConfig
+from oracle import ou_moments
 
 
 def flat_spec():

@@ -7,12 +7,9 @@ from carbon_fbsde import solve_multi_period
 from carbon_fbsde.config import preset_coefficients
 from carbon_fbsde.errors import ArtifactError, CoverageError, ValidationError
 from carbon_fbsde.model import MarketSpec, make_cap_allocation
-from carbon_fbsde.multi_period import (
-    read_field_dir,
-    translation_check,
-    write_field_dir,
-)
+from carbon_fbsde.multi_period import read_field_dir, write_field_dir
 from carbon_fbsde.pde_kernel import SolverConfig, evaluate
+from oracle import translation_check
 
 
 def two_period_spec(rate: float = 0.05):

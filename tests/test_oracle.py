@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from carbon_fbsde.config import preset_coefficients
 from carbon_fbsde.errors import ValidationError
-from carbon_fbsde.oracle import (
+from oracle import (
     burgers_rarefaction,
     compare_l1,
     fine_grid_reference,

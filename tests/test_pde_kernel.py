@@ -1,6 +1,8 @@
 """Single-period kernel tests: flux structure, marching, diagnostics."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +11,11 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from carbon_fbsde import pde_kernel
-from carbon_fbsde.config import preset_coefficients
+from carbon_fbsde.config import build_plan, bundled_preset, preset_coefficients
 from carbon_fbsde.errors import CoverageError, ValidationError
 from carbon_fbsde.model import (
     CapFunction,
     CoefficientSet,
-    constant_surface,
     indicator_terminal,
     make_cap_msr,
     smoothed_indicator,
@@ -29,6 +30,9 @@ from carbon_fbsde.pde_kernel import (
     mollify_terminal,
     solve_one_period,
 )
+from oracle import brentq_y_star, constant_surface
+
+ROLLING_FACTOR = Path(__file__).resolve().parents[1] / "perfbench" / "rolling-factor.json"
 
 
 def no_factor(m0: float = 1.2, m2: float = 1.0, rate: float = 0.0):
@@ -139,6 +143,65 @@ def test_factor_flux_rows_follow_the_factor():
     vals = flux.f(np.full(3, 0.25)[None, :].T * np.ones(3))
     assert vals.shape[0] == 3
     assert flux.y_star.shape == (3,)
+
+
+def _y_star_market(name):
+    if name == "rolling-factor":
+        return json.loads(ROLLING_FACTOR.read_text())
+    if name == "two-period-factor-m0-0.6":  # y* inside [0, 1]: the general flux
+        tree = bundled_preset("two-period-factor")
+        tree["coefficients"]["parameters"]["m0"] = 0.6
+        return tree
+    return bundled_preset(name)
+
+
+@pytest.mark.parametrize("name", ["burgers", "two-period-msr", "two-period-factor",
+                                  "rolling-r005", "rolling-factor",
+                                  "two-period-factor-m0-0.6"])
+def test_y_star_bisection_matches_brentq_on_the_markets(name):
+    plan = build_plan(_y_star_market(name))
+    coeffs, p_nodes = plan.spec.coefficients, plan.solver.p_nodes()
+    got = make_flux(coeffs, p_nodes).y_star
+    assert np.array_equal(got, brentq_y_star(coeffs, p_nodes))
+    assert type(got) is (float if p_nodes is None else np.ndarray)
+
+
+_BENDS = {
+    "linear": lambda k, y: 0.0 * y,
+    "tanh": lambda k, y: k * np.tanh(3.0 * y),
+    "cubic": lambda k, y: k * y ** 3,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m0=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    l1=st.floats(0.25, 4.0),
+    tilt=st.one_of(st.none(), st.floats(-0.5, 0.5)),
+    bend=st.sampled_from(sorted(_BENDS)),
+    k=st.floats(0.0, 2.0),
+)
+def test_y_star_is_the_last_float_before_the_sign_change(m0, l1, tilt, bend, k):
+    """``mu = m0 + tilt p - l1 y - bend(y)`` falls at least at rate ``l1``;
+    ``y*`` must sit at its sign change to the last float and agree with
+    brentq up to brentq's own tolerance ``xtol + rtol |y|`` plus one ulp."""
+    p_nodes = None if tilt is None else np.linspace(-3.0, 3.0, 7)
+
+    def mu(p, y):
+        y = np.asarray(y, dtype=float)
+        shift = 0.0 if p is None else tilt * np.asarray(p, dtype=float)
+        return m0 + shift - l1 * y - _BENDS[bend](k, y)
+
+    L = max(1.0, 1.0 / l1, l1 + 3.0 * k) + 1.0
+    coeffs = CoefficientSet(dim_p=0 if tilt is None else 1, emissions_rate=mu,
+                            rate=0.0, lipschitz_L=L, mono_l1=l1, mono_l2=L,
+                            drift=lambda p: 0.0 * p, vol=lambda p: 1.0 + 0.0 * p)
+    y = np.atleast_1d(make_flux(coeffs, p_nodes).y_star)
+    assert np.all(mu(p_nodes, np.nextafter(y, -np.inf)) >= 0.0)
+    assert np.all(mu(p_nodes, np.nextafter(y, np.inf)) <= 0.0)
+    xtol, rtol = 1e-300, 8.9e-16
+    ref = np.atleast_1d(brentq_y_star(coeffs, p_nodes, xtol=xtol))
+    assert np.all(np.abs(y - ref) <= xtol + rtol * np.abs(ref) + np.spacing(np.abs(y)))
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 A rename that leaves a stale ``__all__`` entry, or that moves a function
 ``perfbench/tracer.py`` patches at run time, fails here instead of at
-import time for users or mid-run under ``--trace 1``.
+import time for users or mid-run under ``--trace 1``.  The command-line
+entry point must also stay free of test-only weight: no scipy, no
+reference-solution module.
 """
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +21,7 @@ import carbon_fbsde
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(carbon_fbsde.__path__))
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+SRC = str(Path(carbon_fbsde.__file__).resolve().parents[1])
 
 
 def test_package_all_resolves():
@@ -40,3 +46,15 @@ def test_tracer_targets_resolve():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr in targets if not callable(getattr(owner, attr, None))]
     assert not missing, f"traced bindings missing: {missing}"
+
+
+def test_cli_import_loads_no_scipy_and_ships_no_oracle():
+    probe = ("import importlib.util, sys\n"
+             "import carbon_fbsde.cli\n"
+             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+             "assert importlib.util.find_spec('carbon_fbsde.oracle') is None\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
