@@ -14,8 +14,11 @@ reported; the run only fails when more than 0.1% of paths do that.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -37,6 +40,7 @@ __all__ = [
     "events_csv",
 ]
 
+_log = logging.getLogger(__name__)
 _BLOCK = 8192
 BRANCH_BELOW, BRANCH_AT, BRANCH_ABOVE, BRANCH_ABORTED = -1, 0, 1, -2
 _BRANCH_NAMES = {BRANCH_BELOW: "below", BRANCH_AT: "at", BRANCH_ABOVE: "above",
@@ -88,8 +92,17 @@ class PathBundle:
         return float(self.aborted.mean()) if self.n_paths else 0.0
 
     def snapshot_index(self, t: float, tol: Optional[float] = None) -> int:
+        """Index of the stored snapshot nearest ``t``.
+
+        A requested snapshot time is stored at its nearest time node, so
+        by default ``t`` may sit just over half the step containing it
+        away; periods of different lengths have different steps.
+        """
         if tol is None:
-            tol = 0.51 * float(self.times[1] - self.times[0])
+            times = self.times
+            step = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0),
+                       times.size - 2)
+            tol = 0.51 * float(times[step + 1] - times[step])
         gap = np.abs(self.snapshot_times - t)
         j = int(np.argmin(gap))
         if gap[j] > tol:
@@ -158,6 +171,7 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
     the first-order coupling error of a plain Euler update shows up as
     spurious drift in the discounted price at practical step counts.
     """
+    started = time.perf_counter()
     coeffs = spec.coefficients if coeffs is None else coeffs
     if n_paths < 1 or steps_per_period < 1:
         raise ValidationError("need n_paths >= 1 and steps_per_period >= 1")
@@ -316,6 +330,13 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
             path_E[lo:lo + kb, n_steps] = E[:kb]
             path_Y[lo:lo + kb, n_steps] = Y[:kb]
 
+    if _log.isEnabledFor(logging.DEBUG):
+        seconds = time.perf_counter() - started
+        lost = np.diff(np.count_nonzero(branch == BRANCH_ABORTED, axis=1), prepend=0)
+        _log.debug("simulate: %d paths x %d steps = %d path steps in %.3f s "
+                   "(%.4g paths/s); aborted paths per compliance date %s",
+                   n_paths, n_steps, n_paths * n_steps, seconds,
+                   n_paths / seconds, lost.tolist())
     frac = float(aborted.mean())
     if frac > 1e-3:
         raise SimulationError(
@@ -494,28 +515,24 @@ def jump_consistency_test(bundle: PathBundle, margin_cells: float = 3.0) -> Jump
 def paths_csv(bundle: PathBundle, path: Union[str, Path]) -> None:
     """Kept trajectories, one row per (path, time)."""
     has_p = bundle.path_P is not None
+    columns = ([bundle.path_P] if has_p else []) + [bundle.path_E, bundle.path_Y]
+    row_fmt = "%d" + ",%.17g" * (1 + len(columns)) + "\n"
+    times = bundle.times.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("path,t" + (",P" if has_p else "") + ",E,Y\n")
-        for row, pidx in enumerate(bundle.kept_idx):
-            for j, t in enumerate(bundle.times):
-                cells = [str(int(pidx)), f"{t:.17g}"]
-                if has_p:
-                    cells.append(f"{bundle.path_P[row, j]:.17g}")
-                cells.append(f"{bundle.path_E[row, j]:.17g}")
-                cells.append(f"{bundle.path_Y[row, j]:.17g}")
-                fh.write(",".join(cells) + "\n")
+        for row, pidx in enumerate(bundle.kept_idx.tolist()):
+            cells = zip(repeat(pidx), times, *(c[row].tolist() for c in columns))
+            fh.write("".join([row_fmt % r for r in cells]))
 
 
 def events_csv(bundle: PathBundle, path: Union[str, Path]) -> None:
     """Compliance-date records for every path."""
+    columns = (bundle.compliance_E, bundle.compliance_cap, bundle.compliance_left,
+               bundle.compliance_right)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("path,k,E_Tk,cap,Y_left,Y_right,branch\n")
         for k in range(bundle.n_periods):
-            for i in range(bundle.n_paths):
-                fh.write(
-                    f"{i},{k + 1},{bundle.compliance_E[k, i]:.17g},"
-                    f"{bundle.compliance_cap[k, i]:.17g},"
-                    f"{bundle.compliance_left[k, i]:.17g},"
-                    f"{bundle.compliance_right[k, i]:.17g},"
-                    f"{_BRANCH_NAMES[int(bundle.branch[k, i])]}\n"
-                )
+            row_fmt = f"%d,{k + 1}" + ",%.17g" * len(columns) + ",%s\n"
+            names = [_BRANCH_NAMES[b] for b in bundle.branch[k].tolist()]
+            cells = zip(range(bundle.n_paths), *(c[k].tolist() for c in columns), names)
+            fh.write("".join([row_fmt % r for r in cells]))

@@ -48,7 +48,6 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -192,10 +191,11 @@ class ValueGrid:
 
 
 def _locate(nodes: np.ndarray, x):
-    """Uniform-grid bracketing indices, weights and in-range mask."""
+    """Uniform-grid bracketing indices, weights, in-range mask and positions."""
     pos = (np.asarray(x, dtype=float) - nodes[0]) / (nodes[1] - nodes[0])
     ok = (pos >= -_SLACK) & (pos <= nodes.size - 1 + _SLACK)
-    i = np.clip(np.floor(pos).astype(np.int64), 0, nodes.size - 2)
+    # np.clip's integer path checks its bounds against iinfo on every call
+    i = np.minimum(np.maximum(np.floor(pos).astype(np.int64), 0), nodes.size - 2)
     w = np.clip(pos - i, 0.0, 1.0)
     return i, w, ok, pos
 
@@ -215,19 +215,6 @@ def _query_axes(grid: ValueGrid, p, e, eparam):
     return axes
 
 
-def _interp_slice(S: np.ndarray, located):
-    """Multilinear interpolation on one stored time slice."""
-    acc = 0.0
-    for corner in product((0, 1), repeat=len(located)):
-        w = 1.0
-        idx = []
-        for (i, wt), c in zip(located, corner):
-            w = w * (wt if c else (1.0 - wt))
-            idx.append(i + c)
-        acc = acc + w * S[tuple(idx)]
-    return acc
-
-
 def lookup(grid: ValueGrid, t: float, p, e, eparam=None):
     """Multilinear field value at time ``t`` with an in-box mask.
 
@@ -236,21 +223,43 @@ def lookup(grid: ValueGrid, t: float, p, e, eparam=None):
     Points outside the spatial box are clamped onto it for the value and
     marked ``False`` in the mask; the caller decides what that means.
     Returns ``(value, in_box)``.
+
+    Each axis is located once.  The ``2^d`` cell corners, last axis
+    fastest, get their weight products and flat offsets into a C-ordered
+    slice once, and each bracketing time slice is gathered corner by
+    corner with ``take`` on its raveled view.
     """
     times = grid.times
     t = min(max(t, times[0]), times[-1])
     it = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
     wt = min(max((t - times[it]) / (times[it + 1] - times[it]), 0.0), 1.0)
 
-    located, in_box = [], True
-    for _, nodes, x in _query_axes(grid, p, e, eparam):
+    shape = grid.values.shape[1:]
+    stride = math.prod(shape)
+    base, corners, in_box = 0, [(1.0, 0)], True
+    for (_, nodes, x), n in zip(_query_axes(grid, p, e, eparam), shape):
+        stride //= n
         i, w, ok, _ = _locate(nodes, x)
-        located.append((i, w))
+        base += i * stride
+        corners = [(wc * a, oc + c) for wc, oc in corners
+                   for a, c in ((1.0 - w, 0), (w, stride))]
         in_box = in_box & ok
-    value = _interp_slice(grid.values[it], located)
+    corners = [(wc, base + oc) for wc, oc in corners]
+
+    blend = []
+    for S in grid.values[it: it + 2 if wt > 0.0 else it + 1]:
+        flat = S.ravel()
+        acc = 0.0
+        for wc, idx in corners:
+            term = flat.take(idx)
+            term *= wc
+            acc += term
+        blend.append(acc)
     if wt > 0.0:
-        value = (1.0 - wt) * value + wt * _interp_slice(grid.values[it + 1], located)
-    return value, in_box
+        blend[0] *= 1.0 - wt
+        blend[1] *= wt
+        blend[0] += blend[1]
+    return blend[0], in_box
 
 
 def evaluate(grid: ValueGrid, t: float, p, e, eparam=None):
@@ -263,7 +272,7 @@ def evaluate(grid: ValueGrid, t: float, p, e, eparam=None):
     """
     t = float(t)
     times = grid.times
-    if t < times[0] - _SLACK or t > times[-1] + _SLACK:
+    if not times[0] - _SLACK <= t <= times[-1] + _SLACK:  # NaN fails both
         raise CoverageError(
             f"time query outside grid range [{times[0]:g}, {times[-1]:g}] (t={t:g})"
         )

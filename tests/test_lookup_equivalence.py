@@ -1,0 +1,172 @@
+"""The flat-gather field lookup against the fancy-indexing lookup.
+
+``reference_locate``, ``reference_interp_slice`` and ``reference_lookup``
+are the kernel's lookup as it was written before it gathered corners with
+``take`` on the raveled slice: every corner's weight product and index
+tuple rebuilt for each bracketing time slice.  They are kept here, not in
+the package, as the oracle the flat gather must reproduce bit for bit,
+NaN and signed zeros included.
+"""
+
+from itertools import product
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from carbon_fbsde.pde_kernel import _SLACK, ValueGrid, _query_axes, lookup
+
+
+def reference_locate(nodes: np.ndarray, x):
+    """Uniform-grid bracketing indices, weights and in-range mask."""
+    pos = (np.asarray(x, dtype=float) - nodes[0]) / (nodes[1] - nodes[0])
+    ok = (pos >= -_SLACK) & (pos <= nodes.size - 1 + _SLACK)
+    i = np.clip(np.floor(pos).astype(np.int64), 0, nodes.size - 2)
+    w = np.clip(pos - i, 0.0, 1.0)
+    return i, w, ok, pos
+
+
+def reference_interp_slice(S: np.ndarray, located):
+    """Multilinear interpolation on one stored time slice."""
+    acc = 0.0
+    for corner in product((0, 1), repeat=len(located)):
+        w = 1.0
+        idx = []
+        for (i, wt), c in zip(located, corner):
+            w = w * (wt if c else (1.0 - wt))
+            idx.append(i + c)
+        acc = acc + w * S[tuple(idx)]
+    return acc
+
+
+def reference_lookup(grid: ValueGrid, t: float, p, e, eparam=None):
+    """Multilinear field value at time ``t`` with an in-box mask.
+
+    ``t`` is clamped to ``[t0, tau]``; the stored time axis may hold
+    one shorter remainder step, so its bracket comes from a search.
+    Points outside the spatial box are clamped onto it for the value and
+    marked ``False`` in the mask; the caller decides what that means.
+    Returns ``(value, in_box)``.
+    """
+    times = grid.times
+    t = min(max(t, times[0]), times[-1])
+    it = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
+    wt = min(max((t - times[it]) / (times[it + 1] - times[it]), 0.0), 1.0)
+
+    located, in_box = [], True
+    for _, nodes, x in _query_axes(grid, p, e, eparam):
+        i, w, ok, _ = reference_locate(nodes, x)
+        located.append((i, w))
+        in_box = in_box & ok
+    value = reference_interp_slice(grid.values[it], located)
+    if wt > 0.0:
+        value = (1.0 - wt) * value + wt * reference_interp_slice(grid.values[it + 1], located)
+    return value, in_box
+
+
+def _grid(kind: str, seed: int = 7) -> ValueGrid:
+    """Small grid of the given layout with values that stress the sum:
+    signs, exact zeros of both signs, ones and a wide magnitude range."""
+    rng = np.random.default_rng(seed)
+    # one shorter step first, as the solver stores a remainder step
+    times = np.concatenate([[0.0], 0.03 + np.arange(6) * 0.09])
+    e_nodes = np.linspace(-1.0, 1.5, 12)
+    p_nodes = np.linspace(-2.0, 2.0, 5) if kind == "factor" else None
+    ep_nodes = np.linspace(-0.5, 1.0, 6) if kind == "recorded" else None
+    shape = ((times.size,) + ((5,) if p_nodes is not None else ()) + (12,)
+             + ((6,) if ep_nodes is not None else ()))
+    values = rng.uniform(-0.5, 1.5, shape) * 10.0 ** rng.integers(-3, 4, shape)
+    special = rng.choice([0.0, -0.0, 1.0, np.nan], shape)
+    values = np.where(rng.random(shape) < 0.25, special, values)
+    values[2] = -0.0  # a slice of negative zeros: a lone -0.0 sum reads +0.0
+    return ValueGrid(times=times, e_nodes=e_nodes, values=values, rate=0.0,
+                     p_nodes=p_nodes, eparam_nodes=ep_nodes)
+
+
+GRIDS = {kind: _grid(kind) for kind in ("plain", "factor", "recorded")}
+
+# unit coordinate along an axis: inside, on a node, outside the box, or NaN
+UNIT = st.one_of(
+    st.floats(-0.4, 1.4),
+    st.integers(0, 12).map(lambda k: k / 12.0),
+    st.sampled_from([0.0, 1.0, -1e-12, 1.0 + 1e-12, -0.0, float("nan")]),
+)
+
+
+@st.composite
+def times_of(draw, grid):
+    times = grid.times
+    k = draw(st.integers(0, times.size - 1))
+    where = draw(st.sampled_from(["node", "between", "past", "before"]))
+    if where == "node":
+        return float(times[k])
+    if where == "between":
+        k = min(k, times.size - 2)
+        return float(times[k] + draw(st.floats(0.0, 1.0)) * (times[k + 1] - times[k]))
+    gap = draw(st.floats(1e-12, 2.0))
+    return grid.tau + gap if where == "past" else grid.t0 - gap
+
+
+def _bits(v):
+    """Float bits with every NaN folded onto one pattern."""
+    v = np.asarray(v, dtype=float)
+    return np.where(np.isnan(v), np.nan, v).view(np.uint64)
+
+
+def _queries(grid, units, shape):
+    """Map unit coordinates onto the grid's axes as scalars or arrays."""
+    axes = (([grid.p_nodes] if grid.has_p else []) + [grid.e_nodes]
+            + ([grid.eparam_nodes] if grid.has_eparam else []))
+    coords = []
+    for k, nodes in enumerate(axes):
+        x = nodes[0] + np.array([u[k] for u in units]) * (nodes[-1] - nodes[0])
+        if shape == "scalar" or (shape == "mixed" and k == 0):
+            x = float(x[0])
+        coords.append(x)
+    p = coords.pop(0) if grid.has_p else None
+    e = coords.pop(0)
+    eparam = coords.pop(0) if grid.has_eparam else None
+    return p, e, eparam
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(GRIDS)),
+       shape=st.sampled_from(["scalar", "array", "mixed"]))
+def test_lookup_matches_the_fancy_index_lookup_bit_for_bit(data, kind, shape):
+    grid = GRIDS[kind]
+    t = data.draw(times_of(grid))
+    units = data.draw(st.lists(st.tuples(UNIT, UNIT), min_size=1, max_size=12))
+    p, e, eparam = _queries(grid, units, shape)
+
+    with np.errstate(invalid="ignore"):  # NaN queries cast to an index
+        value, in_box = lookup(grid, t, p, e, eparam)
+        ref_value, ref_in_box = reference_lookup(grid, t, p, e, eparam)
+    assert np.array_equal(value, ref_value, equal_nan=True)
+    assert np.array_equal(_bits(value), _bits(ref_value))
+    assert np.array_equal(in_box, ref_in_box)
+    assert np.shape(value) == np.shape(ref_value)
+    assert type(value) is type(ref_value)
+
+
+@pytest.mark.parametrize("kind", ["factor", "recorded"])
+def test_a_swapped_corner_order_shows_in_the_bits(kind):
+    """The bit-for-bit check above can see the corner order: the reference
+    summing the same terms last corner first disagrees somewhere.  (With
+    one spatial axis the two terms commute, so any order agrees.)"""
+    grid = GRIDS[kind]
+    rng = np.random.default_rng(3)
+    finite = ValueGrid(times=grid.times, e_nodes=grid.e_nodes,
+                       values=rng.uniform(0.0, 1.0, grid.values.shape), rate=0.0,
+                       p_nodes=grid.p_nodes, eparam_nodes=grid.eparam_nodes)
+    p, e, eparam = _queries(finite, rng.uniform(0.0, 1.0, (256, 2)), "array")
+    t = 0.5 * (finite.times[3] + finite.times[4])
+    value, _ = lookup(finite, t, p, e, eparam)
+    assert np.array_equal(value, reference_lookup(finite, t, p, e, eparam)[0])
+
+    def swapped(corner, repeat, in_order=product):
+        return list(in_order(corner, repeat=repeat))[::-1]
+
+    with mock.patch(f"{__name__}.product", swapped):
+        assert not np.array_equal(value, reference_lookup(finite, t, p, e, eparam)[0])

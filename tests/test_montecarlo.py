@@ -136,6 +136,55 @@ def test_snapshot_lookup_tolerance(flat_field):
         bundle.snapshot_index(0.123456)
 
 
+def test_snapshot_tolerance_follows_the_step_of_each_period():
+    """Periods of 1 and 2 years at 3 steps each: the default snapshot at
+    the second period's midpoint (t = 2) sits on the node 2.333, over half
+    a first-period step away, and is found with that period's step."""
+    spec = MarketSpec(
+        coefficients=flat_spec().coefficients, horizon="finite",
+        period_ends=(1.0, 3.0),
+        caps=make_cap_allocation([0.5, 1.0], "banking-withdrawal"),
+        label="unequal-periods")
+    field = solve_multi_period(spec, SolverConfig(e_min=-2.0, e_max=4.5, n_e=64))
+    bundle = simulate(field, spec, n_paths=2, steps_per_period=3, seed=0)
+    j = bundle.snapshot_index(2.0)
+    assert bundle.snapshot_times[j] == pytest.approx(7.0 / 3.0)
+    assert bundle.snapshot_times[bundle.snapshot_index(0.5)] == pytest.approx(2.0 / 3.0)
+    with pytest.raises(ValidationError):
+        bundle.snapshot_index(2.0, tol=0.51 / 3.0)
+
+
+def test_snapshot_tolerance_on_equal_periods_is_half_a_step(factor_field):
+    spec, field = factor_field
+    bundle = simulate(field, spec, n_paths=2, steps_per_period=16, seed=0)
+    dt = float(bundle.times[1] - bundle.times[0])
+    mid = bundle.snapshot_index(0.25)
+    assert bundle.snapshot_index(0.25 + 0.5 * dt) == mid
+    assert bundle.snapshot_index(0.75 - 0.5 * dt) == bundle.snapshot_index(0.75)
+    for t in (0.25 + 0.52 * dt, 0.75 - 0.52 * dt, 0.123456):
+        with pytest.raises(ValidationError):
+            bundle.snapshot_index(t)
+        with pytest.raises(ValidationError):
+            bundle.snapshot_index(t, tol=0.51 * dt)
+
+
+def test_simulate_logs_throughput_and_aborts_per_date(caplog, factor_field):
+    spec, field = factor_field
+    with caplog.at_level("DEBUG", logger="carbon_fbsde.montecarlo"):
+        logged = simulate(field, spec, n_paths=64, steps_per_period=16, seed=3)
+    (record,) = [r for r in caplog.records if r.name == "carbon_fbsde.montecarlo"]
+    message = record.getMessage()
+    assert message.startswith("simulate: 64 paths x 32 steps = 2048 path steps in ")
+    assert "paths/s); aborted paths per compliance date [0, 0]" in message
+
+    caplog.clear()
+    quiet = simulate(field, spec, n_paths=64, steps_per_period=16, seed=3)
+    assert caplog.records == [], "simulation logging is off by default"
+    for name in ("snap_E", "snap_Y", "path_Y", "compliance_left", "branch"):
+        assert np.array_equal(getattr(logged, name), getattr(quiet, name),
+                              equal_nan=name != "branch")
+
+
 def test_martingale_window_may_not_straddle_a_date(factor_field):
     spec, field = factor_field
     bundle = simulate(field, spec, n_paths=256, steps_per_period=32, seed=0)

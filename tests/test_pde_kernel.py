@@ -357,6 +357,12 @@ def test_evaluate_guards_the_domain(burgers_grid):
         evaluate(g, g.tau + 0.5, None, 0.0)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_evaluate_refuses_a_non_finite_time(burgers_grid, t):
+    with pytest.raises(CoverageError, match="time query outside grid range"):
+        evaluate(burgers_grid, t, None, 0.0)
+
+
 @pytest.fixture(scope="module")
 def lookup_grids():
     """A solved factor grid and a solved recorded-emissions grid."""
