@@ -17,7 +17,9 @@ node by node in exact arithmetic, not just up to quadrature error.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -30,6 +32,8 @@ from .pde_kernel import SolverConfig, ValueGrid, solve_one_period
 
 __all__ = ["PicardState", "initial_state", "picard_step", "solve_infinite"]
 
+_log = logging.getLogger(__name__)
+
 
 @dataclass(eq=False)
 class PicardState:
@@ -41,7 +45,6 @@ class PicardState:
     residuals: tuple
     min_increase: float
     converged: bool
-    grid: Optional[ValueGrid] = None
     contraction: dict = field(default_factory=dict)
 
     @property
@@ -102,30 +105,43 @@ def _picard_terminal(start_slice: np.ndarray, config: SolverConfig,
     return ext
 
 
+def _sweep(state: PicardState, coeffs: CoefficientSet, period_length: float,
+           cap_per_period: float, config: SolverConfig, threads: int,
+           start_only: bool) -> ValueGrid:
+    """The one-period solve of the sweep that starts from ``state``."""
+    js, cut = _shift_geometry(config, cap_per_period)
+    ext = _picard_terminal(state.start_slice, config, js, cut)
+    return solve_one_period(
+        coeffs, None, 0.0, period_length, config, threads=threads,
+        terminal_cells_ext=ext,
+        meta={"picard_iteration": state.iteration + 1,
+              "allocation": float(cap_per_period)},
+        start_only=start_only,
+    )
+
+
 def picard_step(state: PicardState, coeffs: CoefficientSet, period_length: float,
                 cap_per_period: float, config: SolverConfig,
                 threads: int = 1) -> PicardState:
     """One sweep of the fixed-point map; returns a fresh state."""
     if coeffs.rate <= 0.0:
         raise ConfigError("the rolling market needs a strictly positive rate")
-    js, cut = _shift_geometry(config, cap_per_period)
     if state.start_slice.shape != _cells_shape(coeffs, config):
         raise ValidationError(
             f"state slice shaped {state.start_slice.shape}, grid wants "
             f"{_cells_shape(coeffs, config)}"
         )
-    ext = _picard_terminal(state.start_slice, config, js, cut)
+    started = time.perf_counter()
+    grid = _sweep(state, coeffs, period_length, cap_per_period, config,
+                  threads, start_only=True)
     n = state.iteration + 1
-    grid = solve_one_period(
-        coeffs, None, 0.0, period_length, config, threads=threads,
-        terminal_cells_ext=ext,
-        meta={"picard_iteration": n, "allocation": float(cap_per_period)},
-    )
     new = grid.values[0]
     delta = new - state.start_slice
     de = grid.delta_e
     l1 = float(np.max(np.abs(delta).sum(axis=-1)) * de)
     min_inc = float(delta.min())
+    _log.debug("picard sweep %d: L1 residual %.6g, min increase %.3g, %.3fs",
+               n, l1, min_inc, time.perf_counter() - started)
     if min_inc < -1e-12:
         raise InvariantError(
             f"fixed-point sweep {n} decreased the field by {-min_inc:.3g}"
@@ -134,7 +150,7 @@ def picard_step(state: PicardState, coeffs: CoefficientSet, period_length: float
         iteration=n, start_slice=new, residual=l1,
         residuals=state.residuals + (l1,),
         min_increase=min(state.min_increase, min_inc),
-        converged=False, grid=grid, contraction=dict(state.contraction),
+        converged=False, contraction=dict(state.contraction),
     )
 
 
@@ -172,6 +188,9 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
     residual history, the contraction certificate and the
     self-consistency figure (one extra sweep from the converged field
     moves its start slice by at most ``2 * tol_l1`` in grid L1).
+
+    Sweeps store their start slice only; the final sweep is solved again
+    from the same start, with every slice stored, for the grid.
     """
     if coeffs.rate <= 0.0:
         raise ConfigError(
@@ -196,8 +215,9 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
         )
 
     q = math.exp(-coeffs.rate * period_length)
-    state = initial_state(coeffs, config)
+    state = prev = initial_state(coeffs, config)
     while state.iteration < max_iter:
+        prev = state
         state = picard_step(state, coeffs, period_length, cap_per_period,
                             config, threads=threads)
         if state.residual <= tol_l1:
@@ -220,6 +240,12 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
         exc.certificate = _partial_certificate(check, q, tol_l1, max_iter)
         raise exc
 
+    started = time.perf_counter()
+    grid = _sweep(prev, coeffs, period_length, cap_per_period, config,
+                  threads, start_only=False)
+    _log.debug("picard sweep %d re-solved with all %d slices stored, %.3fs",
+               state.iteration, grid.values.shape[0],
+               time.perf_counter() - started)
     certificate = replace(
         state,
         converged=True,
@@ -235,4 +261,4 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
             "min_increase": min(state.min_increase, check.min_increase),
         },
     )
-    return state.grid, certificate
+    return grid, certificate

@@ -194,8 +194,9 @@ def _locate(nodes: np.ndarray, x):
     """Uniform-grid bracketing indices, weights, in-range mask and positions."""
     pos = (np.asarray(x, dtype=float) - nodes[0]) / (nodes[1] - nodes[0])
     ok = (pos >= -_SLACK) & (pos <= nodes.size - 1 + _SLACK)
-    # np.clip's integer path checks its bounds against iinfo on every call
-    i = np.minimum(np.maximum(np.floor(pos).astype(np.int64), 0), nodes.size - 2)
+    # clamp before the cast: a huge or infinite position has no int64, and
+    # fmax sends NaN to 0
+    i = np.fmin(np.fmax(np.floor(pos), 0.0), nodes.size - 2).astype(np.int64)
     w = np.clip(pos - i, 0.0, 1.0)
     return i, w, ok, pos
 
@@ -647,10 +648,12 @@ def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, scheme: str,
             top, bot = cur[..., 0:1, :], cur[..., -1:, :]
             np.multiply(cur[..., 1:2, :], 2.0, out=top)
             top -= cur[..., 2:3, :]
-            np.clip(top, 0.0, bound, out=top)
+            np.maximum(top, 0.0, out=top)
+            np.minimum(top, bound, out=top)
             np.multiply(cur[..., -2:-1, :], 2.0, out=bot)
             bot -= cur[..., -3:-2, :]
-            np.clip(bot, 0.0, bound, out=bot)
+            np.maximum(bot, 0.0, out=bot)
+            np.minimum(bot, bound, out=bot)
         # the flux sees the factor rows it was built for, not the ghost rows
         live = cur[rows]
         if upwind is None:
@@ -697,7 +700,8 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
                      t0: float, tau: float, config: SolverConfig,
                      eparam_nodes: Optional[np.ndarray] = None,
                      threads: int = 1, meta: Optional[dict] = None,
-                     terminal_cells_ext: Optional[np.ndarray] = None) -> ValueGrid:
+                     terminal_cells_ext: Optional[np.ndarray] = None,
+                     start_only: bool = False) -> ValueGrid:
     """Solve one compliance period backward from its terminal surface.
 
     When ``eparam_nodes`` is given the terminal is sliced at each node
@@ -711,6 +715,10 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     ``([n_p,] n_e + 2)``.  Fixed-point iterations use this to keep the
     terminal a pure translation of stored data, with no quadrature in
     between.  Mollification does not apply to cell data.
+
+    ``start_only`` keeps the start slice alone: the grid holds
+    ``times[:1]`` and ``values[:1]`` of the full solve, bit for bit, with
+    the same ``meta`` (``n_steps`` still counts the steps marched).
     """
     if not tau > t0:
         raise ValidationError("need tau > t0")
@@ -774,7 +782,10 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
 
     has_ep = eparam_nodes is not None
     storage_shape = phi_cells.shape[1:] + (phi_cells.shape[0],) if has_ep else phi_cells.shape
-    values = np.empty((n_steps + 1,) + storage_shape, dtype=float)
+    # the march hands over slices n_steps, ..., 0; a start-only grid keeps
+    # the last one only
+    kept = 1 if start_only else n_steps + 1
+    values = np.empty((kept,) + storage_shape, dtype=float)
 
     if p_nodes is not None:
         dp = p_nodes[1] - p_nodes[0]
@@ -787,13 +798,15 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     def run_chunk(sel):
         if has_ep:
             def store(it, state):
-                values[it][..., sel] = np.moveaxis(state, 0, -1)
+                if it < kept:
+                    values[it][..., sel] = np.moveaxis(state, 0, -1)
             _march(phi_cells[sel], phi_gl[sel], phi_gr[sel], store, flux,
                    config.flux_scheme, coeffs.rate, steps, de,
                    config.viscosity, p_ctx, upwind)
         else:
             def store(it, state):
-                values[it] = state
+                if it < kept:
+                    values[it] = state
             _march(phi_cells, phi_gl, phi_gr, store, flux,
                    config.flux_scheme, coeffs.rate, steps, de,
                    config.viscosity, p_ctx, upwind)
@@ -820,7 +833,7 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     }
     if meta:
         grid_meta.update(meta)
-    return ValueGrid(times=times, e_nodes=e_nodes, values=values, rate=coeffs.rate,
+    return ValueGrid(times=times[:kept], e_nodes=e_nodes, values=values, rate=coeffs.rate,
                      p_nodes=p_nodes,
                      eparam_nodes=None if not has_ep else np.asarray(eparam_nodes, float),
                      meta=grid_meta)
@@ -862,21 +875,32 @@ class KernelDiagnostics:
 
 def diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
                 lipschitz_headroom: float = 0.05, min_age: float = 0.1) -> KernelDiagnostics:
-    """Scan a solved grid; ``mono_l1`` is the rate's monotonicity constant."""
+    """Scan a solved grid; ``mono_l1`` is the rate's monotonicity constant.
+
+    The scan reads one time slice at a time and keeps six extrema per
+    slice.  Max and min are exact and propagate NaN, so each figure is
+    the whole-grid reduction's, up to the sign of a zero.
+    """
     v = grid.values
-    e_axis = 1 + (1 if grid.has_p else 0)
+    e_axis = 1 if grid.has_p else 0  # within one slice
     ages = grid.tau - grid.times
     bounds = np.exp(-grid.rate * ages)
+    has_diffs = v.shape[1 + e_axis] > 1
+    term_right = np.take(v[-1], -1, axis=e_axis)
 
-    shape = [1] * v.ndim
-    shape[0] = v.shape[0]
-    bound_col = bounds.reshape(shape)
-    range_viol = max(float((v - bound_col).max()), float((-v).max()))
+    over, under, dmin, dmax, lefts, rights = np.zeros((6, v.shape[0]))
+    for k, s in enumerate(v):
+        over[k] = (s - bounds[k]).max()
+        under[k] = (-s).max()
+        if has_diffs:
+            d = np.diff(s, axis=e_axis)
+            dmin[k], dmax[k] = d.min(), d.max()
+        lefts[k] = np.abs(np.take(s, 0, axis=e_axis)).max()
+        rights[k] = np.abs(np.take(s, -1, axis=e_axis) - bounds[k] * term_right).max()
+    range_viol = max(float(over.max()), float(under.max()))
 
-    diffs = np.diff(v, axis=e_axis)
-    if diffs.size:
-        defect = np.maximum(0.0, -diffs)
-        per_slice = defect.reshape(defect.shape[0], -1).max(axis=1)
+    if has_diffs:
+        per_slice = np.maximum(0.0, -dmin)
         mono_viol = float(per_slice.max())
         term_defect = float(per_slice[-1])
         mono_added = float(max(0.0, per_slice[:-1].max() - term_defect)) \
@@ -886,23 +910,17 @@ def diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
 
     de = grid.delta_e
     aged = ages >= min_age - 1e-12
-    if diffs.size:
-        q = diffs.reshape(diffs.shape[0], -1).max(axis=1) / de
-    else:
-        q = np.zeros(v.shape[0])
+    q = dmax / de
     excess = (q * mono_l1 * ages - 1.0)[aged]
     lip_excess = max(-1.0, float(excess.max())) if excess.size else -1.0
 
-    left = float(np.max(np.abs(np.take(v, 0, axis=e_axis))))
-    right = np.take(v, -1, axis=e_axis)
-    right_bounds = bounds.reshape((-1,) + (1,) * (right.ndim - 1))
-    right_res = max(0.0, float(np.max(np.abs(right - right_bounds * right[-1]))))
+    left = float(lefts.max())
+    right_res = max(0.0, float(rights.max()))
 
     tail_sel = grid.e_nodes < 0.0
     if tail_sel.any():
-        tail = np.take(v[0], np.nonzero(tail_sel)[0], axis=e_axis - 1)
-        sum_axis = e_axis - 1
-        tail_mass = float(np.max(tail.sum(axis=sum_axis)) * de)
+        tail = np.take(v[0], np.nonzero(tail_sel)[0], axis=e_axis)
+        tail_mass = float(np.max(tail.sum(axis=e_axis)) * de)
     else:
         tail_mass = 0.0
 

@@ -87,3 +87,27 @@ def test_stationary_field_is_worth_less_farther_from_the_cap():
     high = v[np.searchsorted(e, 0.9)]
     assert low < 0.05, "deep bank should make the allowance nearly worthless"
     assert high > 0.5, "near the cap the penalty should dominate"
+
+
+def test_sweeps_log_residual_increase_and_seconds(caplog):
+    coeffs, config = rolling_coeffs(), aligned_config()
+    with caplog.at_level("DEBUG", logger="carbon_fbsde.infinite_period"):
+        grid, cert = solve_infinite(coeffs, 1.0, 1.0, config)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "carbon_fbsde.infinite_period"]
+    # every converging sweep, the self-consistency sweep, the re-solve
+    assert len(lines) == cert.iteration + 2
+    for n, (line, residual) in enumerate(zip(lines, cert.residuals), start=1):
+        assert line.startswith(f"picard sweep {n}: L1 residual {residual:.6g}, "
+                               "min increase ")
+        assert line.endswith("s")
+    assert lines[-2].startswith(
+        f"picard sweep {cert.iteration + 1}: L1 residual "
+        f"{cert.contraction['self_consistency']:.6g}")
+    assert lines[-1].startswith(
+        f"picard sweep {cert.iteration} re-solved with all "
+        f"{grid.values.shape[0]} slices stored")
+
+    caplog.clear()
+    solve_infinite(coeffs, 1.0, 1.0, config)
+    assert caplog.records == [], "sweep logging is off by default"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,40 @@ def test_factor_grid_without_factor_coefficients_is_the_plain_solve():
     assert np.array_equal(plain.values, gridded.values)
 
 
+def _start_only_cases():
+    """A no-factor market, a factor market, a general-flux market (``y*``
+    inside [0, 1]) and a recorded-emissions batch."""
+    terminal = indicator_terminal(CapFunction.constant(0.0))
+    factor_config = small_config(n_e=32, p_min=-2.0, p_max=2.0, n_p=9)
+    _, reserve_cap = make_cap_msr(0.6, 0.6, 0.18, 0.72, 0.12, 0.88)
+    batch_config = small_config(e_max=2.0, n_e=36, p_min=-2.0, p_max=2.0, n_p=5)
+    return {
+        "no-factor": (no_factor(rate=0.05), terminal, small_config(n_e=48), {}),
+        "factor": (factor_coeffs(rate=0.05), terminal, factor_config, {}),
+        "general-flux": (no_factor(m0=0.5), terminal, small_config(n_e=48), {}),
+        "recorded": (factor_coeffs(), indicator_terminal(reserve_cap), batch_config,
+                     {"eparam_nodes": batch_config.e_cells(), "threads": 2}),
+    }
+
+
+@pytest.mark.parametrize("case", ["no-factor", "factor", "general-flux", "recorded"])
+def test_start_only_solve_keeps_the_full_solves_start_slice(case, caplog):
+    coeffs, terminal, config, kw = _start_only_cases()[case]
+    with caplog.at_level("DEBUG", logger="carbon_fbsde.pde_kernel"):
+        full = solve_one_period(coeffs, terminal, 0.0, 0.5, config, **kw)
+        start = solve_one_period(coeffs, terminal, 0.0, 0.5, config,
+                                 start_only=True, **kw)
+    if case == "general-flux":
+        assert 0.0 < make_flux(coeffs).y_star < 1.0
+        assert "general flux" in caplog.records[0].getMessage()
+    assert start.values.shape == (1,) + full.values.shape[1:]
+    assert np.array_equal(start.values[0].view(np.uint64),
+                          full.values[0].view(np.uint64))
+    assert np.array_equal(start.times, full.times[:1])
+    assert start.meta == full.meta
+    assert start.meta["n_steps"] == full.values.shape[0] - 1
+
+
 # ----------------------------------------------------------------------
 # evaluation
 # ----------------------------------------------------------------------
@@ -361,6 +396,24 @@ def test_evaluate_guards_the_domain(burgers_grid):
 def test_evaluate_refuses_a_non_finite_time(burgers_grid, t):
     with pytest.raises(CoverageError, match="time query outside grid range"):
         evaluate(burgers_grid, t, None, 0.0)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, 1e300, -1e300, 1e19])
+@pytest.mark.parametrize("axis", ["factor", "emissions"])
+def test_lookup_clamps_huge_and_infinite_queries_onto_the_edge(lookup_grids, axis, x):
+    """Beyond any int64 cell index a query still lands on the nearer edge."""
+    grid = lookup_grids["factor"]
+    edge = -1 if x > 0 else 0
+    if axis == "factor":
+        p, e, want = x, grid.e_nodes[0], grid.values[0, edge, 0]
+    else:
+        p, e, want = grid.p_nodes[0], x, grid.values[0, 0, edge]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, in_box = lookup(grid, grid.t0, p, e)
+        values, in_boxes = lookup(grid, grid.t0, np.full(3, p), np.full(3, e))
+    assert value == want and not in_box
+    assert np.all(values == want) and not np.any(in_boxes)
 
 
 @pytest.fixture(scope="module")
