@@ -37,8 +37,8 @@ from .gridio import (canonical_json, file_sha256, read_grid, read_manifest,
 from .infinite_period import solve_infinite
 from .montecarlo import (events_csv, jump_consistency_test, martingale_test,
                          paths_csv, simulate)
-from .multi_period import (MultiPeriodField, read_field_dir, solve_multi_period,
-                           write_field_dir)
+from .multi_period import (MultiPeriodField, open_field_dir, read_field_dir,
+                           solve_periods, write_field_manifest, write_period_grid)
 from .pde_kernel import diagnostics
 
 _EXIT_CODES = (
@@ -126,22 +126,28 @@ def cmd_price_multi(args) -> int:
     if plan.horizon != "finite":
         raise ConfigError("price-multi needs a finite-horizon config")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    field_dir = out / "field"
+    field_dir.mkdir(parents=True, exist_ok=True)
 
+    # each period is written, exported and checked before the next one is
+    # solved, and its grid released, so one period grid is held at a time
+    q = plan.spec.n_periods
+    entries, reports = [None] * q, [None] * q
+    solve_seconds = 0.0
     t_start = time.monotonic()
-    field = solve_multi_period(plan.spec, plan.solver, threads=_threads(args))
-    solve_seconds = time.monotonic() - t_start
+    for k, grid in solve_periods(plan.spec, plan.solver, threads=_threads(args)):
+        solve_seconds += time.monotonic() - t_start
+        entries[k - 1] = write_period_grid(grid, field_dir, k)
+        start_slice_csv(grid, out / f"value_surface_period_{k}.csv")
+        reports[k - 1] = _grid_report(grid, f"period_{k}")
+        del grid
+        t_start = time.monotonic()
+    write_field_manifest(plan.spec, entries, field_dir)
 
-    written = write_field_dir(field, out / "field")
-    artifacts = {f"field/{g['file']}": g["sha256"] for g in written["grids"]}
+    artifacts = {f"field/{e['file']}": e["sha256"] for e in entries}
     artifacts["field/field_manifest.json"] = None
-    for k in range(1, field.n_periods + 1):
-        rel = f"value_surface_period_{k}.csv"
-        start_slice_csv(field.period_grid(k), out / rel)
-        artifacts[rel] = None
-
-    reports = [_grid_report(field.period_grid(k), f"period_{k}")
-               for k in range(1, field.n_periods + 1)]
+    artifacts.update(dict.fromkeys(
+        f"value_surface_period_{k}.csv" for k in range(1, q + 1)))
     all_ok = all(r["passed"] for r in reports)
     (out / "diagnostics.json").write_text(
         json.dumps({"reports": reports, "passed": all_ok}, indent=2,
@@ -151,8 +157,7 @@ def cmd_price_multi(args) -> int:
     _write_manifest(out, "price-multi", plan, [], artifacts,
                     {"diagnostics_passed": all_ok},
                     extra={"solve_seconds": round(solve_seconds, 3)})
-    print(f"price-multi: {field.n_periods} periods solved in "
-          f"{solve_seconds:.1f}s -> {out}")
+    print(f"price-multi: {q} periods solved in {solve_seconds:.1f}s -> {out}")
     if not all_ok:
         raise InvariantError("structural diagnostics failed; see diagnostics.json")
     return 0
@@ -325,9 +330,11 @@ def _verify(target: Path) -> int:
     if not target.exists():
         raise ConfigError(f"{target}: no such artifact")
 
-    grids = []
+    # each grid is diagnosed as soon as its hash is checked and then
+    # dropped, so one grid is held at a time
+    reports = []
     if target.is_file():
-        grids.append((target.name, read_grid(target)))
+        reports.append(_grid_report(read_grid(target), target.name))
     else:
         run_manifest = target / "manifest.json"
         field_manifest = target / "field_manifest.json"
@@ -338,19 +345,21 @@ def _verify(target: Path) -> int:
                 if not fp.exists():
                     raise ArtifactError(f"{fp}: listed in manifest but missing")
                 if fp.suffix == ".grid":
-                    grids.append((entry["path"], read_grid(fp, entry["sha256"])))
+                    reports.append(_grid_report(read_grid(fp, entry["sha256"]),
+                                                entry["path"]))
                 else:
                     file_sha256(fp, entry["sha256"])
         elif field_manifest.exists():
-            loaded, _ = read_field_dir(target)
-            grids.extend((f"period_{i + 1}", g) for i, g in enumerate(loaded))
+            _, entries = open_field_dir(target)
+            for i, entry in enumerate(entries):
+                reports.append(_grid_report(
+                    read_grid(target / entry["file"], entry["sha256"]), f"period_{i + 1}"))
         else:
             raise ConfigError(f"{target}: no manifest.json or field_manifest.json")
 
-    if not grids:
+    if not reports:
         print("verify: no grid artifacts found; hashes checked only")
         return 0
-    reports = [_grid_report(g, name) for name, g in grids]
     for r in reports:
         status = "ok" if r["passed"] else "FAIL"
         print(f"verify: {r['grid']}: {status} "

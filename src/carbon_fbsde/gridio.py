@@ -40,6 +40,7 @@ __all__ = [
 
 _MAGIC = b"CFBGRID1"
 _CHUNK = 1 << 20
+_CSV_ROWS = 1 << 10
 
 
 def jsonable(obj):
@@ -190,6 +191,12 @@ def start_slice_csv(grid: ValueGrid, path: Union[str, Path]) -> None:
                                                 ("eparam", grid.eparam_nodes))
              if nodes is not None]
     mesh = np.meshgrid(*(nodes for _, nodes in named), indexing="ij")
-    data = np.column_stack([m.ravel() for m in mesh] + [grid.values[0].ravel()])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header=",".join([name for name, _ in named] + ["value"]), comments="")
+    columns = [m.ravel() for m in mesh] + [grid.values[0].ravel()]
+    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join([name for name, _ in named] + ["value"]) + "\n")
+        # a block of rows at a time: whole-slice lists of floats and row
+        # strings would outgrow the slice several times over
+        for at in range(0, columns[0].size, _CSV_ROWS):
+            rows = zip(*(c[at:at + _CSV_ROWS].tolist() for c in columns))
+            fh.write("".join([row_fmt % row for row in rows]))

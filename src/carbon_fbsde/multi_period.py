@@ -12,7 +12,7 @@ emissions grid a second time as the parameter axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,12 @@ from .pde_kernel import SolverConfig, ValueGrid, evaluate, solve_one_period
 
 __all__ = [
     "MultiPeriodField",
+    "solve_periods",
     "solve_multi_period",
+    "write_period_grid",
+    "write_field_manifest",
     "write_field_dir",
+    "open_field_dir",
     "read_field_dir",
 ]
 
@@ -114,59 +118,69 @@ class MultiPeriodField:
                         eparam if g.has_eparam else None)
 
 
-def solve_multi_period(spec: MarketSpec, config: SolverConfig,
-                       threads: int = 1) -> MultiPeriodField:
-    """Solve all periods of a finite market backward on a shared grid."""
+def solve_periods(spec: MarketSpec, config: SolverConfig, threads: int = 1):
+    """Solve the periods of a finite market backward on a shared grid.
+
+    Yields ``(k, grid)`` for ``k = q, ..., 1``.  The period before ``k``
+    is linked to a start-slice copy of ``grid``, so a caller that drops
+    each grid before asking for the next holds one period grid at a time.
+    """
     if spec.horizon != "finite":
-        raise ValidationError("solve_multi_period needs a finite-horizon market")
+        raise ValidationError("multi-period pricing needs a finite-horizon market")
     if spec.coefficients.dim_p == 1 and not config.has_p:
         raise ValidationError("factor coefficients need a factor grid in the config")
     _check_margins(spec, config)
 
     e_nodes = config.e_cells()
     q = spec.n_periods
-    grids = [None] * q
-    next_grid = None
+    start = None
     for k in range(q, 0, -1):
         t0, t1 = spec.period_bounds(k)
         cap = spec.caps[k - 1]
-        if k == q:
-            term = spec.final_terminal()
-        else:
-            term = link_terminal(next_grid, cap)
+        term = spec.final_terminal() if k == q else link_terminal(start, cap)
         meta = {"period": k, "cap_kind": cap.kind, "cap_label": cap.label,
                 "t_start": t0, "t_end": t1, "market_label": spec.label}
         if cap.is_constant:
             meta["cap_level"] = float(cap.constant_value)
-        g = solve_one_period(
+        grid = solve_one_period(
             spec.coefficients, term, t0, t1, config,
             eparam_nodes=None if cap.is_constant else e_nodes,
             threads=threads, meta=meta,
         )
-        grids[k - 1] = g
-        next_grid = g
-    return MultiPeriodField(spec=spec, config=config, grids=tuple(grids))
+        yield k, grid
+        # copies, not views: a view would keep the whole grid alive
+        start = replace(grid, times=grid.times[:1].copy(), values=grid.values[:1].copy())
+        del grid
+
+
+def solve_multi_period(spec: MarketSpec, config: SolverConfig,
+                       threads: int = 1) -> MultiPeriodField:
+    """Solve all periods of a finite market and keep every grid."""
+    grids = [grid for _, grid in solve_periods(spec, config, threads)]
+    return MultiPeriodField(spec=spec, config=config, grids=tuple(reversed(grids)))
 
 
 # ----------------------------------------------------------------------
 # persistence
 # ----------------------------------------------------------------------
 
-def write_field_dir(field: MultiPeriodField, path) -> dict:
-    """Write one grid file per period plus a hashed manifest; returns it."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for k in range(1, field.n_periods + 1):
-        name = f"period_{k}.grid"
-        digest = write_grid(field.period_grid(k), root / name)
-        entries.append({"file": name, "sha256": digest, "period": k})
+def write_period_grid(grid: ValueGrid, root: Path, k: int) -> dict:
+    """Write period ``k``'s grid into a field directory; returns its manifest entry."""
+    name = f"period_{k}.grid"
+    return {"file": name, "sha256": write_grid(grid, root / name), "period": k}
+
+
+def write_field_manifest(spec: MarketSpec, entries: list, root: Path) -> dict:
+    """Write the manifest of a field directory once every period grid is in it.
+
+    ``entries`` are :func:`write_period_grid`'s, in period order.
+    """
     manifest = {
         "format": _DIR_FORMAT,
-        "n_periods": field.n_periods,
-        "rate": float(field.spec.coefficients.rate),
-        "period_ends": [float(x) for x in field._ends],
-        "market_label": field.spec.label,
+        "n_periods": spec.n_periods,
+        "rate": float(spec.coefficients.rate),
+        "period_ends": [float(x) for x in spec.period_ends],
+        "market_label": spec.label,
         "grids": entries,
     }
     (root / "field_manifest.json").write_text(canonical_json(manifest) + "\n",
@@ -174,11 +188,17 @@ def write_field_dir(field: MultiPeriodField, path) -> dict:
     return manifest
 
 
-def read_field_dir(path) -> tuple:
-    """Load a field directory as ``(grids, manifest)``.
+def write_field_dir(field: MultiPeriodField, path) -> dict:
+    """Write one grid file per period plus a hashed manifest; returns it."""
+    root = Path(path)
+    root.mkdir(parents=True, exist_ok=True)
+    entries = [write_period_grid(field.period_grid(k), root, k)
+               for k in range(1, field.n_periods + 1)]
+    return write_field_manifest(field.spec, entries, root)
 
-    Each grid is checked against its recorded sha256 while it is read.
-    """
+
+def open_field_dir(path) -> tuple:
+    """``(manifest, entries)`` of a field directory, checked; no grid is read."""
     root = Path(path)
     mpath = root / "field_manifest.json"
     if not mpath.exists():
@@ -189,5 +209,14 @@ def read_field_dir(path) -> tuple:
     rate = manifest.get("rate")
     if isinstance(rate, bool) or not isinstance(rate, (int, float)):
         raise ArtifactError(f"{mpath}: manifest needs a numeric 'rate'")
-    grids = [read_grid(root / entry["file"], entry["sha256"]) for entry in entries]
+    return manifest, entries
+
+
+def read_field_dir(path) -> tuple:
+    """Load a field directory as ``(grids, manifest)``.
+
+    Each grid is checked against its recorded sha256 while it is read.
+    """
+    manifest, entries = open_field_dir(path)
+    grids = [read_grid(Path(path) / entry["file"], entry["sha256"]) for entry in entries]
     return grids, manifest

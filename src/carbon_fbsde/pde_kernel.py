@@ -220,7 +220,8 @@ def lookup(grid: ValueGrid, t: float, p, e, eparam=None):
     """Multilinear field value at time ``t`` with an in-box mask.
 
     ``t`` is clamped to ``[t0, tau]``; the stored time axis may hold
-    one shorter remainder step, so its bracket comes from a search.
+    one shorter remainder step, so its bracket comes from a search.  A
+    grid that stores one time (a start-only solve) reads that slice.
     Points outside the spatial box are clamped onto it for the value and
     marked ``False`` in the mask; the caller decides what that means.
     Returns ``(value, in_box)``.
@@ -232,8 +233,10 @@ def lookup(grid: ValueGrid, t: float, p, e, eparam=None):
     """
     times = grid.times
     t = min(max(t, times[0]), times[-1])
-    it = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
-    wt = min(max((t - times[it]) / (times[it + 1] - times[it]), 0.0), 1.0)
+    it, wt = 0, 0.0
+    if times.size > 1:
+        it = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
+        wt = min(max((t - times[it]) / (times[it + 1] - times[it]), 0.0), 1.0)
 
     shape = grid.values.shape[1:]
     stride = math.prod(shape)
@@ -888,12 +891,18 @@ def diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
     has_diffs = v.shape[1 + e_axis] > 1
     term_right = np.take(v[-1], -1, axis=e_axis)
 
+    # the slice-sized intermediates go to two buffers: fresh ones may be
+    # mapped and paged in again on every slice
+    buf = np.empty(v.shape[1:])
+    hi = (slice(None),) * e_axis + (slice(1, None),)
+    lo = (slice(None),) * e_axis + (slice(None, -1),)
+    dbuf = np.empty(buf[hi].shape)
     over, under, dmin, dmax, lefts, rights = np.zeros((6, v.shape[0]))
     for k, s in enumerate(v):
-        over[k] = (s - bounds[k]).max()
-        under[k] = (-s).max()
-        if has_diffs:
-            d = np.diff(s, axis=e_axis)
+        over[k] = np.subtract(s, bounds[k], out=buf).max()
+        under[k] = np.negative(s, out=buf).max()
+        if has_diffs:  # np.diff along emissions, into dbuf
+            d = np.subtract(s[hi], s[lo], out=dbuf)
             dmin[k], dmax[k] = d.min(), d.max()
         lefts[k] = np.abs(np.take(s, 0, axis=e_axis)).max()
         rights[k] = np.abs(np.take(s, -1, axis=e_axis) - bounds[k] * term_right).max()

@@ -1,14 +1,18 @@
-"""The row-formatted CSV writers against the per-cell writers.
+"""The row-formatted CSV writers against the writers they replaced.
 
 ``reference_paths_csv`` and ``reference_events_csv`` are the writers as
 they were before they formatted one row per ``%`` operation over
-``tolist()`` columns: one f-string per cell.  They are kept here, not in
-the package, as the oracle the row writers must reproduce byte for byte.
+``tolist()`` columns: one f-string per cell.  ``reference_start_slice_csv``
+is the start-slice writer as it was before, through ``np.savetxt``.  They
+are kept here, not in the package, as the oracle the row writers must
+reproduce byte for byte.
 """
 
 import numpy as np
 import pytest
 
+from carbon_fbsde import gridio
+from carbon_fbsde.gridio import start_slice_csv
 from carbon_fbsde.montecarlo import (
     _BRANCH_NAMES,
     BRANCH_ABORTED,
@@ -16,6 +20,7 @@ from carbon_fbsde.montecarlo import (
     events_csv,
     paths_csv,
 )
+from carbon_fbsde.pde_kernel import ValueGrid
 
 
 def reference_paths_csv(bundle, path):
@@ -46,6 +51,17 @@ def reference_events_csv(bundle, path):
                     f"{bundle.compliance_right[k, i]:.17g},"
                     f"{_BRANCH_NAMES[int(bundle.branch[k, i])]}\n"
                 )
+
+
+def reference_start_slice_csv(grid, path):
+    """Write the start-of-period slice as CSV, one row per grid node."""
+    named = [(name, nodes) for name, nodes in (("p", grid.p_nodes), ("e", grid.e_nodes),
+                                                ("eparam", grid.eparam_nodes))
+             if nodes is not None]
+    mesh = np.meshgrid(*(nodes for _, nodes in named), indexing="ij")
+    data = np.column_stack([m.ravel() for m in mesh] + [grid.values[0].ravel()])
+    np.savetxt(path, data, fmt="%.17g", delimiter=",",
+               header=",".join([name for name, _ in named] + ["value"]), comments="")
 
 
 SPECIAL = np.array([np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e-310, 1e300,
@@ -114,3 +130,32 @@ def test_special_values_are_spelled_as_before(tmp_path):
     assert column == ["inf", "-inf", "-0", "0", "4.9406564584124654e-324",
                       "-9.9999999999999694e-311", "1.0000000000000001e+300",
                       "0.10000000000000001", "0.33333333333333331", "1", "nan"]
+
+
+def _slice_grid(seed: int, has_p: bool, has_eparam: bool) -> ValueGrid:
+    """A two-slice grid whose nodes and values carry every special value."""
+    rng = np.random.default_rng(seed)
+    e_nodes = np.concatenate([SPECIAL, _values(rng, 5)])
+    p_nodes = _values(rng, 4) if has_p else None
+    ep_nodes = _values(rng, 3) if has_eparam else None
+    shape = ((2,) + ((4,) if has_p else ()) + (e_nodes.size,)
+             + ((3,) if has_eparam else ()))
+    return ValueGrid(times=np.array([0.0, 1.0]), e_nodes=e_nodes,
+                     values=_values(rng, shape), rate=0.05, p_nodes=p_nodes,
+                     eparam_nodes=ep_nodes)
+
+
+@pytest.mark.parametrize("has_p", [False, True])
+@pytest.mark.parametrize("has_eparam", [False, True])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("block", [7, gridio._CSV_ROWS])
+def test_start_slice_csv_matches_savetxt_byte_for_byte(tmp_path, monkeypatch, has_p,
+                                                       has_eparam, seed, block):
+    """With 7-row blocks every grid ends in a partial block."""
+    monkeypatch.setattr(gridio, "_CSV_ROWS", block)
+    grid = _slice_grid(seed, has_p, has_eparam)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    start_slice_csv(grid, got)
+    reference_start_slice_csv(grid, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert b"nan" in got.read_bytes() and b"-0," in got.read_bytes()

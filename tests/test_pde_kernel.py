@@ -366,6 +366,28 @@ def test_start_only_solve_keeps_the_full_solves_start_slice(case, caplog):
     assert start.meta["n_steps"] == full.values.shape[0] - 1
 
 
+@pytest.mark.parametrize("case", ["no-factor", "factor", "recorded"])
+def test_one_slice_grid_reads_its_only_slice(case):
+    coeffs, terminal, config, kw = _start_only_cases()[case]
+    full = solve_one_period(coeffs, terminal, 0.0, 0.5, config, **kw)
+    start = solve_one_period(coeffs, terminal, 0.0, 0.5, config, start_only=True, **kw)
+    rng = np.random.default_rng(3)
+
+    def inside(nodes):
+        return None if nodes is None else rng.uniform(nodes[0], nodes[-1], 200)
+
+    p, e, ep = inside(full.p_nodes), inside(full.e_nodes), inside(full.eparam_nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = full.at_start(p, e, ep)
+        assert np.array_equal(start.at_start(p, e, ep), want)
+        assert np.array_equal(evaluate(start, 0.0, p, e, ep), want)
+        # any time reads the one stored slice
+        value, in_box = lookup(start, 0.3, p, e, ep)
+    assert np.array_equal(value, want)
+    assert in_box.all()
+
+
 # ----------------------------------------------------------------------
 # evaluation
 # ----------------------------------------------------------------------
