@@ -37,8 +37,8 @@ from .gridio import (canonical_json, file_sha256, read_grid, read_manifest,
 from .infinite_period import solve_infinite
 from .montecarlo import (events_csv, jump_consistency_test, martingale_test,
                          paths_csv, simulate)
-from .multi_period import (MultiPeriodField, open_field_dir, read_field_dir,
-                           solve_periods, write_field_manifest, write_period_grid)
+from .multi_period import (_read_grids, open_field_dir, solve_periods,
+                           write_field_manifest, write_period_grid)
 from .pde_kernel import diagnostics
 
 _EXIT_CODES = (
@@ -224,9 +224,13 @@ def cmd_price_infinite(args) -> int:
 
 
 def _load_field_for_simulation(plan: RunPlan, field_path: Path):
-    """Reload a solved field, refusing silently mismatched artifacts."""
+    """Check a solved field against the config, refusing mismatched artifacts.
+
+    A field directory comes back as a generator of its period grids:
+    ``simulate`` reads and hash-checks each one when its period starts.
+    """
     if field_path.is_dir() and (field_path / "field_manifest.json").exists():
-        grids, manifest = read_field_dir(field_path)
+        manifest, entries = open_field_dir(field_path)
         run_manifest = field_path.parent / "manifest.json"
         if run_manifest.exists():
             recorded, _ = read_manifest(run_manifest, "artifacts", ("path", "sha256"))
@@ -238,14 +242,13 @@ def _load_field_for_simulation(plan: RunPlan, field_path: Path):
                 )
         if plan.horizon != "finite":
             raise ArtifactError("a field directory needs a finite-horizon config")
-        if len(grids) != plan.spec.n_periods:
+        if len(entries) != plan.spec.n_periods:
             raise ArtifactError(
-                f"field has {len(grids)} periods, config wants {plan.spec.n_periods}"
+                f"field has {len(entries)} periods, config wants {plan.spec.n_periods}"
             )
         if abs(manifest["rate"] - plan.spec.coefficients.rate) > 1e-12:
             raise ArtifactError("field rate does not match the config rate")
-        return MultiPeriodField(spec=plan.spec, config=plan.solver,
-                                grids=tuple(grids))
+        return _read_grids(field_path, entries)
     if field_path.is_file():
         grid = read_grid(field_path)
         if plan.horizon != "infinite":

@@ -281,11 +281,6 @@ class CapFunction:
             raise ValidationError(f"cap '{self.kind}' needs the recorded emissions argument")
         return np.asarray(self.level_fn(np.asarray(eparam, dtype=float)), dtype=float)
 
-    def gamma(self, eparam):
-        """Net supply: cap level minus the recorded emissions."""
-        eparam = np.asarray(eparam, dtype=float)
-        return self.level(eparam) - eparam
-
     @staticmethod
     def constant(value: float, kind: str = "constant", label: str = "") -> "CapFunction":
         value = float(value)

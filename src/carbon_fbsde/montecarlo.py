@@ -8,6 +8,17 @@ drawing from a counter-based stream keyed by (seed, block index), so
 results are bit-identical regardless of how many paths run (prefixes
 agree).
 
+Periods run outside and blocks inside.  Every block runs period k
+against grid k and takes its left value at the compliance date T_k; grid
+k is then dropped and grid k + 1 read, which gives each block its right
+value at T_k and then runs period k + 1.  So a chained field is held one
+period grid at a time, and the blocks' path state carries over from
+period to period.  The stream is unchanged: it still holds one row of
+draws per path across the whole horizon, so a block draws its rows again
+for each period and keeps only that period's columns, step-major.  The
+rolling market reads one grid for every period, so its blocks run all
+their periods at once and draw once.
+
 A path that leaves the stored grid box is frozen where it was and
 reported; the run only fails when more than 0.1% of paths do that.
 """
@@ -42,6 +53,7 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 _BLOCK = 8192
+_DRAW_CHUNK = 1 << 16  # draws per chunk when a block's rows are drawn again
 BRANCH_BELOW, BRANCH_AT, BRANCH_ABOVE, BRANCH_ABORTED = -1, 0, 1, -2
 _BRANCH_NAMES = {BRANCH_BELOW: "below", BRANCH_AT: "at", BRANCH_ABOVE: "above",
                  BRANCH_ABORTED: "aborted"}
@@ -118,14 +130,8 @@ class PathBundle:
 # ----------------------------------------------------------------------
 
 def _period_table(field, spec: MarketSpec, n_periods: Optional[int]):
-    """Per-period (grid, t_start, t_end, e_offset, cap_fn) descriptors."""
-    rows = []
-    if isinstance(field, MultiPeriodField):
-        for k in range(1, field.n_periods + 1):
-            t0, t1 = spec.period_bounds(k)
-            rows.append((field.period_grid(k), t0, t1, 0.0, spec.caps[k - 1]))
-        nxt = [field.period_grid(k) for k in range(2, field.n_periods + 1)] + [None]
-        return rows, nxt
+    """Per-period ``(t_start, t_end, e_offset, cap)`` rows, the grids to read
+    in turn, and whether one grid serves every period (the rolling market)."""
     if isinstance(field, ValueGrid):
         if spec.horizon != "infinite":
             raise ValidationError("a bare grid simulates only the rolling market")
@@ -133,10 +139,42 @@ def _period_table(field, spec: MarketSpec, n_periods: Optional[int]):
         if q < 1:
             raise ValidationError("n_periods must be >= 1")
         tau, lam = spec.period_length, spec.cap_per_period
-        for k in range(1, q + 1):
-            rows.append((field, (k - 1) * tau, k * tau, (k - 1) * lam, None))
-        return rows, [field] * q
-    raise ValidationError(f"cannot simulate against {type(field).__name__}")
+        rows = [((k - 1) * tau, k * tau, (k - 1) * lam, None) for k in range(1, q + 1)]
+        return rows, iter([field]), True
+    try:
+        grids = iter(field.grids if isinstance(field, MultiPeriodField) else field)
+    except TypeError:
+        grids = None
+    if grids is None or spec.horizon != "finite":
+        raise ValidationError(f"cannot simulate against {type(field).__name__}")
+    rows = [(*spec.period_bounds(k), 0.0, spec.caps[k - 1])
+            for k in range(1, spec.n_periods + 1)]
+    return rows, grids, False
+
+
+def _next_grid(grids, k: int) -> ValueGrid:
+    grid = next(grids, None)
+    if grid is None:
+        raise ValidationError(f"the field has no grid for period {k}")
+    return grid
+
+
+def _draw_columns(out: np.ndarray, seed: int, b: int, n_steps: int, c0: int) -> None:
+    """Block ``b``'s draws for steps ``c0, c0 + 1, ...``, step-major.
+
+    The stream keyed by (seed, block) holds one row of ``n_steps`` draws
+    per path, so a path sees the same noise whatever else runs.  The rows
+    are drawn again in chunks and only the wanted columns kept:
+    ``out[j, i]`` is path ``i``'s draw for step ``c0 + j``.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, b],
+                                                            dtype=np.uint64)))
+    steps, bs = out.shape
+    rows = np.empty((min(bs, max(1, _DRAW_CHUNK // n_steps)), n_steps))
+    for r0 in range(0, bs, rows.shape[0]):
+        chunk = rows[:min(rows.shape[0], bs - r0)]
+        rng.standard_normal(out=chunk)
+        out[:, r0:r0 + chunk.shape[0]] = chunk[:, c0:c0 + steps].T
 
 
 def _step_factor(coeffs, P, dt: float, sq: float, xi):
@@ -161,7 +199,10 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
              coeffs=None) -> PathBundle:
     """Euler-simulate (P, E, Y) paths against a solved field.
 
-    ``field`` is a multi-period field or, for the rolling market, the
+    ``field`` is a multi-period field, its period grids in period order
+    (any iterable: each grid is asked for when its period starts and
+    released when the next one is, so a reader that yields them from
+    disk keeps one in memory), or, for the rolling market, the
     stationary grid (then ``n_periods`` chooses how many periods to roll
     forward and the price reads the grid in period-local coordinates).
     The factor steps by its exact mean-reverting transition when the
@@ -177,29 +218,32 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
         raise ValidationError("need n_paths >= 1 and steps_per_period >= 1")
     if seed < 0:
         raise ValidationError("seed must be a non-negative integer")
-    periods, next_grids = _period_table(field, spec, n_periods)
+    if keep_paths < 0:
+        raise ValidationError("keep_paths must be a non-negative integer")
+    periods, grids, rolling = _period_table(field, spec, n_periods)
     q = len(periods)
+    spp = steps_per_period
     has_p = coeffs.dim_p == 1
-    g0 = periods[0][0]
+    grid = _next_grid(grids, 1)
+    delta_e = grid.delta_e
 
-    _check_reach_box(coeffs, spec, g0, periods, p0, e0)
+    _check_reach_box(coeffs, grid, periods, rolling, p0, e0)
 
-    n_steps = q * steps_per_period
-    t_end = periods[-1][2]
+    n_steps = q * spp
+    t_end = periods[-1][1]
     times = np.empty(n_steps + 1)
-    for k, (_, t0, t1, _, _) in enumerate(periods):
-        loc = np.linspace(t0, t1, steps_per_period + 1)
-        times[k * steps_per_period: (k + 1) * steps_per_period + 1] = loc
+    for k, (t0, t1, _, _) in enumerate(periods):
+        times[k * spp: (k + 1) * spp + 1] = np.linspace(t0, t1, spp + 1)
 
     if snapshot_times is None:
-        snapshot_times = sorted({periods[0][1], t_end}
-                                | {row[2] for row in periods}
-                                | {0.5 * (row[1] + row[2]) for row in periods})
+        snapshot_times = sorted({periods[0][0], t_end}
+                                | {row[1] for row in periods}
+                                | {0.5 * (row[0] + row[1]) for row in periods})
     snap_idx = sorted({int(np.argmin(np.abs(times - t))) for t in snapshot_times})
     snap_pos = {g: j for j, g in enumerate(snap_idx)}
     n_snap = len(snap_idx)
 
-    keep = min(keep_paths, n_paths, _BLOCK)
+    keep = min(keep_paths, n_paths)
     kept_idx = np.arange(keep)
 
     snap_P = np.empty((n_snap, n_paths)) if has_p else None
@@ -216,119 +260,150 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
     aborted = np.zeros(n_paths, dtype=bool)
     abort_step = np.full(n_paths, -1, dtype=np.int32)
 
-    n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
-    for b in range(n_blocks):
-        lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, n_paths)
+    # path state carried from period to period; a block works on its slice
+    P_all = np.full(n_paths, float(p0)) if has_p else None
+    E_all = np.full(n_paths, float(e0))
+    Y_all = np.zeros(n_paths)
+    alive_all = np.ones(n_paths, dtype=bool)
+    eparam_all = E_all.copy()
+
+    def settle(k, lo, hi, y_left, okl, right_grid):
+        """Compliance date T_k for paths lo:hi, read from ``right_grid``'s
+        start (None: the final date, settled by the payout)."""
         bs = hi - lo
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b],
-                                                                dtype=np.uint64)))
-        P = np.full(bs, float(p0)) if has_p else None
-        E = np.full(bs, float(e0))
-        Y = np.zeros(bs)
-        alive = np.ones(bs, dtype=bool)
-        eparam = E.copy()
+        P = P_all[lo:hi] if has_p else None
+        E, Y, alive, eparam = (E_all[lo:hi], Y_all[lo:hi], alive_all[lo:hi],
+                               eparam_all[lo:hi])
+        e_off, cap = periods[k][2:]
+        if cap is not None:
+            lvl = np.broadcast_to(
+                np.asarray(cap.level(eparam), dtype=float)
+                if not cap.is_constant else cap.constant_value,
+                (bs,)).astype(float)
+        else:
+            lvl = np.full(bs, e_off + spec.cap_per_period)
+        if right_grid is None:
+            # after the final date the contract is settled: the right
+            # value is the payout itself
+            y_right = (E >= lvl).astype(float)
+            okr = np.ones(bs, dtype=bool)
+        else:
+            off = periods[k + 1][2] if k + 1 < q else e_off + spec.cap_per_period
+            y_right, okr = lookup(right_grid, right_grid.t0, P, E - off,
+                                  (E - off) if right_grid.has_eparam else None)
+        newly = alive & ~(okl & okr)
+        if newly.any():
+            abort_step[lo:hi][newly] = (k + 1) * spp
+            aborted[lo:hi][newly] = True
+            alive &= okl & okr
 
-        # one row of draws per path across the whole horizon, so path i
-        # sees the same noise no matter how many paths share its block
-        xi_rows = rng.standard_normal((bs, n_steps)) if has_p else None
+        comp_E[k, lo:hi] = E
+        comp_cap[k, lo:hi] = lvl
+        comp_left[k, lo:hi] = np.where(alive, y_left, np.nan)
+        comp_right[k, lo:hi] = np.where(alive, y_right, np.nan)
+        sign = np.sign(E - lvl)
+        branch[k, lo:hi] = np.where(alive, sign, BRANCH_ABORTED).astype(np.int8)
+        eparam[:] = E
+        np.copyto(Y, y_right, where=alive)
 
-        gstep = 0
-        for k, (grid, t0, t1, e_off, cap) in enumerate(periods):
-            dt = (t1 - t0) / steps_per_period
-            sq = math.sqrt(dt)
-            use_ep = grid.has_eparam
-            for j in range(steps_per_period):
-                t = times[gstep]
-                y_new, ok = lookup(grid, t if e_off == 0.0 else t - t0,
-                                   P, E - e_off,
-                                   (eparam - e_off) if use_ep else None)
-                newly = alive & ~ok
-                if newly.any():
-                    abort_step[lo:hi][newly] = gstep
-                    aborted[lo:hi][newly] = True
-                    alive &= ok
-                Y = np.where(alive, y_new, Y)
+    blocks = [(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
+    width = blocks[0][1]
+    # periods outside, blocks inside: a chained field's blocks run period
+    # k against grid k alone; the rolling grid serves every period, so its
+    # blocks run them all at once and draw their noise once
+    stages = [range(q)] if rolling else [range(k, k + 1) for k in range(q)]
+    xi = np.empty((len(stages[0]) * spp, width)) if has_p else None
+    # per-step scratch owned here: ``mu`` may return a shared or read-only array
+    mu_buf, pred_buf = np.empty(width), np.empty(width)
+    mask_buf = np.empty(width, dtype=bool)
+    pending = [None] * len(blocks)
 
-                if gstep in snap_pos:
-                    s = snap_pos[gstep]
+    for stage in stages:
+        if stage[0] > 0:
+            grid = None  # every block has read grid k; drop it before grid k + 1
+            grid = _next_grid(grids, stage[0] + 1)
+        for b, (lo, hi) in enumerate(blocks):
+            bs = hi - lo
+            P = P_all[lo:hi] if has_p else None
+            E, Y, alive, eparam = (E_all[lo:hi], Y_all[lo:hi], alive_all[lo:hi],
+                                   eparam_all[lo:hi])
+            mu, e_pred, newly = mu_buf[:bs], pred_buf[:bs], mask_buf[:bs]
+            if pending[b] is not None:
+                settle(stage[0] - 1, lo, hi, *pending[b], grid)
+                pending[b] = None
+            if has_p:
+                _draw_columns(xi[:, :bs], seed, b, n_steps, stage[0] * spp)
+            kb = min(keep, hi) - lo
+
+            for k in stage:
+                t0, t1, e_off, _ = periods[k]
+                dt = (t1 - t0) / spp
+                sq = math.sqrt(dt)
+                ep = (eparam - e_off) if grid.has_eparam else None
+                gstep, col = k * spp, (k - stage[0]) * spp
+                for j in range(spp):
+                    t = times[gstep]
+                    y_new, ok = lookup(grid, t if e_off == 0.0 else t - t0,
+                                       P, E - e_off, ep)
+                    np.greater(alive, ok, out=newly)  # alive and not ok
+                    if newly.any():
+                        abort_step[lo:hi][newly] = gstep
+                        aborted[lo:hi][newly] = True
+                        alive &= ok
+                    np.copyto(Y, y_new, where=alive)
+
+                    if gstep in snap_pos:
+                        s = snap_pos[gstep]
+                        if has_p:
+                            snap_P[s, lo:hi] = P
+                        snap_E[s, lo:hi] = E
+                        snap_Y[s, lo:hi] = Y
+                    if kb > 0:
+                        if has_p:
+                            path_P[lo:lo + kb, gstep] = P[:kb]
+                        path_E[lo:lo + kb, gstep] = E[:kb]
+                        path_Y[lo:lo + kb, gstep] = Y[:kb]
+
+                    np.copyto(mu, np.asarray(coeffs.mu(P, Y), dtype=float))
                     if has_p:
-                        snap_P[s, lo:hi] = P
-                    snap_E[s, lo:hi] = E
-                    snap_Y[s, lo:hi] = Y
-                if b == 0 and keep > lo:
-                    kb = min(keep - lo, bs)
-                    if has_p:
-                        path_P[lo:lo + kb, gstep] = P[:kb]
-                    path_E[lo:lo + kb, gstep] = E[:kb]
-                    path_Y[lo:lo + kb, gstep] = Y[:kb]
+                        np.copyto(P, _step_factor(coeffs, P, dt, sq, xi[col + j, :bs]),
+                                  where=alive)
+                    np.multiply(mu, dt, out=e_pred)
+                    e_pred += E
+                    e_pred -= e_off
+                    t_pred = min((t + dt) if e_off == 0.0 else t + dt - t0,
+                                 grid.last_interior_time)
+                    y_pred, okp = lookup(grid, t_pred, P, e_pred, ep)
+                    np.logical_not(okp, out=newly)
+                    np.copyto(y_pred, Y, where=newly)
+                    mu += np.asarray(coeffs.mu(P, y_pred), dtype=float)
+                    mu *= 0.5
+                    mu *= dt
+                    mu += E
+                    np.copyto(E, mu, where=alive)
+                    gstep += 1
 
-                mu0 = np.asarray(coeffs.mu(P, Y), dtype=float)
-                if has_p:
-                    P = np.where(alive,
-                                 _step_factor(coeffs, P, dt, sq, xi_rows[:, gstep]), P)
-                E_pred = E + mu0 * dt
-                t_pred = min((t + dt) if e_off == 0.0 else t + dt - t0,
-                             grid.last_interior_time)
-                y_pred, okp = lookup(grid, t_pred, P, E_pred - e_off,
-                                     (eparam - e_off) if use_ep else None)
-                mu1 = np.asarray(coeffs.mu(P, np.where(okp, y_pred, Y)),
-                                 dtype=float)
-                E = np.where(alive, E + 0.5 * (mu0 + mu1) * dt, E)
-                gstep += 1
-
-            # -- compliance date T_k ------------------------------------
-            if cap is not None:
-                lvl = np.broadcast_to(
-                    np.asarray(cap.level(eparam), dtype=float)
-                    if not cap.is_constant else cap.constant_value,
-                    (bs,)).astype(float)
-            else:
-                lvl = np.full(bs, e_off + spec.cap_per_period)
-            # grid.last_interior_time is global for chained fields and
-            # period-local for the rolling grid, same as the step reads
-            y_left, okl = lookup(grid, grid.last_interior_time, P, E - e_off,
-                                 (eparam - e_off) if use_ep else None)
-            ng = next_grids[k]
-            if ng is None:
-                # after the final date the contract is settled: the right
-                # value is the payout itself
-                y_right = (E >= lvl).astype(float)
-                okr = np.ones(bs, dtype=bool)
-            else:
-                off_n = periods[k + 1][3] if k + 1 < q else e_off + spec.cap_per_period
-                if isinstance(field, MultiPeriodField):
-                    y_right, okr = lookup(ng, ng.t0, P, E,
-                                          E if ng.has_eparam else None)
+                # -- compliance date T_k: the left value comes from grid k
+                # now, the right value from the start of the grid after it.
+                # grid.last_interior_time is global for chained fields and
+                # period-local for the rolling grid, same as the step reads
+                y_left, okl = lookup(grid, grid.last_interior_time, P, E - e_off, ep)
+                if rolling or k + 1 == q:
+                    settle(k, lo, hi, y_left, okl, grid if rolling else None)
                 else:
-                    y_right, okr = lookup(ng, 0.0, P, E - off_n, None)
-            newly = alive & ~(okl & okr)
-            if newly.any():
-                abort_step[lo:hi][newly] = gstep
-                aborted[lo:hi][newly] = True
-                alive &= okl & okr
+                    pending[b] = (y_left, okl)
 
-            comp_E[k, lo:hi] = E
-            comp_cap[k, lo:hi] = lvl
-            comp_left[k, lo:hi] = np.where(alive, y_left, np.nan)
-            comp_right[k, lo:hi] = np.where(alive, y_right, np.nan)
-            sign = np.sign(E - lvl)
-            branch[k, lo:hi] = np.where(alive, sign, BRANCH_ABORTED).astype(np.int8)
-            eparam = E.copy()
-            Y = np.where(alive, y_right, Y)
-
-        # final mesh point: right value of the last compliance date
-        if n_steps in snap_pos:
-            s = snap_pos[n_steps]
-            if has_p:
-                snap_P[s, lo:hi] = P
-            snap_E[s, lo:hi] = E
-            snap_Y[s, lo:hi] = Y
-        if b == 0 and keep > lo:
-            kb = min(keep - lo, bs)
-            if has_p:
-                path_P[lo:lo + kb, n_steps] = P[:kb]
-            path_E[lo:lo + kb, n_steps] = E[:kb]
-            path_Y[lo:lo + kb, n_steps] = Y[:kb]
+    # final mesh point: right value of the last compliance date
+    if n_steps in snap_pos:
+        s = snap_pos[n_steps]
+        if has_p:
+            snap_P[s] = P_all
+        snap_E[s] = E_all
+        snap_Y[s] = Y_all
+    if has_p:
+        path_P[:, n_steps] = P_all[:keep]
+    path_E[:, n_steps] = E_all[:keep]
+    path_Y[:, n_steps] = Y_all[:keep]
 
     if _log.isEnabledFor(logging.DEBUG):
         seconds = time.perf_counter() - started
@@ -355,17 +430,17 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
             "steps_per_period": steps_per_period,
             "block_size": _BLOCK,
             "n_periods": q,
-            "delta_e": g0.delta_e,
+            "delta_e": delta_e,
             "p0": p0, "e0": e0,
-            "period_ends": [row[2] for row in periods],
+            "period_ends": [row[1] for row in periods],
             "market_label": spec.label,
         },
     )
 
 
-def _check_reach_box(coeffs, spec, g0, periods, p0, e0):
+def _check_reach_box(coeffs, g0, periods, rolling, p0, e0):
     """Interval bound on the reachable states vs the stored grid box."""
-    horizon = periods[-1][2] - periods[0][1]
+    horizon = periods[-1][1] - periods[0][0]
     problems = []
     if coeffs.dim_p == 1:
         p_nodes = g0.p_nodes
@@ -379,8 +454,7 @@ def _check_reach_box(coeffs, spec, g0, periods, p0, e0):
     mu_lo, mu_hi = coeffs.rate_range(g0.p_nodes)
     # grids are read in period-local coordinates for the rolling market,
     # so the per-period drift bound applies to each period separately
-    rolling = periods[0][4] is None
-    span_t = (periods[0][2] - periods[0][1]) if rolling else horizon
+    span_t = (periods[0][1] - periods[0][0]) if rolling else horizon
     e_top = e0 + max(mu_hi, 0.0) * span_t
     e_bot = e0 + min(mu_lo, 0.0) * span_t
     if e_bot < g0.e_nodes[0] or e_top > g0.e_nodes[-1]:

@@ -212,11 +212,17 @@ def open_field_dir(path) -> tuple:
     return manifest, entries
 
 
-def read_field_dir(path) -> tuple:
-    """Load a field directory as ``(grids, manifest)``.
+def _read_grids(root: Path, entries: list):
+    """The grids of :func:`open_field_dir`'s ``entries``, one per ``next``.
 
-    Each grid is checked against its recorded sha256 while it is read.
+    Each grid is checked against its recorded sha256 while it is read, and
+    the generator keeps no reference to a grid once it has yielded it.
     """
+    for entry in entries:
+        yield read_grid(root / entry["file"], entry["sha256"])
+
+
+def read_field_dir(path) -> tuple:
+    """Load a field directory as ``(grids, manifest)``."""
     manifest, entries = open_field_dir(path)
-    grids = [read_grid(Path(path) / entry["file"], entry["sha256"]) for entry in entries]
-    return grids, manifest
+    return list(_read_grids(Path(path), entries)), manifest

@@ -187,6 +187,17 @@ def test_simulate_round_trip_and_determinism(tmp_path, finite_config):
     assert manifest_of(s1)["verification"]["martingale_passed"] is None
 
 
+def test_simulate_refuses_a_negative_keep_paths(tmp_path, capsys):
+    tree = {**TINY_FINITE, "simulation": {**TINY_FINITE["simulation"], "keep_paths": -1}}
+    config = tmp_path / "keep.json"
+    config.write_text(json.dumps(tree))
+    assert main(["price-multi", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(config), "--field",
+                 str(tmp_path / "run" / "field"), "--out", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err.count("error: ") == 1
+
+
 def test_simulate_seed_flag_changes_content(tmp_path, rolling_config):
     priced = tmp_path / "roll"
     assert main(["price-infinite", "--config", str(rolling_config),

@@ -16,7 +16,7 @@ from carbon_fbsde import (
 from carbon_fbsde.config import preset_coefficients
 from carbon_fbsde.errors import CoverageError, ValidationError
 from carbon_fbsde.model import MarketSpec, make_cap_allocation
-from carbon_fbsde.montecarlo import events_csv, paths_csv
+from carbon_fbsde.montecarlo import _BLOCK, events_csv, paths_csv
 from carbon_fbsde.pde_kernel import SolverConfig
 from oracle import ou_moments
 
@@ -127,6 +127,28 @@ def test_reach_check_blocks_escaping_starts(factor_field):
     spec, field = factor_field
     with pytest.raises(CoverageError):
         simulate(field, spec, n_paths=4, steps_per_period=8, seed=0, e0=2.0)
+
+
+def test_negative_keep_paths_is_refused(factor_field):
+    spec, field = factor_field
+    with pytest.raises(ValidationError, match="keep_paths"):
+        simulate(field, spec, n_paths=4, steps_per_period=8, seed=0, keep_paths=-1)
+
+
+@pytest.mark.parametrize("keep", [0, _BLOCK + 17])
+def test_keep_paths_keeps_as_many_paths_as_asked(factor_field, keep):
+    """Kept rows may span blocks; each is its path's snapshot at the
+    snapshot times."""
+    spec, field = factor_field
+    bundle = simulate(field, spec, n_paths=_BLOCK + 40, steps_per_period=8, seed=3,
+                      keep_paths=keep)
+    assert bundle.kept_idx.tolist() == list(range(keep))
+    cols = np.searchsorted(bundle.times, bundle.snapshot_times)
+    assert np.array_equal(bundle.times[cols], bundle.snapshot_times)
+    for kept, snap in ((bundle.path_P, bundle.snap_P), (bundle.path_E, bundle.snap_E),
+                       (bundle.path_Y, bundle.snap_Y)):
+        assert kept.shape == (keep, bundle.times.size)
+        assert np.array_equal(kept[:, cols], snap[:, :keep].T)
 
 
 def test_snapshot_lookup_tolerance(flat_field):
