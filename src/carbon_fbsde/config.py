@@ -412,10 +412,14 @@ def build_plan(tree: dict) -> RunPlan:
         if "p_min" in grid and "p_max" in grid:
             p_min, p_max = float(grid["p_min"]), float(grid["p_max"])
         else:
+            # the box holds the whole simulated horizon, which for a
+            # rolling market is ``n_periods`` periods
             sim = resolved["simulation"]
-            p_nodes_probe = np.linspace(-10, 10, 41)
-            vol_hi = float(np.max(np.asarray(coeffs.vol(p_nodes_probe), dtype=float)))
-            reach = abs(float(sim["p0"])) + 4.0 * vol_hi * math.sqrt(horizon_T)
+            n_roll = 1 if horizon == "finite" else sim["n_periods"]
+            if not (isinstance(n_roll, int) and n_roll >= 1):
+                raise ConfigError("simulation.n_periods must be a positive integer")
+            reach = coeffs.factor_reach(float(sim["p0"]), n_roll * horizon_T,
+                                        np.linspace(-10, 10, 41))
             p_min, p_max = -reach, reach
         n_p = int(grid.get("n_p", DEFAULTS["grid"]["n_p"]))
         speed = coeffs.peak_speed(np.linspace(p_min, p_max, 257))
@@ -433,14 +437,11 @@ def build_plan(tree: dict) -> RunPlan:
         )
 
     if horizon == "finite":
+        probe = np.linspace(-speed * horizon_T, speed * horizon_T, 513)
         levels = []
         for cap in spec.caps:
-            if cap.is_constant:
-                levels.append(cap.constant_value)
-            else:
-                probe = np.linspace(-speed * horizon_T, speed * horizon_T, 513)
-                lv = np.asarray(cap.level(probe), dtype=float)
-                levels.extend([float(lv.min()), float(lv.max())])
+            lv = np.asarray(cap.level(probe), dtype=float)
+            levels.extend([float(lv.min()), float(lv.max())])
     else:
         levels = [lam_align]
     e_min, e_max, n_e = _auto_e_grid(levels, speed, horizon_T, grid,

@@ -21,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -129,6 +130,12 @@ class CoefficientSet:
         p = np.asarray(p_nodes, dtype=float)
         return (float(np.min(np.asarray(mu(p, np.ones_like(p)), dtype=float))),
                 float(np.max(np.asarray(mu(p, np.zeros_like(p)), dtype=float))))
+
+    def factor_reach(self, p0: float, span: float, p_nodes) -> float:
+        """Largest ``|p|`` a 4-sigma factor excursion from ``p0`` reaches
+        over a time ``span``, the volatility bounded on ``p_nodes``."""
+        vol = float(np.max(np.asarray(self.vol(p_nodes), dtype=float)))
+        return abs(p0) + 4.0 * vol * math.sqrt(span)
 
     def peak_speed(self, p_nodes=None) -> float:
         """Largest emission speed ``|mu|`` over prices in [0, 1]."""
@@ -260,11 +267,12 @@ class CapFunction:
     ``level(eparam)`` maps the emissions recorded at the previous
     compliance date to the cap applying at this one.  ``constant_value``
     is set when the level does not depend on ``eparam`` at all, which
-    unlocks the fast solver path (no ``eparam`` axis).
+    unlocks the fast solver path (no ``eparam`` axis); ``level`` then
+    returns that scalar, which broadcasts against any ``eparam``.
     """
 
     kind: str
-    level_fn: Callable
+    level_fn: Optional[Callable] = None
     constant_value: Optional[float] = None
     label: str = ""
 
@@ -274,18 +282,14 @@ class CapFunction:
 
     def level(self, eparam=None):
         if self.is_constant:
-            if eparam is None:
-                return self.constant_value
-            return np.full_like(np.asarray(eparam, dtype=float), self.constant_value)
+            return self.constant_value
         if eparam is None:
             raise ValidationError(f"cap '{self.kind}' needs the recorded emissions argument")
         return np.asarray(self.level_fn(np.asarray(eparam, dtype=float)), dtype=float)
 
     @staticmethod
     def constant(value: float, kind: str = "constant", label: str = "") -> "CapFunction":
-        value = float(value)
-        return CapFunction(kind=kind, level_fn=lambda e: np.full_like(e, value),
-                           constant_value=value, label=label)
+        return CapFunction(kind=kind, constant_value=float(value), label=label)
 
 
 def make_cap_allocation(allocations: Sequence[float],
@@ -374,11 +378,7 @@ def indicator_terminal(cap: CapFunction) -> TerminalSurface:
 
     def fn(p, e, eparam=None):
         e = np.asarray(e, dtype=float)
-        if cap.is_constant:
-            lvl = cap.constant_value
-        else:
-            lvl = cap.level(eparam)
-        return (e >= lvl).astype(float)
+        return (e >= cap.level(eparam)).astype(float)
 
     return TerminalSurface(fn=fn, lipschitz_p=0.0, parametrized=not cap.is_constant,
                            label=f"indicator({cap.kind})")
@@ -391,8 +391,7 @@ def smoothed_indicator(cap: CapFunction, width: float) -> TerminalSurface:
 
     def fn(p, e, eparam=None):
         e = np.asarray(e, dtype=float)
-        lvl = cap.constant_value if cap.is_constant else cap.level(eparam)
-        x = np.clip((e - lvl) / width + 0.5, 0.0, 1.0)
+        x = np.clip((e - cap.level(eparam)) / width + 0.5, 0.0, 1.0)
         return x * x * (3.0 - 2.0 * x)
 
     return TerminalSurface(fn=fn, lipschitz_p=0.0, parametrized=not cap.is_constant,
@@ -425,8 +424,7 @@ def link_terminal(next_grid, cap: CapFunction) -> TerminalSurface:
 
     def fn(p, e, eparam=None):
         e = np.asarray(e, dtype=float)
-        lvl = np.asarray(cap.constant_value if cap.is_constant else cap.level(eparam),
-                         dtype=float)
+        lvl = np.asarray(cap.level(eparam), dtype=float)
         if p is None or np.ndim(p) == 0:
             shape = np.broadcast(e, lvl).shape
         else:

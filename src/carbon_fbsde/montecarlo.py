@@ -8,16 +8,16 @@ drawing from a counter-based stream keyed by (seed, block index), so
 results are bit-identical regardless of how many paths run (prefixes
 agree).
 
-Periods run outside and blocks inside.  Every block runs period k
-against grid k and takes its left value at the compliance date T_k; grid
-k is then dropped and grid k + 1 read, which gives each block its right
-value at T_k and then runs period k + 1.  So a chained field is held one
-period grid at a time, and the blocks' path state carries over from
-period to period.  The stream is unchanged: it still holds one row of
-draws per path across the whole horizon, so a block draws its rows again
-for each period and keeps only that period's columns, step-major.  The
-rolling market reads one grid for every period, so its blocks run all
-their periods at once and draw once.
+Periods run outside and blocks inside, in one loop for a chained field
+and the rolling grid alike.  In period k every block runs against grid k
+and takes its left value at the compliance date T_k; the date is then
+settled for all paths at once.  A chained field drops grid k there and
+reads grid k + 1, whose start gives the right values and which serves
+period k + 1, so it is held one period grid at a time; the rolling grid
+serves every period, read in period-local coordinates.  The blocks' path
+state carries over from period to period.  The stream holds one row of
+draws per path across the whole horizon, so in every period a block
+draws its rows again and keeps only that period's columns, step-major.
 
 A path that leaves the stored grid box is frozen where it was and
 reported; the run only fails when more than 0.1% of paths do that.
@@ -36,7 +36,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import CoverageError, SimulationError, ValidationError
-from .model import MarketSpec
+from .model import CapFunction, MarketSpec
 from .multi_period import MultiPeriodField
 from .pde_kernel import ValueGrid, lookup
 
@@ -130,8 +130,10 @@ class PathBundle:
 # ----------------------------------------------------------------------
 
 def _period_table(field, spec: MarketSpec, n_periods: Optional[int]):
-    """Per-period ``(t_start, t_end, e_offset, cap)`` rows, the grids to read
-    in turn, and whether one grid serves every period (the rolling market)."""
+    """Per-period ``(t_start, t_end, t_shift, e_offset, cap)`` rows, the grids
+    to read in turn, and whether one grid serves every period (the rolling
+    market).  A field is read at time ``t - t_shift`` and emissions
+    ``e - e_offset``: period-local coordinates on the rolling grid."""
     if isinstance(field, ValueGrid):
         if spec.horizon != "infinite":
             raise ValidationError("a bare grid simulates only the rolling market")
@@ -139,7 +141,8 @@ def _period_table(field, spec: MarketSpec, n_periods: Optional[int]):
         if q < 1:
             raise ValidationError("n_periods must be >= 1")
         tau, lam = spec.period_length, spec.cap_per_period
-        rows = [((k - 1) * tau, k * tau, (k - 1) * lam, None) for k in range(1, q + 1)]
+        rows = [((k - 1) * tau, k * tau, (k - 1) * tau, (k - 1) * lam,
+                 CapFunction.constant((k - 1) * lam + lam)) for k in range(1, q + 1)]
         return rows, iter([field]), True
     try:
         grids = iter(field.grids if isinstance(field, MultiPeriodField) else field)
@@ -147,7 +150,7 @@ def _period_table(field, spec: MarketSpec, n_periods: Optional[int]):
         grids = None
     if grids is None or spec.horizon != "finite":
         raise ValidationError(f"cannot simulate against {type(field).__name__}")
-    rows = [(*spec.period_bounds(k), 0.0, spec.caps[k - 1])
+    rows = [(*spec.period_bounds(k), 0.0, 0.0, spec.caps[k - 1])
             for k in range(1, spec.n_periods + 1)]
     return rows, grids, False
 
@@ -232,7 +235,7 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
     n_steps = q * spp
     t_end = periods[-1][1]
     times = np.empty(n_steps + 1)
-    for k, (t0, t1, _, _) in enumerate(periods):
+    for k, (t0, t1, *_) in enumerate(periods):
         times[k * spp: (k + 1) * spp + 1] = np.linspace(t0, t1, spp + 1)
 
     if snapshot_times is None:
@@ -266,132 +269,105 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
     Y_all = np.zeros(n_paths)
     alive_all = np.ones(n_paths, dtype=bool)
     eparam_all = E_all.copy()
-
-    def settle(k, lo, hi, y_left, okl, right_grid):
-        """Compliance date T_k for paths lo:hi, read from ``right_grid``'s
-        start (None: the final date, settled by the payout)."""
-        bs = hi - lo
-        P = P_all[lo:hi] if has_p else None
-        E, Y, alive, eparam = (E_all[lo:hi], Y_all[lo:hi], alive_all[lo:hi],
-                               eparam_all[lo:hi])
-        e_off, cap = periods[k][2:]
-        if cap is not None:
-            lvl = np.broadcast_to(
-                np.asarray(cap.level(eparam), dtype=float)
-                if not cap.is_constant else cap.constant_value,
-                (bs,)).astype(float)
-        else:
-            lvl = np.full(bs, e_off + spec.cap_per_period)
-        if right_grid is None:
-            # after the final date the contract is settled: the right
-            # value is the payout itself
-            y_right = (E >= lvl).astype(float)
-            okr = np.ones(bs, dtype=bool)
-        else:
-            off = periods[k + 1][2] if k + 1 < q else e_off + spec.cap_per_period
-            y_right, okr = lookup(right_grid, right_grid.t0, P, E - off,
-                                  (E - off) if right_grid.has_eparam else None)
-        newly = alive & ~(okl & okr)
-        if newly.any():
-            abort_step[lo:hi][newly] = (k + 1) * spp
-            aborted[lo:hi][newly] = True
-            alive &= okl & okr
-
-        comp_E[k, lo:hi] = E
-        comp_cap[k, lo:hi] = lvl
-        comp_left[k, lo:hi] = np.where(alive, y_left, np.nan)
-        comp_right[k, lo:hi] = np.where(alive, y_right, np.nan)
-        sign = np.sign(E - lvl)
-        branch[k, lo:hi] = np.where(alive, sign, BRANCH_ABORTED).astype(np.int8)
-        eparam[:] = E
-        np.copyto(Y, y_right, where=alive)
+    ok_date = np.empty(n_paths, dtype=bool)  # left and right value inside the box
 
     blocks = [(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
     width = blocks[0][1]
-    # periods outside, blocks inside: a chained field's blocks run period
-    # k against grid k alone; the rolling grid serves every period, so its
-    # blocks run them all at once and draw their noise once
-    stages = [range(q)] if rolling else [range(k, k + 1) for k in range(q)]
-    xi = np.empty((len(stages[0]) * spp, width)) if has_p else None
+    xi = np.empty((spp, width)) if has_p else None
     # per-step scratch owned here: ``mu`` may return a shared or read-only array
     mu_buf, pred_buf = np.empty(width), np.empty(width)
     mask_buf = np.empty(width, dtype=bool)
-    pending = [None] * len(blocks)
 
-    for stage in stages:
-        if stage[0] > 0:
-            grid = None  # every block has read grid k; drop it before grid k + 1
-            grid = _next_grid(grids, stage[0] + 1)
+    for k, (t0, t1, t_shift, e_off, cap) in enumerate(periods):
+        dt = (t1 - t0) / spp
+        sq = math.sqrt(dt)
         for b, (lo, hi) in enumerate(blocks):
             bs = hi - lo
             P = P_all[lo:hi] if has_p else None
             E, Y, alive, eparam = (E_all[lo:hi], Y_all[lo:hi], alive_all[lo:hi],
                                    eparam_all[lo:hi])
             mu, e_pred, newly = mu_buf[:bs], pred_buf[:bs], mask_buf[:bs]
-            if pending[b] is not None:
-                settle(stage[0] - 1, lo, hi, *pending[b], grid)
-                pending[b] = None
             if has_p:
-                _draw_columns(xi[:, :bs], seed, b, n_steps, stage[0] * spp)
+                _draw_columns(xi[:, :bs], seed, b, n_steps, k * spp)
             kb = min(keep, hi) - lo
+            ep = (eparam - e_off) if grid.has_eparam else None
+            gstep = k * spp
+            for j in range(spp):
+                t = times[gstep]
+                y_new, ok = lookup(grid, t - t_shift, P, E - e_off, ep)
+                np.greater(alive, ok, out=newly)  # alive and not ok
+                if newly.any():
+                    abort_step[lo:hi][newly] = gstep
+                    aborted[lo:hi][newly] = True
+                    alive &= ok
+                np.copyto(Y, y_new, where=alive)
 
-            for k in stage:
-                t0, t1, e_off, _ = periods[k]
-                dt = (t1 - t0) / spp
-                sq = math.sqrt(dt)
-                ep = (eparam - e_off) if grid.has_eparam else None
-                gstep, col = k * spp, (k - stage[0]) * spp
-                for j in range(spp):
-                    t = times[gstep]
-                    y_new, ok = lookup(grid, t if e_off == 0.0 else t - t0,
-                                       P, E - e_off, ep)
-                    np.greater(alive, ok, out=newly)  # alive and not ok
-                    if newly.any():
-                        abort_step[lo:hi][newly] = gstep
-                        aborted[lo:hi][newly] = True
-                        alive &= ok
-                    np.copyto(Y, y_new, where=alive)
-
-                    if gstep in snap_pos:
-                        s = snap_pos[gstep]
-                        if has_p:
-                            snap_P[s, lo:hi] = P
-                        snap_E[s, lo:hi] = E
-                        snap_Y[s, lo:hi] = Y
-                    if kb > 0:
-                        if has_p:
-                            path_P[lo:lo + kb, gstep] = P[:kb]
-                        path_E[lo:lo + kb, gstep] = E[:kb]
-                        path_Y[lo:lo + kb, gstep] = Y[:kb]
-
-                    np.copyto(mu, np.asarray(coeffs.mu(P, Y), dtype=float))
+                if gstep in snap_pos:
+                    s = snap_pos[gstep]
                     if has_p:
-                        np.copyto(P, _step_factor(coeffs, P, dt, sq, xi[col + j, :bs]),
-                                  where=alive)
-                    np.multiply(mu, dt, out=e_pred)
-                    e_pred += E
-                    e_pred -= e_off
-                    t_pred = min((t + dt) if e_off == 0.0 else t + dt - t0,
-                                 grid.last_interior_time)
-                    y_pred, okp = lookup(grid, t_pred, P, e_pred, ep)
-                    np.logical_not(okp, out=newly)
-                    np.copyto(y_pred, Y, where=newly)
-                    mu += np.asarray(coeffs.mu(P, y_pred), dtype=float)
-                    mu *= 0.5
-                    mu *= dt
-                    mu += E
-                    np.copyto(E, mu, where=alive)
-                    gstep += 1
+                        snap_P[s, lo:hi] = P
+                    snap_E[s, lo:hi] = E
+                    snap_Y[s, lo:hi] = Y
+                if kb > 0:
+                    if has_p:
+                        path_P[lo:lo + kb, gstep] = P[:kb]
+                    path_E[lo:lo + kb, gstep] = E[:kb]
+                    path_Y[lo:lo + kb, gstep] = Y[:kb]
 
-                # -- compliance date T_k: the left value comes from grid k
-                # now, the right value from the start of the grid after it.
-                # grid.last_interior_time is global for chained fields and
-                # period-local for the rolling grid, same as the step reads
-                y_left, okl = lookup(grid, grid.last_interior_time, P, E - e_off, ep)
-                if rolling or k + 1 == q:
-                    settle(k, lo, hi, y_left, okl, grid if rolling else None)
-                else:
-                    pending[b] = (y_left, okl)
+                np.copyto(mu, np.asarray(coeffs.mu(P, Y), dtype=float))
+                if has_p:
+                    np.copyto(P, _step_factor(coeffs, P, dt, sq, xi[j, :bs]), where=alive)
+                np.multiply(mu, dt, out=e_pred)
+                e_pred += E
+                e_pred -= e_off
+                t_pred = min(t + dt - t_shift, grid.last_interior_time)
+                y_pred, okp = lookup(grid, t_pred, P, e_pred, ep)
+                np.logical_not(okp, out=newly)
+                np.copyto(y_pred, Y, where=newly)
+                mu += np.asarray(coeffs.mu(P, y_pred), dtype=float)
+                mu *= 0.5
+                mu *= dt
+                mu += E
+                np.copyto(E, mu, where=alive)
+                gstep += 1
+
+            # left value at T_k from grid k; its last_interior_time is in
+            # the same coordinates as the step reads
+            comp_left[k, lo:hi], ok_date[lo:hi] = lookup(
+                grid, grid.last_interior_time, P, E - e_off, ep)
+
+        # -- compliance date T_k, settled for all paths at once.  A chained
+        # field drops grid k and reads grid k + 1, whose start gives the
+        # right value; the rolling grid serves every date.  After a chained
+        # field's last date the contract is settled: the right value is the
+        # payout itself.
+        comp_E[k] = E_all
+        comp_cap[k] = cap.level(eparam_all)
+        if not rolling:
+            grid = None
+            if k + 1 < q:
+                grid = _next_grid(grids, k + 2)
+        if grid is None:
+            comp_right[k] = E_all >= comp_cap[k]
+        else:
+            off = periods[k + 1][3] if k + 1 < q else e_off + spec.cap_per_period
+            # block by block, so the lookup's temporaries stay block-sized
+            for lo, hi in blocks:
+                e = E_all[lo:hi] - off
+                comp_right[k, lo:hi], ok = lookup(grid, grid.t0,
+                                                  P_all[lo:hi] if has_p else None, e,
+                                                  e if grid.has_eparam else None)
+                ok_date[lo:hi] &= ok
+        newly = alive_all > ok_date
+        abort_step[newly] = (k + 1) * spp
+        aborted |= newly
+        alive_all &= ok_date
+        lost = ~alive_all
+        comp_left[k, lost] = np.nan
+        comp_right[k, lost] = np.nan
+        branch[k] = np.where(alive_all, np.sign(E_all - comp_cap[k]), BRANCH_ABORTED)
+        eparam_all[:] = E_all
+        np.copyto(Y_all, comp_right[k], where=alive_all)
 
     # final mesh point: right value of the last compliance date
     if n_steps in snap_pos:
@@ -444,8 +420,7 @@ def _check_reach_box(coeffs, g0, periods, rolling, p0, e0):
     problems = []
     if coeffs.dim_p == 1:
         p_nodes = g0.p_nodes
-        vol = float(np.max(np.asarray(coeffs.vol(p_nodes), dtype=float)))
-        reach = abs(p0) + 4.0 * vol * math.sqrt(horizon)
+        reach = coeffs.factor_reach(p0, horizon, p_nodes)
         if -reach < p_nodes[0] or reach > p_nodes[-1]:
             problems.append(
                 f"factor box [{p_nodes[0]:g}, {p_nodes[-1]:g}] may not hold "
@@ -551,8 +526,6 @@ def jump_consistency_test(bundle: PathBundle, margin_cells: float = 3.0) -> Jump
     de = bundle.meta["delta_e"]
     band = margin_cells * de
     rows = []
-    r_above_all, r_below_all = [], []
-    n_above = n_below = n_at = 0
     for k in range(bundle.n_periods):
         ok = bundle.branch[k] != BRANCH_ABORTED
         gap = bundle.compliance_E[k] - bundle.compliance_cap[k]
@@ -567,18 +540,14 @@ def jump_consistency_test(bundle: PathBundle, margin_cells: float = 3.0) -> Jump
         rows.append({"period": k + 1, "above": ra, "below": rb,
                      "n_above": int(sel_a.sum()), "n_below": int(sel_b.sum()),
                      "n_at": int(sel_at.sum())})
-        if ra is not None:
-            r_above_all.append(ra)
-        if rb is not None:
-            r_below_all.append(rb)
-        n_above += int(sel_a.sum())
-        n_below += int(sel_b.sum())
-        n_at += int(sel_at.sum())
     return JumpReport(
         margin_cells=float(margin_cells),
-        above_residual=max(r_above_all) if r_above_all else None,
-        below_residual=max(r_below_all) if r_below_all else None,
-        n_above=n_above, n_below=n_below, n_at=n_at, per_period=tuple(rows),
+        above_residual=max((r["above"] for r in rows if r["above"] is not None),
+                           default=None),
+        below_residual=max((r["below"] for r in rows if r["below"] is not None),
+                           default=None),
+        n_above=sum(r["n_above"] for r in rows), n_below=sum(r["n_below"] for r in rows),
+        n_at=sum(r["n_at"] for r in rows), per_period=tuple(rows),
     )
 
 

@@ -50,11 +50,8 @@ def _check_margins(spec: MarketSpec, config: SolverConfig) -> None:
     for k, cap in enumerate(spec.caps, start=1):
         t0, t1 = spec.period_bounds(k)
         need = speed * (t1 - t0)
-        if cap.is_constant:
-            lo = hi = cap.constant_value
-        else:
-            levels = np.asarray(cap.level(e_nodes), dtype=float)
-            lo, hi = float(levels.min()), float(levels.max())
+        levels = np.asarray(cap.level(e_nodes), dtype=float)
+        lo, hi = float(levels.min()), float(levels.max())
         if lo - config.e_min < need - 1e-9:
             problems.append(
                 f"period {k}: left margin {lo - config.e_min:g} < {need:g}"

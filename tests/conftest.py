@@ -22,6 +22,19 @@ def smoothed_tree(name: str, width: float = 0.05) -> dict:
     return tree
 
 
+@pytest.fixture()
+def rolling_factor_tree():
+    """The rolling factor market of ``perfbench/rolling-factor.json``,
+    without its grid block."""
+    return {
+        "label": "rolling-factor", "rate": 0.05, "horizon": "infinite",
+        "period_length": 1.0,
+        "cap": {"kind": "per-period", "parameters": {"allocation": 1.0}},
+        "coefficients": {"preset": "linear-abatement", "parameters": {
+            "m0": 1.4, "m1": 0.1, "m2": 1.0, "kappa": 1.0, "sigma": 0.5}},
+    }
+
+
 @pytest.fixture(scope="session")
 def preset_fields():
     """Solved fields for every finite preset, sharp and smoothed terminals."""

@@ -194,7 +194,7 @@ def test_rolling_plan_resolves_tolerance_from_the_span():
     assert plan.infinite_opts["tol_l1"] == pytest.approx(1e-4 * span)
 
 
-def test_factor_plan_auto_p_box_covers_excursions():
+def test_factor_plan_auto_p_box_covers_excursions(rolling_factor_tree):
     tree = bundled_preset("two-period-factor")
     del tree["grid"]["p_min"], tree["grid"]["p_max"], tree["grid"]["n_p"]
     plan = build_plan(tree)
@@ -202,6 +202,18 @@ def test_factor_plan_auto_p_box_covers_excursions():
     horizon = plan.spec.period_ends[-1]
     assert plan.solver.p_max >= 4.0 * sigma * np.sqrt(horizon)
     assert plan.solver.p_min == -plan.solver.p_max
+
+    # a rolling market is simulated over n_periods periods, not one
+    tree = rolling_factor_tree
+    tree["grid"] = {"e_min": -2.5, "e_max": 3.5, "n_e": 300, "n_p": 25}
+    tree["simulation"] = {"n_periods": 2}
+    plan = build_plan(tree)
+    sigma = plan.spec.coefficients.ou_sigma
+    assert plan.solver.p_max >= 4.0 * sigma * np.sqrt(2 * plan.spec.period_length)
+    assert plan.solver.p_min == -plan.solver.p_max
+    tree["simulation"] = {"n_periods": 0}
+    with pytest.raises(ConfigError, match="n_periods"):
+        build_plan(tree)
 
 
 def test_simulation_overrides_survive_the_merge():

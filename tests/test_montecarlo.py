@@ -11,9 +11,10 @@ from carbon_fbsde import (
     jump_consistency_test,
     martingale_test,
     simulate,
+    solve_infinite,
     solve_multi_period,
 )
-from carbon_fbsde.config import preset_coefficients
+from carbon_fbsde.config import build_plan, preset_coefficients
 from carbon_fbsde.errors import CoverageError, ValidationError
 from carbon_fbsde.model import MarketSpec, make_cap_allocation
 from carbon_fbsde.montecarlo import _BLOCK, events_csv, paths_csv
@@ -127,6 +128,19 @@ def test_reach_check_blocks_escaping_starts(factor_field):
     spec, field = factor_field
     with pytest.raises(CoverageError):
         simulate(field, spec, n_paths=4, steps_per_period=8, seed=0, e0=2.0)
+
+
+def test_rolling_auto_factor_box_holds_every_simulated_period(rolling_factor_tree):
+    tree = rolling_factor_tree
+    tree["grid"] = {"e_min": -2.5, "e_max": 3.5, "n_e": 300, "n_p": 25}
+    tree["simulation"] = {"n_periods": 2}
+    plan = build_plan(tree)
+    spec = plan.spec
+    grid, _ = solve_infinite(spec.coefficients, spec.period_length, spec.cap_per_period,
+                             plan.solver, tol_l1=plan.infinite_opts["tol_l1"],
+                             max_iter=plan.infinite_opts.get("max_iter"))
+    bundle = simulate(grid, spec, n_paths=64, steps_per_period=16, n_periods=2)
+    assert bundle.n_periods == 2
 
 
 def test_negative_keep_paths_is_refused(factor_field):

@@ -3,7 +3,8 @@
 The CLI checks the field's manifests up front and hands ``simulate`` a
 reader of the period grids; each grid is read and hash-checked when its
 period starts, and released once every path block has taken its left
-value at that period's compliance date.
+value at that period's compliance date.  Against the rolling grid, which
+serves every period, the draw buffer likewise holds one period's steps.
 """
 
 import json
@@ -14,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from carbon_fbsde import gridio
+from carbon_fbsde import gridio, simulate, solve_infinite
 from carbon_fbsde.cli import main
+from carbon_fbsde.config import build_plan
 from carbon_fbsde.gridio import read_grid
+from carbon_fbsde.montecarlo import _BLOCK
 
 # three equal periods on a fine emissions grid, so one period grid (about
 # 330 slices of 1000 cells) is large against the few simulated paths
@@ -78,6 +81,28 @@ def test_simulate_holds_one_period_grid(tmp_path, priced):
     grid_bytes = read_grid(run / "field" / "period_1.grid").values.nbytes
     assert grid_bytes > 2_000_000
     assert peak < 1.5 * grid_bytes, (peak, grid_bytes)
+
+
+def test_rolling_draw_buffer_holds_one_period(rolling_factor_tree):
+    tree = rolling_factor_tree
+    tree["grid"] = {"e_min": -2.5, "e_max": 3.5, "n_e": 120,
+                    "p_min": -4.0, "p_max": 4.0, "n_p": 13}
+    plan = build_plan(tree)
+    spec = plan.spec
+    grid, _ = solve_infinite(spec.coefficients, spec.period_length, spec.cap_per_period,
+                             plan.solver, tol_l1=plan.infinite_opts["tol_l1"],
+                             max_iter=plan.infinite_opts.get("max_iter"))
+    steps, q = 128, 3
+    simulate(grid, spec, n_paths=64, steps_per_period=steps, n_periods=q)  # warm-up
+    tracemalloc.start()
+    try:
+        simulate(grid, spec, n_paths=_BLOCK + 17, steps_per_period=steps, n_periods=q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block's draws for all q periods as a single float64 buffer
+    all_periods = q * steps * _BLOCK * 8
+    assert peak < all_periods, (peak, all_periods)
 
 
 def test_simulate_reads_each_period_grid_once_in_order(tmp_path, priced, grid_reads):
