@@ -25,6 +25,8 @@ import json
 import os
 import sys
 import time
+from contextlib import ExitStack
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -32,8 +34,8 @@ from .config import RunPlan, load_config
 from .errors import (ArtifactError, CarbonMarketError, ConfigError,
                      ConvergenceError, CoverageError, InvariantError,
                      SimulationError, SolverError, ValidationError)
-from .gridio import (canonical_json, file_sha256, read_grid, read_manifest,
-                     sha256_hex, start_slice_csv, write_grid)
+from .gridio import (GridWriter, canonical_json, file_sha256, read_grid,
+                     read_manifest, sha256_hex, start_slice_csv, write_grid)
 from .infinite_period import solve_infinite
 from .montecarlo import (events_csv, jump_consistency_test, martingale_test,
                          paths_csv, simulate)
@@ -129,19 +131,26 @@ def cmd_price_multi(args) -> int:
     field_dir = out / "field"
     field_dir.mkdir(parents=True, exist_ok=True)
 
-    # each period is written, exported and checked before the next one is
-    # solved, and its grid released, so one period grid is held at a time
+    # each period's march writes its grid file slice by slice; the file is
+    # finished (read back once, hashed and diagnosed) and the start slice
+    # exported before the period before it is solved, so the command holds
+    # about one slice; a period that fails leaves no grid file behind
     q = plan.spec.n_periods
     entries, reports = [None] * q, [None] * q
     solve_seconds = 0.0
-    t_start = time.monotonic()
-    for k, grid in solve_periods(plan.spec, plan.solver, threads=_threads(args)):
-        solve_seconds += time.monotonic() - t_start
-        entries[k - 1] = write_period_grid(grid, field_dir, k)
-        start_slice_csv(grid, out / f"value_surface_period_{k}.csv")
-        reports[k - 1] = _grid_report(grid, f"period_{k}")
-        del grid
+    with ExitStack() as stack:
+        writers = [stack.enter_context(GridWriter(
+            field_dir / f"period_{k}.grid", scan=partial(_grid_report, label=f"period_{k}")))
+            for k in range(1, q + 1)]
         t_start = time.monotonic()
+        for k, grid in solve_periods(plan.spec, plan.solver, threads=_threads(args),
+                                     sinks=writers):
+            solve_seconds += time.monotonic() - t_start
+            entries[k - 1] = write_period_grid(writers[k - 1], field_dir, k)
+            reports[k - 1] = writers[k - 1].scanned
+            start_slice_csv(grid, out / f"value_surface_period_{k}.csv")
+            del grid
+            t_start = time.monotonic()
     write_field_manifest(plan.spec, entries, field_dir)
 
     artifacts = {f"field/{e['file']}": e["sha256"] for e in entries}
@@ -172,23 +181,26 @@ def cmd_price_infinite(args) -> int:
 
     spec = plan.spec
     t_start = time.monotonic()
-    try:
-        grid, cert = solve_infinite(
-            spec.coefficients, spec.period_length, spec.cap_per_period,
-            plan.solver, tol_l1=plan.infinite_opts.get("tol_l1"),
-            max_iter=plan.infinite_opts.get("max_iter"),
-            threads=_threads(args),
-        )
-    except ConvergenceError as exc:
-        cert_dict = getattr(exc, "certificate", None)
-        if cert_dict is not None:
-            (out / "picard_certificate.json").write_text(
-                json.dumps(cert_dict, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
-        raise
-    solve_seconds = time.monotonic() - t_start
-
-    grid_digest = write_grid(grid, out / "w.grid")
+    # the final re-solve writes w.grid slice by slice; finishing it reads
+    # the file back once, hashed and diagnosed
+    with GridWriter(out / "w.grid", scan=partial(_grid_report, label="w")) as writer:
+        try:
+            grid, cert = solve_infinite(
+                spec.coefficients, spec.period_length, spec.cap_per_period,
+                plan.solver, tol_l1=plan.infinite_opts.get("tol_l1"),
+                max_iter=plan.infinite_opts.get("max_iter"),
+                threads=_threads(args), writer=writer,
+            )
+        except ConvergenceError as exc:
+            cert_dict = getattr(exc, "certificate", None)
+            if cert_dict is not None:
+                (out / "picard_certificate.json").write_text(
+                    json.dumps(cert_dict, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+            raise
+        solve_seconds = time.monotonic() - t_start
+        grid_digest = write_grid(writer, writer.path)
+    report = writer.scanned
     start_slice_csv(grid, out / "value_surface.csv")
     residuals = list(cert.residuals)
     table = [{"n": i + 1, "residual": r,
@@ -205,7 +217,6 @@ def cmd_price_infinite(args) -> int:
     (out / "picard_certificate.json").write_text(
         json.dumps(cert_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    report = _grid_report(grid, "w")
     (out / "diagnostics.json").write_text(
         json.dumps({"reports": [report], "passed": report["passed"]},
                    indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -329,15 +340,20 @@ def cmd_verify(args) -> int:
     return _verify(Path(args.artifact))
 
 
+def _scanned(path: Path, label: str, sha256=None) -> dict:
+    """Diagnostics report of a grid file, from the pass that hash-checks it."""
+    return read_grid(path, sha256, scan=partial(_grid_report, label=label))
+
+
 def _verify(target: Path) -> int:
     if not target.exists():
         raise ConfigError(f"{target}: no such artifact")
 
-    # each grid is diagnosed as soon as its hash is checked and then
-    # dropped, so one grid is held at a time
+    # each grid is read once, one slice at a time, into its hash check and
+    # its diagnostics, so one slice is held at a time
     reports = []
     if target.is_file():
-        reports.append(_grid_report(read_grid(target), target.name))
+        reports.append(_scanned(target, target.name))
     else:
         run_manifest = target / "manifest.json"
         field_manifest = target / "field_manifest.json"
@@ -348,15 +364,14 @@ def _verify(target: Path) -> int:
                 if not fp.exists():
                     raise ArtifactError(f"{fp}: listed in manifest but missing")
                 if fp.suffix == ".grid":
-                    reports.append(_grid_report(read_grid(fp, entry["sha256"]),
-                                                entry["path"]))
+                    reports.append(_scanned(fp, entry["path"], entry["sha256"]))
                 else:
                     file_sha256(fp, entry["sha256"])
         elif field_manifest.exists():
             _, entries = open_field_dir(target)
             for i, entry in enumerate(entries):
-                reports.append(_grid_report(
-                    read_grid(target / entry["file"], entry["sha256"]), f"period_{i + 1}"))
+                reports.append(_scanned(target / entry["file"], f"period_{i + 1}",
+                                        entry["sha256"]))
         else:
             raise ConfigError(f"{target}: no manifest.json or field_manifest.json")
 

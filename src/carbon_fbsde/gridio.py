@@ -2,32 +2,43 @@
 
 The container is deliberately dumb: an 8-byte magic, a little-endian
 uint64 header length, a canonical-JSON header describing the axes and
-metadata, then the raw float64 payload in C order.  Writing the same
-grid twice produces byte-identical files, which the artifact checks
-rely on.
+metadata, then the raw float64 payload in C order, one time slice after
+another.  Writing the same grid twice produces byte-identical files,
+which the artifact checks rely on.
 
-Only this module hashes a grid, in the pass that moves its bytes:
-``write_grid`` returns the digest of what it wrote and ``read_grid``
-checks a recorded one while it reads.  ``file_sha256`` is for the
-other artifacts.
+A grid file is written a time slice at a time: a :class:`GridWriter`
+takes the header before the march starts and puts each slice at its
+offset as the march makes it, last slice first, into a temporary file
+beside the target.  :func:`write_grid` then reads the payload back once,
+slice by slice, hashing every byte and handing the slices to the
+writer's ``scan`` (the structural diagnostics), and moves the file into
+place; a failure before that leaves nothing behind.  ``read_grid``
+checks a recorded digest in the pass that reads the file, into one array
+or, with ``scan``, one slice at a time.  Only this module hashes a grid;
+``file_sha256`` is for the other artifacts.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import logging
 import math
 import os
 import struct
+import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import ArtifactError
-from .pde_kernel import ValueGrid
+from .pde_kernel import SliceSink, ValueGrid
 
 __all__ = [
+    "GridWriter",
     "write_grid",
     "read_grid",
     "file_sha256",
@@ -38,9 +49,11 @@ __all__ = [
     "start_slice_csv",
 ]
 
+_log = logging.getLogger(__name__)
 _MAGIC = b"CFBGRID1"
 _CHUNK = 1 << 20
 _CSV_ROWS = 1 << 10
+_SERIAL = itertools.count()
 
 
 def jsonable(obj):
@@ -75,9 +88,12 @@ def file_sha256(path: Union[str, Path], sha256: Optional[str] = None) -> str:
     """Digest of a file; with ``sha256`` given, a different digest raises."""
     h = hashlib.sha256()
     try:
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(_CHUNK), b""):
-                h.update(block)
+        with open(path, "rb", buffering=0) as fh:
+            # one buffer no larger than the file: read(_CHUNK) would
+            # allocate a whole chunk for every small artifact
+            buf = memoryview(bytearray(min(_CHUNK, os.fstat(fh.fileno()).st_size + 1)))
+            while done := fh.readinto(buf):
+                h.update(buf[:done])
     except OSError as exc:
         raise ArtifactError(f"{path}: cannot read ({exc.strerror})") from exc
     return _checked(path, sha256, h.hexdigest())
@@ -104,12 +120,8 @@ def read_manifest(path: Union[str, Path], list_key: str, fields: tuple) -> tuple
     return doc, entries
 
 
-def write_grid(grid: ValueGrid, path: Union[str, Path]) -> str:
-    """Serialise a grid; returns the sha256 of the bytes written.
-
-    The prefix, the header and the array's own buffer pass through one
-    hasher on their way to the file; the payload is not copied.
-    """
+def _prefix(grid: ValueGrid, shape: tuple) -> bytes:
+    """Magic, header length and header of a grid whose values have ``shape``."""
     header = {
         "times": grid.times.tolist(),
         "e_nodes": grid.e_nodes.tolist(),
@@ -117,17 +129,91 @@ def write_grid(grid: ValueGrid, path: Union[str, Path]) -> str:
         "eparam_nodes": (None if grid.eparam_nodes is None
                          else grid.eparam_nodes.tolist()),
         "rate": float(grid.rate),
-        "shape": list(grid.values.shape),
+        "shape": list(shape),
         "meta": jsonable(grid.meta),
     }
     head = canonical_json(header).encode("utf-8")
-    payload = np.ascontiguousarray(grid.values, dtype="<f8").reshape(-1).view(np.uint8)
-    h = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for part in (_MAGIC, struct.pack("<Q", len(head)), head, payload):
-            h.update(part)
-            fh.write(part)
-    return h.hexdigest()
+    return _MAGIC + struct.pack("<Q", len(head)) + head
+
+
+def _pwrite(fd: int, data, at: int) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        done = os.pwrite(fd, view, at)
+        view, at = view[done:], at + done
+
+
+class GridWriter(SliceSink):
+    """A grid file for ``path``, written one time slice at a time.
+
+    ``open`` writes the header to a temporary file in ``path``'s
+    directory and ``put`` places each slice at its offset, in any order;
+    :func:`write_grid` then finishes the file: it reads the payload back
+    once, hashes it and hands it to ``scan``, whose result it keeps as
+    ``scanned``, and moves the file to ``path``.  Used as a context
+    manager, the writer removes its temporary file when it leaves without
+    having been finished, so a failed solve leaves no partial grid.
+    """
+
+    def __init__(self, path: Union[str, Path],
+                 scan: Optional[Callable[[ValueGrid], object]] = None):
+        self.path = Path(path)
+        self.scan = scan
+        self.scanned = None
+        self._fd = self._tmp = None
+
+    def open(self, grid: ValueGrid, shape: tuple) -> None:
+        prefix = _prefix(grid, shape)
+        self._tmp = self.path.with_name(
+            f".{self.path.name}.{os.getpid()}-{next(_SERIAL)}.tmp")
+        self._fd = os.open(self._tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
+        _pwrite(self._fd, prefix, 0)
+        self._slice = np.empty(shape[1:], dtype="<f8")
+        self._at = len(prefix)
+
+    def put(self, it: int, values: np.ndarray) -> None:
+        self._slice[...] = values
+        _pwrite(self._fd, self._slice, self._at + it * self._slice.nbytes)
+
+    def _finish(self, path) -> str:
+        os.close(self._fd)
+        self._fd = None
+        started = time.perf_counter()
+        digest, self.scanned = _scan(self._tmp, self.scan)
+        size = self._tmp.stat().st_size
+        os.replace(self._tmp, path)
+        self._tmp = None
+        _log.debug("%s: %d bytes written, read back in %.3fs", Path(path).name,
+                   size, time.perf_counter() - started)
+        return digest
+
+    def __enter__(self) -> "GridWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        if self._tmp is not None:
+            self._tmp.unlink(missing_ok=True)
+            self._tmp = None
+
+
+def write_grid(grid: Union[ValueGrid, GridWriter], path: Union[str, Path]) -> str:
+    """Write a grid file at ``path``; returns the sha256 of its bytes.
+
+    ``grid`` is a :class:`ValueGrid` holding every time slice, or a
+    :class:`GridWriter` for ``path`` that a solve has put every slice
+    into.  Either way the payload is read back once, one slice at a time,
+    into the digest and the writer's ``scan``.
+    """
+    writer = grid if isinstance(grid, GridWriter) else GridWriter(path)
+    with writer:
+        if writer is not grid:
+            writer.open(grid, grid.values.shape)
+            for it, values in enumerate(grid.values):
+                writer.put(it, values)
+        return writer._finish(path)
 
 
 def _parse_header(raw: bytes, path) -> tuple:
@@ -148,12 +234,11 @@ def _parse_header(raw: bytes, path) -> tuple:
     return tuple(nodes.size for nodes in axes), fields
 
 
-def read_grid(path: Union[str, Path], sha256: Optional[str] = None) -> ValueGrid:
-    """Load a grid, hashing its bytes as they are read into the array.
-
-    With ``sha256`` given, a file whose digest differs is refused.  Any
-    unreadable, truncated or malformed file raises :class:`ArtifactError`.
-    """
+@contextmanager
+def _open_grid(path):
+    """``(file, hasher, shape, fields)`` of a grid file whose header parses
+    and whose payload has the header's size; the file stands at the
+    payload and the hasher has taken every byte before it."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -173,16 +258,76 @@ def read_grid(path: Union[str, Path], sha256: Optional[str] = None) -> ValueGrid
             raise ArtifactError(
                 f"{path}: payload is {size - 16 - head_len} bytes, expected {expect}"
             )
-        values = np.empty(shape, dtype="<f8")
-        payload = memoryview(values.reshape(-1).view(np.uint8))
-        h = hashlib.sha256(lead + head)
-        for at in range(0, expect, _CHUNK):
-            part = payload[at:at + _CHUNK]
-            if fh.readinto(part) != len(part):
-                raise ArtifactError(f"{path}: file shrank while being read")
-            h.update(part)
-    _checked(path, sha256, h.hexdigest())
-    return ValueGrid(values=values, **fields)
+        yield fh, hashlib.sha256(lead + head), shape, fields
+
+
+class _Slices:
+    """The time slices of an open grid file, for one pass in order.
+
+    Slice ``k`` is read into ``out[k]``, or by default into one buffer
+    that every slice reuses, and goes through the file's hasher.
+    """
+
+    def __init__(self, fh, hasher, shape: tuple, path, out=None):
+        self.shape = shape
+        self._fh, self._hasher, self._path = fh, hasher, path
+        self._out = np.empty((1,) + shape[1:], dtype="<f8") if out is None else out
+        self._read = 0
+
+    def _next(self) -> np.ndarray:
+        s = self._out[self._read % len(self._out)]
+        view = memoryview(s.reshape(-1).view(np.uint8))
+        if self._fh.readinto(view) != len(view):
+            raise ArtifactError(f"{self._path}: file shrank while being read")
+        self._hasher.update(view)
+        self._read += 1
+        return s
+
+    def __iter__(self):
+        if self._read:
+            raise RuntimeError("the slices of a grid file are read once")
+        while self._read < self.shape[0]:
+            yield self._next()
+
+    def drain(self) -> None:
+        while self._read < self.shape[0]:
+            self._next()
+
+
+def _scan(path, scan) -> tuple:
+    """``(digest, result)``: one pass over a grid file, slice by slice.
+
+    ``scan``, when given, is called with a grid whose ``values`` yields
+    the time slices in order, each valid until the next one is read;
+    whatever it leaves unread is read and hashed after it returns.
+    """
+    with _open_grid(path) as (fh, hasher, shape, fields):
+        slices = _Slices(fh, hasher, shape, path)
+        result = None if scan is None else scan(ValueGrid(values=slices, **fields))
+        slices.drain()
+    return hasher.hexdigest(), result
+
+
+def read_grid(path: Union[str, Path], sha256: Optional[str] = None,
+              scan: Optional[Callable[[ValueGrid], object]] = None):
+    """Load a grid, hashing its bytes as they are read into the array.
+
+    With ``scan`` given nothing is loaded: the file is read once, one
+    time slice at a time, ``scan`` is called with a grid whose ``values``
+    yields those slices in order (each valid until the next one is read),
+    and its result is returned.  With ``sha256`` given, a file whose
+    digest differs is refused once every byte is read.  Any unreadable,
+    truncated or malformed file raises :class:`ArtifactError`.
+    """
+    if scan is not None:
+        digest, result = _scan(path, scan)
+        _checked(path, sha256, digest)
+        return result
+    with _open_grid(path) as (fh, hasher, shape, fields):
+        slices = _Slices(fh, hasher, shape, path, out=np.empty(shape, dtype="<f8"))
+        slices.drain()
+    _checked(path, sha256, hasher.hexdigest())
+    return ValueGrid(values=slices._out, **fields)
 
 
 def start_slice_csv(grid: ValueGrid, path: Union[str, Path]) -> None:

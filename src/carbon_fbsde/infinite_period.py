@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (ConfigError, ConvergenceError, CoverageError,
                      InvariantError, ValidationError)
 from .model import CoefficientSet
-from .pde_kernel import SolverConfig, ValueGrid, solve_one_period
+from .pde_kernel import SliceSink, SolverConfig, ValueGrid, solve_one_period
 
 __all__ = ["PicardState", "initial_state", "picard_step", "solve_infinite"]
 
@@ -107,8 +107,9 @@ def _picard_terminal(start_slice: np.ndarray, config: SolverConfig,
 
 def _sweep(state: PicardState, coeffs: CoefficientSet, period_length: float,
            cap_per_period: float, config: SolverConfig, threads: int,
-           start_only: bool) -> ValueGrid:
-    """The one-period solve of the sweep that starts from ``state``."""
+           sink: Optional[SliceSink]) -> ValueGrid:
+    """The one-period solve of the sweep that starts from ``state``; its
+    slices go to ``sink`` when one is given (see ``solve_one_period``)."""
     js, cut = _shift_geometry(config, cap_per_period)
     ext = _picard_terminal(state.start_slice, config, js, cut)
     return solve_one_period(
@@ -116,7 +117,7 @@ def _sweep(state: PicardState, coeffs: CoefficientSet, period_length: float,
         terminal_cells_ext=ext,
         meta={"picard_iteration": state.iteration + 1,
               "allocation": float(cap_per_period)},
-        start_only=start_only,
+        sink=sink,
     )
 
 
@@ -133,7 +134,7 @@ def picard_step(state: PicardState, coeffs: CoefficientSet, period_length: float
         )
     started = time.perf_counter()
     grid = _sweep(state, coeffs, period_length, cap_per_period, config,
-                  threads, start_only=True)
+                  threads, sink=SliceSink())
     n = state.iteration + 1
     new = grid.values[0]
     delta = new - state.start_slice
@@ -180,7 +181,7 @@ def _partial_certificate(state: PicardState, q: float, tol_l1: float,
 def solve_infinite(coeffs: CoefficientSet, period_length: float,
                    cap_per_period: float, config: SolverConfig,
                    tol_l1: Optional[float] = None, max_iter: Optional[int] = None,
-                   threads: int = 1):
+                   threads: int = 1, writer: Optional[SliceSink] = None):
     """Iterate one-period solves to the stationary field.
 
     Returns ``(grid, certificate)``: the final sweep's full grid on
@@ -189,8 +190,11 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
     self-consistency figure (one extra sweep from the converged field
     moves its start slice by at most ``2 * tol_l1`` in grid L1).
 
-    Sweeps store their start slice only; the final sweep is solved again
-    from the same start, with every slice stored, for the grid.
+    Sweeps keep their start slice only; the final sweep is solved again
+    from the same start for the grid.  With a ``writer`` (a
+    :class:`gridio.GridWriter`, or any sink) that re-solve hands it every
+    slice as the march makes it, and the returned grid keeps the start
+    slice only; without one, the grid holds every slice.
     """
     if coeffs.rate <= 0.0:
         raise ConfigError(
@@ -242,9 +246,10 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
 
     started = time.perf_counter()
     grid = _sweep(prev, coeffs, period_length, cap_per_period, config,
-                  threads, start_only=False)
-    _log.debug("picard sweep %d re-solved with all %d slices stored, %.3fs",
-               state.iteration, grid.values.shape[0],
+                  threads, sink=writer)
+    _log.debug("picard sweep %d re-solved with all %d slices %s, %.3fs",
+               state.iteration, grid.meta["n_steps"] + 1,
+               "stored" if writer is None else "written",
                time.perf_counter() - started)
     certificate = replace(
         state,

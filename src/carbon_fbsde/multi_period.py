@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import ArtifactError, CoverageError, ValidationError
 from .gridio import canonical_json, read_grid, read_manifest, write_grid
 from .gridio import file_sha256  # noqa: F401  bound for perfbench/tracer.py, which wraps it here
 from .model import MarketSpec, link_terminal
-from .pde_kernel import SolverConfig, ValueGrid, evaluate, solve_one_period
+from .pde_kernel import SliceSink, SolverConfig, ValueGrid, evaluate, solve_one_period
 
 __all__ = [
     "MultiPeriodField",
@@ -115,12 +116,18 @@ class MultiPeriodField:
                         eparam if g.has_eparam else None)
 
 
-def solve_periods(spec: MarketSpec, config: SolverConfig, threads: int = 1):
+def solve_periods(spec: MarketSpec, config: SolverConfig, threads: int = 1,
+                  sinks: Optional[Sequence[SliceSink]] = None):
     """Solve the periods of a finite market backward on a shared grid.
 
     Yields ``(k, grid)`` for ``k = q, ..., 1``.  The period before ``k``
     is linked to a start-slice copy of ``grid``, so a caller that drops
     each grid before asking for the next holds one period grid at a time.
+    With ``sinks``, one per period in period order, period ``k``'s slices
+    go to ``sinks[k - 1]`` as its march makes them (a
+    :class:`gridio.GridWriter` writes them to its file, which the caller
+    finishes with ``write_grid`` before asking for the next period), and
+    each grid holds its start slice only: one slice at a time.
     """
     if spec.horizon != "finite":
         raise ValidationError("multi-period pricing needs a finite-horizon market")
@@ -143,6 +150,7 @@ def solve_periods(spec: MarketSpec, config: SolverConfig, threads: int = 1):
             spec.coefficients, term, t0, t1, config,
             eparam_nodes=None if cap.is_constant else e_nodes,
             threads=threads, meta=meta,
+            sink=None if sinks is None else sinks[k - 1],
         )
         yield k, grid
         # copies, not views: a view would keep the whole grid alive
@@ -161,8 +169,12 @@ def solve_multi_period(spec: MarketSpec, config: SolverConfig,
 # persistence
 # ----------------------------------------------------------------------
 
-def write_period_grid(grid: ValueGrid, root: Path, k: int) -> dict:
-    """Write period ``k``'s grid into a field directory; returns its manifest entry."""
+def write_period_grid(grid, root: Path, k: int) -> dict:
+    """Write period ``k``'s grid into a field directory; returns its manifest entry.
+
+    ``grid`` is what ``write_grid`` takes: a grid, or the filled writer
+    of this period's file.
+    """
     name = f"period_{k}.grid"
     return {"file": name, "sha256": write_grid(grid, root / name), "period": k}
 

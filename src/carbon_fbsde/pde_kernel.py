@@ -46,8 +46,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -58,6 +59,7 @@ from .model import CoefficientSet, TerminalSurface
 __all__ = [
     "SolverConfig",
     "ValueGrid",
+    "SliceSink",
     "FluxModel",
     "make_flux",
     "mollify_terminal",
@@ -188,6 +190,24 @@ class ValueGrid:
         shape = "x".join(str(n) for n in self.values.shape)
         return (f"ValueGrid(t=[{self.t0:g},{self.tau:g}], shape={shape}, "
                 f"rate={self.rate:g})")
+
+
+class SliceSink:
+    """Where a solve sends its time slices instead of keeping them.
+
+    :func:`solve_one_period` calls ``open(grid, shape)`` once before the
+    march, with a grid whose axes, full ``times`` and ``meta`` are final
+    and the shape of the whole ``values``, then ``put(it, slice)`` for
+    ``it = n_steps, ..., 0`` as the march makes each slice, one call at a
+    time.  A slice is valid only during its call.  This base class drops
+    every slice, which is all a solve whose start slice is read needs.
+    """
+
+    def open(self, grid: "ValueGrid", shape: tuple) -> None:
+        pass
+
+    def put(self, it: int, values: np.ndarray) -> None:
+        pass
 
 
 def _locate(nodes: np.ndarray, x):
@@ -513,20 +533,19 @@ def _project_terminal(surface: TerminalSurface, e_centres_ext: np.ndarray, de: f
     """
     pts = e_centres_ext[:, None] + (0.5 * de) * _GL8_X[None, :]
     wts = 0.5 * _GL8_W
-    if p_nodes is None and eparam_nodes is None:
-        vals, want = surface(None, pts, None), pts.shape
-    elif eparam_nodes is None:
-        vals = surface(p_nodes[:, None, None], pts[None, :, :], None)
-        want = (p_nodes.size,) + pts.shape
-    elif p_nodes is None:
-        vals = surface(None, pts[None, :, :], eparam_nodes[:, None, None])
-        want = (eparam_nodes.size,) + pts.shape
-    else:
-        vals = surface(p_nodes[None, :, None, None], pts[None, None, :, :],
-                       eparam_nodes[:, None, None, None])
-        want = (eparam_nodes.size, p_nodes.size) + pts.shape
-    # surfaces that ignore an argument return collapsed axes; restore them
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), want)
+    # axes (eparam, p, e), absent ones dropped; the surface is evaluated
+    # at one quadrature node of every cell at a time, so its temporaries
+    # stay the size of one slice
+    lead = tuple(nodes.size for nodes in (eparam_nodes, p_nodes) if nodes is not None)
+    e_shape = (1,) * len(lead) + (-1,)
+    p = None if p_nodes is None else p_nodes.reshape(p_nodes.shape + (1,))
+    ep = (None if eparam_nodes is None
+          else eparam_nodes.reshape(eparam_nodes.shape + (1,) * len(lead)))
+    vals = np.empty(lead + pts.shape)
+    for j in range(pts.shape[1]):
+        # surfaces that ignore an argument return collapsed axes; the
+        # assignment restores them
+        vals[..., j] = surface(p, pts[:, j].reshape(e_shape), ep)
     cells = np.tensordot(vals, wts, axes=([-1], [0]))
     worst = max(float((-cells).max()), float((cells - 1.0).max()))
     if worst > 1e-9:
@@ -704,7 +723,7 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
                      eparam_nodes: Optional[np.ndarray] = None,
                      threads: int = 1, meta: Optional[dict] = None,
                      terminal_cells_ext: Optional[np.ndarray] = None,
-                     start_only: bool = False) -> ValueGrid:
+                     sink: Optional[SliceSink] = None) -> ValueGrid:
     """Solve one compliance period backward from its terminal surface.
 
     When ``eparam_nodes`` is given the terminal is sliced at each node
@@ -719,9 +738,15 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     terminal a pure translation of stored data, with no quadrature in
     between.  Mollification does not apply to cell data.
 
-    ``start_only`` keeps the start slice alone: the grid holds
-    ``times[:1]`` and ``values[:1]`` of the full solve, bit for bit, with
-    the same ``meta`` (``n_steps`` still counts the steps marched).
+    With a ``sink`` (:class:`SliceSink`) the march hands it each time
+    slice as soon as it is made, and the grid keeps the start slice alone:
+    it holds ``times[:1]`` and ``values[:1]`` of the full solve, bit for
+    bit, with the same ``meta`` (``n_steps`` still counts the steps
+    marched).  A :class:`gridio.GridWriter` sink puts each slice in its
+    place in a grid file, so the solve holds about one slice besides the
+    march's buffers; the base class drops them.  A batch split across
+    threads marches in step: each thread fills its part of one shared
+    slice, and the last to finish hands the slice on.
     """
     if not tau > t0:
         raise ValidationError("need tau > t0")
@@ -785,43 +810,6 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
 
     has_ep = eparam_nodes is not None
     storage_shape = phi_cells.shape[1:] + (phi_cells.shape[0],) if has_ep else phi_cells.shape
-    # the march hands over slices n_steps, ..., 0; a start-only grid keeps
-    # the last one only
-    kept = 1 if start_only else n_steps + 1
-    values = np.empty((kept,) + storage_shape, dtype=float)
-
-    if p_nodes is not None:
-        dp = p_nodes[1] - p_nodes[0]
-        b_col = np.asarray(coeffs.drift(p_nodes), dtype=float)[:, None]
-        a_col = np.asarray(coeffs.vol(p_nodes), dtype=float)[:, None] ** 2
-        p_ctx = (b_col, a_col, dp)
-    else:
-        p_ctx = None
-
-    def run_chunk(sel):
-        if has_ep:
-            def store(it, state):
-                if it < kept:
-                    values[it][..., sel] = np.moveaxis(state, 0, -1)
-            _march(phi_cells[sel], phi_gl[sel], phi_gr[sel], store, flux,
-                   config.flux_scheme, coeffs.rate, steps, de,
-                   config.viscosity, p_ctx, upwind)
-        else:
-            def store(it, state):
-                if it < kept:
-                    values[it] = state
-            _march(phi_cells, phi_gl, phi_gr, store, flux,
-                   config.flux_scheme, coeffs.rate, steps, de,
-                   config.viscosity, p_ctx, upwind)
-
-    if has_ep and threads > 1 and eparam_nodes.size >= 2 * threads:
-        bounds = np.linspace(0, eparam_nodes.size, threads + 1).astype(int)
-        chunks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, chunks))
-    else:
-        run_chunk(slice(None))
-
     grid_meta = {
         "terminal_hash": hashlib.sha256(np.ascontiguousarray(phi_cells).tobytes()).hexdigest(),
         "terminal_label": term_label,
@@ -836,10 +824,73 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     }
     if meta:
         grid_meta.update(meta)
-    return ValueGrid(times=times[:kept], e_nodes=e_nodes, values=values, rate=coeffs.rate,
+    # the march hands over slices n_steps, ..., 0; with a sink the grid
+    # keeps the last one only
+    kept = n_steps + 1 if sink is None else 1
+    grid = ValueGrid(times=times, e_nodes=e_nodes,
+                     values=np.empty((kept,) + storage_shape), rate=coeffs.rate,
                      p_nodes=p_nodes,
                      eparam_nodes=None if not has_ep else np.asarray(eparam_nodes, float),
                      meta=grid_meta)
+    if sink is not None:
+        sink.open(grid, (n_steps + 1,) + storage_shape)
+
+    def put(it, state):
+        if it < kept:
+            grid.values[it] = state
+        if sink is not None:
+            sink.put(it, state)
+
+    if p_nodes is not None:
+        dp = p_nodes[1] - p_nodes[0]
+        b_col = np.asarray(coeffs.drift(p_nodes), dtype=float)[:, None]
+        a_col = np.asarray(coeffs.vol(p_nodes), dtype=float)[:, None] ** 2
+        p_ctx = (b_col, a_col, dp)
+    else:
+        p_ctx = None
+
+    def march(sel, store):
+        _march(phi_cells[sel], phi_gl[sel], phi_gr[sel], store, flux,
+               config.flux_scheme, coeffs.rate, steps, de,
+               config.viscosity, p_ctx, upwind)
+
+    if not has_ep:
+        march(Ellipsis, put)
+    else:
+        chunks = [slice(None)]
+        if threads > 1 and eparam_nodes.size >= 2 * threads:
+            bounds = np.linspace(0, eparam_nodes.size, threads + 1).astype(int)
+            chunks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        # each chunk fills its columns of one shared slice, and the barrier's
+        # action hands the slice on once every chunk has; all chunks take the
+        # same steps, so they meet at every slice
+        shared, at = np.empty(storage_shape), [0]
+        gate = threading.Barrier(len(chunks), action=lambda: put(at[0], shared))
+
+        def run_chunk(sel):
+            def store(it, state):
+                at[0] = it
+                shared[..., sel] = np.moveaxis(state, 0, -1)
+                gate.wait()
+            try:
+                march(sel, store)
+            except BaseException:
+                gate.abort()  # release the other chunks
+                raise
+
+        if len(chunks) == 1:
+            run_chunk(chunks[0])
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(run_chunk, sel) for sel in chunks]
+            # a chunk released by an abort reports the broken barrier, not
+            # the fault that broke it
+            errors = sorted((f.exception() for f in futures if f.exception()),
+                            key=lambda exc: isinstance(exc, threading.BrokenBarrierError))
+            if errors:
+                raise errors[0]
+
+    return grid if sink is None else replace(grid, times=times[:1])
 
 
 # ----------------------------------------------------------------------
@@ -880,16 +931,21 @@ def diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
                 lipschitz_headroom: float = 0.05, min_age: float = 0.1) -> KernelDiagnostics:
     """Scan a solved grid; ``mono_l1`` is the rate's monotonicity constant.
 
-    The scan reads one time slice at a time and keeps six extrema per
-    slice.  Max and min are exact and propagate NaN, so each figure is
-    the whole-grid reduction's, up to the sign of a zero.
+    The scan reads ``grid.values`` once, one time slice at a time and in
+    order, so the slices may come straight from a file
+    (:func:`gridio.read_grid` with ``scan``); it keeps six extrema and the
+    right-edge column per slice.  Max and min are exact and propagate
+    NaN, so each figure is the whole-grid reduction's, up to the sign of
+    a zero.
     """
     v = grid.values
+    n = v.shape[0]
     e_axis = 1 if grid.has_p else 0  # within one slice
     ages = grid.tau - grid.times
     bounds = np.exp(-grid.rate * ages)
     has_diffs = v.shape[1 + e_axis] > 1
-    term_right = np.take(v[-1], -1, axis=e_axis)
+    de = grid.delta_e
+    tail_idx = np.nonzero(grid.e_nodes < 0.0)[0]
 
     # the slice-sized intermediates go to two buffers: fresh ones may be
     # mapped and paged in again on every slice
@@ -897,7 +953,10 @@ def diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
     hi = (slice(None),) * e_axis + (slice(1, None),)
     lo = (slice(None),) * e_axis + (slice(None, -1),)
     dbuf = np.empty(buf[hi].shape)
-    over, under, dmin, dmax, lefts, rights = np.zeros((6, v.shape[0]))
+    over, under, dmin, dmax, lefts = np.zeros((5, n))
+    # the right-edge residual needs the last slice, which comes last
+    edges = np.empty((n,) + np.take(buf, 0, axis=e_axis).shape)
+    tail_mass = 0.0
     for k, s in enumerate(v):
         over[k] = np.subtract(s, bounds[k], out=buf).max()
         under[k] = np.negative(s, out=buf).max()
@@ -905,7 +964,10 @@ def diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
             d = np.subtract(s[hi], s[lo], out=dbuf)
             dmin[k], dmax[k] = d.min(), d.max()
         lefts[k] = np.abs(np.take(s, 0, axis=e_axis)).max()
-        rights[k] = np.abs(np.take(s, -1, axis=e_axis) - bounds[k] * term_right).max()
+        edges[k] = np.take(s, -1, axis=e_axis)
+        if k == 0 and tail_idx.size:
+            tail = np.take(s, tail_idx, axis=e_axis)
+            tail_mass = float(np.max(tail.sum(axis=e_axis)) * de)
     range_viol = max(float(over.max()), float(under.max()))
 
     if has_diffs:
@@ -917,21 +979,14 @@ def diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
     else:
         mono_viol = term_defect = mono_added = 0.0
 
-    de = grid.delta_e
     aged = ages >= min_age - 1e-12
     q = dmax / de
     excess = (q * mono_l1 * ages - 1.0)[aged]
     lip_excess = max(-1.0, float(excess.max())) if excess.size else -1.0
 
     left = float(lefts.max())
+    rights = np.abs(edges - bounds.reshape((n,) + (1,) * (edges.ndim - 1)) * edges[-1])
     right_res = max(0.0, float(rights.max()))
-
-    tail_sel = grid.e_nodes < 0.0
-    if tail_sel.any():
-        tail = np.take(v[0], np.nonzero(tail_sel)[0], axis=e_axis)
-        tail_mass = float(np.max(tail.sum(axis=e_axis)) * de)
-    else:
-        tail_mass = 0.0
 
     notes = []
     if range_viol > tol:
@@ -953,7 +1008,7 @@ def diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
         boundary_left=left,
         boundary_right_residual=right_res,
         left_tail_mass=tail_mass,
-        n_slices=int(v.shape[0]),
+        n_slices=int(n),
         passed=passed,
         notes=tuple(notes),
     )

@@ -200,7 +200,7 @@ def test_exactly_one_solve_per_call_stores_every_slice(monkeypatch):
 
     def spy(*args, **kwargs):
         grid = real(*args, **kwargs)
-        calls.append((kwargs.get("start_only", False), grid.values.shape[0]))
+        calls.append((kwargs.get("sink") is not None, grid.values.shape[0]))
         return grid
 
     monkeypatch.setattr(infinite_period, "solve_one_period", spy)

@@ -22,6 +22,7 @@ from carbon_fbsde.model import (
     smoothed_indicator,
 )
 from carbon_fbsde.pde_kernel import (
+    SliceSink,
     SolverConfig,
     ValueGrid,
     diagnostics,
@@ -354,7 +355,7 @@ def test_start_only_solve_keeps_the_full_solves_start_slice(case, caplog):
     with caplog.at_level("DEBUG", logger="carbon_fbsde.pde_kernel"):
         full = solve_one_period(coeffs, terminal, 0.0, 0.5, config, **kw)
         start = solve_one_period(coeffs, terminal, 0.0, 0.5, config,
-                                 start_only=True, **kw)
+                                 sink=SliceSink(), **kw)
     if case == "general-flux":
         assert 0.0 < make_flux(coeffs).y_star < 1.0
         assert "general flux" in caplog.records[0].getMessage()
@@ -370,7 +371,7 @@ def test_start_only_solve_keeps_the_full_solves_start_slice(case, caplog):
 def test_one_slice_grid_reads_its_only_slice(case):
     coeffs, terminal, config, kw = _start_only_cases()[case]
     full = solve_one_period(coeffs, terminal, 0.0, 0.5, config, **kw)
-    start = solve_one_period(coeffs, terminal, 0.0, 0.5, config, start_only=True, **kw)
+    start = solve_one_period(coeffs, terminal, 0.0, 0.5, config, sink=SliceSink(), **kw)
     rng = np.random.default_rng(3)
 
     def inside(nodes):

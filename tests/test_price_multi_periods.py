@@ -1,9 +1,11 @@
-"""``price-multi`` and ``verify`` handle one period grid at a time.
+"""``price-multi`` and ``verify`` handle one period at a time.
 
 ``price-multi`` solves, writes, exports and checks each period before it
-solves the one before, and ``verify`` diagnoses each grid as soon as its
-hash is checked.  Neither may hold more than one period grid, and what
-they write and report must not depend on that order.
+solves the one before; its march writes the grid file slice by slice,
+and one read-back pass hashes and diagnoses it.  ``verify`` diagnoses
+each grid in the pass that checks its hash.  Neither may hold more than
+a small part of one period grid, a failed period leaves no grid file,
+and what they write and report must not depend on that order.
 """
 
 import dataclasses
@@ -12,11 +14,12 @@ import tracemalloc
 
 import pytest
 
-from carbon_fbsde import cli
+from carbon_fbsde import cli, pde_kernel
 from carbon_fbsde.cli import main
 from carbon_fbsde.config import load_config
 from carbon_fbsde.gridio import read_grid, start_slice_csv
 from carbon_fbsde.multi_period import solve_periods, write_field_dir
+from test_grid_writer import poisoned_march
 
 # three equal periods on a fine emissions grid: a period grid (about 330
 # slices of 1000 cells) is large against every per-slice temporary
@@ -69,6 +72,35 @@ def test_price_multi_and_verify_hold_one_period_grid(tmp_path, three_periods):
         code, peak = _traced_peak(["verify", str(target)])
         assert code == 0
         assert peak < 1.5 * grid_bytes, (target, peak, grid_bytes)
+
+
+def test_price_multi_and_verify_hold_a_small_part_of_one_grid(tmp_path, three_periods):
+    assert main(["price-multi", "--config", str(three_periods),
+                 "--out", str(tmp_path / "warm")]) == 0
+    assert main(["verify", str(tmp_path / "warm")]) == 0
+    out = tmp_path / "run"
+    code, peak = _traced_peak(["price-multi", "--config", str(three_periods),
+                               "--out", str(out)])
+    assert code == 0
+    grid_bytes = read_grid(out / "field" / "period_1.grid").values.nbytes
+    assert grid_bytes > 2_000_000
+    assert peak < 0.25 * grid_bytes, (peak, grid_bytes)
+    for target in (out, out / "field", out / "field" / "period_2.grid"):
+        code, peak = _traced_peak(["verify", str(target)])
+        assert code == 0
+        assert peak < 0.25 * grid_bytes, (target, peak, grid_bytes)
+
+
+def test_a_period_whose_march_fails_leaves_no_grid_file(tmp_path, three_periods,
+                                                        monkeypatch):
+    # periods are solved 3, 2, 1: the second march is period 2's
+    monkeypatch.setattr(pde_kernel, "_march", poisoned_march(2, after=40))
+    out = tmp_path / "run"
+    assert main(["price-multi", "--config", str(three_periods), "--out", str(out)]) == 3
+    # period 3 was finished before period 2 failed; it stays, with no manifest
+    assert sorted(p.name for p in (out / "field").iterdir()) == ["period_3.grid"]
+    assert not (out / "manifest.json").exists()
+    assert main(["verify", str(out / "field")]) == 2
 
 
 @pytest.mark.parametrize("name, threads", [("two-period-factor", None),
