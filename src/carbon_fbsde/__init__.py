@@ -18,8 +18,7 @@ from .model import (CapFunction, CoefficientSet, MarketSpec, SampleBox,
                     make_cap_msr, smoothed_indicator, validate_coefficients)
 from .pde_kernel import (KernelDiagnostics, SolverConfig, ValueGrid,
                          diagnostics, evaluate, solve_one_period)
-from .multi_period import (MultiPeriodField, read_field_dir,
-                           solve_multi_period, write_field_dir)
+from .multi_period import solve_periods
 from .infinite_period import PicardState, picard_step, solve_infinite
 from .montecarlo import (JumpReport, MartingaleReport, PathBundle,
                          jump_consistency_test, martingale_test, simulate)
@@ -36,8 +35,7 @@ __all__ = [
     "make_cap_msr", "smoothed_indicator", "validate_coefficients",
     "KernelDiagnostics", "SolverConfig", "ValueGrid", "diagnostics",
     "evaluate", "solve_one_period",
-    "MultiPeriodField", "read_field_dir", "solve_multi_period",
-    "write_field_dir",
+    "solve_periods",
     "PicardState", "picard_step", "solve_infinite",
     "JumpReport", "MartingaleReport", "PathBundle", "jump_consistency_test",
     "martingale_test", "simulate",

@@ -39,7 +39,7 @@ from .gridio import (GridWriter, canonical_json, file_sha256, read_grid,
 from .infinite_period import solve_infinite
 from .montecarlo import (events_csv, jump_consistency_test, martingale_test,
                          paths_csv, simulate)
-from .multi_period import (_read_grids, open_field_dir, solve_periods,
+from .multi_period import (open_field_dir, read_period_grids, solve_periods,
                            write_field_manifest, write_period_grid)
 from .pde_kernel import diagnostics
 
@@ -234,23 +234,34 @@ def cmd_price_infinite(args) -> int:
     return 0
 
 
+def _check_run_manifest(plan: RunPlan, field_path: Path):
+    """Refuse a field whose sibling run manifest records a different config.
+
+    Returns the sha256 that manifest records for ``field_path``, if any.
+    """
+    run_manifest = field_path.parent / "manifest.json"
+    if not run_manifest.exists():
+        return None
+    recorded, entries = read_manifest(run_manifest, "artifacts", ("path", "sha256"))
+    if recorded.get("config_hash") not in (None, plan.config_hash):
+        raise ArtifactError(
+            "field artifact was produced by a different config "
+            f"(hash {str(recorded.get('config_hash'))[:12]}... vs "
+            f"{plan.config_hash[:12]}...)"
+        )
+    return next((e["sha256"] for e in entries if e["path"] == field_path.name), None)
+
+
 def _load_field_for_simulation(plan: RunPlan, field_path: Path):
     """Check a solved field against the config, refusing mismatched artifacts.
 
     A field directory comes back as a generator of its period grids:
     ``simulate`` reads and hash-checks each one when its period starts.
+    A bare grid is hash-checked against its run manifest while it is read.
     """
     if field_path.is_dir() and (field_path / "field_manifest.json").exists():
         manifest, entries = open_field_dir(field_path)
-        run_manifest = field_path.parent / "manifest.json"
-        if run_manifest.exists():
-            recorded, _ = read_manifest(run_manifest, "artifacts", ("path", "sha256"))
-            if recorded.get("config_hash") not in (None, plan.config_hash):
-                raise ArtifactError(
-                    "field artifact was produced by a different config "
-                    f"(hash {str(recorded.get('config_hash'))[:12]}... vs "
-                    f"{plan.config_hash[:12]}...)"
-                )
+        _check_run_manifest(plan, field_path)
         if plan.horizon != "finite":
             raise ArtifactError("a field directory needs a finite-horizon config")
         if len(entries) != plan.spec.n_periods:
@@ -259,9 +270,9 @@ def _load_field_for_simulation(plan: RunPlan, field_path: Path):
             )
         if abs(manifest["rate"] - plan.spec.coefficients.rate) > 1e-12:
             raise ArtifactError("field rate does not match the config rate")
-        return _read_grids(field_path, entries)
+        return read_period_grids(field_path, entries)
     if field_path.is_file():
-        grid = read_grid(field_path)
+        grid = read_grid(field_path, _check_run_manifest(plan, field_path))
         if plan.horizon != "infinite":
             raise ArtifactError("a bare grid artifact needs an infinite-horizon config")
         if abs(grid.rate - plan.spec.coefficients.rate) > 1e-12:

@@ -25,10 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ConfigError, ConvergenceError, CoverageError,
-                     InvariantError, ValidationError)
+from .errors import ConfigError, ConvergenceError, InvariantError, ValidationError
 from .model import CoefficientSet
-from .pde_kernel import SliceSink, SolverConfig, ValueGrid, solve_one_period
+from .pde_kernel import (SliceSink, SolverConfig, ValueGrid, check_dependence,
+                         solve_one_period)
 
 __all__ = ["PicardState", "initial_state", "picard_step", "solve_infinite"]
 
@@ -210,13 +210,7 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
         max_iter = default_max_iter(coeffs.rate, period_length,
                                     rel_tol=tol_l1 / span)
 
-    need = coeffs.peak_speed(config.p_nodes()) * period_length
-    if config.e_min > 0.0 - need + 1e-9 or config.e_max < cap_per_period + need - 1e-9:
-        raise CoverageError(
-            f"emissions domain [{config.e_min:g}, {config.e_max:g}] leaves less "
-            f"than one domain of dependence ({need:g}) around [0, "
-            f"{cap_per_period:g}]"
-        )
+    check_dependence(coeffs, config, [(period_length, 0.0, cap_per_period)])
 
     q = math.exp(-coeffs.rate * period_length)
     state = prev = initial_state(coeffs, config)

@@ -8,16 +8,17 @@ drawing from a counter-based stream keyed by (seed, block index), so
 results are bit-identical regardless of how many paths run (prefixes
 agree).
 
-Periods run outside and blocks inside, in one loop for a chained field
-and the rolling grid alike.  In period k every block runs against grid k
-and takes its left value at the compliance date T_k; the date is then
-settled for all paths at once.  A chained field drops grid k there and
-reads grid k + 1, whose start gives the right values and which serves
-period k + 1, so it is held one period grid at a time; the rolling grid
-serves every period, read in period-local coordinates.  The blocks' path
-state carries over from period to period.  The stream holds one row of
-draws per path across the whole horizon, so in every period a block
-draws its rows again and keeps only that period's columns, step-major.
+Periods run outside and blocks inside, in one loop for a finite market's
+period grids and the rolling grid alike.  In period k every block runs
+against grid k and takes its left value at the compliance date T_k; the
+date is then settled for all paths at once.  A finite market drops grid
+k there and reads grid k + 1, whose start gives the right values and
+which serves period k + 1, so it is held one period grid at a time; the
+rolling grid serves every period, read in period-local coordinates.
+The blocks' path state carries over from period to period.  The stream
+holds one row of draws per path across the whole horizon, so in every
+period a block draws its rows again and keeps only that period's
+columns, step-major.
 
 A path that leaves the stored grid box is frozen where it was and
 reported; the run only fails when more than 0.1% of paths do that.
@@ -37,7 +38,6 @@ import numpy as np
 
 from .errors import CoverageError, SimulationError, ValidationError
 from .model import CapFunction, MarketSpec
-from .multi_period import MultiPeriodField
 from .pde_kernel import ValueGrid, lookup
 
 __all__ = [
@@ -145,7 +145,7 @@ def _period_table(field, spec: MarketSpec, n_periods: Optional[int]):
                  CapFunction.constant((k - 1) * lam + lam)) for k in range(1, q + 1)]
         return rows, iter([field]), True
     try:
-        grids = iter(field.grids if isinstance(field, MultiPeriodField) else field)
+        grids = iter(field)
     except TypeError:
         grids = None
     if grids is None or spec.horizon != "finite":
@@ -202,12 +202,14 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
              coeffs=None) -> PathBundle:
     """Euler-simulate (P, E, Y) paths against a solved field.
 
-    ``field`` is a multi-period field, its period grids in period order
-    (any iterable: each grid is asked for when its period starts and
-    released when the next one is, so a reader that yields them from
-    disk keeps one in memory), or, for the rolling market, the
-    stationary grid (then ``n_periods`` chooses how many periods to roll
-    forward and the price reads the grid in period-local coordinates).
+    ``field`` is a finite market's period grids in period order (any
+    iterable: a tuple, or ``multi_period.read_period_grids`` over a field
+    directory; each grid is asked for when its period starts and released
+    when the next one is, so a reader that yields them from disk keeps
+    one in memory), or, for the rolling market, the stationary
+    :class:`ValueGrid` (then ``n_periods`` chooses how many periods to
+    roll forward and the price reads the grid in period-local
+    coordinates).
     The factor steps by its exact mean-reverting transition when the
     coefficients declare one, otherwise by an Euler increment.  The
     emissions state integrates the rate with a trapezoidal

@@ -8,112 +8,38 @@ penalty above it.  All periods share one emissions grid, so the linking
 step reads stored nodes rather than interpolating across meshes, and a
 period whose cap depends on recorded emissions simply carries the
 emissions grid a second time as the parameter axis.
+
+A field is its period grids and nothing more.  :func:`solve_periods`
+yields them backward; :func:`write_period_grid` and
+:func:`write_field_manifest` write a field directory, one grid file per
+period plus a manifest; :func:`open_field_dir` checks that manifest and
+:func:`read_period_grids` reads the grids back in period order, one at a
+time, each hash-checked while it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ArtifactError, CoverageError, ValidationError
+from .errors import ArtifactError, ValidationError
 from .gridio import canonical_json, read_grid, read_manifest, write_grid
 from .gridio import file_sha256  # noqa: F401  bound for perfbench/tracer.py, which wraps it here
 from .model import MarketSpec, link_terminal
-from .pde_kernel import SliceSink, SolverConfig, ValueGrid, evaluate, solve_one_period
+from .pde_kernel import SliceSink, SolverConfig, check_dependence, solve_one_period
 
 __all__ = [
-    "MultiPeriodField",
     "solve_periods",
-    "solve_multi_period",
     "write_period_grid",
     "write_field_manifest",
-    "write_field_dir",
     "open_field_dir",
-    "read_field_dir",
+    "read_period_grids",
 ]
 
 _DIR_FORMAT = "carbon-fbsde/field-dir/1"
-
-
-def _check_margins(spec: MarketSpec, config: SolverConfig) -> None:
-    """Every cap level must sit at least one domain of dependence inside.
-
-    The bound uses the peak emission speed times the owning period's
-    length; violating it lets boundary data reach the cap region and
-    silently corrupt the field, so it is a hard error.
-    """
-    speed = spec.coefficients.peak_speed(config.p_nodes())
-    e_nodes = config.e_cells()
-    problems = []
-    for k, cap in enumerate(spec.caps, start=1):
-        t0, t1 = spec.period_bounds(k)
-        need = speed * (t1 - t0)
-        levels = np.asarray(cap.level(e_nodes), dtype=float)
-        lo, hi = float(levels.min()), float(levels.max())
-        if lo - config.e_min < need - 1e-9:
-            problems.append(
-                f"period {k}: left margin {lo - config.e_min:g} < {need:g}"
-            )
-        if config.e_max - hi < need - 1e-9:
-            problems.append(
-                f"period {k}: right margin {config.e_max - hi:g} < {need:g}"
-            )
-    if problems:
-        raise CoverageError(
-            "emissions domain too small for the caps; " + "; ".join(problems)
-        )
-
-
-@dataclass(eq=False)
-class MultiPeriodField:
-    """Solved allowance-price field over all periods of a finite market."""
-
-    spec: MarketSpec
-    config: SolverConfig
-    grids: tuple
-
-    def __post_init__(self):
-        q = self.spec.n_periods
-        if len(self.grids) != q:
-            raise ValidationError(f"expected {q} period grids, got {len(self.grids)}")
-        self._ends = np.array([self.spec.period_bounds(k)[1] for k in range(1, q + 1)])
-        self._start = self.spec.period_bounds(1)[0]
-
-    @property
-    def n_periods(self) -> int:
-        return len(self.grids)
-
-    @property
-    def final_time(self) -> float:
-        return float(self._ends[-1])
-
-    def period_grid(self, k: int) -> ValueGrid:
-        if not 1 <= k <= self.n_periods:
-            raise ValidationError(f"period index {k} outside 1..{self.n_periods}")
-        return self.grids[k - 1]
-
-    def period_of(self, t: float) -> int:
-        """Owning period of time ``t``; boundaries belong to the right."""
-        if t < self._start - 1e-9 or t > self.final_time + 1e-9:
-            raise CoverageError(
-                f"t={t:g} outside [{self._start:g}, {self.final_time:g}]"
-            )
-        k = int(np.searchsorted(self._ends, t, side="right")) + 1
-        return min(k, self.n_periods)
-
-    def value(self, t: float, p, e, eparam=None):
-        """Price at time ``t``; compliance dates read the incoming period.
-
-        A period whose grid carries no recorded-emissions axis ignores
-        ``eparam`` (its value is the same for every recorded level).
-        """
-        g = self.period_grid(self.period_of(t))
-        t = min(max(t, g.t0), g.tau)
-        return evaluate(g, t, p if g.has_p else None, e,
-                        eparam if g.has_eparam else None)
 
 
 def solve_periods(spec: MarketSpec, config: SolverConfig, threads: int = 1,
@@ -133,9 +59,14 @@ def solve_periods(spec: MarketSpec, config: SolverConfig, threads: int = 1,
         raise ValidationError("multi-period pricing needs a finite-horizon market")
     if spec.coefficients.dim_p == 1 and not config.has_p:
         raise ValidationError("factor coefficients need a factor grid in the config")
-    _check_margins(spec, config)
-
     e_nodes = config.e_cells()
+    regions = []
+    for k, cap in enumerate(spec.caps, start=1):
+        t0, t1 = spec.period_bounds(k)
+        levels = np.asarray(cap.level(e_nodes), dtype=float)
+        regions.append((t1 - t0, float(levels.min()), float(levels.max())))
+    check_dependence(spec.coefficients, config, regions)
+
     q = spec.n_periods
     start = None
     for k in range(q, 0, -1):
@@ -156,13 +87,6 @@ def solve_periods(spec: MarketSpec, config: SolverConfig, threads: int = 1,
         # copies, not views: a view would keep the whole grid alive
         start = replace(grid, times=grid.times[:1].copy(), values=grid.values[:1].copy())
         del grid
-
-
-def solve_multi_period(spec: MarketSpec, config: SolverConfig,
-                       threads: int = 1) -> MultiPeriodField:
-    """Solve all periods of a finite market and keep every grid."""
-    grids = [grid for _, grid in solve_periods(spec, config, threads)]
-    return MultiPeriodField(spec=spec, config=config, grids=tuple(reversed(grids)))
 
 
 # ----------------------------------------------------------------------
@@ -197,15 +121,6 @@ def write_field_manifest(spec: MarketSpec, entries: list, root: Path) -> dict:
     return manifest
 
 
-def write_field_dir(field: MultiPeriodField, path) -> dict:
-    """Write one grid file per period plus a hashed manifest; returns it."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    entries = [write_period_grid(field.period_grid(k), root, k)
-               for k in range(1, field.n_periods + 1)]
-    return write_field_manifest(field.spec, entries, root)
-
-
 def open_field_dir(path) -> tuple:
     """``(manifest, entries)`` of a field directory, checked; no grid is read."""
     root = Path(path)
@@ -221,7 +136,7 @@ def open_field_dir(path) -> tuple:
     return manifest, entries
 
 
-def _read_grids(root: Path, entries: list):
+def read_period_grids(root: Path, entries: list):
     """The grids of :func:`open_field_dir`'s ``entries``, one per ``next``.
 
     Each grid is checked against its recorded sha256 while it is read, and
@@ -229,9 +144,3 @@ def _read_grids(root: Path, entries: list):
     """
     for entry in entries:
         yield read_grid(root / entry["file"], entry["sha256"])
-
-
-def read_field_dir(path) -> tuple:
-    """Load a field directory as ``(grids, manifest)``."""
-    manifest, entries = open_field_dir(path)
-    return list(_read_grids(Path(path), entries)), manifest

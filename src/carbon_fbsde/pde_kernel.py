@@ -62,6 +62,7 @@ __all__ = [
     "SliceSink",
     "FluxModel",
     "make_flux",
+    "check_dependence",
     "mollify_terminal",
     "solve_one_period",
     "lookup",
@@ -182,9 +183,6 @@ class ValueGrid:
     def at_start(self, p, e, eparam=None):
         """Field value on the first stored slice (start of the period)."""
         return evaluate(self, self.t0, p, e, eparam)
-
-    def start_slice(self) -> np.ndarray:
-        return self.values[0]
 
     def __repr__(self):  # keep array dumps out of logs
         shape = "x".join(str(n) for n in self.values.shape)
@@ -558,6 +556,23 @@ def _project_terminal(surface: TerminalSurface, e_centres_ext: np.ndarray, de: f
 # ----------------------------------------------------------------------
 # the march
 # ----------------------------------------------------------------------
+
+def check_dependence(coeffs: CoefficientSet, config: SolverConfig, regions) -> None:
+    """Each ``(length, lo, hi)`` of ``regions`` must sit one domain of dependence inside.
+
+    The domain of dependence of a period of ``length`` is the peak
+    emission speed times ``length``.  Boundary data closer than that to
+    ``[lo, hi]`` (a period's cap levels, the rolling allocation window)
+    reaches it and silently corrupts the field, so it is a hard error.
+    """
+    speed = coeffs.peak_speed(config.p_nodes())
+    for length, lo, hi in regions:
+        need = speed * length
+        if lo - config.e_min < need - 1e-9 or config.e_max - hi < need - 1e-9:
+            raise CoverageError(
+                f"emissions domain [{config.e_min:g}, {config.e_max:g}] leaves less "
+                f"than one domain of dependence ({need:g}) around [{lo:g}, {hi:g}]")
+
 
 def _stability_rate(coeffs: CoefficientSet, p: Optional[np.ndarray], eps: float,
                     de: float) -> float:

@@ -9,8 +9,9 @@ import time
 
 import pytest
 
-from carbon_fbsde import simulate, solve_infinite, solve_multi_period
+from carbon_fbsde import simulate, solve_infinite
 from carbon_fbsde.config import build_plan, bundled_preset
+from oracle import solve_grids
 
 FINITE_PRESETS = ("burgers", "two-period-msr", "two-period-factor")
 
@@ -37,14 +38,13 @@ def rolling_factor_tree():
 
 @pytest.fixture(scope="session")
 def preset_fields():
-    """Solved fields for every finite preset, sharp and smoothed terminals."""
+    """Period grids of every finite preset, sharp and smoothed terminals."""
     out = {}
     for name in FINITE_PRESETS:
         plan = build_plan(bundled_preset(name))
-        out[name] = (plan, solve_multi_period(plan.spec, plan.solver))
+        out[name] = (plan, solve_grids(plan.spec, plan.solver))
         plan_s = build_plan(smoothed_tree(name))
-        out[name + "+smooth"] = (plan_s, solve_multi_period(plan_s.spec,
-                                                            plan_s.solver))
+        out[name + "+smooth"] = (plan_s, solve_grids(plan_s.spec, plan_s.solver))
     return out
 
 
@@ -69,7 +69,7 @@ def factor_bundle():
     """
     t0 = time.monotonic()
     plan = build_plan(bundled_preset("two-period-factor"))
-    field = solve_multi_period(plan.spec, plan.solver)
+    field = solve_grids(plan.spec, plan.solver)
     bundle = simulate(field, plan.spec, n_paths=100_000, steps_per_period=512,
                       seed=0, snapshot_times=[0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
     return plan, bundle, time.monotonic() - t0
@@ -84,7 +84,7 @@ def forced_over_bundle():
     tree["grid"]["e_min"] = -1.3
     tree["label"] = "two-period-factor-forced"
     plan = build_plan(tree)
-    field = solve_multi_period(plan.spec, plan.solver)
+    field = solve_grids(plan.spec, plan.solver)
     bundle = simulate(field, plan.spec, n_paths=20_000, steps_per_period=256,
                       seed=0)
     return plan, bundle

@@ -22,8 +22,8 @@ from scipy.optimize import brentq
 
 from carbon_fbsde.errors import SolverError, ValidationError
 from carbon_fbsde.model import CoefficientSet, TerminalSurface
-from carbon_fbsde.multi_period import MultiPeriodField
-from carbon_fbsde.pde_kernel import evaluate
+from carbon_fbsde.multi_period import solve_periods
+from carbon_fbsde.pde_kernel import ValueGrid, evaluate
 
 __all__ = [
     "ReferenceSolution",
@@ -37,6 +37,7 @@ __all__ = [
     "brentq_y_star",
     "constant_surface",
     "translation_check",
+    "solve_grids",
 ]
 
 
@@ -308,7 +309,7 @@ def constant_surface(value: float) -> TerminalSurface:
     return TerminalSurface(fn=fn, lipschitz_p=0.0, label=f"const({v:g})")
 
 
-def translation_check(field_long: MultiPeriodField, field_short: MultiPeriodField,
+def translation_check(field_long: Sequence[ValueGrid], field_short: Sequence[ValueGrid],
                       k: int, shift: float, e_window: tuple) -> dict:
     """Compare period ``k`` of one market against period ``k-1`` of another.
 
@@ -319,12 +320,13 @@ def translation_check(field_long: MultiPeriodField, field_short: MultiPeriodFiel
     emissions grid and the shift must be a whole number of cells; the
     comparison is then node-by-node over the stored slices, restricted
     to ``e_window`` so the report is not dominated by domain-truncation
-    effects near the boundary.
+    effects near the boundary.  Each field is its period grids in period
+    order.
     """
     if k < 2:
         raise ValidationError("need k >= 2 so that period k-1 exists in the short market")
-    ga = field_long.period_grid(k)
-    gb = field_short.period_grid(k - 1)
+    ga = field_long[k - 1]
+    gb = field_short[k - 2]
     if ga.e_nodes.shape != gb.e_nodes.shape or not np.allclose(ga.e_nodes, gb.e_nodes):
         raise ValidationError("the two fields do not share an emissions grid")
     if ga.values.shape != gb.values.shape:
@@ -356,3 +358,8 @@ def translation_check(field_long: MultiPeriodField, field_short: MultiPeriodFiel
         "cell_shift": js,
         "window": (float(lo), float(hi)),
     }
+
+
+def solve_grids(spec, config) -> tuple:
+    """Every period grid of a finite market, in period order."""
+    return tuple(reversed([g for _, g in solve_periods(spec, config)]))

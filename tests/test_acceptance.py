@@ -17,7 +17,6 @@ import pytest
 from carbon_fbsde import (
     martingale_test,
     jump_consistency_test,
-    solve_multi_period,
     solve_one_period,
 )
 from carbon_fbsde.cli import main
@@ -31,7 +30,7 @@ from carbon_fbsde.model import (
 )
 from carbon_fbsde.pde_kernel import SolverConfig, diagnostics
 from oracle import (burgers_rarefaction, compare_l1, constant_surface,
-                    translation_check, verify_burgers_form)
+                    solve_grids, translation_check, verify_burgers_form)
 
 TOL_EXACT = 1e-12
 
@@ -109,9 +108,8 @@ def _comparison_pairs():
 def test_criterion_03_structural_invariants(preset_fields):
     for name in ALL_FIELDS:
         plan, field = preset_fields[name]
-        for k in range(1, field.n_periods + 1):
-            report = diagnostics(field.period_grid(k), plan.spec.coefficients.mono_l1,
-                                 tol=TOL_EXACT)
+        for k, grid in enumerate(field, start=1):
+            report = diagnostics(grid, plan.spec.coefficients.mono_l1, tol=TOL_EXACT)
             assert report.max_range_violation <= TOL_EXACT, \
                 f"{name} period {k}: range violation {report.max_range_violation:.3e}"
             assert report.scheme_added_monotonicity <= TOL_EXACT, \
@@ -127,8 +125,8 @@ def test_criterion_03_structural_invariants(preset_fields):
 def test_criterion_04_lipschitz_bound(preset_fields):
     for name in ALL_FIELDS:
         plan, field = preset_fields[name]
-        for k in range(1, field.n_periods + 1):
-            report = diagnostics(field.period_grid(k), plan.spec.coefficients.mono_l1,
+        for k, grid in enumerate(field, start=1):
+            report = diagnostics(grid, plan.spec.coefficients.mono_l1,
                                  lipschitz_headroom=0.05, min_age=0.1)
             assert report.lipschitz_excess <= 0.05, \
                 f"{name} period {k}: quotient excess {report.lipschitz_excess:.3f}"
@@ -170,8 +168,8 @@ def test_criterion_06_translation():
             caps=tuple(make_cap_allocation([lam] * q, "banking-withdrawal")),
             label=f"constant-cap-{q}")
 
-    long_f = solve_multi_period(market(3), config)
-    short_f = solve_multi_period(market(2), config)
+    long_f = solve_grids(market(3), config)
+    short_f = solve_grids(market(2), config)
     for k in (2, 3):
         out = translation_check(long_f, short_f, k=k, shift=lam,
                                 e_window=(-0.5, 2.3))
@@ -273,8 +271,7 @@ def test_criterion_12_viscosity_limit():
 
     def start_slice(viscosity):
         config = dataclasses.replace(plan.solver, viscosity=viscosity)
-        field = solve_multi_period(spec, config)
-        return field.period_grid(1).start_slice()
+        return solve_grids(spec, config)[0].values[0]
 
     sharp = start_slice(0.0)
     de = (plan.solver.e_max - plan.solver.e_min) / plan.solver.n_e

@@ -375,3 +375,79 @@ def test_grid_files_are_hashed_only_while_read_or_written(
         assert main(argv) == 0, argv
         assert [p for p in grid_io_calls["file_sha256"] if p.suffix == ".grid"] == []
         assert grid_io_calls["read_grid"] == reads, argv
+
+
+# ----------------------------------------------------------------------
+# simulate refuses fields that do not fit its config
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def rolled_run(tmp_path_factory):
+    """A tiny price-infinite run directory and its config, solved once."""
+    root = tmp_path_factory.mktemp("rolled")
+    config = root / "rolling.json"
+    config.write_text(json.dumps(TINY_ROLLING))
+    assert main(["price-infinite", "--config", str(config), "--out", str(root / "run")]) == 0
+    return root / "run", config
+
+
+def _config(tmp_path, tree):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(tree))
+    return path
+
+
+def _refused(tmp_path, config, field, capsys, reason):
+    code = main(["simulate", "--config", str(config), "--field", str(field),
+                 "--out", str(tmp_path / "sim")])
+    err = capsys.readouterr().err
+    assert code == 6, err
+    assert reason in err
+
+
+def test_simulate_refuses_a_field_from_another_config(tmp_path, priced_run, capsys):
+    other = _config(tmp_path, {**TINY_FINITE, "coefficients": {
+        "preset": "no-factor", "parameters": {"m0": 1.1, "m2": 1.0}}})
+    _refused(tmp_path, other, priced_run[0] / "field", capsys, "different config")
+
+
+def test_simulate_refuses_a_grid_from_another_config(tmp_path, rolled_run, capsys):
+    """Same rate, other coefficients: only the run manifest tells them apart."""
+    other = _config(tmp_path, {**TINY_ROLLING, "coefficients": {
+        "preset": "no-factor", "parameters": {"m0": 0.8, "m2": 1.0}}})
+    _refused(tmp_path, other, rolled_run[0] / "w.grid", capsys, "different config")
+
+
+def test_simulate_refuses_a_tampered_grid(tmp_path, rolled_run, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(rolled_run[0], run)
+    blob = bytearray((run / "w.grid").read_bytes())
+    blob[-8 * 40] ^= 0x01  # the lowest mantissa bit of a stored value
+    (run / "w.grid").write_bytes(bytes(blob))
+    assert main(["verify", str(run)]) == 6
+    capsys.readouterr()
+    _refused(tmp_path, rolled_run[1], run / "w.grid", capsys, "sha256 mismatch")
+
+
+@pytest.mark.parametrize("artifact, tree, reason", [
+    ("field", TINY_ROLLING, "needs a finite-horizon config"),
+    ("w.grid", TINY_FINITE, "needs an infinite-horizon config"),
+    ("field", {**TINY_FINITE, "periods": [1.0, 2.0],
+               "cap": {"kind": "levels", "parameters": {"levels": [0.0, 0.5]}}},
+     "field has 1 periods, config wants 2"),
+    ("field", {**TINY_FINITE, "rate": 0.05}, "field rate does not match"),
+    ("w.grid", {**TINY_ROLLING, "rate": 0.1}, "grid rate does not match"),
+], ids=["directory-horizon", "grid-horizon", "periods", "directory-rate", "grid-rate"])
+def test_simulate_refuses_a_field_that_does_not_fit_the_config(
+        tmp_path, priced_run, rolled_run, capsys, artifact, tree, reason):
+    # a copy with no run manifest beside it, so no config hash is compared
+    source = priced_run[0] / "field" if artifact == "field" else rolled_run[0] / "w.grid"
+    loose = tmp_path / "loose" / artifact
+    loose.parent.mkdir()
+    (shutil.copytree if source.is_dir() else shutil.copy)(source, loose)
+    _refused(tmp_path, _config(tmp_path, tree), loose, capsys, reason)
+
+
+def test_simulate_refuses_a_path_with_no_field(tmp_path, priced_run, capsys):
+    _refused(tmp_path, priced_run[1], tmp_path / "nowhere", capsys,
+             "no field artifact found")

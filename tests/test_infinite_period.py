@@ -81,7 +81,7 @@ def test_solve_infinite_converges_with_certificate():
 
 def test_stationary_field_is_worth_less_farther_from_the_cap():
     grid, _ = solve_infinite(rolling_coeffs(), 1.0, 1.0, aligned_config())
-    v = grid.start_slice()
+    v = grid.values[0]
     e = grid.e_nodes
     low = v[np.searchsorted(e, -1.0)]
     high = v[np.searchsorted(e, 0.9)]

@@ -12,14 +12,13 @@ from carbon_fbsde import (
     martingale_test,
     simulate,
     solve_infinite,
-    solve_multi_period,
 )
 from carbon_fbsde.config import build_plan, preset_coefficients
 from carbon_fbsde.errors import CoverageError, ValidationError
 from carbon_fbsde.model import MarketSpec, make_cap_allocation
 from carbon_fbsde.montecarlo import _BLOCK, events_csv, paths_csv
-from carbon_fbsde.pde_kernel import SolverConfig
-from oracle import ou_moments
+from carbon_fbsde.pde_kernel import SolverConfig, evaluate
+from oracle import ou_moments, solve_grids
 
 
 def flat_spec():
@@ -41,7 +40,7 @@ def factor_spec():
 @pytest.fixture(scope="module")
 def flat_field():
     spec = flat_spec()
-    return spec, solve_multi_period(spec, SolverConfig(e_min=-2.0, e_max=2.5, n_e=128))
+    return spec, solve_grids(spec, SolverConfig(e_min=-2.0, e_max=2.5, n_e=128))
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +48,7 @@ def factor_field():
     spec = factor_spec()
     config = SolverConfig(e_min=-0.9, e_max=2.3, n_e=80,
                           p_min=-3.0, p_max=3.0, n_p=31)
-    return spec, solve_multi_period(spec, config)
+    return spec, solve_grids(spec, config)
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +68,7 @@ def test_initial_price_matches_the_field(flat_field):
     bundle = simulate(field, spec, n_paths=4, steps_per_period=32, seed=0,
                       e0=0.1)
     i0 = bundle.snapshot_index(0.0)
-    assert bundle.snap_Y[i0, 0] == pytest.approx(field.value(0.0, None, 0.1),
+    assert bundle.snap_Y[i0, 0] == pytest.approx(evaluate(field[0], 0.0, None, 0.1),
                                                  abs=1e-12)
 
 
@@ -181,7 +180,7 @@ def test_snapshot_tolerance_follows_the_step_of_each_period():
         period_ends=(1.0, 3.0),
         caps=make_cap_allocation([0.5, 1.0], "banking-withdrawal"),
         label="unequal-periods")
-    field = solve_multi_period(spec, SolverConfig(e_min=-2.0, e_max=4.5, n_e=64))
+    field = solve_grids(spec, SolverConfig(e_min=-2.0, e_max=4.5, n_e=64))
     bundle = simulate(field, spec, n_paths=2, steps_per_period=3, seed=0)
     j = bundle.snapshot_index(2.0)
     assert bundle.snapshot_times[j] == pytest.approx(7.0 / 3.0)

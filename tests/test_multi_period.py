@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from carbon_fbsde import solve_multi_period
+from carbon_fbsde import solve_periods
 from carbon_fbsde.config import preset_coefficients
 from carbon_fbsde.errors import ArtifactError, CoverageError, ValidationError
 from carbon_fbsde.model import MarketSpec, make_cap_allocation
-from carbon_fbsde.multi_period import read_field_dir, write_field_dir
+from carbon_fbsde.multi_period import (open_field_dir, read_period_grids,
+                                       write_field_manifest, write_period_grid)
 from carbon_fbsde.pde_kernel import SolverConfig, evaluate
-from oracle import translation_check
+from oracle import solve_grids, translation_check
 
 
 def two_period_spec(rate: float = 0.05):
@@ -26,7 +27,7 @@ def wide_config(n_e: int = 96):
 
 @pytest.fixture(scope="module")
 def field():
-    return solve_multi_period(two_period_spec(), wide_config())
+    return solve_grids(two_period_spec(), wide_config())
 
 
 def compliance_pair(field, k, e):
@@ -36,36 +37,17 @@ def compliance_pair(field, k, e):
     the cap the right value is period ``k + 1``'s start field, above it
     the certain penalty.
     """
-    g, gn = field.period_grid(k), field.period_grid(k + 1)
-    lvl = field.spec.caps[k - 1].constant_value
+    g, gn = field[k - 1], field[k]
+    lvl = two_period_spec().caps[k - 1].constant_value
     left = evaluate(g, g.last_interior_time, None, e)
     right = evaluate(gn, gn.t0, None, e) if e < lvl else 1.0
     return left, right, lvl
 
 
 def test_field_shape(field):
-    assert field.n_periods == 2
-    assert field.final_time == 2.0
-    assert field.period_grid(1).t0 == 0.0
-    assert field.period_grid(2).tau == 2.0
-    with pytest.raises(ValidationError):
-        field.period_grid(3)
-
-
-def test_period_lookup(field):
-    assert field.period_of(0.5) == 1
-    assert field.period_of(1.0) == 2, "compliance dates belong to the next period"
-    assert field.period_of(1.5) == 2
-    assert field.period_of(2.0) == 2
-    with pytest.raises(CoverageError):
-        field.period_of(2.5)
-
-
-def test_value_delegates_to_the_period_grid(field):
-    g = field.period_grid(2)
-    t = g.times[5]
-    e = g.e_nodes[40]
-    assert field.value(t, None, e) == evaluate(g, t, None, e)
+    assert len(field) == 2
+    assert field[0].t0 == 0.0
+    assert field[1].tau == 2.0
 
 
 def test_compliance_continuity_below_the_cap(field):
@@ -76,7 +58,7 @@ def test_compliance_continuity_below_the_cap(field):
     """
     gaps = []
     for n_e in (96, 192):
-        f = solve_multi_period(two_period_spec(), wide_config(n_e))
+        f = solve_grids(two_period_spec(), wide_config(n_e))
         left, right, lvl = compliance_pair(f, 1, 0.0)
         assert lvl == pytest.approx(0.6)
         gaps.append(abs(float(left) - float(right)))
@@ -94,7 +76,7 @@ def test_compliance_payout_above_the_cap(field):
 
 def test_margins_are_enforced():
     with pytest.raises(CoverageError):
-        solve_multi_period(two_period_spec(), SolverConfig(e_min=0.0, e_max=1.0, n_e=32))
+        next(solve_periods(two_period_spec(), SolverConfig(e_min=0.0, e_max=1.0, n_e=32)))
 
 
 def test_factor_spec_needs_factor_grid():
@@ -103,7 +85,7 @@ def test_factor_spec_needs_factor_grid():
         coefficients=preset_coefficients("linear-abatement", {}, 0.05),
         horizon="finite", period_ends=(1.0, 2.0), caps=tuple(caps))
     with pytest.raises(ValidationError):
-        solve_multi_period(spec, wide_config())
+        next(solve_periods(spec, wide_config()))
 
 
 # ----------------------------------------------------------------------
@@ -121,8 +103,8 @@ def constant_cap_spec(n_periods: int, lam: float = 0.5):
 @pytest.fixture(scope="module")
 def shift_fields():
     config = SolverConfig(e_min=-2.1, e_max=2.9, n_e=100)
-    return (solve_multi_period(constant_cap_spec(3), config),
-            solve_multi_period(constant_cap_spec(2), config))
+    return (solve_grids(constant_cap_spec(3), config),
+            solve_grids(constant_cap_spec(2), config))
 
 
 def test_translation_check_runs_clean(shift_fields):
@@ -147,6 +129,18 @@ def test_translation_check_guards_geometry(shift_fields):
 # field directory round trip
 # ----------------------------------------------------------------------
 
+def write_field_dir(grids, root):
+    """A field directory as ``price-multi`` lays it out; returns its manifest."""
+    root.mkdir(parents=True, exist_ok=True)
+    entries = [write_period_grid(g, root, k) for k, g in enumerate(grids, start=1)]
+    return write_field_manifest(two_period_spec(), entries, root)
+
+
+def read_field_dir(root):
+    manifest, entries = open_field_dir(root)
+    return list(read_period_grids(root, entries)), manifest
+
+
 def test_field_dir_round_trip(tmp_path, field):
     manifest = write_field_dir(field, tmp_path / "field")
     assert (tmp_path / "field" / "field_manifest.json").exists()
@@ -155,7 +149,7 @@ def test_field_dir_round_trip(tmp_path, field):
     grids, loaded = read_field_dir(tmp_path / "field")
     assert loaded == manifest
     for k in (1, 2):
-        assert np.array_equal(grids[k - 1].values, field.period_grid(k).values)
+        assert np.array_equal(grids[k - 1].values, field[k - 1].values)
 
 
 def test_field_dir_detects_corruption(tmp_path, field):

@@ -18,7 +18,8 @@ from carbon_fbsde import cli, pde_kernel
 from carbon_fbsde.cli import main
 from carbon_fbsde.config import load_config
 from carbon_fbsde.gridio import read_grid, start_slice_csv
-from carbon_fbsde.multi_period import solve_periods, write_field_dir
+from carbon_fbsde.multi_period import (solve_periods, write_field_manifest,
+                                       write_period_grid)
 from test_grid_writer import poisoned_march
 
 # three equal periods on a fine emissions grid: a period grid (about 330
@@ -107,14 +108,16 @@ def test_a_period_whose_march_fails_leaves_no_grid_file(tmp_path, three_periods,
                                            ("two-period-msr", 2)])
 def test_price_multi_writes_what_the_whole_field_writers_write(
         tmp_path, preset_fields, name, threads):
-    """Byte for byte against ``solve_multi_period`` + ``write_field_dir`` +
-    ``start_slice_csv``; ``two-period-msr`` takes the threaded
-    recorded-emissions batch."""
-    _, field = preset_fields[name]
+    """Byte for byte against whole grids written by ``write_period_grid``
+    (``write_grid``), ``write_field_manifest`` and ``start_slice_csv``;
+    ``two-period-msr`` takes the threaded recorded-emissions batch."""
+    plan, field = preset_fields[name]
     ref, run = tmp_path / "ref", tmp_path / "run"
-    write_field_dir(field, ref / "field")
+    (ref / "field").mkdir(parents=True)
+    entries = [write_period_grid(g, ref / "field", k) for k, g in enumerate(field, start=1)]
+    write_field_manifest(plan.spec, entries, ref / "field")
     for k in (1, 2):
-        start_slice_csv(field.period_grid(k), ref / f"value_surface_period_{k}.csv")
+        start_slice_csv(field[k - 1], ref / f"value_surface_period_{k}.csv")
     argv = ["price-multi", "--config", f"preset:{name}", "--out", str(run)]
     assert main(argv + (["--threads", str(threads)] if threads else [])) == 0
 
@@ -123,7 +126,7 @@ def test_price_multi_writes_what_the_whole_field_writers_write(
     for rel in written:
         assert (run / rel).read_bytes() == (ref / rel).read_bytes(), rel
     reports = json.loads((run / "diagnostics.json").read_text())["reports"]
-    assert reports == [cli._grid_report(field.period_grid(k), f"period_{k}")
+    assert reports == [cli._grid_report(field[k - 1], f"period_{k}")
                        for k in (1, 2)]
     manifest = json.loads((run / "manifest.json").read_text())
     assert [a["path"] for a in manifest["artifacts"]] == [

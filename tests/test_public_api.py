@@ -4,9 +4,12 @@ A rename that leaves a stale ``__all__`` entry, or that moves a function
 ``perfbench/tracer.py`` patches at run time, fails here instead of at
 import time for users or mid-run under ``--trace 1``.  The command-line
 entry point must also stay free of test-only weight: no scipy, no
-reference-solution module.
+reference-solution module.  And every function or class a module exports
+must be reached from somewhere in the package: a public name that only its
+definition and the export lists mention is dead weight.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -58,3 +61,31 @@ def test_cli_import_loads_no_scipy_and_ships_no_oracle():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
+
+
+def _exported_definitions(tree):
+    """Names a module's ``__all__`` lists that it defines as a function or class."""
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported |= {elt.value for elt in node.value.elts}
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in exported}
+
+
+def test_every_exported_definition_is_reached_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(carbon_fbsde.__file__).parent.glob("*.py"))}
+    # a reference is a name read or an attribute looked up; ``__all__``
+    # strings and ``from ... import`` aliases are the export lists
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unreached = sorted(f"{module}.{name}" for module, tree in trees.items()
+                       for name in _exported_definitions(tree) - used)
+    assert not unreached, f"exported but never reached in the package: {unreached}"

@@ -15,23 +15,23 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from carbon_fbsde import montecarlo, simulate, solve_infinite, solve_multi_period
+from carbon_fbsde import montecarlo, simulate, solve_infinite
 from carbon_fbsde.config import build_plan, bundled_preset
 from carbon_fbsde.errors import ValidationError
 from carbon_fbsde.model import MarketSpec
 from carbon_fbsde.montecarlo import _BLOCK, BRANCH_ABORTED, PathBundle
-from carbon_fbsde.multi_period import MultiPeriodField
 from carbon_fbsde.pde_kernel import ValueGrid, lookup
+from oracle import solve_grids
 
 
 def reference_period_table(field, spec: MarketSpec, n_periods: Optional[int]):
     """Per-period (grid, t_start, t_end, e_offset, cap_fn) descriptors."""
     rows = []
-    if isinstance(field, MultiPeriodField):
-        for k in range(1, field.n_periods + 1):
+    if isinstance(field, tuple):
+        for k in range(1, len(field) + 1):
             t0, t1 = spec.period_bounds(k)
-            rows.append((field.period_grid(k), t0, t1, 0.0, spec.caps[k - 1]))
-        nxt = [field.period_grid(k) for k in range(2, field.n_periods + 1)] + [None]
+            rows.append((field[k - 1], t0, t1, 0.0, spec.caps[k - 1]))
+        nxt = [field[k - 1] for k in range(2, len(field) + 1)] + [None]
         return rows, nxt
     if isinstance(field, ValueGrid):
         if spec.horizon != "infinite":
@@ -68,7 +68,7 @@ def reference_simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: 
              coeffs=None) -> PathBundle:
     """Euler-simulate (P, E, Y) paths against a solved field.
 
-    ``field`` is a multi-period field or, for the rolling market, the
+    ``field`` is a tuple of period grids in period order or, for the rolling market, the
     stationary grid (then ``n_periods`` chooses how many periods to roll
     forward and the price reads the grid in period-local coordinates).
     The factor steps by its exact mean-reverting transition when the
@@ -200,7 +200,7 @@ def reference_simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: 
                 okr = np.ones(bs, dtype=bool)
             else:
                 off_n = periods[k + 1][3] if k + 1 < q else e_off + spec.cap_per_period
-                if isinstance(field, MultiPeriodField):
+                if isinstance(field, tuple):
                     y_right, okr = lookup(ng, ng.t0, P, E,
                                           E if ng.has_eparam else None)
                 else:
@@ -277,7 +277,7 @@ def chained():
     for market, name, grid in (("factor", "two-period-factor", {"n_e": 160, "n_p": 17}),
                                ("msr", "two-period-msr", {"n_e": 60})):
         plan = _plan(name, **grid)
-        out[market] = plan, solve_multi_period(plan.spec, plan.solver)
+        out[market] = plan, solve_grids(plan.spec, plan.solver)
     return out
 
 
@@ -332,7 +332,7 @@ def test_chained_field_matches_the_block_outer_loop(chained, market, n_paths, st
     ref = reference_simulate(field, plan.spec, **kwargs)
     assert_same_bundle(simulate(field, plan.spec, **kwargs), ref)
     # the period grids one at a time, as the CLI hands them over
-    assert_same_bundle(simulate((g for g in field.grids), plan.spec, **kwargs), ref)
+    assert_same_bundle(simulate((g for g in field), plan.spec, **kwargs), ref)
 
 
 @pytest.mark.parametrize("market", ["flat", "factor"])
