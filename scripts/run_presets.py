@@ -7,7 +7,9 @@ entry points, so what this script exercises is exactly what a user gets.
 
 Usage: python scripts/run_presets.py [--out runs/] [--paths 20000] [--threads N]
 
-``--threads`` goes to the two solve commands, ``--paths`` to ``simulate``.
+``--threads`` goes to ``price-multi``, the one command that reads it (it
+splits the recorded-emissions batch of the ``msr`` cap), and ``--paths``
+to ``simulate``.
 """
 
 import argparse
@@ -33,17 +35,17 @@ def main() -> None:
     args = ap.parse_args()
     root = Path(args.out)
 
-    solve_extra = [] if args.threads is None else ["--threads", str(args.threads)]
+    multi_extra = [] if args.threads is None else ["--threads", str(args.threads)]
     sim_extra = [] if args.paths is None else ["--paths", str(args.paths)]
 
     for name, tree in BUNDLED_PRESETS.items():
         cfg = f"preset:{name}"
         out = root / name
         if tree.get("horizon", "finite") == "infinite":
-            run(["price-infinite", "--config", cfg, "--out", str(out)] + solve_extra)
+            run(["price-infinite", "--config", cfg, "--out", str(out)])
             field = out / "w.grid"
         else:
-            run(["price-multi", "--config", cfg, "--out", str(out)] + solve_extra)
+            run(["price-multi", "--config", cfg, "--out", str(out)] + multi_extra)
             field = out / "field"
         run(["simulate", "--config", cfg, "--field", str(field),
              "--out", str(out / "sim")] + sim_extra)

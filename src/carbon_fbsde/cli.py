@@ -3,18 +3,20 @@
 Subcommands::
 
     carbon-fbsde price-multi    --config C --out D [--threads N]
-    carbon-fbsde price-infinite --config C --out D [--threads N]
+    carbon-fbsde price-infinite --config C --out D
     carbon-fbsde simulate       --config C --field P --out D [--paths N] [--seed S]
     carbon-fbsde verify         ARTIFACT
 
 Each command accepts only the flags it reads.  ``verify`` hashes each
-artifact as it reads it and compares the sha256 its manifest records.
+artifact as it reads it and compares the sha256 its manifest records; a
+bare grid file is checked against the manifest beside it.
 
 Exit codes are a stable contract: 0 success, 2 configuration or domain
 error, 3 solver or simulation failure, 4 invariant violation, 5
 non-convergence (certificate still written), 6 artifact hash or
-spec mismatch.  ``--threads`` falls back to the CARBON_FBSDE_THREADS
-environment variable, then to 1.
+spec mismatch.  ``--threads`` splits a recorded-emissions batch (the
+``msr`` cap's second period) across threads; it falls back to the
+CARBON_FBSDE_THREADS environment variable, then to 1.
 """
 
 from __future__ import annotations
@@ -188,8 +190,7 @@ def cmd_price_infinite(args) -> int:
             grid, cert = solve_infinite(
                 spec.coefficients, spec.period_length, spec.cap_per_period,
                 plan.solver, tol_l1=plan.infinite_opts.get("tol_l1"),
-                max_iter=plan.infinite_opts.get("max_iter"),
-                threads=_threads(args), writer=writer,
+                max_iter=plan.infinite_opts.get("max_iter"), writer=writer,
             )
         except ConvergenceError as exc:
             cert_dict = getattr(exc, "certificate", None)
@@ -234,22 +235,27 @@ def cmd_price_infinite(args) -> int:
     return 0
 
 
-def _check_run_manifest(plan: RunPlan, field_path: Path):
-    """Refuse a field whose sibling run manifest records a different config.
+def _recorded_sha256(path: Path, plan=None):
+    """The sha256 that the manifest beside ``path`` records for it, if any.
 
-    Returns the sha256 that manifest records for ``field_path``, if any.
+    That is ``field_manifest.json`` in a field directory, else the run's
+    ``manifest.json``; with a ``plan``, one that records another config
+    is refused.
     """
-    run_manifest = field_path.parent / "manifest.json"
+    if (path.parent / "field_manifest.json").exists():
+        _, entries = open_field_dir(path.parent)
+        return next((e["sha256"] for e in entries if e["file"] == path.name), None)
+    run_manifest = path.parent / "manifest.json"
     if not run_manifest.exists():
         return None
     recorded, entries = read_manifest(run_manifest, "artifacts", ("path", "sha256"))
-    if recorded.get("config_hash") not in (None, plan.config_hash):
+    if plan is not None and recorded.get("config_hash") not in (None, plan.config_hash):
         raise ArtifactError(
             "field artifact was produced by a different config "
             f"(hash {str(recorded.get('config_hash'))[:12]}... vs "
             f"{plan.config_hash[:12]}...)"
         )
-    return next((e["sha256"] for e in entries if e["path"] == field_path.name), None)
+    return next((e["sha256"] for e in entries if e["path"] == path.name), None)
 
 
 def _load_field_for_simulation(plan: RunPlan, field_path: Path):
@@ -257,11 +263,11 @@ def _load_field_for_simulation(plan: RunPlan, field_path: Path):
 
     A field directory comes back as a generator of its period grids:
     ``simulate`` reads and hash-checks each one when its period starts.
-    A bare grid is hash-checked against its run manifest while it is read.
+    A bare grid is hash-checked against the manifest beside it while it is read.
     """
     if field_path.is_dir() and (field_path / "field_manifest.json").exists():
         manifest, entries = open_field_dir(field_path)
-        _check_run_manifest(plan, field_path)
+        _recorded_sha256(field_path, plan)
         if plan.horizon != "finite":
             raise ArtifactError("a field directory needs a finite-horizon config")
         if len(entries) != plan.spec.n_periods:
@@ -272,7 +278,7 @@ def _load_field_for_simulation(plan: RunPlan, field_path: Path):
             raise ArtifactError("field rate does not match the config rate")
         return read_period_grids(field_path, entries)
     if field_path.is_file():
-        grid = read_grid(field_path, _check_run_manifest(plan, field_path))
+        grid = read_grid(field_path, _recorded_sha256(field_path, plan))
         if plan.horizon != "infinite":
             raise ArtifactError("a bare grid artifact needs an infinite-horizon config")
         if abs(grid.rate - plan.spec.coefficients.rate) > 1e-12:
@@ -364,7 +370,7 @@ def _verify(target: Path) -> int:
     # its diagnostics, so one slice is held at a time
     reports = []
     if target.is_file():
-        reports.append(_scanned(target, target.name))
+        reports.append(_scanned(target, target.name, _recorded_sha256(target)))
     else:
         run_manifest = target / "manifest.json"
         field_manifest = target / "field_manifest.json"
@@ -424,8 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("price-multi", cmd_price_multi, "solve a finite multi-period market")
     p.add_argument("--threads", type=int, default=None)
 
-    p = command("price-infinite", cmd_price_infinite, "solve the rolling market")
-    p.add_argument("--threads", type=int, default=None)
+    command("price-infinite", cmd_price_infinite, "solve the rolling market")
 
     p = command("simulate", cmd_simulate, "simulate paths against a solved field")
     p.add_argument("--field", required=True,

@@ -253,7 +253,6 @@ class RunPlan:
     simulation: dict
     resolved: dict
     config_hash: str
-    coefficient_report: object = None
 
     @property
     def horizon(self) -> str:
@@ -429,12 +428,10 @@ def build_plan(tree: dict) -> RunPlan:
         speed = coeffs.peak_speed()
         box = SampleBox()
     # regularity is checked on the factor range the solver will use
-    report = validate_coefficients(coeffs, box)
-    if not report.passed:
+    violations = validate_coefficients(coeffs, box)
+    if violations:
         raise ConfigError(
-            "coefficients fail their declared regularity: "
-            + "; ".join(report.violations)
-        )
+            "coefficients fail their declared regularity: " + "; ".join(violations))
 
     if horizon == "finite":
         probe = np.linspace(-speed * horizon_T, speed * horizon_T, 513)
@@ -474,7 +471,6 @@ def build_plan(tree: dict) -> RunPlan:
         label=resolved["label"], spec=spec, solver=solver,
         infinite_opts=inf_opts, simulation=sim, resolved=resolved,
         config_hash=sha256_hex(canonical_json(resolved).encode("utf-8")),
-        coefficient_report=report,
     )
 
 

@@ -106,15 +106,13 @@ def _picard_terminal(start_slice: np.ndarray, config: SolverConfig,
 
 
 def _sweep(state: PicardState, coeffs: CoefficientSet, period_length: float,
-           cap_per_period: float, config: SolverConfig, threads: int,
-           sink: Optional[SliceSink]) -> ValueGrid:
+           cap_per_period: float, config: SolverConfig, sink: Optional[SliceSink]) -> ValueGrid:
     """The one-period solve of the sweep that starts from ``state``; its
     slices go to ``sink`` when one is given (see ``solve_one_period``)."""
     js, cut = _shift_geometry(config, cap_per_period)
     ext = _picard_terminal(state.start_slice, config, js, cut)
     return solve_one_period(
-        coeffs, None, 0.0, period_length, config, threads=threads,
-        terminal_cells_ext=ext,
+        coeffs, None, 0.0, period_length, config, terminal_cells_ext=ext,
         meta={"picard_iteration": state.iteration + 1,
               "allocation": float(cap_per_period)},
         sink=sink,
@@ -122,8 +120,7 @@ def _sweep(state: PicardState, coeffs: CoefficientSet, period_length: float,
 
 
 def picard_step(state: PicardState, coeffs: CoefficientSet, period_length: float,
-                cap_per_period: float, config: SolverConfig,
-                threads: int = 1) -> PicardState:
+                cap_per_period: float, config: SolverConfig) -> PicardState:
     """One sweep of the fixed-point map; returns a fresh state."""
     if coeffs.rate <= 0.0:
         raise ConfigError("the rolling market needs a strictly positive rate")
@@ -133,8 +130,7 @@ def picard_step(state: PicardState, coeffs: CoefficientSet, period_length: float
             f"{_cells_shape(coeffs, config)}"
         )
     started = time.perf_counter()
-    grid = _sweep(state, coeffs, period_length, cap_per_period, config,
-                  threads, sink=SliceSink())
+    grid = _sweep(state, coeffs, period_length, cap_per_period, config, sink=SliceSink())
     n = state.iteration + 1
     new = grid.values[0]
     delta = new - state.start_slice
@@ -181,7 +177,7 @@ def _partial_certificate(state: PicardState, q: float, tol_l1: float,
 def solve_infinite(coeffs: CoefficientSet, period_length: float,
                    cap_per_period: float, config: SolverConfig,
                    tol_l1: Optional[float] = None, max_iter: Optional[int] = None,
-                   threads: int = 1, writer: Optional[SliceSink] = None):
+                   writer: Optional[SliceSink] = None):
     """Iterate one-period solves to the stationary field.
 
     Returns ``(grid, certificate)``: the final sweep's full grid on
@@ -216,8 +212,7 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
     state = prev = initial_state(coeffs, config)
     while state.iteration < max_iter:
         prev = state
-        state = picard_step(state, coeffs, period_length, cap_per_period,
-                            config, threads=threads)
+        state = picard_step(state, coeffs, period_length, cap_per_period, config)
         if state.residual <= tol_l1:
             break
     if state.residual > tol_l1:
@@ -228,8 +223,7 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
         exc.certificate = _partial_certificate(state, q, tol_l1, max_iter)
         raise exc
 
-    check = picard_step(state, coeffs, period_length, cap_per_period,
-                        config, threads=threads)
+    check = picard_step(state, coeffs, period_length, cap_per_period, config)
     if check.residual > 2.0 * tol_l1:
         exc = ConvergenceError(
             f"self-consistency re-solve moved the field by {check.residual:.3g} "
@@ -239,8 +233,7 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
         raise exc
 
     started = time.perf_counter()
-    grid = _sweep(prev, coeffs, period_length, cap_per_period, config,
-                  threads, sink=writer)
+    grid = _sweep(prev, coeffs, period_length, cap_per_period, config, sink=writer)
     _log.debug("picard sweep %d re-solved with all %d slices %s, %.3fs",
                state.iteration, grid.meta["n_steps"] + 1,
                "stored" if writer is None else "written",

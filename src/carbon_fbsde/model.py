@@ -22,7 +22,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ from .errors import CoverageError, ValidationError
 
 __all__ = [
     "CoefficientSet",
-    "CoefficientReport",
     "SampleBox",
     "validate_coefficients",
     "CapFunction",
@@ -162,16 +161,10 @@ class SampleBox:
         return lo, hi
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
-    passed: bool
-    lip_mu: float
-    mono_min: float
-    mono_max: float
-    lip_drift: float = 0.0
-    lip_vol: float = 0.0
-    n_samples: int = 0
-    violations: tuple = ()
+# sampled validation: point pairs drawn, generator seed, relative slack
+_N_SAMPLES = 4096
+_SEED = 0
+_RTOL = 1e-6
 
 
 def _pairs(rng, low, high, n):
@@ -180,24 +173,22 @@ def _pairs(rng, low, high, n):
     return a, b
 
 
-def validate_coefficients(coeffs: CoefficientSet, box: SampleBox = SampleBox(),
-                          n_samples: int = 4096, seed: int = 0,
-                          rtol: float = 1e-6) -> CoefficientReport:
+def validate_coefficients(coeffs: CoefficientSet, box: SampleBox = SampleBox()) -> tuple:
     """Check the declared Lipschitz and monotonicity constants on samples.
 
-    Draws point pairs inside ``box`` and measures the worst difference
-    quotients of ``mu`` (jointly in ``(p, y)``), of the drift and of the
-    volatility, plus the one-sided monotonicity ratio
+    Draws 4096 point pairs inside ``box`` (seed 0) and measures the worst
+    difference quotients of ``mu`` (jointly in ``(p, y)``), of the drift
+    and of the volatility, plus the one-sided monotonicity ratio
 
         (y - y') * (mu(p, y') - mu(p, y)) / |y - y'|^2
 
-    at fixed factor state.  The report passes when every measured value
-    sits within the declared constants up to ``rtol``.  Non-finite
-    outputs raise :class:`ValidationError` immediately.
+    at fixed factor state.  Returns one message per measured value beyond
+    its declared constant by more than a relative 1e-6, so an empty tuple
+    passes.  Non-finite outputs raise :class:`ValidationError` immediately.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     d = coeffs.dim_p
-    y_a, y_b = _pairs(rng, box.y_low, box.y_high, n_samples)
+    y_a, y_b = _pairs(rng, box.y_low, box.y_high, _N_SAMPLES)
     keep = np.abs(y_a - y_b) > 1e-9
     y_a, y_b = y_a[keep], y_b[keep]
 
@@ -237,23 +228,17 @@ def validate_coefficients(coeffs: CoefficientSet, box: SampleBox = SampleBox(),
 
     violations = []
     L, l1, l2 = coeffs.lipschitz_L, coeffs.mono_l1, coeffs.mono_l2
-    if lip_mu > L * (1 + rtol):
+    if lip_mu > L * (1 + _RTOL):
         violations.append(f"mu Lipschitz {lip_mu:.6g} exceeds declared L={L}")
-    if mono_min < l1 * (1 - rtol):
+    if mono_min < l1 * (1 - _RTOL):
         violations.append(f"monotonicity ratio {mono_min:.6g} below declared l1={l1}")
-    if mono_max > l2 * (1 + rtol):
+    if mono_max > l2 * (1 + _RTOL):
         violations.append(f"monotonicity ratio {mono_max:.6g} above declared l2={l2}")
-    if lip_b > L * (1 + rtol):
+    if lip_b > L * (1 + _RTOL):
         violations.append(f"drift Lipschitz {lip_b:.6g} exceeds declared L={L}")
-    if lip_s > L * (1 + rtol):
+    if lip_s > L * (1 + _RTOL):
         violations.append(f"vol Lipschitz {lip_s:.6g} exceeds declared L={L}")
-
-    return CoefficientReport(
-        passed=not violations,
-        lip_mu=lip_mu, mono_min=mono_min, mono_max=mono_max,
-        lip_drift=lip_b, lip_vol=lip_s,
-        n_samples=int(y_a.size), violations=tuple(violations),
-    )
+    return tuple(violations)
 
 
 # ----------------------------------------------------------------------
@@ -354,19 +339,12 @@ def make_cap_msr(c1: float, c2: float, kappa_low: float, kappa_high: float,
 
 @dataclass(frozen=True, eq=False)
 class TerminalSurface:
-    """Terminal payout surface ``phi(p, e, eparam) in [0, 1]``.
+    """Terminal payout surface ``phi(p, e, eparam) in [0, 1]``, computed by ``fn``.
 
-    ``parametrized`` marks genuine dependence on the recorded emissions
-    ``eparam`` (the parametrised class); plain surfaces ignore that
-    argument.  ``lipschitz_p`` is the declared Lipschitz constant in the
-    factor variable, ``None`` when no bound is claimed (grid-backed
-    linking surfaces).
+    A surface whose cap does not depend on recorded emissions ignores ``eparam``.
     """
 
     fn: Callable
-    lipschitz_p: Optional[float] = 0.0
-    representation: str = "closed-form"
-    parametrized: bool = False
     label: str = ""
 
     def __call__(self, p, e, eparam=None):
@@ -380,8 +358,7 @@ def indicator_terminal(cap: CapFunction) -> TerminalSurface:
         e = np.asarray(e, dtype=float)
         return (e >= cap.level(eparam)).astype(float)
 
-    return TerminalSurface(fn=fn, lipschitz_p=0.0, parametrized=not cap.is_constant,
-                           label=f"indicator({cap.kind})")
+    return TerminalSurface(fn=fn, label=f"indicator({cap.kind})")
 
 
 def smoothed_indicator(cap: CapFunction, width: float) -> TerminalSurface:
@@ -394,8 +371,7 @@ def smoothed_indicator(cap: CapFunction, width: float) -> TerminalSurface:
         x = np.clip((e - cap.level(eparam)) / width + 0.5, 0.0, 1.0)
         return x * x * (3.0 - 2.0 * x)
 
-    return TerminalSurface(fn=fn, lipschitz_p=0.0, parametrized=not cap.is_constant,
-                           label=f"smoothstep({cap.kind},w={width:g})")
+    return TerminalSurface(fn=fn, label=f"smoothstep({cap.kind},w={width:g})")
 
 
 def link_terminal(next_grid, cap: CapFunction) -> TerminalSurface:
@@ -448,9 +424,7 @@ def link_terminal(next_grid, cap: CapFunction) -> TerminalSurface:
             out[below] = next_grid.at_start(pb, eb, eparam=diag_ep)
         return out
 
-    return TerminalSurface(fn=fn, lipschitz_p=None, representation="grid-sampled",
-                           parametrized=not cap.is_constant,
-                           label=f"linked({cap.kind})")
+    return TerminalSurface(fn=fn, label=f"linked({cap.kind})")
 
 
 # ----------------------------------------------------------------------
@@ -464,7 +438,7 @@ class MarketSpec:
     Finite markets carry explicit period ends ``T_1 < ... < T_q`` and one
     cap per end; the rolling (infinite-horizon) market carries a period
     length and a constant per-period allocation instead.  The penalty is
-    normalised to 1; any other value is a unit error, not a feature.
+    normalised to 1; a market with another penalty rescales its price unit.
     """
 
     coefficients: CoefficientSet
@@ -473,14 +447,11 @@ class MarketSpec:
     caps: tuple = ()
     period_length: Optional[float] = None
     cap_per_period: Optional[float] = None
-    penalty: float = 1.0
     terminal_kind: str = "indicator"
     terminal_width: float = 0.0
     label: str = ""
 
     def __post_init__(self):
-        if self.penalty != 1.0:
-            raise ValidationError("the penalty is normalised to 1; rescale the price unit instead")
         if self.horizon == "finite":
             ends = tuple(float(t) for t in self.period_ends)
             if not ends:

@@ -198,8 +198,7 @@ def _step_factor(coeffs, P, dt: float, sq: float, xi):
 def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
              seed: int = 0, p0: float = 0.0, e0: float = 0.0,
              snapshot_times: Optional[Sequence[float]] = None,
-             keep_paths: int = 100, n_periods: Optional[int] = None,
-             coeffs=None) -> PathBundle:
+             keep_paths: int = 100, n_periods: Optional[int] = None) -> PathBundle:
     """Euler-simulate (P, E, Y) paths against a solved field.
 
     ``field`` is a finite market's period grids in period order (any
@@ -218,7 +217,7 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
     spurious drift in the discounted price at practical step counts.
     """
     started = time.perf_counter()
-    coeffs = spec.coefficients if coeffs is None else coeffs
+    coeffs = spec.coefficients
     if n_paths < 1 or steps_per_period < 1:
         raise ValidationError("need n_paths >= 1 and steps_per_period >= 1")
     if seed < 0:
@@ -454,8 +453,6 @@ class MartingaleReport:
     n_used: int
     delta: float
     se: float
-    mean_t1: float
-    mean_t2: float
     passed: bool
 
 
@@ -501,8 +498,7 @@ def martingale_test(bundle: PathBundle, r: float, t1: float, t2: float,
     se = float(np.std(d, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     passed = abs(delta) <= 3.0 * se + 1e-12
     return MartingaleReport(t1=float(t1), t2=float(t2), n_used=n, delta=delta,
-                            se=se, mean_t1=float(np.mean(y1[ok])),
-                            mean_t2=float(np.mean(y2[ok])), passed=passed)
+                            se=se, passed=passed)
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,9 @@ _log = logging.getLogger(__name__)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _FLUX_SCHEMES = ("godunov", "engquist-osher")
 _SLACK = 1e-9  # relative-position tolerance of the stored box
+# flux table of a rate without a closed-form antiderivative: price span, cells
+_TABLE_SPAN = (-0.5, 1.5)
+_TABLE_CELLS = 4096
 
 
 # ----------------------------------------------------------------------
@@ -333,8 +336,7 @@ class FluxModel:
     scalar for a factor-free model, one value per node otherwise.
     """
 
-    def __init__(self, coeffs: CoefficientSet, p_nodes: Optional[np.ndarray],
-                 table_span=(-0.5, 1.5), table_cells: int = 4096):
+    def __init__(self, coeffs: CoefficientSet, p_nodes: Optional[np.ndarray]):
         self._coeffs = coeffs
         self._p_nodes = p_nodes
         self._factor = p_nodes is not None
@@ -353,8 +355,8 @@ class FluxModel:
         else:
             # Dense cumulative Gauss-Legendre table with Hermite-cubic
             # evaluation (slopes are mu itself, known exactly).
-            y0, y1 = table_span
-            knots = np.linspace(y0, y1, table_cells + 1)
+            y0, y1 = _TABLE_SPAN
+            knots = np.linspace(y0, y1, _TABLE_CELLS + 1)
             h = knots[1] - knots[0]
             mids = 0.5 * (knots[:-1] + knots[1:])
             pts = mids[:, None] + 0.5 * h * _GL8_X[None, :]
@@ -516,10 +518,7 @@ def mollify_terminal(surface: TerminalSurface, width: float) -> TerminalSurface:
             acc = acc + wt * np.asarray(base(p, e - off, eparam), dtype=float)
         return acc
 
-    return TerminalSurface(fn=fn, lipschitz_p=surface.lipschitz_p,
-                           representation=surface.representation,
-                           parametrized=surface.parametrized,
-                           label=surface.label + f"~mollified({width:g})")
+    return TerminalSurface(fn=fn, label=surface.label + f"~mollified({width:g})")
 
 
 def _project_terminal(surface: TerminalSurface, e_centres_ext: np.ndarray, de: float,
@@ -937,7 +936,6 @@ class KernelDiagnostics:
     boundary_left: float
     boundary_right_residual: float
     left_tail_mass: float
-    n_slices: int
     passed: bool
     notes: tuple = ()
 
@@ -1023,7 +1021,6 @@ def diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
         boundary_left=left,
         boundary_right_residual=right_res,
         left_tail_mass=tail_mass,
-        n_slices=int(n),
         passed=passed,
         notes=tuple(notes),
     )

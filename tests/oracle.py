@@ -306,7 +306,7 @@ def constant_surface(value: float) -> TerminalSurface:
     def fn(p, e, eparam=None):
         return np.full_like(np.asarray(e, dtype=float), v)
 
-    return TerminalSurface(fn=fn, lipschitz_p=0.0, label=f"const({v:g})")
+    return TerminalSurface(fn=fn, label=f"const({v:g})")
 
 
 def translation_check(field_long: Sequence[ValueGrid], field_short: Sequence[ValueGrid],

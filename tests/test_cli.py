@@ -99,6 +99,7 @@ def test_missing_config_exits_2(tmp_path):
     ["price-multi", "--verify-only"],
     ["price-infinite", "--paths", "8"],
     ["simulate", "--field", "f", "--threads", "2"],
+    ["price-infinite", "--threads", "2"],
 ])
 def test_commands_refuse_flags_they_do_not_read(tmp_path, finite_config, argv):
     with pytest.raises(SystemExit) as exc:
@@ -427,6 +428,24 @@ def test_simulate_refuses_a_tampered_grid(tmp_path, rolled_run, capsys):
     assert main(["verify", str(run)]) == 6
     capsys.readouterr()
     _refused(tmp_path, rolled_run[1], run / "w.grid", capsys, "sha256 mismatch")
+
+
+@pytest.mark.parametrize("grid", ["w.grid", "period_1.grid"])
+def test_verify_checks_a_bare_grid_against_the_manifest_beside_it(
+        tmp_path, priced_run, rolled_run, capsys, grid):
+    """A grid named on its own is hash-checked like one its directory lists:
+    ``w.grid`` against the run manifest, ``period_1.grid`` against the
+    field manifest."""
+    source = rolled_run[0] if grid == "w.grid" else priced_run[0] / "field"
+    run = tmp_path / "run"
+    shutil.copytree(source, run)
+    assert main(["verify", str(run / grid)]) == 0
+    blob = bytearray((run / grid).read_bytes())
+    blob[-8 * 40] ^= 0x01  # the lowest mantissa bit of a stored value
+    (run / grid).write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["verify", str(run / grid)]) == 6
+    assert "sha256 mismatch" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("artifact, tree, reason", [

@@ -86,7 +86,6 @@ def reference_diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
         boundary_left=left,
         boundary_right_residual=right_res,
         left_tail_mass=tail_mass,
-        n_slices=int(v.shape[0]),
         passed=passed,
         notes=tuple(notes),
     )

@@ -6,7 +6,9 @@ import time for users or mid-run under ``--trace 1``.  The command-line
 entry point must also stay free of test-only weight: no scipy, no
 reference-solution module.  And every function or class a module exports
 must be reached from somewhere in the package: a public name that only its
-definition and the export lists mention is dead weight.
+definition and the export lists mention is dead weight.  Likewise every
+field of a dataclass the package defines must be read somewhere in the
+package or its tests.
 """
 
 import ast
@@ -89,3 +91,38 @@ def test_every_exported_definition_is_reached_in_the_package():
     unreached = sorted(f"{module}.{name}" for module, tree in trees.items()
                        for name in _exported_definitions(tree) - used)
     assert not unreached, f"exported but never reached in the package: {unreached}"
+
+
+def _dataclass_fields(tree):
+    """``(class, field)`` for each annotated field of the tree's dataclasses."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(dec, ast.Name) and dec.id == "dataclass"
+                for dec in (getattr(d, "func", d) for d in node.decorator_list)):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def _attribute_reads(tree):
+    """Attribute names the tree loads, copies apart.
+
+    ``name=obj.name``, a read passed straight on as the keyword of the same
+    name, only carries a field from one object to the next; it is not a use.
+    """
+    copies = {id(kw.value) for kw in ast.walk(tree) if isinstance(kw, ast.keyword)
+              and isinstance(kw.value, ast.Attribute) and kw.value.attr == kw.arg}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in copies}
+
+
+def test_every_dataclass_field_is_read():
+    package = Path(carbon_fbsde.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sources + sorted(Path(__file__).parent.glob("*.py"))}
+    read = set().union(*map(_attribute_reads, trees.values()))
+    unread = sorted(f"{path.stem}.{cls}.{name}" for path in sources
+                    for cls, name in _dataclass_fields(trees[path]) if name not in read)
+    assert not unread, f"dataclass fields nothing reads: {unread}"
