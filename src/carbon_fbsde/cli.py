@@ -261,8 +261,8 @@ def _recorded_sha256(path: Path, plan=None):
 def _load_field_for_simulation(plan: RunPlan, field_path: Path):
     """Check a solved field against the config, refusing mismatched artifacts.
 
-    A field directory comes back as a generator of its period grids:
-    ``simulate`` reads and hash-checks each one when its period starts.
+    A field directory comes back as a reader per period grid: ``simulate``
+    streams each one in a hash-checked pass per block group.
     A bare grid is hash-checked against the manifest beside it while it is read.
     """
     if field_path.is_dir() and (field_path / "field_manifest.json").exists():

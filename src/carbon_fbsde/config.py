@@ -40,6 +40,7 @@ import ast
 import copy
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -97,6 +98,38 @@ DEFAULTS = {
 
 
 # ----------------------------------------------------------------------
+# scalars
+# ----------------------------------------------------------------------
+
+def _real(value, key: str) -> float:
+    """``value`` as a finite float; another type (a bool, a string) or a
+    non-finite number raises :class:`ConfigError` naming ``key``."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            x = float(value)
+            if math.isfinite(x):
+                return x
+    except OverflowError:  # an integer beyond any float
+        pass
+    raise ConfigError(f"{key} must be a finite number, not {value!r}")
+
+
+def _count(value, key: str) -> int:
+    """``value`` as an int: a finite number with no fractional part."""
+    x = _real(value, key)
+    if not x.is_integer():
+        raise ConfigError(f"{key} must be a whole number, not {value!r}")
+    return int(x)
+
+
+def _reals(values, n: int, key: str) -> tuple:
+    """A list of ``n`` finite numbers, as floats."""
+    if not isinstance(values, list) or len(values) != n:
+        raise ConfigError(f"{key} must list {n} values")
+    return tuple(_real(v, f"{key}[{i}]") for i, v in enumerate(values))
+
+
+# ----------------------------------------------------------------------
 # coefficient construction
 # ----------------------------------------------------------------------
 
@@ -121,13 +154,14 @@ def preset_coefficients(name: str, params: dict, rate: float) -> CoefficientSet:
     unknown = set(params) - set(base)
     if unknown:
         raise ConfigError(f"preset '{name}' does not take {sorted(unknown)}")
-    p = {**base, **params}
-    m2 = float(p["m2"])
+    p = {k: _real(v, f"coefficients.parameters.{k}")
+         for k, v in {**base, **params}.items()}
+    m2 = p["m2"]
     if m2 <= 0:
         raise ConfigError("need m2 > 0: the emission rate must fall as the price rises")
 
     if name == "no-factor":
-        m0 = float(p["m0"])
+        m0 = p["m0"]
         L = _lipschitz_envelope(m2, m2, 1.0 / m2)
         return CoefficientSet(
             dim_p=0,
@@ -138,8 +172,7 @@ def preset_coefficients(name: str, params: dict, rate: float) -> CoefficientSet:
             label=f"no-factor(m0={m0:g},m2={m2:g})",
         )
 
-    m0, m1 = float(p["m0"]), float(p["m1"])
-    kappa, sigma, p_ref = float(p["kappa"]), float(p["sigma"]), float(p["p_ref"])
+    m0, m1, kappa, sigma, p_ref = (p[k] for k in ("m0", "m1", "kappa", "sigma", "p_ref"))
     if sigma <= 0 or kappa < 0:
         raise ConfigError("need sigma > 0 and kappa >= 0")
     L = _lipschitz_envelope(m2, m2, 1.0 / m2, abs(m1), kappa, sigma)
@@ -209,7 +242,7 @@ def expression_coefficients(expr: dict, rate: float) -> CoefficientSet:
     for key in ("mu", "dim_p", "lipschitz_L", "mono_l1", "mono_l2"):
         if key not in expr:
             raise ConfigError(f"expression coefficients need '{key}'")
-    dim_p = int(expr["dim_p"])
+    dim_p = _count(expr["dim_p"], "coefficients.expression.dim_p")
     if dim_p not in (0, 1):
         raise ConfigError("expression coefficients support dim_p 0 or 1")
     mu_fn = _compile_expr(expr["mu"], ("p", "y"))
@@ -231,8 +264,8 @@ def expression_coefficients(expr: dict, rate: float) -> CoefficientSet:
             np.shape(p)).copy() if np.ndim(p) else float(v_fn(p=float(p)))
     return CoefficientSet(
         dim_p=dim_p, emissions_rate=mu, rate=rate,
-        lipschitz_L=float(expr["lipschitz_L"]),
-        mono_l1=float(expr["mono_l1"]), mono_l2=float(expr["mono_l2"]),
+        **{k: _real(expr[k], f"coefficients.expression.{k}")
+           for k in ("lipschitz_L", "mono_l1", "mono_l2")},
         drift=drift, vol=vol,
         label=f"expression({expr['mu']})",
     )
@@ -279,20 +312,16 @@ def _build_caps(tree: dict, horizon: str, n_periods: int):
         if kind != "per-period":
             raise ConfigError("infinite horizon needs cap.kind = 'per-period'")
         lam = params.get("allocation")
-        if lam is None or float(lam) <= 0:
+        if lam is None or _real(lam, "cap.parameters.allocation") <= 0:
             raise ConfigError("cap.parameters.allocation must be positive")
         return float(lam)
     if kind == "levels":
-        levels = params.get("levels")
-        if not levels or len(levels) != n_periods:
-            raise ConfigError(f"cap.parameters.levels must list {n_periods} values")
-        return tuple(CapFunction.constant(float(v)) for v in levels)
+        levels = _reals(params.get("levels"), n_periods, "cap.parameters.levels")
+        return tuple(CapFunction.constant(v) for v in levels)
     if kind == "allocation":
-        allocs = params.get("allocations")
-        if not allocs or len(allocs) != n_periods:
-            raise ConfigError(f"cap.parameters.allocations must list {n_periods} values")
+        allocs = _reals(params.get("allocations"), n_periods, "cap.parameters.allocations")
         mode = params.get("mode", "banking-borrowing-withdrawal")
-        return make_cap_allocation([float(a) for a in allocs], mode=mode)
+        return make_cap_allocation(list(allocs), mode=mode)
     if kind == "msr":
         if n_periods != 2:
             raise ConfigError("the msr cap rule is defined for two periods")
@@ -300,7 +329,7 @@ def _build_caps(tree: dict, horizon: str, n_periods: int):
         missing = [k for k in need if k not in params]
         if missing:
             raise ConfigError(f"cap.parameters missing {missing}")
-        return make_cap_msr(*(float(params[k]) for k in need))
+        return make_cap_msr(*(_real(params[k], f"cap.parameters.{k}") for k in need))
     raise ConfigError(f"unknown cap.kind '{kind}'")
 
 
@@ -317,12 +346,12 @@ def _auto_e_grid(spec_levels, speed: float, horizon_T: float,
     block as the config wrote it, which decides whether the box is ours
     to snap.
     """
-    margin = grid["margin_factor"] * horizon_T * speed
+    margin = _real(grid["margin_factor"], "grid.margin_factor") * horizon_T * speed
     lo_lvl = min([0.0] + list(spec_levels))
     hi_lvl = max([0.0] + list(spec_levels))
-    e_min = grid.get("e_min", lo_lvl - margin)
-    e_max = grid.get("e_max", hi_lvl + margin)
-    n_e = int(grid.get("n_e", DEFAULTS["grid"]["n_e"]))
+    e_min = _real(grid["e_min"], "grid.e_min") if "e_min" in grid else lo_lvl - margin
+    e_max = _real(grid["e_max"], "grid.e_max") if "e_max" in grid else hi_lvl + margin
+    n_e = _count(grid["n_e"], "grid.n_e")
     if e_max <= e_min:
         raise ConfigError("grid.e_max must exceed grid.e_min")
     if align is not None:
@@ -355,7 +384,7 @@ def build_plan(tree: dict) -> RunPlan:
         raise ConfigError("config root must be a JSON object")
     resolved = _merge({k: v for k, v in DEFAULTS.items() if k != "coefficients"},
                       tree)
-    rate = float(resolved["rate"])
+    rate = _real(resolved["rate"], "rate")
     horizon = resolved["horizon"]
     if horizon not in ("finite", "infinite"):
         raise ConfigError(f"horizon must be finite or infinite, not {horizon!r}")
@@ -374,14 +403,14 @@ def build_plan(tree: dict) -> RunPlan:
     term = resolved["terminal"]
     if term["kind"] not in ("indicator", "smoothed-indicator"):
         raise ConfigError(f"unknown terminal.kind {term['kind']!r}")
-    width = float(term.get("width", 0.0))
+    width = _real(term.get("width", 0.0), "terminal.width")
 
     # -- market spec ---------------------------------------------------
     if horizon == "finite":
         ends = tree.get("periods")
-        if not ends:
+        if not ends or not isinstance(ends, list):
             raise ConfigError("finite horizon needs a 'periods' list of end times")
-        ends = tuple(float(t) for t in ends)
+        ends = _reals(ends, len(ends), "periods")
         if any(b <= a for a, b in zip((0.0,) + ends[:-1], ends)):
             raise ConfigError("period end times must be strictly increasing from 0")
         caps = _build_caps(resolved, horizon, len(ends))
@@ -394,7 +423,7 @@ def build_plan(tree: dict) -> RunPlan:
         period_max = max(b - a for a, b in zip((0.0,) + ends[:-1], ends))
     else:
         tau = tree.get("period_length")
-        if not tau or float(tau) <= 0:
+        if not tau or _real(tau, "period_length") <= 0:
             raise ConfigError("infinite horizon needs a positive period_length")
         tau = float(tau)
         lam_align = _build_caps(resolved, horizon, 0)
@@ -409,7 +438,7 @@ def build_plan(tree: dict) -> RunPlan:
     grid = resolved["grid"]
     if coeffs.dim_p == 1:
         if "p_min" in grid and "p_max" in grid:
-            p_min, p_max = float(grid["p_min"]), float(grid["p_max"])
+            p_min, p_max = (_real(grid[k], f"grid.{k}") for k in ("p_min", "p_max"))
         else:
             # the box holds the whole simulated horizon, which for a
             # rolling market is ``n_periods`` periods
@@ -417,10 +446,10 @@ def build_plan(tree: dict) -> RunPlan:
             n_roll = 1 if horizon == "finite" else sim["n_periods"]
             if not (isinstance(n_roll, int) and n_roll >= 1):
                 raise ConfigError("simulation.n_periods must be a positive integer")
-            reach = coeffs.factor_reach(float(sim["p0"]), n_roll * horizon_T,
+            reach = coeffs.factor_reach(_real(sim["p0"], "simulation.p0"), n_roll * horizon_T,
                                         np.linspace(-10, 10, 41))
             p_min, p_max = -reach, reach
-        n_p = int(grid.get("n_p", DEFAULTS["grid"]["n_p"]))
+        n_p = _count(grid["n_p"], "grid.n_p")
         speed = coeffs.peak_speed(np.linspace(p_min, p_max, 257))
         box = SampleBox(p_low=[p_min], p_high=[p_max])
     else:
@@ -448,10 +477,11 @@ def build_plan(tree: dict) -> RunPlan:
         solver = SolverConfig(
             e_min=e_min, e_max=e_max, n_e=n_e,
             p_min=p_min, p_max=p_max, n_p=n_p,
-            cfl_target=float(grid["cfl_target"]),
-            n_steps=grid.get("n_steps"),
-            viscosity=float(grid["viscosity"]),
-            mollify_width=float(grid["mollify_width"]),
+            cfl_target=_real(grid["cfl_target"], "grid.cfl_target"),
+            n_steps=(None if grid.get("n_steps") is None
+                     else _count(grid["n_steps"], "grid.n_steps")),
+            viscosity=_real(grid["viscosity"], "grid.viscosity"),
+            mollify_width=_real(grid["mollify_width"], "grid.mollify_width"),
             flux_scheme=grid["flux_scheme"],
         )
     except Exception as exc:
@@ -466,6 +496,10 @@ def build_plan(tree: dict) -> RunPlan:
     if "tol_l1" not in inf_opts:
         inf_opts["tol_l1"] = inf_opts.get("tol_rel", 1e-4) * (e_max - e_min)
     sim = dict(resolved["simulation"])
+    for key in ("n_paths", "steps_per_period", "seed", "keep_paths", "n_periods"):
+        _count(sim[key], f"simulation.{key}")
+    for key in ("p0", "e0"):
+        _real(sim[key], f"simulation.{key}")
 
     return RunPlan(
         label=resolved["label"], spec=spec, solver=solver,

@@ -14,8 +14,9 @@ slice by slice, hashing every byte and handing the slices to the
 writer's ``scan`` (the structural diagnostics), and moves the file into
 place; a failure before that leaves nothing behind.  ``read_grid``
 checks a recorded digest in the pass that reads the file, into one array
-or, with ``scan``, one slice at a time.  Only this module hashes a grid;
-``file_sha256`` is for the other artifacts.
+or, with ``scan``, one slice at a time into a ring of the latest few.
+Only this module hashes a grid; ``file_sha256`` is for the other
+artifacts.
 """
 
 from __future__ import annotations
@@ -264,14 +265,16 @@ def _open_grid(path):
 class _Slices:
     """The time slices of an open grid file, for one pass in order.
 
-    Slice ``k`` is read into ``out[k]``, or by default into one buffer
-    that every slice reuses, and goes through the file's hasher.
+    Slice ``k`` is read into ``out[k % len(out)]`` and goes through the
+    file's hasher.  Iterating yields the slices in order; indexing with
+    ``k`` reads forward to slice ``k``, which must still be one of the
+    last ``len(out)`` read.
     """
 
-    def __init__(self, fh, hasher, shape: tuple, path, out=None):
+    def __init__(self, fh, hasher, shape: tuple, path, out: np.ndarray):
         self.shape = shape
         self._fh, self._hasher, self._path = fh, hasher, path
-        self._out = np.empty((1,) + shape[1:], dtype="<f8") if out is None else out
+        self._out = out
         self._read = 0
 
     def _next(self) -> np.ndarray:
@@ -289,38 +292,48 @@ class _Slices:
         while self._read < self.shape[0]:
             yield self._next()
 
+    def __getitem__(self, k: int) -> np.ndarray:
+        while self._read <= k:
+            self._next()
+        if k < self._read - len(self._out):
+            raise RuntimeError(f"slice {k} of a grid file was read and dropped")
+        return self._out[k % len(self._out)]
+
     def drain(self) -> None:
         while self._read < self.shape[0]:
             self._next()
 
 
-def _scan(path, scan) -> tuple:
+def _scan(path, scan, ring: int = 1) -> tuple:
     """``(digest, result)``: one pass over a grid file, slice by slice.
 
-    ``scan``, when given, is called with a grid whose ``values`` yields
-    the time slices in order, each valid until the next one is read;
+    ``scan``, when given, is called with a grid whose ``values`` are the
+    file's :class:`_Slices`, each slice valid until ``ring`` more are read;
     whatever it leaves unread is read and hashed after it returns.
     """
     with _open_grid(path) as (fh, hasher, shape, fields):
-        slices = _Slices(fh, hasher, shape, path)
+        slices = _Slices(fh, hasher, shape, path,
+                         out=np.empty((ring,) + shape[1:], dtype="<f8"))
         result = None if scan is None else scan(ValueGrid(values=slices, **fields))
         slices.drain()
     return hasher.hexdigest(), result
 
 
 def read_grid(path: Union[str, Path], sha256: Optional[str] = None,
-              scan: Optional[Callable[[ValueGrid], object]] = None):
+              scan: Optional[Callable[[ValueGrid], object]] = None, ring: int = 1):
     """Load a grid, hashing its bytes as they are read into the array.
 
     With ``scan`` given nothing is loaded: the file is read once, one
-    time slice at a time, ``scan`` is called with a grid whose ``values``
-    yields those slices in order (each valid until the next one is read),
-    and its result is returned.  With ``sha256`` given, a file whose
-    digest differs is refused once every byte is read.  Any unreadable,
-    truncated or malformed file raises :class:`ArtifactError`.
+    time slice at a time, and ``scan`` is called with a grid whose
+    ``values`` yields those slices in order, or gives slice ``k`` as
+    ``values[k]`` by reading forward to it; each slice stays valid until
+    ``ring`` more are read.  Its result is returned.  With ``sha256``
+    given, a file whose digest differs is refused once every byte is
+    read.  Any unreadable, truncated or malformed file raises
+    :class:`ArtifactError`.
     """
     if scan is not None:
-        digest, result = _scan(path, scan)
+        digest, result = _scan(path, scan, ring)
         _checked(path, sha256, digest)
         return result
     with _open_grid(path) as (fh, hasher, shape, fields):

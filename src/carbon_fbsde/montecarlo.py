@@ -8,17 +8,19 @@ drawing from a counter-based stream keyed by (seed, block index), so
 results are bit-identical regardless of how many paths run (prefixes
 agree).
 
-Periods run outside and blocks inside, in one loop for a finite market's
-period grids and the rolling grid alike.  In period k every block runs
-against grid k and takes its left value at the compliance date T_k; the
-date is then settled for all paths at once.  A finite market drops grid
-k there and reads grid k + 1, whose start gives the right values and
-which serves period k + 1, so it is held one period grid at a time; the
-rolling grid serves every period, read in period-local coordinates.
-The blocks' path state carries over from period to period.  The stream
-holds one row of draws per path across the whole horizon, so in every
-period a block draws its rows again and keeps only that period's
-columns, step-major.
+Periods run outside, in one loop for a finite market's period grids and
+the rolling grid alike.  Within a period, blocks run in groups, one pass
+over the period's grid per group, with the steps outside and the group's
+blocks inside.  A field directory's grids are never held: each pass
+streams grid k from its file through a ring of a few time slices,
+hashing it as it goes, so a step finds the slices that bracket t and
+t + dt in the ring.  Grid k + 1's first slice gives the right values at
+the compliance date T_k, settled before any step of period k + 1.  The
+rolling grid serves every period, held and read in period-local
+coordinates.  The stream holds one row of draws per path across the
+whole horizon, so in every period a block draws its rows again and keeps
+only that period's columns, step-major; a group's draws take at most the
+bytes of the grid that is streamed, not held.
 
 A path that leaves the stored grid box is frozen where it was and
 reported; the run only fails when more than 0.1% of paths do that.
@@ -30,6 +32,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -53,6 +56,10 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 _BLOCK = 8192
+# slices of a streamed grid that stay readable: the blocks read the bracket of
+# t, then that of t + dt, which the next step's bracket starts at most one
+# slice before; three would do
+_RING = 4
 _DRAW_CHUNK = 1 << 16  # draws per chunk when a block's rows are drawn again
 BRANCH_BELOW, BRANCH_AT, BRANCH_ABOVE, BRANCH_ABORTED = -1, 0, 1, -2
 _BRANCH_NAMES = {BRANCH_BELOW: "below", BRANCH_AT: "at", BRANCH_ABOVE: "above",
@@ -143,7 +150,7 @@ def _period_table(field, spec: MarketSpec, n_periods: Optional[int]):
         tau, lam = spec.period_length, spec.cap_per_period
         rows = [((k - 1) * tau, k * tau, (k - 1) * tau, (k - 1) * lam,
                  CapFunction.constant((k - 1) * lam + lam)) for k in range(1, q + 1)]
-        return rows, iter([field]), True
+        return rows, repeat(field), True
     try:
         grids = iter(field)
     except TypeError:
@@ -195,20 +202,38 @@ def _step_factor(coeffs, P, dt: float, sq: float, xi):
     return P + drift * dt + vol * sq * xi
 
 
+def _read_pass(source, run):
+    """``run(grid)`` over one period grid: a held grid as it is, a reader's
+    streamed through a ring of slices in one hash-checked pass."""
+    if isinstance(source, ValueGrid):
+        return run(source)
+    return source(scan=run, ring=_RING)
+
+
 def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
              seed: int = 0, p0: float = 0.0, e0: float = 0.0,
              snapshot_times: Optional[Sequence[float]] = None,
              keep_paths: int = 100, n_periods: Optional[int] = None) -> PathBundle:
     """Euler-simulate (P, E, Y) paths against a solved field.
 
-    ``field`` is a finite market's period grids in period order (any
-    iterable: a tuple, or ``multi_period.read_period_grids`` over a field
-    directory; each grid is asked for when its period starts and released
-    when the next one is, so a reader that yields them from disk keeps
-    one in memory), or, for the rolling market, the stationary
-    :class:`ValueGrid` (then ``n_periods`` chooses how many periods to
-    roll forward and the price reads the grid in period-local
-    coordinates).
+    ``field`` is a finite market's period grids in period order, any
+    iterable whose items are held :class:`ValueGrid` objects or readers
+    (``multi_period.read_period_grids`` over a field directory:
+    ``reader(scan=..., ring=...)`` streams one grid file as
+    ``gridio.read_grid`` does); each item is asked for when its period
+    starts.  For the rolling market it is the stationary
+    :class:`ValueGrid`; then ``n_periods`` chooses how many periods to
+    roll forward and the price reads the grid in period-local coordinates.
+
+    A period runs in block groups, one pass over its grid each, with the
+    steps outside and the group's blocks inside.  A group's period draws
+    take at most the bytes of a streamed grid, which is never held, and a
+    group has at least one block, so a held grid gets groups of one block;
+    without draws all blocks form one group.  A pass settles the previous
+    compliance date at its grid's first slice, before any step.  A
+    reader's digest is checked when its pass ends, so a corrupt grid
+    raises :class:`ArtifactError` after that pass has run.
+
     The factor steps by its exact mean-reverting transition when the
     coefficients declare one, otherwise by an Euler increment.  The
     emissions state integrates the rate with a trapezoidal
@@ -224,14 +249,10 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
         raise ValidationError("seed must be a non-negative integer")
     if keep_paths < 0:
         raise ValidationError("keep_paths must be a non-negative integer")
-    periods, grids, rolling = _period_table(field, spec, n_periods)
+    periods, sources, rolling = _period_table(field, spec, n_periods)
     q = len(periods)
     spp = steps_per_period
     has_p = coeffs.dim_p == 1
-    grid = _next_grid(grids, 1)
-    delta_e = grid.delta_e
-
-    _check_reach_box(coeffs, grid, periods, rolling, p0, e0)
 
     n_steps = q * spp
     t_end = periods[-1][1]
@@ -271,30 +292,92 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
     alive_all = np.ones(n_paths, dtype=bool)
     eparam_all = E_all.copy()
     ok_date = np.empty(n_paths, dtype=bool)  # left and right value inside the box
+    # the rate and predicted emissions, kept from a step's first half to its
+    # second; owned here, as ``mu`` may return a shared or read-only array
+    mu_all, pred_all = np.empty(n_paths), np.empty(n_paths)
 
     blocks = [(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
-    width = blocks[0][1]
-    xi = np.empty((spp, width)) if has_p else None
-    # per-step scratch owned here: ``mu`` may return a shared or read-only array
-    mu_buf, pred_buf = np.empty(width), np.empty(width)
-    mask_buf = np.empty(width, dtype=bool)
+    mask_buf = np.empty(blocks[0][1], dtype=bool)
+    draw_bytes = 8 * spp * _BLOCK if has_p else 0
+    xi_buf = np.empty(0)
+    passes = [0] * q
+    ring_bytes = 0
+    delta_e = None
 
-    for k, (t0, t1, t_shift, e_off, cap) in enumerate(periods):
+    def settle(k: int, group: list, grid: Optional[ValueGrid] = None, off: float = 0.0):
+        """Compliance date T_k for the paths of ``group``.  The right value
+        is read at ``grid``'s start ``off`` lower in emissions, block by block
+        so the lookup's temporaries stay block-sized; without a grid (after
+        a chained field's last date) it is the payout itself."""
+        g = slice(group[0][0], group[-1][1])
+        E = E_all[g]
+        comp_E[k, g] = E
+        comp_cap[k, g] = periods[k][4].level(eparam_all[g])
+        if grid is None:
+            comp_right[k, g] = E >= comp_cap[k, g]
+        else:
+            for lo, hi in group:
+                e = E_all[lo:hi] - off
+                comp_right[k, lo:hi], ok = lookup(grid, grid.t0,
+                                                  P_all[lo:hi] if has_p else None, e,
+                                                  e if grid.has_eparam else None)
+                ok_date[lo:hi] &= ok
+        alive = alive_all[g]
+        newly = alive > ok_date[g]
+        abort_step[g][newly] = (k + 1) * spp
+        aborted[g] |= newly
+        alive &= ok_date[g]
+        lost = ~alive
+        comp_left[k, g][lost] = np.nan
+        comp_right[k, g][lost] = np.nan
+        branch[k, g] = np.where(alive, np.sign(E - comp_cap[k, g]), BRANCH_ABORTED)
+        eparam_all[g] = E
+        np.copyto(Y_all[g], comp_right[k, g], where=alive)
+
+    def run_pass(grid: ValueGrid, k: int, b0: int) -> int:
+        """Period ``k`` for the block group that starts at block ``b0``, in
+        one pass over ``grid``; returns the block after the group."""
+        nonlocal xi_buf, ring_bytes, delta_e
+        t0, t1, t_shift, e_off, _ = periods[k]
+        if delta_e is None:  # the first pass; the box check reads only the axes
+            _check_reach_box(coeffs, grid, periods, rolling, p0, e0)
+            delta_e = grid.delta_e
+        shape = grid.values.shape
+        streamed = not isinstance(grid.values, np.ndarray)
+        if streamed:
+            ring_bytes = max(ring_bytes, _RING * 8 * math.prod(shape[1:]))
+        budget = 8 * math.prod(shape) if streamed else 0
+        size = max(1, budget // draw_bytes) if draw_bytes else len(blocks)
+        group = blocks[b0:b0 + size]
+        glo, width = group[0][0], group[-1][1] - group[0][0]
+        passes[k] += 1
+        if k:
+            settle(k - 1, group, grid, e_off)
+
         dt = (t1 - t0) / spp
         sq = math.sqrt(dt)
-        for b, (lo, hi) in enumerate(blocks):
-            bs = hi - lo
-            P = P_all[lo:hi] if has_p else None
-            E, Y, alive, eparam = (E_all[lo:hi], Y_all[lo:hi], alive_all[lo:hi],
-                                   eparam_all[lo:hi])
-            mu, e_pred, newly = mu_buf[:bs], pred_buf[:bs], mask_buf[:bs]
+        if has_p:
+            if xi_buf.size < spp * width:
+                xi_buf = None  # drop the smaller buffer before the larger one
+                xi_buf = np.empty(spp * width)
+            xi = xi_buf[:spp * width].reshape(spp, width)
+        work = []
+        for b, (lo, hi) in enumerate(group, start=b0):
             if has_p:
-                _draw_columns(xi[:, :bs], seed, b, n_steps, k * spp)
-            kb = min(keep, hi) - lo
-            ep = (eparam - e_off) if grid.has_eparam else None
-            gstep = k * spp
-            for j in range(spp):
-                t = times[gstep]
+                _draw_columns(xi[:, lo - glo:hi - glo], seed, b, n_steps, k * spp)
+            work.append((lo, hi, P_all[lo:hi] if has_p else None, E_all[lo:hi],
+                         Y_all[lo:hi], alive_all[lo:hi], mu_all[lo:hi], pred_all[lo:hi],
+                         (eparam_all[lo:hi] - e_off) if grid.has_eparam else None,
+                         xi[:, lo - glo:hi - glo] if has_p else None, min(keep, hi) - lo))
+
+        # every block takes the bracket of t before any reads that of t + dt,
+        # so a streamed grid is read forward once per step
+        for j in range(spp):
+            gstep = k * spp + j
+            t = times[gstep]
+            s = snap_pos.get(gstep)
+            for lo, hi, P, E, Y, alive, mu, e_pred, ep, xi_b, kb in work:
+                newly = mask_buf[:hi - lo]
                 y_new, ok = lookup(grid, t - t_shift, P, E - e_off, ep)
                 np.greater(alive, ok, out=newly)  # alive and not ok
                 if newly.any():
@@ -303,8 +386,7 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
                     alive &= ok
                 np.copyto(Y, y_new, where=alive)
 
-                if gstep in snap_pos:
-                    s = snap_pos[gstep]
+                if s is not None:
                     if has_p:
                         snap_P[s, lo:hi] = P
                     snap_E[s, lo:hi] = E
@@ -317,11 +399,13 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
 
                 np.copyto(mu, np.asarray(coeffs.mu(P, Y), dtype=float))
                 if has_p:
-                    np.copyto(P, _step_factor(coeffs, P, dt, sq, xi[j, :bs]), where=alive)
+                    np.copyto(P, _step_factor(coeffs, P, dt, sq, xi_b[j]), where=alive)
                 np.multiply(mu, dt, out=e_pred)
                 e_pred += E
                 e_pred -= e_off
-                t_pred = min(t + dt - t_shift, grid.last_interior_time)
+            t_pred = min(t + dt - t_shift, grid.last_interior_time)
+            for lo, hi, P, E, Y, alive, mu, e_pred, ep, _, _ in work:
+                newly = mask_buf[:hi - lo]
                 y_pred, okp = lookup(grid, t_pred, P, e_pred, ep)
                 np.logical_not(okp, out=newly)
                 np.copyto(y_pred, Y, where=newly)
@@ -330,45 +414,25 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
                 mu *= dt
                 mu += E
                 np.copyto(E, mu, where=alive)
-                gstep += 1
 
-            # left value at T_k from grid k; its last_interior_time is in
-            # the same coordinates as the step reads
+        # left value at T_k from grid k; its last_interior_time is in the
+        # same coordinates as the step reads
+        for lo, hi, P, E, _, _, _, _, ep, _, _ in work:
             comp_left[k, lo:hi], ok_date[lo:hi] = lookup(
                 grid, grid.last_interior_time, P, E - e_off, ep)
+        if k + 1 == q and rolling:  # the rolling grid serves the last date too
+            settle(k, group, grid, e_off + spec.cap_per_period)
+        elif k + 1 == q:
+            settle(k, group)
+        return b0 + len(group)
 
-        # -- compliance date T_k, settled for all paths at once.  A chained
-        # field drops grid k and reads grid k + 1, whose start gives the
-        # right value; the rolling grid serves every date.  After a chained
-        # field's last date the contract is settled: the right value is the
-        # payout itself.
-        comp_E[k] = E_all
-        comp_cap[k] = cap.level(eparam_all)
-        if not rolling:
-            grid = None
-            if k + 1 < q:
-                grid = _next_grid(grids, k + 2)
-        if grid is None:
-            comp_right[k] = E_all >= comp_cap[k]
-        else:
-            off = periods[k + 1][3] if k + 1 < q else e_off + spec.cap_per_period
-            # block by block, so the lookup's temporaries stay block-sized
-            for lo, hi in blocks:
-                e = E_all[lo:hi] - off
-                comp_right[k, lo:hi], ok = lookup(grid, grid.t0,
-                                                  P_all[lo:hi] if has_p else None, e,
-                                                  e if grid.has_eparam else None)
-                ok_date[lo:hi] &= ok
-        newly = alive_all > ok_date
-        abort_step[newly] = (k + 1) * spp
-        aborted |= newly
-        alive_all &= ok_date
-        lost = ~alive_all
-        comp_left[k, lost] = np.nan
-        comp_right[k, lost] = np.nan
-        branch[k] = np.where(alive_all, np.sign(E_all - comp_cap[k]), BRANCH_ABORTED)
-        eparam_all[:] = E_all
-        np.copyto(Y_all, comp_right[k], where=alive_all)
+    # periods outside; a chained field's grid k + 1 settles date T_k
+    for k in range(q):
+        source = _next_grid(sources, k + 1)
+        b0 = 0
+        while b0 < len(blocks):
+            b0 = _read_pass(source, partial(run_pass, k=k, b0=b0))
+        source = None  # a held grid of a chained field goes with its period
 
     # final mesh point: right value of the last compliance date
     if n_steps in snap_pos:
@@ -386,9 +450,12 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
         seconds = time.perf_counter() - started
         lost = np.diff(np.count_nonzero(branch == BRANCH_ABORTED, axis=1), prepend=0)
         _log.debug("simulate: %d paths x %d steps = %d path steps in %.3f s "
-                   "(%.4g paths/s); aborted paths per compliance date %s",
+                   "(%.4g paths/s); aborted paths per compliance date %s; "
+                   "block groups per period %s, one grid pass each; ring %d B, "
+                   "draw buffer %d B",
                    n_paths, n_steps, n_paths * n_steps, seconds,
-                   n_paths / seconds, lost.tolist())
+                   n_paths / seconds, lost.tolist(), passes, ring_bytes,
+                   xi_buf.nbytes)
     frac = float(aborted.mean())
     if frac > 1e-3:
         raise SimulationError(

@@ -13,13 +13,15 @@ A field is its period grids and nothing more.  :func:`solve_periods`
 yields them backward; :func:`write_period_grid` and
 :func:`write_field_manifest` write a field directory, one grid file per
 period plus a manifest; :func:`open_field_dir` checks that manifest and
-:func:`read_period_grids` reads the grids back in period order, one at a
-time, each hash-checked while it is read.
+:func:`read_period_grids` gives a reader per period grid, in period
+order, each hash-checked in the pass that reads it; ``simulate`` streams
+each grid through a few slices and never holds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -136,11 +138,12 @@ def open_field_dir(path) -> tuple:
     return manifest, entries
 
 
-def read_period_grids(root: Path, entries: list):
-    """The grids of :func:`open_field_dir`'s ``entries``, one per ``next``.
+def read_period_grids(root: Path, entries: list) -> list:
+    """A reader per grid of :func:`open_field_dir`'s ``entries``, in order.
 
-    Each grid is checked against its recorded sha256 while it is read, and
-    the generator keeps no reference to a grid once it has yielded it.
+    ``reader()`` loads the grid and ``reader(scan=..., ring=...)`` streams
+    it, as :func:`gridio.read_grid` does; each call reads the file once and
+    checks it against its recorded sha256 in that pass.
     """
-    for entry in entries:
-        yield read_grid(root / entry["file"], entry["sha256"])
+    return [partial(read_grid, root / entry["file"], entry["sha256"])
+            for entry in entries]

@@ -237,28 +237,36 @@ def _query_axes(grid: ValueGrid, p, e, eparam):
     return axes
 
 
+def _time_bracket(times: np.ndarray, t: float) -> tuple:
+    """``(it, wt)``: ``t``, clamped to ``[t0, tau]``, lies ``wt`` of the way
+    from time slice ``it`` to ``it + 1``.  The stored time axis may hold one
+    shorter remainder step, so the bracket comes from a search; a grid that
+    stores one time has ``(0, 0.0)``.  With ``wt == 0`` slice ``it`` alone
+    gives the value."""
+    t = min(max(t, times[0]), times[-1])
+    if times.size == 1:
+        return 0, 0.0
+    it = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
+    return it, min(max((t - times[it]) / (times[it + 1] - times[it]), 0.0), 1.0)
+
+
 def lookup(grid: ValueGrid, t: float, p, e, eparam=None):
     """Multilinear field value at time ``t`` with an in-box mask.
 
-    ``t`` is clamped to ``[t0, tau]``; the stored time axis may hold
-    one shorter remainder step, so its bracket comes from a search.  A
-    grid that stores one time (a start-only solve) reads that slice.
-    Points outside the spatial box are clamped onto it for the value and
-    marked ``False`` in the mask; the caller decides what that means.
-    Returns ``(value, in_box)``.
+    ``t`` is clamped to ``[t0, tau]`` and bracketed by
+    :func:`_time_bracket`.  Points outside the spatial box are clamped
+    onto it for the value and marked ``False`` in the mask; the caller
+    decides what that means.  Returns ``(value, in_box)``.
 
     Each axis is located once.  The ``2^d`` cell corners, last axis
     fastest, get their weight products and flat offsets into a C-ordered
     slice once, and each bracketing time slice is gathered corner by
-    corner with ``take`` on its raveled view.
+    corner with ``take`` on its raveled view and blended in time.  The
+    slices are read as ``grid.values[it]`` and ``grid.values[it + 1]``, so
+    ``values`` may be the whole array or a streamed grid's ring of recent
+    slices (``gridio.read_grid`` with ``scan``), with the same bracket.
     """
-    times = grid.times
-    t = min(max(t, times[0]), times[-1])
-    it, wt = 0, 0.0
-    if times.size > 1:
-        it = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
-        wt = min(max((t - times[it]) / (times[it + 1] - times[it]), 0.0), 1.0)
-
+    it, wt = _time_bracket(grid.times, t)
     shape = grid.values.shape[1:]
     stride = math.prod(shape)
     base, corners, in_box = 0, [(1.0, 0)], True
@@ -271,20 +279,24 @@ def lookup(grid: ValueGrid, t: float, p, e, eparam=None):
         in_box = in_box & ok
     corners = [(wc, base + oc) for wc, oc in corners]
 
-    blend = []
-    for S in grid.values[it: it + 2 if wt > 0.0 else it + 1]:
-        flat = S.ravel()
-        acc = 0.0
-        for wc, idx in corners:
-            term = flat.take(idx)
-            term *= wc
-            acc += term
-        blend.append(acc)
+    value = _gather(grid.values[it], corners)
     if wt > 0.0:
-        blend[0] *= 1.0 - wt
-        blend[1] *= wt
-        blend[0] += blend[1]
-    return blend[0], in_box
+        later = _gather(grid.values[it + 1], corners)
+        value *= 1.0 - wt
+        later *= wt
+        value += later
+    return value, in_box
+
+
+def _gather(S: np.ndarray, corners: list):
+    """``sum(weight * S.flat[offset])`` over the corners, in their order."""
+    flat = S.ravel()
+    acc = 0.0
+    for wc, idx in corners:
+        term = flat.take(idx)
+        term *= wc
+        acc += term
+    return acc
 
 
 def evaluate(grid: ValueGrid, t: float, p, e, eparam=None):

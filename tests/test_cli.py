@@ -1,6 +1,7 @@
 """End-to-end CLI tests, run in-process through main()."""
 
 import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from carbon_fbsde import gridio
 from carbon_fbsde.cli import main
+from carbon_fbsde.config import bundled_preset
 from carbon_fbsde.gridio import read_grid, write_grid
 from carbon_fbsde.pde_kernel import ValueGrid
 
@@ -126,6 +128,31 @@ def test_bad_thread_env_exits_2(tmp_path, finite_config, monkeypatch):
     monkeypatch.setenv("CARBON_FBSDE_THREADS", "many")
     assert main(["price-multi", "--config", str(finite_config),
                  "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("where, value, key", [
+    (("cap", "parameters", "levels"), [math.nan], "cap.parameters.levels[0]"),
+    (("grid", "n_e"), "many", "grid.n_e"),
+    (("periods",), "x", "periods"),
+    (("rate",), math.nan, "rate"),
+    (("rate",), math.inf, "rate"),
+    (("simulation", "steps_per_period"), "many", "simulation.steps_per_period"),
+], ids=["nan-level", "word-n_e", "word-periods", "nan-rate", "infinite-rate",
+        "word-steps"])
+def test_odd_config_scalars_exit_2_naming_the_key(tmp_path, capsys, where, value, key):
+    """A NaN level used to price an all-zero field and exit 0, words raised
+    a bare ValueError (exit 1; for the simulation block, in ``simulate``),
+    and a NaN or infinite rate reached the solver (exits 3 and 4)."""
+    tree = bundled_preset("burgers")
+    node = tree
+    for name in where[:-1]:
+        node = node[name]
+    node[where[-1]] = value
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(tree))  # NaN and Infinity as JSON reads them
+    assert main(["price-multi", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and key in err, err
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carbon_fbsde.gridio import read_grid, write_grid
 from carbon_fbsde.pde_kernel import _SLACK, ValueGrid, _query_axes, lookup
 
 
@@ -170,3 +171,33 @@ def test_a_swapped_corner_order_shows_in_the_bits(kind):
 
     with mock.patch(f"{__name__}.product", swapped):
         assert not np.array_equal(value, reference_lookup(finite, t, p, e, eparam)[0])
+
+
+@pytest.mark.parametrize("kind", sorted(GRIDS))
+def test_a_ring_of_slices_reads_what_the_whole_grid_reads(tmp_path, kind):
+    """``lookup`` on a streamed grid, whose ``values`` keep only the last two
+    slices read, lands on the whole grid's bracket and bits: on every node,
+    where one slice gives the value, between nodes, and clamped past both
+    ends."""
+    grid = GRIDS[kind]
+    path = tmp_path / "grid"
+    write_grid(grid, path)
+    times = grid.times.tolist()
+    queries = sorted([grid.t0 - 1.0, grid.tau + 1.0, *times,
+                      *(0.5 * (a + b) for a, b in zip(times, times[1:]))])
+    p, e, eparam = _queries(grid, np.random.default_rng(5).uniform(-0.1, 1.1, (64, 2)),
+                            "array")
+    with np.errstate(invalid="ignore"):  # NaN values in the grid
+        streamed = read_grid(path, scan=lambda ring: [lookup(ring, t, p, e, eparam)
+                                                      for t in queries], ring=2)
+        for t, (value, in_box) in zip(queries, streamed):
+            ref_value, ref_in_box = lookup(grid, t, p, e, eparam)
+            assert np.array_equal(_bits(value), _bits(ref_value)), t
+            assert np.array_equal(in_box, ref_in_box)
+
+
+def test_a_slice_that_left_the_ring_is_refused(tmp_path):
+    path = tmp_path / "grid"
+    write_grid(GRIDS["plain"], path)
+    with pytest.raises(RuntimeError, match="read and dropped"):
+        read_grid(path, scan=lambda ring: (ring.values[3], ring.values[1]), ring=2)

@@ -138,7 +138,7 @@ def write_field_dir(grids, root):
 
 def read_field_dir(root):
     manifest, entries = open_field_dir(root)
-    return list(read_period_grids(root, entries)), manifest
+    return [read() for read in read_period_grids(root, entries)], manifest
 
 
 def test_field_dir_round_trip(tmp_path, field):

@@ -1,10 +1,12 @@
-"""``simulate --field DIR`` holds one period grid at a time.
+"""``simulate --field DIR`` streams its period grids and holds none.
 
 The CLI checks the field's manifests up front and hands ``simulate`` a
-reader of the period grids; each grid is read and hash-checked when its
-period starts, and released once every path block has taken its left
-value at that period's compliance date.  Against the rolling grid, which
-serves every period, the draw buffer likewise holds one period's steps.
+reader per period grid.  Each period runs in block groups, and each group
+streams its grid in one hash-checked pass through a ring of a few slices;
+grid k + 1's first slice settles compliance date T_k.  A group's draws
+take at most the bytes of the grid it streams.  Against the rolling grid,
+which is held and serves every period, the draw buffer holds one block's
+steps of one period.
 """
 
 import json
@@ -17,9 +19,11 @@ import pytest
 
 from carbon_fbsde import gridio, simulate, solve_infinite
 from carbon_fbsde.cli import main
-from carbon_fbsde.config import build_plan
+from carbon_fbsde.config import build_plan, bundled_preset, load_config
 from carbon_fbsde.gridio import read_grid
 from carbon_fbsde.montecarlo import _BLOCK
+from carbon_fbsde.multi_period import open_field_dir, read_period_grids
+from test_simulate_equivalence import assert_same_bundle, reference_simulate
 
 # three equal periods on a fine emissions grid, so one period grid (about
 # 330 slices of 1000 cells) is large against the few simulated paths
@@ -83,6 +87,20 @@ def test_simulate_holds_one_period_grid(tmp_path, priced):
     assert peak < 1.5 * grid_bytes, (peak, grid_bytes)
 
 
+def test_simulate_streams_less_than_half_a_period_grid(tmp_path, priced):
+    config, run = priced
+    assert _simulate(config, run / "field", tmp_path / "warm") == 0
+    tracemalloc.start()
+    try:
+        code = _simulate(config, run / "field", tmp_path / "sim")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    grid_bytes = read_grid(run / "field" / "period_1.grid").values.nbytes
+    assert peak < 0.5 * grid_bytes, (peak, grid_bytes)
+
+
 def test_rolling_draw_buffer_holds_one_period(rolling_factor_tree):
     tree = rolling_factor_tree
     tree["grid"] = {"e_min": -2.5, "e_max": 3.5, "n_e": 120,
@@ -123,8 +141,63 @@ def test_a_corrupt_later_grid_exits_6_and_writes_nothing(tmp_path, priced, grid_
 
     out = tmp_path / "sim"
     assert _simulate(config, broken / "field", out) == 6
-    # detected when period 2 starts, after period 1 has been simulated
+    # detected when period 2's pass ends, after period 1 has been simulated
     assert grid_reads == ["period_1.grid", "period_2.grid"]
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "sha256" in err, err
+    assert not any((out / name).exists()
+                   for name in ("paths.csv", "events.csv", "manifest.json"))
+
+
+# the factor preset on a coarse grid: with 32 steps a block's period draws
+# outgrow a period grid, so each period runs one group per block
+SMALL_FACTOR = {**bundled_preset("two-period-factor"), "label": "small-factor",
+                "grid": {"e_min": -0.7, "e_max": 4.0, "n_e": 160,
+                         "p_min": -3.0, "p_max": 3.0, "n_p": 17},
+                "simulation": {"n_paths": _BLOCK + 17, "steps_per_period": 32,
+                               "keep_paths": 20, "seed": 5}}
+
+
+@pytest.fixture(scope="module")
+def small_factor(tmp_path_factory):
+    """``(config, run directory)`` of one ``price-multi`` run."""
+    root = tmp_path_factory.mktemp("small-factor")
+    config = root / "small-factor.json"
+    config.write_text(json.dumps(SMALL_FACTOR))
+    assert main(["price-multi", "--config", str(config), "--out", str(root / "run")]) == 0
+    return config, root / "run"
+
+
+def test_block_groups_stream_each_grid_once_per_pass(small_factor, grid_reads):
+    config, run = small_factor
+    plan = load_config(config)
+    _, entries = open_field_dir(run / "field")
+    readers = read_period_grids(run / "field", entries)
+    grids = tuple(read() for read in readers)
+    sim = SMALL_FACTOR["simulation"]
+    kwargs = dict(n_paths=sim["n_paths"], steps_per_period=sim["steps_per_period"],
+                  seed=sim["seed"], keep_paths=sim["keep_paths"])
+    assert all(g.values.nbytes < 8 * sim["steps_per_period"] * _BLOCK for g in grids)
+
+    grid_reads.clear()
+    bundle = simulate(readers, plan.spec, **kwargs)
+    assert grid_reads == ["period_1.grid"] * 2 + ["period_2.grid"] * 2
+    assert_same_bundle(bundle, reference_simulate(grids, plan.spec, **kwargs))
+
+
+def test_a_corrupt_grid_exits_6_when_its_first_pass_ends(tmp_path, small_factor,
+                                                         grid_reads, capsys):
+    config, run = small_factor
+    broken = tmp_path / "run"
+    shutil.copytree(run, broken)
+    victim = broken / "field" / "period_2.grid"
+    blob = bytearray(victim.read_bytes())
+    blob[-1] ^= 0x01
+    victim.write_bytes(bytes(blob))
+
+    out = tmp_path / "sim"
+    assert _simulate(config, broken / "field", out) == 6
+    assert grid_reads == ["period_1.grid"] * 2 + ["period_2.grid"]
     err = capsys.readouterr().err
     assert err.count("error: ") == 1 and "sha256" in err, err
     assert not any((out / name).exists()
