@@ -29,7 +29,7 @@ TIMING_KEYS = ("wall_clock_utc", "solve_seconds", "simulate_seconds")
 def grid_deviation(a: Path, b: Path):
     """Maximum absolute difference of two grids, or None if their axes differ."""
     ga, gb = read_grid(a), read_grid(b)
-    axes = ("times", "e_nodes", "p_nodes", "eparam_nodes")
+    axes = ("times", "e_nodes", "p_nodes")
     for name in axes:
         xa, xb = getattr(ga, name), getattr(gb, name)
         if (xa is None) != (xb is None) or (xa is not None and not np.array_equal(xa, xb)):

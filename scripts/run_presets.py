@@ -5,11 +5,9 @@ field; the infinite-horizon preset runs the fixed-point solve and a
 rolled-forward simulation.  Everything goes through the command-line
 entry points, so what this script exercises is exactly what a user gets.
 
-Usage: python scripts/run_presets.py [--out runs/] [--paths 20000] [--threads N]
+Usage: python scripts/run_presets.py [--out runs/] [--paths 20000]
 
-``--threads`` goes to ``price-multi``, the one command that reads it (it
-splits the recorded-emissions batch of the ``msr`` cap), and ``--paths``
-to ``simulate``.
+``--paths`` goes to ``simulate``.
 """
 
 import argparse
@@ -31,11 +29,9 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="runs")
     ap.add_argument("--paths", type=int, default=None)
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args()
     root = Path(args.out)
 
-    multi_extra = [] if args.threads is None else ["--threads", str(args.threads)]
     sim_extra = [] if args.paths is None else ["--paths", str(args.paths)]
 
     for name, tree in BUNDLED_PRESETS.items():
@@ -45,7 +41,7 @@ def main() -> None:
             run(["price-infinite", "--config", cfg, "--out", str(out)])
             field = out / "w.grid"
         else:
-            run(["price-multi", "--config", cfg, "--out", str(out)] + multi_extra)
+            run(["price-multi", "--config", cfg, "--out", str(out)])
             field = out / "field"
         run(["simulate", "--config", cfg, "--field", str(field),
              "--out", str(out / "sim")] + sim_extra)

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    carbon-fbsde price-multi    --config C --out D [--threads N]
+    carbon-fbsde price-multi    --config C --out D
     carbon-fbsde price-infinite --config C --out D
     carbon-fbsde simulate       --config C --field P --out D [--paths N] [--seed S]
     carbon-fbsde verify         ARTIFACT
@@ -14,9 +14,7 @@ bare grid file is checked against the manifest beside it.
 Exit codes are a stable contract: 0 success, 2 configuration or domain
 error, 3 solver or simulation failure, 4 invariant violation, 5
 non-convergence (certificate still written), 6 artifact hash or
-spec mismatch.  ``--threads`` splits a recorded-emissions batch (the
-``msr`` cap's second period) across threads; it falls back to the
-CARBON_FBSDE_THREADS environment variable, then to 1.
+spec mismatch.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 import time
 from contextlib import ExitStack
@@ -58,18 +55,6 @@ def _exit_code(exc: CarbonMarketError) -> int:
     for cls, code in _EXIT_CODES:
         if isinstance(exc, cls):
             return code
-    return 1
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("CARBON_FBSDE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"CARBON_FBSDE_THREADS={env!r} is not an integer")
     return 1
 
 
@@ -145,8 +130,7 @@ def cmd_price_multi(args) -> int:
             field_dir / f"period_{k}.grid", scan=partial(_grid_report, label=f"period_{k}")))
             for k in range(1, q + 1)]
         t_start = time.monotonic()
-        for k, grid in solve_periods(plan.spec, plan.solver, threads=_threads(args),
-                                     sinks=writers):
+        for k, grid in solve_periods(plan.spec, plan.solver, sinks=writers):
             solve_seconds += time.monotonic() - t_start
             entries[k - 1] = write_period_grid(writers[k - 1], field_dir, k)
             reports[k - 1] = writers[k - 1].scanned
@@ -427,9 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    p = command("price-multi", cmd_price_multi, "solve a finite multi-period market")
-    p.add_argument("--threads", type=int, default=None)
-
+    command("price-multi", cmd_price_multi, "solve a finite multi-period market")
     command("price-infinite", cmd_price_infinite, "solve the rolling market")
 
     p = command("simulate", cmd_simulate, "simulate paths against a solved field")

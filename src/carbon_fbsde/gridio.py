@@ -127,8 +127,8 @@ def _prefix(grid: ValueGrid, shape: tuple) -> bytes:
         "times": grid.times.tolist(),
         "e_nodes": grid.e_nodes.tolist(),
         "p_nodes": None if grid.p_nodes is None else grid.p_nodes.tolist(),
-        "eparam_nodes": (None if grid.eparam_nodes is None
-                         else grid.eparam_nodes.tolist()),
+        # always null, so grid files keep their bytes; readers refuse any other value
+        "eparam_nodes": None,
         "rate": float(grid.rate),
         "shape": list(shape),
         "meta": jsonable(grid.meta),
@@ -221,9 +221,12 @@ def _parse_header(raw: bytes, path) -> tuple:
     """Payload shape and ValueGrid fields of a header whose axes fit its shape."""
     try:
         header = json.loads(raw.decode("utf-8"))
-        fields = {key: None if key in ("p_nodes", "eparam_nodes") and header[key] is None
+        if header["eparam_nodes"] is not None:
+            raise ArtifactError(f"{path}: a reserve-rule grid with a recorded-emissions "
+                                "axis (eparam_nodes), no longer read; price it again")
+        fields = {key: None if key == "p_nodes" and header[key] is None
                   else np.asarray(header[key], dtype=float)
-                  for key in ("times", "p_nodes", "e_nodes", "eparam_nodes")}
+                  for key in ("times", "p_nodes", "e_nodes")}
         axes = [nodes for nodes in fields.values() if nodes is not None]
         meta = header.get("meta", {})
         if (any(nodes.ndim != 1 for nodes in axes) or not isinstance(meta, dict)
@@ -345,8 +348,7 @@ def read_grid(path: Union[str, Path], sha256: Optional[str] = None,
 
 def start_slice_csv(grid: ValueGrid, path: Union[str, Path]) -> None:
     """Write the start-of-period slice as CSV, one row per grid node."""
-    named = [(name, nodes) for name, nodes in (("p", grid.p_nodes), ("e", grid.e_nodes),
-                                                ("eparam", grid.eparam_nodes))
+    named = [(name, nodes) for name, nodes in (("p", grid.p_nodes), ("e", grid.e_nodes))
              if nodes is not None]
     mesh = np.meshgrid(*(nodes for _, nodes in named), indexing="ij")
     columns = [m.ravel() for m in mesh] + [grid.values[0].ravel()]

@@ -13,7 +13,7 @@ Conventions
 * ``p`` is the exogenous factor state (dimension ``dim_p``, possibly 0),
   ``y`` the allowance price, ``e`` cumulative emissions, and ``eparam``
   the emissions level recorded at the start of the current period (only
-  relevant when a cap rule feeds back on it).
+  relevant when a cap rule feeds back on it, as the reserve rule does).
 * All user-supplied callables must accept numpy arrays and broadcast.
   For ``dim_p == 0`` the factor argument is passed as ``None`` and must
   be ignored.
@@ -251,9 +251,10 @@ class CapFunction:
 
     ``level(eparam)`` maps the emissions recorded at the previous
     compliance date to the cap applying at this one.  ``constant_value``
-    is set when the level does not depend on ``eparam`` at all, which
-    unlocks the fast solver path (no ``eparam`` axis); ``level`` then
-    returns that scalar, which broadcasts against any ``eparam``.
+    is set when the level does not depend on ``eparam`` at all; ``level``
+    then returns that scalar, which broadcasts against any ``eparam``.
+    A period whose cap does depend on it is solved at a constant stand-in
+    and read moved by the difference (``pde_kernel.lookup_recorded``).
     """
 
     kind: str
@@ -339,24 +340,21 @@ def make_cap_msr(c1: float, c2: float, kappa_low: float, kappa_high: float,
 
 @dataclass(frozen=True, eq=False)
 class TerminalSurface:
-    """Terminal payout surface ``phi(p, e, eparam) in [0, 1]``, computed by ``fn``.
-
-    A surface whose cap does not depend on recorded emissions ignores ``eparam``.
-    """
+    """Terminal payout surface ``phi(p, e) in [0, 1]``, computed by ``fn``."""
 
     fn: Callable
     label: str = ""
 
-    def __call__(self, p, e, eparam=None):
-        return np.asarray(self.fn(p, e, eparam), dtype=float)
+    def __call__(self, p, e):
+        return np.asarray(self.fn(p, e), dtype=float)
 
 
 def indicator_terminal(cap: CapFunction) -> TerminalSurface:
     """Default terminal surface: one on or above the final cap, zero below."""
 
-    def fn(p, e, eparam=None):
+    def fn(p, e):
         e = np.asarray(e, dtype=float)
-        return (e >= cap.level(eparam)).astype(float)
+        return (e >= cap.level()).astype(float)
 
     return TerminalSurface(fn=fn, label=f"indicator({cap.kind})")
 
@@ -366,45 +364,40 @@ def smoothed_indicator(cap: CapFunction, width: float) -> TerminalSurface:
     if width <= 0:
         raise ValidationError("smoothing width must be positive")
 
-    def fn(p, e, eparam=None):
+    def fn(p, e):
         e = np.asarray(e, dtype=float)
-        x = np.clip((e - cap.level(eparam)) / width + 0.5, 0.0, 1.0)
+        x = np.clip((e - cap.level()) / width + 0.5, 0.0, 1.0)
         return x * x * (3.0 - 2.0 * x)
 
     return TerminalSurface(fn=fn, label=f"smoothstep({cap.kind},w={width:g})")
 
 
-def link_terminal(next_grid, cap: CapFunction) -> TerminalSurface:
+def link_terminal(next_grid, cap: CapFunction, next_cap: CapFunction) -> TerminalSurface:
     """Terminal surface of a period from the solved field of the next one.
 
     Below the cap the payout is the next field at its own start time
     evaluated on the diagonal (recorded emissions equal to current
-    emissions); on or above the cap the penalty is certain and the
+    emissions), through ``pde_kernel.lookup_recorded`` when ``next_cap``
+    depends on them; on or above the cap the penalty is certain and the
     payout is 1.
 
-    ``next_grid`` is duck-typed: it must expose ``at_start(p, e,
-    eparam=...)`` plus ``e_nodes`` / ``eparam_nodes`` attributes (a
-    solved one-period grid does).  Lookups are clamped to the stored
-    axes within a two-cell slack band, which covers the ghost-cell
-    quadrature points of a projection on the same grid (the domain
-    margins keep the field flat there); anything farther out raises
-    :class:`CoverageError`.
+    ``next_grid`` is a solved one-period grid, or its start slice.  Lookups are
+    clamped to the stored axes within a two-cell slack band, which covers
+    the ghost-cell quadrature points of a projection on the same grid
+    (the domain margins keep the field flat there); anything farther out
+    raises :class:`CoverageError`.
     """
+    # pde_kernel imports this module
+    from .pde_kernel import lookup_recorded, recorded_shifts
+
     e_ax = np.asarray(next_grid.e_nodes, dtype=float)
     e_lo, e_hi = float(e_ax[0]), float(e_ax[-1])
     slack = 2.0 * float(e_ax[1] - e_ax[0])
-    has_eparam = getattr(next_grid, "eparam_nodes", None) is not None
-    if has_eparam:
-        ep_lo = float(next_grid.eparam_nodes[0])
-        ep_hi = float(next_grid.eparam_nodes[-1])
+    lvl = cap.level()
 
-    def fn(p, e, eparam=None):
+    def fn(p, e):
         e = np.asarray(e, dtype=float)
-        lvl = np.asarray(cap.level(eparam), dtype=float)
-        if p is None or np.ndim(p) == 0:
-            shape = np.broadcast(e, lvl).shape
-        else:
-            shape = np.broadcast(e, lvl, np.asarray(p)).shape
+        shape = np.broadcast(e, np.asarray(p)).shape
         below = np.broadcast_to(e < lvl, shape)
         out = np.ones(shape, dtype=float)
         if np.any(below):
@@ -416,12 +409,12 @@ def link_terminal(next_grid, cap: CapFunction) -> TerminalSurface:
                     "even with ghost slack"
                 )
             eb = np.clip(eb, e_lo, e_hi)
-            if p is not None and np.ndim(p) > 0:
-                pb = np.broadcast_to(p, shape)[below]
+            pb = np.broadcast_to(p, shape)[below] if np.ndim(p) else p
+            if next_cap.is_constant:
+                out[below] = next_grid.at_start(pb, eb)
             else:
-                pb = p
-            diag_ep = np.clip(eb, ep_lo, ep_hi) if has_eparam else None
-            out[below] = next_grid.at_start(pb, eb, eparam=diag_ep)
+                shifts = recorded_shifts(next_grid, next_cap, eb)
+                out[below] = lookup_recorded(next_grid, next_grid.t0, pb, eb, shifts)[0]
         return out
 
     return TerminalSurface(fn=fn, label=f"linked({cap.kind})")
@@ -487,9 +480,12 @@ class MarketSpec:
         start = 0.0 if k == 1 else ends[k - 2]
         return start, ends[k - 1]
 
-    def final_terminal(self) -> TerminalSurface:
-        """Terminal surface at the last compliance date."""
+    def final_terminal(self, level: Optional[float] = None) -> TerminalSurface:
+        """Terminal surface at the last compliance date; ``level`` replaces
+        its cap by a constant one of the same kind."""
         cap = self.caps[-1]
+        if level is not None:
+            cap = CapFunction.constant(level, kind=cap.kind)
         if self.terminal_kind == "indicator":
             return indicator_terminal(cap)
         return smoothed_indicator(cap, self.terminal_width)

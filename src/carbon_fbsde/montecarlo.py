@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import CoverageError, SimulationError, ValidationError
 from .model import CapFunction, MarketSpec
-from .pde_kernel import ValueGrid, lookup
+from .pde_kernel import ValueGrid, lookup, lookup_recorded, recorded_shifts
 
 __all__ = [
     "PathBundle",
@@ -304,11 +304,13 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
     ring_bytes = 0
     delta_e = None
 
-    def settle(k: int, group: list, grid: Optional[ValueGrid] = None, off: float = 0.0):
+    def settle(k: int, group: list, grid: Optional[ValueGrid] = None, off: float = 0.0,
+               recorded: Optional[CapFunction] = None):
         """Compliance date T_k for the paths of ``group``.  The right value
         is read at ``grid``'s start ``off`` lower in emissions, block by block
-        so the lookup's temporaries stay block-sized; without a grid (after
-        a chained field's last date) it is the payout itself."""
+        so the lookup's temporaries stay block-sized (on the diagonal when
+        ``recorded`` is the grid's cap); without a grid (after a chained
+        field's last date) it is the payout itself."""
         g = slice(group[0][0], group[-1][1])
         E = E_all[g]
         comp_E[k, g] = E
@@ -318,9 +320,10 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
         else:
             for lo, hi in group:
                 e = E_all[lo:hi] - off
-                comp_right[k, lo:hi], ok = lookup(grid, grid.t0,
-                                                  P_all[lo:hi] if has_p else None, e,
-                                                  e if grid.has_eparam else None)
+                p = P_all[lo:hi] if has_p else None
+                comp_right[k, lo:hi], ok = (
+                    lookup(grid, grid.t0, p, e) if recorded is None else
+                    lookup_recorded(grid, grid.t0, p, e, recorded_shifts(grid, recorded, e)))
                 ok_date[lo:hi] &= ok
         alive = alive_all[g]
         newly = alive > ok_date[g]
@@ -338,7 +341,8 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
         """Period ``k`` for the block group that starts at block ``b0``, in
         one pass over ``grid``; returns the block after the group."""
         nonlocal xi_buf, ring_bytes, delta_e
-        t0, t1, t_shift, e_off, _ = periods[k]
+        t0, t1, t_shift, e_off, cap = periods[k]
+        recorded = None if cap.is_constant else cap
         if delta_e is None:  # the first pass; the box check reads only the axes
             _check_reach_box(coeffs, grid, periods, rolling, p0, e0)
             delta_e = grid.delta_e
@@ -352,7 +356,7 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
         glo, width = group[0][0], group[-1][1] - group[0][0]
         passes[k] += 1
         if k:
-            settle(k - 1, group, grid, e_off)
+            settle(k - 1, group, grid, e_off, recorded)
 
         dt = (t1 - t0) / spp
         sq = math.sqrt(dt)
@@ -365,9 +369,11 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
         for b, (lo, hi) in enumerate(group, start=b0):
             if has_p:
                 _draw_columns(xi[:, lo - glo:hi - glo], seed, b, n_steps, k * spp)
+            # a block's reads; the shifts of the recorded emissions hold for the period
+            read = lookup if recorded is None else partial(
+                lookup_recorded, shifts=recorded_shifts(grid, recorded, eparam_all[lo:hi]))
             work.append((lo, hi, P_all[lo:hi] if has_p else None, E_all[lo:hi],
-                         Y_all[lo:hi], alive_all[lo:hi], mu_all[lo:hi], pred_all[lo:hi],
-                         (eparam_all[lo:hi] - e_off) if grid.has_eparam else None,
+                         Y_all[lo:hi], alive_all[lo:hi], mu_all[lo:hi], pred_all[lo:hi], read,
                          xi[:, lo - glo:hi - glo] if has_p else None, min(keep, hi) - lo))
 
         # every block takes the bracket of t before any reads that of t + dt,
@@ -376,9 +382,9 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
             gstep = k * spp + j
             t = times[gstep]
             s = snap_pos.get(gstep)
-            for lo, hi, P, E, Y, alive, mu, e_pred, ep, xi_b, kb in work:
+            for lo, hi, P, E, Y, alive, mu, e_pred, read, xi_b, kb in work:
                 newly = mask_buf[:hi - lo]
-                y_new, ok = lookup(grid, t - t_shift, P, E - e_off, ep)
+                y_new, ok = read(grid, t - t_shift, P, E - e_off)
                 np.greater(alive, ok, out=newly)  # alive and not ok
                 if newly.any():
                     abort_step[lo:hi][newly] = gstep
@@ -404,9 +410,9 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
                 e_pred += E
                 e_pred -= e_off
             t_pred = min(t + dt - t_shift, grid.last_interior_time)
-            for lo, hi, P, E, Y, alive, mu, e_pred, ep, _, _ in work:
+            for lo, hi, P, E, Y, alive, mu, e_pred, read, _, _ in work:
                 newly = mask_buf[:hi - lo]
-                y_pred, okp = lookup(grid, t_pred, P, e_pred, ep)
+                y_pred, okp = read(grid, t_pred, P, e_pred)
                 np.logical_not(okp, out=newly)
                 np.copyto(y_pred, Y, where=newly)
                 mu += np.asarray(coeffs.mu(P, y_pred), dtype=float)
@@ -417,9 +423,9 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
 
         # left value at T_k from grid k; its last_interior_time is in the
         # same coordinates as the step reads
-        for lo, hi, P, E, _, _, _, _, ep, _, _ in work:
-            comp_left[k, lo:hi], ok_date[lo:hi] = lookup(
-                grid, grid.last_interior_time, P, E - e_off, ep)
+        for lo, hi, P, E, _, _, _, _, read, _, _ in work:
+            comp_left[k, lo:hi], ok_date[lo:hi] = read(
+                grid, grid.last_interior_time, P, E - e_off)
         if k + 1 == q and rolling:  # the rolling grid serves the last date too
             settle(k, group, grid, e_off + spec.cap_per_period)
         elif k + 1 == q:

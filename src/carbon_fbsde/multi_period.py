@@ -5,9 +5,12 @@ penalty indicator of its cap, and each earlier period ends in the next
 period's start-of-period field evaluated on the diagonal (recorded
 emissions equal to realised emissions) below the cap, or in the certain
 penalty above it.  All periods share one emissions grid, so the linking
-step reads stored nodes rather than interpolating across meshes, and a
-period whose cap depends on recorded emissions simply carries the
-emissions grid a second time as the parameter axis.
+step reads stored nodes rather than interpolating across meshes.  A
+last period whose cap depends on the emissions recorded at the date
+before it (the reserve rule) is solved once, at a constant cap on the
+cell edge nearest the middle of that cap's range: its emission rate does
+not depend on emissions, so the field under any other cap is that one
+moved by the difference, which ``pde_kernel.lookup_recorded`` reads.
 
 A field is its period grids and nothing more.  :func:`solve_periods`
 yields them backward; :func:`write_period_grid` and
@@ -44,7 +47,7 @@ __all__ = [
 _DIR_FORMAT = "carbon-fbsde/field-dir/1"
 
 
-def solve_periods(spec: MarketSpec, config: SolverConfig, threads: int = 1,
+def solve_periods(spec: MarketSpec, config: SolverConfig,
                   sinks: Optional[Sequence[SliceSink]] = None):
     """Solve the periods of a finite market backward on a shared grid.
 
@@ -56,9 +59,17 @@ def solve_periods(spec: MarketSpec, config: SolverConfig, threads: int = 1,
     :class:`gridio.GridWriter` writes them to its file, which the caller
     finishes with ``write_grid`` before asking for the next period), and
     each grid holds its start slice only: one slice at a time.
+
+    Each grid's ``meta["cap_level"]`` is the constant cap it was solved
+    at.  A cap that depends on recorded emissions is refused before the
+    last period: moving the field by the cap is exact only for the final
+    indicator or smoothstep terminal.
     """
     if spec.horizon != "finite":
         raise ValidationError("multi-period pricing needs a finite-horizon market")
+    if not all(cap.is_constant for cap in spec.caps[:-1]):
+        raise ValidationError("a cap that depends on recorded emissions is priced "
+                              "only in the last period")
     if spec.coefficients.dim_p == 1 and not config.has_p:
         raise ValidationError("factor coefficients need a factor grid in the config")
     e_nodes = config.e_cells()
@@ -74,17 +85,19 @@ def solve_periods(spec: MarketSpec, config: SolverConfig, threads: int = 1,
     for k in range(q, 0, -1):
         t0, t1 = spec.period_bounds(k)
         cap = spec.caps[k - 1]
-        term = spec.final_terminal() if k == q else link_terminal(start, cap)
-        meta = {"period": k, "cap_kind": cap.kind, "cap_label": cap.label,
-                "t_start": t0, "t_end": t1, "market_label": spec.label}
         if cap.is_constant:
-            meta["cap_level"] = float(cap.constant_value)
-        grid = solve_one_period(
-            spec.coefficients, term, t0, t1, config,
-            eparam_nodes=None if cap.is_constant else e_nodes,
-            threads=threads, meta=meta,
-            sink=None if sinks is None else sinks[k - 1],
-        )
+            level = float(cap.constant_value)
+        else:  # the cell edge nearest the middle of the cap's range
+            de = (config.e_max - config.e_min) / config.n_e
+            mid = 0.5 * (regions[k - 1][1] + regions[k - 1][2])
+            level = config.e_min + round((mid - config.e_min) / de) * de
+        term = (spec.final_terminal(level) if k == q
+                else link_terminal(start, cap, spec.caps[k]))
+        meta = {"period": k, "cap_kind": cap.kind, "cap_label": cap.label,
+                "cap_level": level, "t_start": t0, "t_end": t1,
+                "market_label": spec.label}
+        grid = solve_one_period(spec.coefficients, term, t0, t1, config, meta=meta,
+                                sink=None if sinks is None else sinks[k - 1])
         yield k, grid
         # copies, not views: a view would keep the whole grid alive
         start = replace(grid, times=grid.times[:1].copy(), values=grid.values[:1].copy())

@@ -35,10 +35,9 @@ size are paged in again on every step, which costs as much as the
 arithmetic, so the march keeps its state and every intermediate in
 buffers allocated once per solve and updates them in place.
 
-State layout: the emissions axis is always last; a factor axis, when
-present, sits immediately before it; a batch axis over recorded-emissions
-slices, when present, comes first.  Stored grids use the order
-``(t, p, e, eparam)`` with absent axes dropped.
+State layout: the emissions axis is always last and a factor axis, when
+present, sits immediately before it.  Stored grids use the order
+``(t, p, e)`` with an absent factor axis dropped.
 """
 
 from __future__ import annotations
@@ -46,8 +45,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -66,6 +63,8 @@ __all__ = [
     "mollify_terminal",
     "solve_one_period",
     "lookup",
+    "recorded_shifts",
+    "lookup_recorded",
     "evaluate",
     "diagnostics",
     "KernelDiagnostics",
@@ -146,7 +145,7 @@ class SolverConfig:
 class ValueGrid:
     """Solved price field on a space-time grid.
 
-    ``values`` is stored in ``(t, p, e, eparam)`` order with absent axes
+    ``values`` is stored in ``(t, p, e)`` order with an absent factor axis
     dropped.  The final time slice holds the projected terminal data;
     the field's left limit at the period end is the last interior slice.
     """
@@ -156,7 +155,6 @@ class ValueGrid:
     values: np.ndarray
     rate: float
     p_nodes: Optional[np.ndarray] = None
-    eparam_nodes: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -172,10 +170,6 @@ class ValueGrid:
         return self.p_nodes is not None
 
     @property
-    def has_eparam(self) -> bool:
-        return self.eparam_nodes is not None
-
-    @property
     def delta_e(self) -> float:
         return float(self.e_nodes[1] - self.e_nodes[0])
 
@@ -183,9 +177,9 @@ class ValueGrid:
     def last_interior_time(self) -> float:
         return float(self.times[-2])
 
-    def at_start(self, p, e, eparam=None):
+    def at_start(self, p, e):
         """Field value on the first stored slice (start of the period)."""
-        return evaluate(self, self.t0, p, e, eparam)
+        return evaluate(self, self.t0, p, e)
 
     def __repr__(self):  # keep array dumps out of logs
         shape = "x".join(str(n) for n in self.values.shape)
@@ -222,7 +216,7 @@ def _locate(nodes: np.ndarray, x):
     return i, w, ok, pos
 
 
-def _query_axes(grid: ValueGrid, p, e, eparam):
+def _query_axes(grid: ValueGrid, p, e):
     """``(name, nodes, query)`` for each stored spatial axis, in order."""
     axes = []
     if grid.has_p:
@@ -230,10 +224,6 @@ def _query_axes(grid: ValueGrid, p, e, eparam):
             raise ValidationError("grid has a factor axis; pass p")
         axes.append(("factor", grid.p_nodes, p))
     axes.append(("emissions", grid.e_nodes, e))
-    if grid.has_eparam:
-        if eparam is None:
-            raise ValidationError("grid has a recorded-emissions axis; pass eparam")
-        axes.append(("recorded emissions", grid.eparam_nodes, eparam))
     return axes
 
 
@@ -250,7 +240,7 @@ def _time_bracket(times: np.ndarray, t: float) -> tuple:
     return it, min(max((t - times[it]) / (times[it + 1] - times[it]), 0.0), 1.0)
 
 
-def lookup(grid: ValueGrid, t: float, p, e, eparam=None):
+def lookup(grid: ValueGrid, t: float, p, e):
     """Multilinear field value at time ``t`` with an in-box mask.
 
     ``t`` is clamped to ``[t0, tau]`` and bracketed by
@@ -270,7 +260,7 @@ def lookup(grid: ValueGrid, t: float, p, e, eparam=None):
     shape = grid.values.shape[1:]
     stride = math.prod(shape)
     base, corners, in_box = 0, [(1.0, 0)], True
-    for (_, nodes, x), n in zip(_query_axes(grid, p, e, eparam), shape):
+    for (_, nodes, x), n in zip(_query_axes(grid, p, e), shape):
         stride //= n
         i, w, ok, _ = _locate(nodes, x)
         base += i * stride
@@ -299,7 +289,51 @@ def _gather(S: np.ndarray, corners: list):
     return acc
 
 
-def evaluate(grid: ValueGrid, t: float, p, e, eparam=None):
+def recorded_shifts(grid: ValueGrid, cap, ep) -> tuple:
+    """Where :func:`lookup_recorded` reads a period whose cap ``cap(ep)``
+    depends on the emissions ``ep`` recorded at the previous date.
+
+    ``grid`` is that period solved once, at the constant cap
+    ``grid.meta["cap_level"]``.  Returns ``(theta, lo, hi, ok)``: ``ep``
+    lies ``theta`` of the way from emissions node ``j`` to ``j + 1``
+    (clamped onto the axis), ``lo`` and ``hi`` are the caps at those two
+    nodes less the solved one, and ``ok`` marks ``ep`` inside the axis.
+    """
+    j, theta, ok, _ = _locate(grid.e_nodes, ep)
+    level = grid.meta["cap_level"]
+    return (theta, cap.level(grid.e_nodes[j]) - level,
+            cap.level(grid.e_nodes[j + 1]) - level, ok)
+
+
+def lookup_recorded(grid: ValueGrid, t: float, p, e, shifts: tuple):
+    """:func:`lookup` of a period whose cap depends on recorded emissions.
+
+    The emission rate does not depend on ``e``, so under a cap moved by
+    ``d`` the field is the solved one moved by ``d``.  With ``shifts`` from
+    :func:`recorded_shifts` the value blends the two recorded-emissions
+    nodes that bracket ``ep``, as interpolation along a recorded-emissions
+    axis would::
+
+        (1 - theta) * v(t, p, e - lo) + theta * v(t, p, e - hi)
+
+    One read moved by the cap at ``ep`` itself would put kinks into a
+    terminal linked on the diagonal, which the march of the period before
+    turns into a monotonicity defect.  The moved points are clamped onto
+    the box; the in-box mask is that of ``p``, ``e`` and ``ep``.  Returns
+    ``(value, in_box)``.
+    """
+    theta, lo, hi, in_box = shifts
+    value, _ = lookup(grid, t, p, e - lo)
+    upper, _ = lookup(grid, t, p, e - hi)
+    value *= 1.0 - theta
+    upper *= theta
+    value += upper
+    for _, nodes, x in _query_axes(grid, p, e):
+        in_box = in_box & _locate(nodes, x)[2]
+    return value, in_box
+
+
+def evaluate(grid: ValueGrid, t: float, p, e):
     """Multilinear interpolation of the field at time ``t``.
 
     ``t`` must lie in ``[t0, tau]``; the final slice is the projected
@@ -313,9 +347,9 @@ def evaluate(grid: ValueGrid, t: float, p, e, eparam=None):
         raise CoverageError(
             f"time query outside grid range [{times[0]:g}, {times[-1]:g}] (t={t:g})"
         )
-    value, in_box = lookup(grid, t, p, e, eparam)
+    value, in_box = lookup(grid, t, p, e)
     if not np.all(in_box):
-        for name, nodes, x in _query_axes(grid, p, e, eparam):
+        for name, nodes, x in _query_axes(grid, p, e):
             _, _, ok, pos = _locate(nodes, x)
             if not np.all(ok):
                 raise CoverageError(
@@ -523,38 +557,36 @@ def mollify_terminal(surface: TerminalSurface, width: float) -> TerminalSurface:
     wts = wts / wts.sum()
     base = surface.fn
 
-    def fn(p, e, eparam=None):
+    def fn(p, e):
         e = np.asarray(e, dtype=float)
         acc = 0.0
         for off, wt in zip(offsets, wts):
-            acc = acc + wt * np.asarray(base(p, e - off, eparam), dtype=float)
+            acc = acc + wt * np.asarray(base(p, e - off), dtype=float)
         return acc
 
     return TerminalSurface(fn=fn, label=surface.label + f"~mollified({width:g})")
 
 
 def _project_terminal(surface: TerminalSurface, e_centres_ext: np.ndarray, de: float,
-                      p_nodes: Optional[np.ndarray], eparam_nodes: Optional[np.ndarray]):
+                      p_nodes: Optional[np.ndarray]):
     """Cell averages of the terminal surface, ghost cells included.
 
-    Returns an array shaped ``([n_ep,] [n_p,] n_e + 2)``; the first and
-    last entries along the emissions axis are the ghost-cell averages.
+    Returns an array shaped ``([n_p,] n_e + 2)``; the first and last
+    entries along the emissions axis are the ghost-cell averages.
     """
     pts = e_centres_ext[:, None] + (0.5 * de) * _GL8_X[None, :]
     wts = 0.5 * _GL8_W
-    # axes (eparam, p, e), absent ones dropped; the surface is evaluated
-    # at one quadrature node of every cell at a time, so its temporaries
-    # stay the size of one slice
-    lead = tuple(nodes.size for nodes in (eparam_nodes, p_nodes) if nodes is not None)
+    # axes (p, e), an absent factor dropped; the surface is evaluated at one
+    # quadrature node of every cell at a time, so its temporaries stay the
+    # size of one slice
+    lead = () if p_nodes is None else (p_nodes.size,)
     e_shape = (1,) * len(lead) + (-1,)
     p = None if p_nodes is None else p_nodes.reshape(p_nodes.shape + (1,))
-    ep = (None if eparam_nodes is None
-          else eparam_nodes.reshape(eparam_nodes.shape + (1,) * len(lead)))
     vals = np.empty(lead + pts.shape)
     for j in range(pts.shape[1]):
         # surfaces that ignore an argument return collapsed axes; the
         # assignment restores them
-        vals[..., j] = surface(p, pts[:, j].reshape(e_shape), ep)
+        vals[..., j] = surface(p, pts[:, j].reshape(e_shape))
     cells = np.tensordot(vals, wts, axes=([-1], [0]))
     worst = max(float((-cells).max()), float((cells - 1.0).max()))
     if worst > 1e-9:
@@ -746,17 +778,10 @@ def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, scheme: str,
 
 def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface],
                      t0: float, tau: float, config: SolverConfig,
-                     eparam_nodes: Optional[np.ndarray] = None,
-                     threads: int = 1, meta: Optional[dict] = None,
+                     meta: Optional[dict] = None,
                      terminal_cells_ext: Optional[np.ndarray] = None,
                      sink: Optional[SliceSink] = None) -> ValueGrid:
     """Solve one compliance period backward from its terminal surface.
-
-    When ``eparam_nodes`` is given the terminal is sliced at each node
-    and all slices are marched as one batch (they share the grid, flux
-    and time step); the result carries a recorded-emissions axis.
-    ``threads`` may split that batch across a thread pool; results are
-    assembled by slice index, so they do not depend on scheduling.
 
     ``terminal_cells_ext`` bypasses projection entirely: it supplies the
     terminal cell averages directly, ghost cells included, shaped
@@ -770,9 +795,7 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     bit, with the same ``meta`` (``n_steps`` still counts the steps
     marched).  A :class:`gridio.GridWriter` sink puts each slice in its
     place in a grid file, so the solve holds about one slice besides the
-    march's buffers; the base class drops them.  A batch split across
-    threads marches in step: each thread fills its part of one shared
-    slice, and the last to finish hands the slice on.
+    march's buffers; the base class drops them.
     """
     if not tau > t0:
         raise ValidationError("need tau > t0")
@@ -786,8 +809,6 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     p_nodes = config.p_nodes() if coeffs.dim_p == 1 else None
 
     if terminal_cells_ext is not None:
-        if eparam_nodes is not None:
-            raise ValidationError("cell terminals do not batch over recorded emissions")
         cells_ext = np.array(terminal_cells_ext, dtype=float, copy=True)
         want = ((config.n_p, config.n_e + 2) if p_nodes is not None
                 else (config.n_e + 2,))
@@ -805,7 +826,7 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
             raise ValidationError("need a terminal surface or terminal cells")
         surface = mollify_terminal(terminal, config.mollify_width)
         centres_ext = np.concatenate([[e_nodes[0] - de], e_nodes, [e_nodes[-1] + de]])
-        cells_ext = _project_terminal(surface, centres_ext, de, p_nodes, eparam_nodes)
+        cells_ext = _project_terminal(surface, centres_ext, de, p_nodes)
         term_label = surface.label
         term_width = config.mollify_width
     phi_gl, phi_gr = cells_ext[..., 0], cells_ext[..., -1]
@@ -834,8 +855,6 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     times[0] = t0
     times[-1] = tau
 
-    has_ep = eparam_nodes is not None
-    storage_shape = phi_cells.shape[1:] + (phi_cells.shape[0],) if has_ep else phi_cells.shape
     grid_meta = {
         "terminal_hash": hashlib.sha256(np.ascontiguousarray(phi_cells).tobytes()).hexdigest(),
         "terminal_label": term_label,
@@ -854,12 +873,10 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     # keeps the last one only
     kept = n_steps + 1 if sink is None else 1
     grid = ValueGrid(times=times, e_nodes=e_nodes,
-                     values=np.empty((kept,) + storage_shape), rate=coeffs.rate,
-                     p_nodes=p_nodes,
-                     eparam_nodes=None if not has_ep else np.asarray(eparam_nodes, float),
-                     meta=grid_meta)
+                     values=np.empty((kept,) + phi_cells.shape), rate=coeffs.rate,
+                     p_nodes=p_nodes, meta=grid_meta)
     if sink is not None:
-        sink.open(grid, (n_steps + 1,) + storage_shape)
+        sink.open(grid, (n_steps + 1,) + phi_cells.shape)
 
     def put(it, state):
         if it < kept:
@@ -875,47 +892,8 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     else:
         p_ctx = None
 
-    def march(sel, store):
-        _march(phi_cells[sel], phi_gl[sel], phi_gr[sel], store, flux,
-               config.flux_scheme, coeffs.rate, steps, de,
-               config.viscosity, p_ctx, upwind)
-
-    if not has_ep:
-        march(Ellipsis, put)
-    else:
-        chunks = [slice(None)]
-        if threads > 1 and eparam_nodes.size >= 2 * threads:
-            bounds = np.linspace(0, eparam_nodes.size, threads + 1).astype(int)
-            chunks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        # each chunk fills its columns of one shared slice, and the barrier's
-        # action hands the slice on once every chunk has; all chunks take the
-        # same steps, so they meet at every slice
-        shared, at = np.empty(storage_shape), [0]
-        gate = threading.Barrier(len(chunks), action=lambda: put(at[0], shared))
-
-        def run_chunk(sel):
-            def store(it, state):
-                at[0] = it
-                shared[..., sel] = np.moveaxis(state, 0, -1)
-                gate.wait()
-            try:
-                march(sel, store)
-            except BaseException:
-                gate.abort()  # release the other chunks
-                raise
-
-        if len(chunks) == 1:
-            run_chunk(chunks[0])
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(run_chunk, sel) for sel in chunks]
-            # a chunk released by an abort reports the broken barrier, not
-            # the fault that broke it
-            errors = sorted((f.exception() for f in futures if f.exception()),
-                            key=lambda exc: isinstance(exc, threading.BrokenBarrierError))
-            if errors:
-                raise errors[0]
-
+    _march(phi_cells, phi_gl, phi_gr, put, flux, config.flux_scheme, coeffs.rate,
+           steps, de, config.viscosity, p_ctx, upwind)
     return grid if sink is None else replace(grid, times=times[:1])
 
 
@@ -929,9 +907,10 @@ class KernelDiagnostics:
 
     Hard invariants decide ``passed``: the range bound, and monotonicity
     in ``e`` measured net of the terminal data's own defect (a linked
-    terminal such as a reserve-rule cap is legitimately non-monotone in
-    recorded emissions, and the scheme may only shrink that defect,
-    never add to it).  The Lipschitz quotient excess is reported and
+    terminal may legitimately fall in emissions, as the next period's
+    field read at a reserve-rule cap does where the reserve releases
+    allowances, and the scheme may only shrink that defect, never add
+    to it).  The Lipschitz quotient excess is reported and
     noted when it exceeds the headroom but does not gate: at a sonic
     corner, where the flux minimiser coincides with a plateau of the
     solution, a monotone first-order scheme carries a cell-scale

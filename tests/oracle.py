@@ -303,7 +303,7 @@ def constant_surface(value: float) -> TerminalSurface:
         raise ValidationError("constant surface value must lie in [0, 1]")
     v = float(value)
 
-    def fn(p, e, eparam=None):
+    def fn(p, e):
         return np.full_like(np.asarray(e, dtype=float), v)
 
     return TerminalSurface(fn=fn, label=f"const({v:g})")

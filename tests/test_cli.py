@@ -102,6 +102,7 @@ def test_missing_config_exits_2(tmp_path):
     ["price-infinite", "--paths", "8"],
     ["simulate", "--field", "f", "--threads", "2"],
     ["price-infinite", "--threads", "2"],
+    ["price-multi", "--threads", "2"],
 ])
 def test_commands_refuse_flags_they_do_not_read(tmp_path, finite_config, argv):
     with pytest.raises(SystemExit) as exc:
@@ -122,12 +123,6 @@ def test_rate_without_a_sign_change_on_the_y_star_bracket_exits_2(tmp_path, caps
     assert main(["price-multi", "--config", str(path),
                  "--out", str(tmp_path / "x")]) == 2
     assert "y* bracket [0, 3]" in capsys.readouterr().err
-
-
-def test_bad_thread_env_exits_2(tmp_path, finite_config, monkeypatch):
-    monkeypatch.setenv("CARBON_FBSDE_THREADS", "many")
-    assert main(["price-multi", "--config", str(finite_config),
-                 "--out", str(tmp_path / "x")]) == 2
 
 
 @pytest.mark.parametrize("where, value, key", [
@@ -492,6 +487,40 @@ def test_simulate_refuses_a_field_that_does_not_fit_the_config(
     loose.parent.mkdir()
     (shutil.copytree if source.is_dir() else shutil.copy)(source, loose)
     _refused(tmp_path, _config(tmp_path, tree), loose, capsys, reason)
+
+
+def give_a_recorded_axis(field, name: str) -> None:
+    """Rewrite a field's grid with a two-node recorded-emissions axis, as a
+    reserve-rule period priced by an earlier version carries, and
+    record its new digest in the field manifest."""
+    path = field / name
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + n])
+    values = np.frombuffer(blob[16 + n:], dtype="<f8").reshape(header["shape"])
+    header["eparam_nodes"] = [0.0, 1.0]
+    header["shape"].append(2)
+    head = gridio.canonical_json(header).encode("utf-8")
+    path.write_bytes(b"CFBGRID1" + len(head).to_bytes(8, "little") + head
+                     + np.repeat(values[..., None], 2, axis=-1).tobytes())
+    manifest = json.loads((field / "field_manifest.json").read_text())
+    for entry in manifest["grids"]:
+        if entry["file"] == name:
+            entry["sha256"] = gridio.file_sha256(path)
+    (field / "field_manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_a_grid_with_a_recorded_emissions_axis_exits_6(tmp_path, priced_run, capsys,
+                                                       command):
+    field = tmp_path / "loose" / "field"
+    shutil.copytree(priced_run[0] / "field", field)
+    give_a_recorded_axis(field, "period_1.grid")
+    argv = (["verify", str(field)] if command == "verify"
+            else ["simulate", "--config", str(priced_run[1]), "--field", str(field),
+                  "--out", str(tmp_path / "sim")])
+    assert main(argv) == 6
+    assert "recorded-emissions axis (eparam_nodes)" in capsys.readouterr().err
 
 
 def test_simulate_refuses_a_path_with_no_field(tmp_path, priced_run, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from carbon_fbsde.cli import main
 from carbon_fbsde.gridio import read_grid, write_grid
+from test_cli import give_a_recorded_axis
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py"
 
@@ -50,6 +51,17 @@ def test_grid_deviation_and_missing_files_are_reported(compare_runs, two_runs, c
     lines = capsys.readouterr().out.splitlines()
     assert "field/period_1.grid: differs, max abs deviation 3e-12" in lines
     assert "extra.txt: only in A" in lines
+
+
+def test_a_grid_with_a_recorded_emissions_axis_is_reported_unreadable(
+        compare_runs, two_runs, capsys):
+    """As a reserve-rule period priced by an earlier version carries."""
+    a, b = two_runs
+    give_a_recorded_axis(b / "field", "period_1.grid")
+    assert compare_runs.main([str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("field/period_1.grid: differs, unreadable grid (")
+               and "recorded-emissions axis" in line for line in lines)
 
 
 def test_manifest_content_differences_are_named(compare_runs, two_runs, capsys):

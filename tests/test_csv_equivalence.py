@@ -55,8 +55,7 @@ def reference_events_csv(bundle, path):
 
 def reference_start_slice_csv(grid, path):
     """Write the start-of-period slice as CSV, one row per grid node."""
-    named = [(name, nodes) for name, nodes in (("p", grid.p_nodes), ("e", grid.e_nodes),
-                                                ("eparam", grid.eparam_nodes))
+    named = [(name, nodes) for name, nodes in (("p", grid.p_nodes), ("e", grid.e_nodes))
              if nodes is not None]
     mesh = np.meshgrid(*(nodes for _, nodes in named), indexing="ij")
     data = np.column_stack([m.ravel() for m in mesh] + [grid.values[0].ravel()])
@@ -132,28 +131,26 @@ def test_special_values_are_spelled_as_before(tmp_path):
                       "0.10000000000000001", "0.33333333333333331", "1", "nan"]
 
 
-def _slice_grid(seed: int, has_p: bool, has_eparam: bool) -> ValueGrid:
+def _slice_grid(seed: int, has_p: bool, n_e: int) -> ValueGrid:
     """A two-slice grid whose nodes and values carry every special value."""
     rng = np.random.default_rng(seed)
-    e_nodes = np.concatenate([SPECIAL, _values(rng, 5)])
+    e_nodes = np.concatenate([SPECIAL, _values(rng, n_e - SPECIAL.size)])
     p_nodes = _values(rng, 4) if has_p else None
-    ep_nodes = _values(rng, 3) if has_eparam else None
-    shape = ((2,) + ((4,) if has_p else ()) + (e_nodes.size,)
-             + ((3,) if has_eparam else ()))
+    shape = (2,) + ((4,) if has_p else ()) + (n_e,)
     return ValueGrid(times=np.array([0.0, 1.0]), e_nodes=e_nodes,
-                     values=_values(rng, shape), rate=0.05, p_nodes=p_nodes,
-                     eparam_nodes=ep_nodes)
+                     values=_values(rng, shape), rate=0.05, p_nodes=p_nodes)
 
 
 @pytest.mark.parametrize("has_p", [False, True])
-@pytest.mark.parametrize("has_eparam", [False, True])
+@pytest.mark.parametrize("whole_blocks", [False, True])
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("block", [7, gridio._CSV_ROWS])
 def test_start_slice_csv_matches_savetxt_byte_for_byte(tmp_path, monkeypatch, has_p,
-                                                       has_eparam, seed, block):
-    """With 7-row blocks every grid ends in a partial block."""
+                                                       whole_blocks, seed, block):
+    """With 7-row blocks a grid of 16 emissions nodes ends in a partial
+    block; with ``whole_blocks`` its rows fill their last block exactly."""
     monkeypatch.setattr(gridio, "_CSV_ROWS", block)
-    grid = _slice_grid(seed, has_p, has_eparam)
+    grid = _slice_grid(seed, has_p, 2 * block if whole_blocks else SPECIAL.size + 5)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     start_slice_csv(grid, got)
     reference_start_slice_csv(grid, want)

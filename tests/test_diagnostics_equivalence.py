@@ -93,17 +93,15 @@ def reference_diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
 
 @st.composite
 def grids(draw):
-    """Small grids with and without a factor axis and a recorded-emissions
-    axis: mostly monotone in ``e`` and in range, with NaN, signed zeros,
-    range breaches and monotonicity breaks sprinkled in."""
+    """Small grids with and without a factor axis: mostly monotone in ``e``
+    and in range, with NaN, signed zeros, range breaches and monotonicity
+    breaks sprinkled in."""
     n_t = draw(st.integers(1, 6))
     n_p = draw(st.sampled_from([None, 1, 3]))
     n_e = draw(st.integers(2, 7))
-    n_ep = draw(st.sampled_from([None, 1, 4]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     times = np.cumsum(np.concatenate([[0.0], rng.uniform(0.01, 0.3, n_t - 1)]))
-    shape = ((n_t,) + (() if n_p is None else (n_p,)) + (n_e,)
-             + (() if n_ep is None else (n_ep,)))
+    shape = (n_t,) + (() if n_p is None else (n_p,)) + (n_e,)
     e_axis = 1 if n_p is None else 2
     values = np.sort(rng.uniform(0.0, 1.0, shape), axis=e_axis)
     special = rng.choice([np.nan, 0.0, -0.0, 1.0, 1.3, -0.2, 0.5], shape)
@@ -114,8 +112,7 @@ def grids(draw):
         values[-1] = -0.0  # a terminal slice of negative zeros
     return ValueGrid(
         times=times, e_nodes=np.linspace(-0.6, 1.4, n_e), values=values, rate=rate,
-        p_nodes=None if n_p is None else np.linspace(-1.0, 1.0, n_p),
-        eparam_nodes=None if n_ep is None else np.linspace(0.0, 1.0, n_ep))
+        p_nodes=None if n_p is None else np.linspace(-1.0, 1.0, n_p))
 
 
 def _same(a, b):
@@ -140,13 +137,11 @@ def test_slice_scan_matches_the_whole_grid_scan(grid, mono_l1, min_age):
 def test_slice_scan_keeps_no_grid_sized_temporary(has_p):
     """Peak traced memory inside the scan stays far below the grid's size."""
     rng = np.random.default_rng(5)
-    shape = (150, 9, 200) if has_p else (150, 200, 9)
-    e_axis = 2 if has_p else 1
-    values = np.sort(rng.uniform(0.0, 1.0, shape), axis=e_axis)
-    grid = ValueGrid(times=np.linspace(0.0, 1.0, 150), e_nodes=np.linspace(-1.0, 2.0, 200),
-                     values=values, rate=0.05,
-                     p_nodes=np.linspace(-1.0, 1.0, 9) if has_p else None,
-                     eparam_nodes=None if has_p else np.linspace(0.0, 1.0, 9))
+    shape = (150, 9, 200) if has_p else (150, 1800)
+    values = np.sort(rng.uniform(0.0, 1.0, shape), axis=-1)
+    grid = ValueGrid(times=np.linspace(0.0, 1.0, 150),
+                     e_nodes=np.linspace(-1.0, 2.0, shape[-1]), values=values, rate=0.05,
+                     p_nodes=np.linspace(-1.0, 1.0, 9) if has_p else None)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

@@ -12,7 +12,6 @@ import hashlib
 import itertools
 import json
 import struct
-import threading
 import tracemalloc
 
 import numpy as np
@@ -25,7 +24,7 @@ from carbon_fbsde.errors import ArtifactError, SolverError
 from carbon_fbsde.gridio import (GridWriter, canonical_json, jsonable, read_grid,
                                  start_slice_csv, write_grid)
 from carbon_fbsde.infinite_period import solve_infinite
-from carbon_fbsde.model import CapFunction, indicator_terminal, make_cap_msr
+from carbon_fbsde.model import CapFunction, indicator_terminal
 from carbon_fbsde.pde_kernel import SolverConfig, ValueGrid, diagnostics, solve_one_period
 
 # a no-factor rolling market on a fine emissions grid: cell width 0.004,
@@ -57,8 +56,7 @@ def reference_grid_bytes(grid: ValueGrid) -> bytes:
     header = {
         "times": grid.times.tolist(), "e_nodes": grid.e_nodes.tolist(),
         "p_nodes": None if grid.p_nodes is None else grid.p_nodes.tolist(),
-        "eparam_nodes": (None if grid.eparam_nodes is None
-                         else grid.eparam_nodes.tolist()),
+        "eparam_nodes": None,
         "rate": float(grid.rate), "shape": list(grid.values.shape),
         "meta": jsonable(grid.meta),
     }
@@ -68,24 +66,19 @@ def reference_grid_bytes(grid: ValueGrid) -> bytes:
 
 
 def _solve_cases():
-    """A no-factor market, a factor market, a general-flux market (``y*``
-    inside [0, 1]) and a recorded-emissions batch split across threads."""
+    """A no-factor market, a factor market and a general-flux market (``y*``
+    inside [0, 1])."""
     terminal = indicator_terminal(CapFunction.constant(0.0))
     plain = SolverConfig(e_min=-1.0, e_max=1.0, n_e=48, cfl_target=0.9)
     factor = SolverConfig(e_min=-1.0, e_max=1.0, n_e=32, cfl_target=0.9,
                           p_min=-2.0, p_max=2.0, n_p=9)
-    batch = SolverConfig(e_min=-1.0, e_max=2.0, n_e=36, cfl_target=0.9,
-                         p_min=-2.0, p_max=2.0, n_p=5)
-    _, reserve_cap = make_cap_msr(0.6, 0.6, 0.18, 0.72, 0.12, 0.88)
     no_factor = preset_coefficients("no-factor", {"m0": 1.2, "m2": 1.0}, 0.05)
     general = preset_coefficients("no-factor", {"m0": 0.5, "m2": 1.0}, 0.0)
     abatement = preset_coefficients("linear-abatement", {}, 0.05)
     return {
-        "no-factor": (no_factor, terminal, plain, {}),
-        "factor": (abatement, terminal, factor, {}),
-        "general-flux": (general, terminal, plain, {}),
-        "recorded": (abatement, indicator_terminal(reserve_cap), batch,
-                     {"eparam_nodes": batch.e_cells(), "threads": 2}),
+        "no-factor": (no_factor, terminal, plain),
+        "factor": (abatement, terminal, factor),
+        "general-flux": (general, terminal, plain),
     }
 
 
@@ -100,11 +93,10 @@ def _files(root):
 @pytest.mark.parametrize("with_axes", [False, True])
 def test_write_grid_writes_the_whole_grid_format(tmp_path, with_axes):
     rng = np.random.default_rng(7)
-    shape = (7, 3, 11, 4) if with_axes else (7, 11)
+    shape = (7, 3, 11) if with_axes else (7, 11)
     grid = ValueGrid(times=np.linspace(0.0, 1.0, 7), e_nodes=np.linspace(-1.0, 1.0, 11),
                      values=rng.random(shape), rate=0.05,
                      p_nodes=np.linspace(-2.0, 2.0, 3) if with_axes else None,
-                     eparam_nodes=np.linspace(0.0, 1.0, 4) if with_axes else None,
                      meta={"label": "sample", "n_steps": 6})
     want = reference_grid_bytes(grid)
     path = tmp_path / "g.grid"
@@ -123,12 +115,12 @@ def test_write_grid_writes_the_whole_grid_format(tmp_path, with_axes):
     assert _files(tmp_path) == ["g.grid", "h.grid"]
 
 
-@pytest.mark.parametrize("case", ["no-factor", "factor", "general-flux", "recorded"])
+@pytest.mark.parametrize("case", ["no-factor", "factor", "general-flux"])
 def test_a_solve_writes_the_file_of_its_whole_grid(tmp_path, case):
-    coeffs, terminal, config, kw = _solve_cases()[case]
-    full = solve_one_period(coeffs, terminal, 0.0, 0.5, config, **kw)
+    coeffs, terminal, config = _solve_cases()[case]
+    full = solve_one_period(coeffs, terminal, 0.0, 0.5, config)
     with GridWriter(tmp_path / "g.grid", scan=lambda g: diagnostics(g, 1.0)) as writer:
-        start = solve_one_period(coeffs, terminal, 0.0, 0.5, config, sink=writer, **kw)
+        start = solve_one_period(coeffs, terminal, 0.0, 0.5, config, sink=writer)
         digest = write_grid(writer, writer.path)
     want = reference_grid_bytes(full)
     assert (tmp_path / "g.grid").read_bytes() == want
@@ -159,19 +151,14 @@ def poisoned_march(which: int, after: int = 5):
     return march
 
 
-@pytest.mark.parametrize("case, which", [("factor", 1), ("recorded", 2)])
+@pytest.mark.parametrize("case, which", [("factor", 1)])
 def test_a_failed_solve_leaves_no_file(tmp_path, monkeypatch, case, which):
-    coeffs, terminal, config, kw = _solve_cases()[case]
-    # in the threaded batch the second chunk fails; the first waits for it
-    # at the shared slice, must be released, and its broken barrier must
-    # not hide the fault
+    coeffs, terminal, config = _solve_cases()[case]
     monkeypatch.setattr(pde_kernel, "_march", poisoned_march(which))
-    started = threading.active_count()
     with pytest.raises(SolverError, match="non-finite"):
         with GridWriter(tmp_path / "g.grid") as writer:
-            solve_one_period(coeffs, terminal, 0.0, 0.5, config, sink=writer, **kw)
+            solve_one_period(coeffs, terminal, 0.0, 0.5, config, sink=writer)
     assert _files(tmp_path) == []
-    assert threading.active_count() == started
 
 
 def test_finishing_a_file_logs_its_bytes_and_read_back_seconds(tmp_path, caplog):

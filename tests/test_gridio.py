@@ -28,11 +28,9 @@ def sample_grid(with_axes: bool = False) -> ValueGrid:
     e = np.linspace(-1.0, 1.0, 9)
     if with_axes:
         p = np.linspace(-2.0, 2.0, 4)
-        ep = np.linspace(0.0, 1.0, 3)
-        values = rng.random((6, 4, 9, 3))
+        values = rng.random((6, 4, 9))
         return ValueGrid(times=times, e_nodes=e, values=values, rate=0.05,
-                         p_nodes=p, eparam_nodes=ep,
-                         meta={"label": "sample", "n_steps": 5})
+                         p_nodes=p, meta={"label": "sample", "n_steps": 5})
     values = rng.random((6, 9))
     return ValueGrid(times=times, e_nodes=e, values=values, rate=0.05,
                      meta={"label": "sample"})
@@ -52,7 +50,6 @@ def test_grid_round_trip(tmp_path, with_axes):
     assert back.meta == grid.meta
     if with_axes:
         assert np.array_equal(back.p_nodes, grid.p_nodes)
-        assert np.array_equal(back.eparam_nodes, grid.eparam_nodes)
 
 
 def test_grid_bytes_are_deterministic(tmp_path):
@@ -121,6 +118,17 @@ def test_read_grid_maps_malformed_files_to_artifact_error(tmp_path, blob):
         read_grid(path)
 
 
+def test_read_grid_refuses_a_recorded_emissions_axis(tmp_path):
+    """As a reserve-rule period priced by an earlier version carries."""
+    path = tmp_path / "old.grid"
+    path.write_bytes(raw_grid(json.dumps({
+        "times": [0.0, 1.0], "e_nodes": [0.0, 0.5], "p_nodes": None,
+        "eparam_nodes": [0.0, 0.5], "rate": 0.0, "shape": [2, 2, 2],
+        "meta": {}}).encode(), bytes(64)))
+    with pytest.raises(ArtifactError, match=r"recorded-emissions axis \(eparam_nodes\)"):
+        read_grid(path)
+
+
 def test_read_grid_maps_a_missing_file_to_artifact_error(tmp_path):
     with pytest.raises(ArtifactError):
         read_grid(tmp_path / "absent.grid")
@@ -148,7 +156,7 @@ def test_damaged_grids_raise_only_artifact_error(valid_blob, fuzz_path, data):
         grid = read_grid(fuzz_path)
     except ArtifactError:
         return
-    axes = (grid.times, grid.p_nodes, grid.e_nodes, grid.eparam_nodes)
+    axes = (grid.times, grid.p_nodes, grid.e_nodes)
     assert grid.values.shape == tuple(a.size for a in axes if a is not None)
 
 

@@ -48,8 +48,7 @@ class ReferenceState:
 
 def reference_picard_step(state: ReferenceState, coeffs: CoefficientSet,
                           period_length: float, cap_per_period: float,
-                          config: SolverConfig,
-                          threads: int = 1) -> ReferenceState:
+                          config: SolverConfig) -> ReferenceState:
     """One sweep of the fixed-point map; returns a fresh state."""
     if coeffs.rate <= 0.0:
         raise ConfigError("the rolling market needs a strictly positive rate")
@@ -62,8 +61,7 @@ def reference_picard_step(state: ReferenceState, coeffs: CoefficientSet,
     ext = _picard_terminal(state.start_slice, config, js, cut)
     n = state.iteration + 1
     grid = solve_one_period(
-        coeffs, None, 0.0, period_length, config, threads=threads,
-        terminal_cells_ext=ext,
+        coeffs, None, 0.0, period_length, config, terminal_cells_ext=ext,
         meta={"picard_iteration": n, "allocation": float(cap_per_period)},
     )
     new = grid.values[0]
@@ -86,7 +84,7 @@ def reference_picard_step(state: ReferenceState, coeffs: CoefficientSet,
 def reference_solve_infinite(coeffs: CoefficientSet, period_length: float,
                              cap_per_period: float, config: SolverConfig,
                              tol_l1: Optional[float] = None,
-                             max_iter: Optional[int] = None, threads: int = 1):
+                             max_iter: Optional[int] = None):
     """Iterate one-period solves to the stationary field.
 
     Returns ``(grid, certificate)``: the final sweep's full grid on
@@ -124,7 +122,7 @@ def reference_solve_infinite(coeffs: CoefficientSet, period_length: float,
                            converged=False)
     while state.iteration < max_iter:
         state = reference_picard_step(state, coeffs, period_length,
-                                      cap_per_period, config, threads=threads)
+                                      cap_per_period, config)
         if state.residual <= tol_l1:
             break
     if state.residual > tol_l1:
@@ -136,7 +134,7 @@ def reference_solve_infinite(coeffs: CoefficientSet, period_length: float,
         raise exc
 
     check = reference_picard_step(state, coeffs, period_length,
-                                  cap_per_period, config, threads=threads)
+                                  cap_per_period, config)
     if check.residual > 2.0 * tol_l1:
         exc = ConvergenceError(
             f"self-consistency re-solve moved the field by {check.residual:.3g} "

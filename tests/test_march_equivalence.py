@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from carbon_fbsde import pde_kernel
 from carbon_fbsde.config import preset_coefficients
 from carbon_fbsde.errors import SolverError, ValidationError
-from carbon_fbsde.model import CapFunction, indicator_terminal, make_cap_msr
+from carbon_fbsde.model import CapFunction, indicator_terminal
 from carbon_fbsde.pde_kernel import SolverConfig, make_flux, solve_one_period
 
 
@@ -83,16 +83,14 @@ REGIMES = {"above": ((1.3, 1.7), "right"), "below": ((-0.7, -0.3), "left"),
 
 @st.composite
 def markets(draw):
-    """A small market: coefficients, terminal, grid and batch layout."""
+    """A small market: coefficients, terminal, grid and layout."""
     regime = draw(st.sampled_from(sorted(REGIMES)))
     lo, hi = REGIMES[regime][0]
     m2 = draw(st.floats(0.8, 1.5))
     m0 = m2 * draw(st.floats(lo, hi))
     rate = draw(st.sampled_from([0.0, 0.07]))
-    layout = draw(st.sampled_from(["plain", "factor", "batch"]))
-    factor = layout == "factor" or (layout == "batch" and draw(st.booleans()))
-    grid = dict(e_min=-1.0, e_max=2.0 if layout == "batch" else 1.0,
-                n_e=draw(st.integers(16, 40)),
+    factor = draw(st.booleans())
+    grid = dict(e_min=-1.0, e_max=1.0, n_e=draw(st.integers(16, 40)),
                 viscosity=draw(st.sampled_from([0.0, 0.05])),
                 flux_scheme=draw(st.sampled_from(["godunov", "engquist-osher"])))
     if factor:
@@ -113,21 +111,13 @@ def markets(draw):
         rate = pde_kernel._stability_rate(
             coeffs, probe.p_nodes() if factor else None, probe.viscosity, de)
         grid["n_steps"] = max(1, math.floor(tau * rate / draw(st.floats(1.05, 2.5))))
-    config = SolverConfig(**grid)
-    if layout == "batch":
-        _, cap = make_cap_msr(0.6, 0.6, 0.18, 0.72, 0.12, 0.88)
-        eparam = config.e_cells()[::2]
-    else:
-        cap = CapFunction.constant(draw(st.floats(-0.3, 0.3)))
-        eparam = None
-    return dict(coeffs=coeffs, terminal=indicator_terminal(cap), config=config,
-                eparam=eparam, tau=tau,
-                threads=draw(st.sampled_from([1, 2])), regime=regime)
+    cap = CapFunction.constant(draw(st.floats(-0.3, 0.3)))
+    return dict(coeffs=coeffs, terminal=indicator_terminal(cap),
+                config=SolverConfig(**grid), tau=tau, regime=regime)
 
 
 def _solve(m):
-    return solve_one_period(m["coeffs"], m["terminal"], 0.0, m["tau"], m["config"],
-                            eparam_nodes=m["eparam"], threads=m["threads"])
+    return solve_one_period(m["coeffs"], m["terminal"], 0.0, m["tau"], m["config"])
 
 
 @settings(max_examples=60, deadline=None)

@@ -141,16 +141,16 @@ def test_msr_cap_branch_arithmetic():
 def test_indicator_terminal_values():
     surface = indicator_terminal(CapFunction.constant(0.5))
     fn = surface.fn
-    assert fn(None, np.array([0.4]), None)[0] == 0.0
-    assert fn(None, np.array([0.5]), None)[0] == 1.0
-    assert fn(None, np.array([0.6]), None)[0] == 1.0
+    assert fn(None, np.array([0.4]))[0] == 0.0
+    assert fn(None, np.array([0.5]))[0] == 1.0
+    assert fn(None, np.array([0.6]))[0] == 1.0
 
 
 def test_smoothed_indicator_midpoint_and_edges():
     surface = smoothed_indicator(CapFunction.constant(0.0), width=0.1)
     fn = surface.fn
     e = np.array([-0.1, -0.05, 0.0, 0.05, 0.1])
-    vals = fn(None, e, None)
+    vals = fn(None, e)
     assert vals[0] == 0.0 and vals[-1] == 1.0
     assert vals[2] == pytest.approx(0.5, abs=1e-12)
     assert np.all(np.diff(vals) >= 0.0)
@@ -161,7 +161,7 @@ def test_smoothed_indicator_midpoint_and_edges():
 def test_smoothed_indicator_stays_in_range(width, level):
     surface = smoothed_indicator(CapFunction.constant(level), width)
     e = np.linspace(level - 1.0, level + 1.0, 401)
-    vals = surface.fn(None, e, None)
+    vals = surface.fn(None, e)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
     assert np.all(np.diff(vals) >= -1e-15)
 
@@ -199,4 +199,4 @@ def test_market_spec_final_terminal_kind():
                               terminal_width=0.05)
     fn = smooth.final_terminal().fn
     lvl = 2.0
-    assert fn(None, np.array([lvl]), None)[0] == pytest.approx(0.5, abs=1e-12)
+    assert fn(None, np.array([lvl]))[0] == pytest.approx(0.5, abs=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from carbon_fbsde import solve_periods
 from carbon_fbsde.config import preset_coefficients
 from carbon_fbsde.errors import ArtifactError, CoverageError, ValidationError
-from carbon_fbsde.model import MarketSpec, make_cap_allocation
+from carbon_fbsde.model import CapFunction, MarketSpec, make_cap_allocation, make_cap_msr
 from carbon_fbsde.multi_period import (open_field_dir, read_period_grids,
                                        write_field_manifest, write_period_grid)
 from carbon_fbsde.pde_kernel import SolverConfig, evaluate
@@ -166,3 +166,16 @@ def test_field_dir_requires_manifest(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(ArtifactError):
         read_field_dir(tmp_path / "empty")
+
+
+def test_a_recorded_emissions_cap_before_the_last_period_is_refused():
+    """Moving a field by its cap is exact only for the final terminal, so a
+    reserve-rule cap is priced in the last period only."""
+    _, reserve_cap = make_cap_msr(0.6, 0.6, 0.18, 0.72, 0.12, 0.88)
+    spec = MarketSpec(
+        coefficients=preset_coefficients("no-factor", {"m0": 1.2, "m2": 1.0}, 0.05),
+        horizon="finite", period_ends=(1.0, 2.0, 3.0),
+        caps=(CapFunction.constant(0.6), reserve_cap, CapFunction.constant(1.8)),
+        label="reserve-rule-inside")
+    with pytest.raises(ValidationError, match="only in the last period"):
+        next(solve_periods(spec, SolverConfig(e_min=-2.0, e_max=5.0, n_e=96)))

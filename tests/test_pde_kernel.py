@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
-from carbon_fbsde import pde_kernel
 from carbon_fbsde.config import build_plan, bundled_preset, preset_coefficients
 from carbon_fbsde.errors import CoverageError, ValidationError
 from carbon_fbsde.model import (
@@ -28,8 +27,10 @@ from carbon_fbsde.pde_kernel import (
     diagnostics,
     evaluate,
     lookup,
+    lookup_recorded,
     make_flux,
     mollify_terminal,
+    recorded_shifts,
     solve_one_period,
 )
 from oracle import brentq_y_star, constant_surface
@@ -219,11 +220,11 @@ def test_mollify_preserves_constants_and_range():
     flat = constant_surface(1.0)
     out = mollify_terminal(flat, 0.1)
     e = np.linspace(-1.0, 1.0, 33)
-    assert np.max(np.abs(out.fn(None, e, None) - 1.0)) < 1e-12
+    assert np.max(np.abs(out.fn(None, e) - 1.0)) < 1e-12
 
     sharp = indicator_terminal(CapFunction.constant(0.0))
     soft = mollify_terminal(sharp, 0.08)
-    vals = soft.fn(None, e, None)
+    vals = soft.fn(None, e)
     assert np.all(vals >= -1e-15) and np.all(vals <= 1.0 + 1e-15)
     assert np.all(np.diff(vals) >= -1e-15), "mollification broke monotonicity"
 
@@ -246,7 +247,7 @@ def test_grid_geometry(burgers_grid):
     assert g.times[-2] == g.last_interior_time
     assert g.delta_e == pytest.approx(4.0 / 64)
     assert g.values.shape == (g.times.size, g.e_nodes.size)
-    assert not g.has_p and not g.has_eparam
+    assert not g.has_p
 
 
 def test_solve_steps_respect_the_cfl_budget(burgers_grid):
@@ -296,31 +297,6 @@ def test_solve_rejects_degenerate_horizon():
         solve_one_period(no_factor(), terminal, 1.0, 1.0, small_config())
 
 
-def test_factor_solve_is_thread_invariant(monkeypatch):
-    config = SolverConfig(e_min=-1.0, e_max=1.0, n_e=48,
-                          p_min=-2.0, p_max=2.0, n_p=9)
-    terminal = indicator_terminal(CapFunction.constant(0.0))
-    a = solve_one_period(factor_coeffs(), terminal, 0.0, 0.5, config, threads=1)
-    b = solve_one_period(factor_coeffs(), terminal, 0.0, 0.5, config, threads=3)
-    assert np.array_equal(a.values, b.values), "thread count changed the answer"
-
-    # a recorded-emissions batch is what the pool splits
-    pools = []
-    real_pool = pde_kernel.ThreadPoolExecutor
-    monkeypatch.setattr(pde_kernel, "ThreadPoolExecutor",
-                        lambda **kw: pools.append(kw) or real_pool(**kw))
-    _, reserve_cap = make_cap_msr(0.6, 0.6, 0.18, 0.72, 0.12, 0.88)
-    config = SolverConfig(e_min=-1.0, e_max=2.0, n_e=36,
-                          p_min=-2.0, p_max=2.0, n_p=9)
-    batch = [solve_one_period(factor_coeffs(), indicator_terminal(reserve_cap),
-                              0.0, 0.5, config, eparam_nodes=config.e_cells(),
-                              threads=threads)
-             for threads in (1, 3)]
-    assert pools == [{"max_workers": 3}]
-    assert np.array_equal(batch[0].values, batch[1].values), \
-        "thread count changed the batched answer"
-
-
 def test_factor_grid_without_factor_coefficients_is_the_plain_solve():
     """A factor axis in the config is ignored, bit for bit, by factor-free
     coefficients: the step size and the march both see no factor."""
@@ -333,23 +309,51 @@ def test_factor_grid_without_factor_coefficients_is_the_plain_solve():
     assert np.array_equal(plain.values, gridded.values)
 
 
+# the second cap of the ``two-period-msr`` preset, which depends on the
+# emissions recorded at the first date
+_, RESERVE_CAP = make_cap_msr(0.6, 0.6, 0.18, 0.72, 0.12, 0.88)
+
+
 def _start_only_cases():
     """A no-factor market, a factor market, a general-flux market (``y*``
-    inside [0, 1]) and a recorded-emissions batch."""
+    inside [0, 1]) and a reserve-rule period, solved at the constant
+    stand-in cap 0.75 on a cell edge and read through ``lookup_recorded``."""
     terminal = indicator_terminal(CapFunction.constant(0.0))
     factor_config = small_config(n_e=32, p_min=-2.0, p_max=2.0, n_p=9)
-    _, reserve_cap = make_cap_msr(0.6, 0.6, 0.18, 0.72, 0.12, 0.88)
-    batch_config = small_config(e_max=2.0, n_e=36, p_min=-2.0, p_max=2.0, n_p=5)
+    recorded_config = small_config(e_max=2.0, n_e=36, p_min=-2.0, p_max=2.0, n_p=5)
     return {
         "no-factor": (no_factor(rate=0.05), terminal, small_config(n_e=48), {}),
         "factor": (factor_coeffs(rate=0.05), terminal, factor_config, {}),
         "general-flux": (no_factor(m0=0.5), terminal, small_config(n_e=48), {}),
-        "recorded": (factor_coeffs(), indicator_terminal(reserve_cap), batch_config,
-                     {"eparam_nodes": batch_config.e_cells(), "threads": 2}),
+        "recorded": (factor_coeffs(), indicator_terminal(CapFunction.constant(0.75)),
+                     recorded_config, {"meta": {"cap_level": 0.75}}),
     }
 
 
-@pytest.mark.parametrize("case", ["no-factor", "factor", "general-flux", "recorded"])
+@pytest.mark.parametrize("factor", [False, True], ids=["no-factor", "factor"])
+@pytest.mark.parametrize("m", [-3, 3])
+def test_a_cap_moved_by_whole_cells_moves_the_field(factor, m):
+    """What ``lookup_recorded`` rests on: the emission rate does not depend
+    on ``e``, so the period solved at the cap ``L0 + m de`` is the one
+    solved at ``L0`` moved by ``m`` cells, on every cell that the box edges
+    cannot reach within the period."""
+    coeffs = factor_coeffs(rate=0.05) if factor else no_factor(rate=0.05)
+    p_grid = dict(p_min=-2.0, p_max=2.0, n_p=9) if factor else {}
+    config = small_config(e_max=2.0, n_e=72, **p_grid)
+    de, level, tau = 3.0 / 72, 0.5, 0.5  # 0.5 is the edge of cell 36
+    base, moved = (solve_one_period(coeffs, indicator_terminal(CapFunction.constant(cap)),
+                                    0.0, tau, config)
+                   for cap in (level, level + m * de))
+    need = coeffs.peak_speed(config.p_nodes()) * tau
+    e = base.e_nodes
+    far = np.nonzero((np.minimum(e, e - m * de) >= config.e_min + need)
+                     & (np.maximum(e, e - m * de) <= config.e_max - need))[0]
+    assert far.size > 20
+    gap = np.abs(np.take(moved.values, far, axis=-1) - np.take(base.values, far - m, axis=-1))
+    assert gap.max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["no-factor", "factor", "general-flux"])
 def test_start_only_solve_keeps_the_full_solves_start_slice(case, caplog):
     coeffs, terminal, config, kw = _start_only_cases()[case]
     with caplog.at_level("DEBUG", logger="carbon_fbsde.pde_kernel"):
@@ -377,14 +381,20 @@ def test_one_slice_grid_reads_its_only_slice(case):
     def inside(nodes):
         return None if nodes is None else rng.uniform(nodes[0], nodes[-1], 200)
 
-    p, e, ep = inside(full.p_nodes), inside(full.e_nodes), inside(full.eparam_nodes)
+    p, e = inside(full.p_nodes), inside(full.e_nodes)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        want = full.at_start(p, e, ep)
-        assert np.array_equal(start.at_start(p, e, ep), want)
-        assert np.array_equal(evaluate(start, 0.0, p, e, ep), want)
-        # any time reads the one stored slice
-        value, in_box = lookup(start, 0.3, p, e, ep)
+        if case == "recorded":
+            shifts = recorded_shifts(full, RESERVE_CAP, inside(full.e_nodes))
+            want, _ = lookup_recorded(full, 0.0, p, e, shifts)
+            assert np.array_equal(lookup_recorded(start, 0.0, p, e, shifts)[0], want)
+            value, in_box = lookup_recorded(start, 0.3, p, e, shifts)
+        else:
+            want = full.at_start(p, e)
+            assert np.array_equal(start.at_start(p, e), want)
+            assert np.array_equal(evaluate(start, 0.0, p, e), want)
+            # any time reads the one stored slice
+            value, in_box = lookup(start, 0.3, p, e)
     assert np.array_equal(value, want)
     assert in_box.all()
 
@@ -441,14 +451,13 @@ def test_lookup_clamps_huge_and_infinite_queries_onto_the_edge(lookup_grids, axi
 
 @pytest.fixture(scope="module")
 def lookup_grids():
-    """A solved factor grid and a solved recorded-emissions grid."""
+    """A solved factor grid and a reserve-rule period solved at its stand-in cap."""
     factor = solve_one_period(
         factor_coeffs(), indicator_terminal(CapFunction.constant(0.0)), 0.0, 0.5,
         small_config(n_e=32, p_min=-2.0, p_max=2.0, n_p=9))
-    _, reserve_cap = make_cap_msr(0.6, 0.6, 0.18, 0.72, 0.12, 0.88)
-    config = small_config(e_max=2.0, n_e=36)
-    recorded = solve_one_period(no_factor(), indicator_terminal(reserve_cap), 0.0, 0.5,
-                                config, eparam_nodes=config.e_cells())
+    recorded = solve_one_period(no_factor(), indicator_terminal(CapFunction.constant(0.75)),
+                                0.0, 0.5, small_config(e_max=2.0, n_e=36),
+                                meta={"cap_level": 0.75})
     return {"factor": factor, "recorded": recorded}
 
 
@@ -464,30 +473,47 @@ UNIT_COORD = st.floats(-0.3, 1.3).filter(
        coords=st.lists(st.tuples(UNIT_COORD, UNIT_COORD), min_size=1, max_size=16))
 def test_lookup_is_evaluate_with_an_in_box_mask(lookup_grids, kind, s, coords):
     """Inside the box the masked lookup is evaluate, bit for bit; it flags
-    exactly the points outside, where evaluate raises."""
+    exactly the points outside, where evaluate raises.  The recorded read
+    flags exactly the points whose ``e`` or recorded ``ep`` is outside, and
+    blends two reads of an independent interpolant, each moved by the cap
+    at a node bracketing ``ep`` and clamped onto the box."""
     grid = lookup_grids[kind]
     t = grid.t0 + s * (grid.tau - grid.t0)
     u = np.array(coords)
-    side = grid.p_nodes if grid.has_p else grid.eparam_nodes
+    side = grid.p_nodes if grid.has_p else grid.e_nodes
     x = side[0] + u[:, 0] * (side[-1] - side[0])
     e = grid.e_nodes[0] + u[:, 1] * (grid.e_nodes[-1] - grid.e_nodes[0])
+    inside = np.all((u >= 0.0) & (u <= 1.0), axis=1)
+    axes = (grid.times,) + ((side,) if grid.has_p else ()) + (grid.e_nodes,)
+    interp = RegularGridInterpolator(axes, grid.values, bounds_error=False, fill_value=None)
+
+    if kind == "recorded":
+        value, in_box = lookup_recorded(grid, t, None, e,
+                                        recorded_shifts(grid, RESERVE_CAP, x))
+        assert np.array_equal(in_box, inside)
+        de = side[1] - side[0]
+        j = np.clip(np.floor((x - side[0]) / de), 0, side.size - 2).astype(int)
+        theta = np.clip((x - side[j]) / de, 0.0, 1.0)
+
+        def moved(ep):
+            at = np.clip(e - RESERVE_CAP.level(ep) + grid.meta["cap_level"],
+                         side[0], side[-1])
+            return interp(np.column_stack([np.full(e.size, t), at]))
+
+        ref = (1.0 - theta) * moved(side[j]) + theta * moved(side[j + 1])
+        assert value == pytest.approx(ref, abs=1e-12)
+        return
 
     def query(sel):
-        return (x[sel], e[sel], None) if grid.has_p else (None, e[sel], x[sel])
+        return x[sel], e[sel]
 
     value, in_box = lookup(grid, t, *query(slice(None)))
-    inside = np.all((u >= 0.0) & (u <= 1.0), axis=1)
     assert np.array_equal(in_box, inside)
     if inside.any():
         assert np.array_equal(evaluate(grid, t, *query(inside)), value[inside])
         # the value itself against an independent multilinear interpolant
-        axes = ((grid.times, side, grid.e_nodes) if grid.has_p
-                else (grid.times, grid.e_nodes, side))
-        pts = np.column_stack([np.full(inside.sum(), t)]
-                              + [a[inside] for a in ((x, e) if grid.has_p else (e, x))])
-        ref = RegularGridInterpolator(axes, grid.values, bounds_error=False,
-                                      fill_value=None)(pts)
-        assert value[inside] == pytest.approx(ref, abs=1e-12)
+        pts = np.column_stack([np.full(inside.sum(), t), x[inside], e[inside]])
+        assert value[inside] == pytest.approx(interp(pts), abs=1e-12)
     for i in np.nonzero(~inside)[0]:
         with pytest.raises(CoverageError):
             evaluate(grid, t, *query(i))
@@ -566,12 +592,11 @@ def _looped_lipschitz_and_right_residual(grid, mono_l1, min_age=0.1):
 def test_diagnostics_match_the_per_slice_loops():
     coeffs = factor_coeffs(rate=0.05)
     config = SolverConfig(e_min=-1.0, e_max=2.0, n_e=36, p_min=-2.0, p_max=2.0, n_p=9)
-    _, reserve_cap = make_cap_msr(0.6, 0.6, 0.18, 0.72, 0.12, 0.88)
     grids = [
         solve_one_period(coeffs, indicator_terminal(CapFunction.constant(0.3)),
                          0.0, 0.5, config),
-        solve_one_period(coeffs, indicator_terminal(reserve_cap), 0.0, 0.5, config,
-                         eparam_nodes=config.e_cells()),
+        solve_one_period(coeffs, smoothed_indicator(CapFunction.constant(0.75), 0.4),
+                         0.0, 0.5, config),
     ]
     for grid in grids:
         report = diagnostics(grid, coeffs.mono_l1)

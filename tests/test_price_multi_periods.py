@@ -16,7 +16,7 @@ import pytest
 
 from carbon_fbsde import cli, pde_kernel
 from carbon_fbsde.cli import main
-from carbon_fbsde.config import load_config
+from carbon_fbsde.config import bundled_preset, load_config
 from carbon_fbsde.gridio import read_grid, start_slice_csv
 from carbon_fbsde.multi_period import (solve_periods, write_field_manifest,
                                        write_period_grid)
@@ -104,13 +104,12 @@ def test_a_period_whose_march_fails_leaves_no_grid_file(tmp_path, three_periods,
     assert main(["verify", str(out / "field")]) == 2
 
 
-@pytest.mark.parametrize("name, threads", [("two-period-factor", None),
-                                           ("two-period-msr", 2)])
+@pytest.mark.parametrize("name", ["two-period-factor", "two-period-msr"])
 def test_price_multi_writes_what_the_whole_field_writers_write(
-        tmp_path, preset_fields, name, threads):
+        tmp_path, preset_fields, name):
     """Byte for byte against whole grids written by ``write_period_grid``
     (``write_grid``), ``write_field_manifest`` and ``start_slice_csv``;
-    ``two-period-msr`` takes the threaded recorded-emissions batch."""
+    ``two-period-msr`` links through the recorded-emissions read."""
     plan, field = preset_fields[name]
     ref, run = tmp_path / "ref", tmp_path / "run"
     (ref / "field").mkdir(parents=True)
@@ -118,8 +117,7 @@ def test_price_multi_writes_what_the_whole_field_writers_write(
     write_field_manifest(plan.spec, entries, ref / "field")
     for k in (1, 2):
         start_slice_csv(field[k - 1], ref / f"value_surface_period_{k}.csv")
-    argv = ["price-multi", "--config", f"preset:{name}", "--out", str(run)]
-    assert main(argv + (["--threads", str(threads)] if threads else [])) == 0
+    assert main(["price-multi", "--config", f"preset:{name}", "--out", str(run)]) == 0
 
     written = sorted(p.relative_to(ref) for p in ref.rglob("*") if p.is_file())
     assert len(written) == 5
@@ -181,3 +179,23 @@ def test_verify_checks_every_hash_before_a_failed_diagnostic_exits_4(
         assert main(["verify", str(target)]) == 6
         # nothing is reported before every grid has been read
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("terminal", [{"kind": "indicator", "width": 0.0},
+                                      {"kind": "smoothed-indicator", "width": 0.05}],
+                         ids=["sharp", "smoothed"])
+def test_the_reserve_rule_market_passes_its_diagnostics_at_640_cells(tmp_path, terminal):
+    """Period 1 ends in period 2 read on the diagonal.  Read moved once per
+    point, by the cap at the recorded emissions themselves, that terminal
+    gains kinks the march turns into a scheme-added monotonicity defect
+    (1.1e-5 at 640 cells with the sharp terminal); the blend of the two bracketing
+    recorded-emissions nodes keeps every diagnostic passing."""
+    tree = bundled_preset("two-period-msr")
+    tree["grid"]["n_e"] = 640
+    tree["terminal"] = terminal
+    config = tmp_path / "msr.json"
+    config.write_text(json.dumps(tree))
+    assert main(["price-multi", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    diagnostics = json.loads((tmp_path / "run" / "diagnostics.json").read_text())
+    assert diagnostics["passed"]
+    assert all(r["scheme_added_monotonicity"] <= 1e-12 for r in diagnostics["reports"])

@@ -20,7 +20,7 @@ from carbon_fbsde.config import build_plan, bundled_preset
 from carbon_fbsde.errors import ValidationError
 from carbon_fbsde.model import MarketSpec
 from carbon_fbsde.montecarlo import _BLOCK, BRANCH_ABORTED, PathBundle
-from carbon_fbsde.pde_kernel import ValueGrid, lookup
+from carbon_fbsde.pde_kernel import ValueGrid, lookup, lookup_recorded, recorded_shifts
 from oracle import solve_grids
 
 
@@ -59,6 +59,14 @@ def reference_step_factor(coeffs, P, dt: float, sq: float, xi):
     drift = np.asarray(coeffs.drift(P), dtype=float)
     vol = np.asarray(coeffs.vol(P), dtype=float)
     return P + drift * dt + vol * sq * xi
+
+
+def reference_read(grid, t, P, E, shifts):
+    """``lookup``, or ``lookup_recorded`` with ``shifts`` for a period whose
+    cap depends on recorded emissions."""
+    if shifts is None:
+        return lookup(grid, t, P, E)
+    return lookup_recorded(grid, t, P, E, shifts)
 
 
 def reference_simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
@@ -140,12 +148,12 @@ def reference_simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: 
         for k, (grid, t0, t1, e_off, cap) in enumerate(periods):
             dt = (t1 - t0) / steps_per_period
             sq = math.sqrt(dt)
-            use_ep = grid.has_eparam
+            shifts = (None if cap is None or cap.is_constant
+                      else recorded_shifts(grid, cap, eparam))
             for j in range(steps_per_period):
                 t = times[gstep]
-                y_new, ok = lookup(grid, t if e_off == 0.0 else t - t0,
-                                   P, E - e_off,
-                                   (eparam - e_off) if use_ep else None)
+                y_new, ok = reference_read(grid, t if e_off == 0.0 else t - t0,
+                                           P, E - e_off, shifts)
                 newly = alive & ~ok
                 if newly.any():
                     abort_step[lo:hi][newly] = gstep
@@ -173,8 +181,7 @@ def reference_simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: 
                 E_pred = E + mu0 * dt
                 t_pred = min((t + dt) if e_off == 0.0 else t + dt - t0,
                              grid.last_interior_time)
-                y_pred, okp = lookup(grid, t_pred, P, E_pred - e_off,
-                                     (eparam - e_off) if use_ep else None)
+                y_pred, okp = reference_read(grid, t_pred, P, E_pred - e_off, shifts)
                 mu1 = np.asarray(coeffs.mu(P, np.where(okp, y_pred, Y)),
                                  dtype=float)
                 E = np.where(alive, E + 0.5 * (mu0 + mu1) * dt, E)
@@ -190,8 +197,8 @@ def reference_simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: 
                 lvl = np.full(bs, e_off + spec.cap_per_period)
             # grid.last_interior_time is global for chained fields and
             # period-local for the rolling grid, same as the step reads
-            y_left, okl = lookup(grid, grid.last_interior_time, P, E - e_off,
-                                 (eparam - e_off) if use_ep else None)
+            y_left, okl = reference_read(grid, grid.last_interior_time, P, E - e_off,
+                                         shifts)
             ng = next_grids[k]
             if ng is None:
                 # after the final date the contract is settled: the right
@@ -201,10 +208,12 @@ def reference_simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: 
             else:
                 off_n = periods[k + 1][3] if k + 1 < q else e_off + spec.cap_per_period
                 if isinstance(field, tuple):
-                    y_right, okr = lookup(ng, ng.t0, P, E,
-                                          E if ng.has_eparam else None)
+                    cap_n = periods[k + 1][4]
+                    y_right, okr = reference_read(
+                        ng, ng.t0, P, E,
+                        None if cap_n.is_constant else recorded_shifts(ng, cap_n, E))
                 else:
-                    y_right, okr = lookup(ng, 0.0, P, E - off_n, None)
+                    y_right, okr = lookup(ng, 0.0, P, E - off_n)
             newly = alive & ~(okl & okr)
             if newly.any():
                 abort_step[lo:hi][newly] = gstep
@@ -345,7 +354,7 @@ def test_rolling_grid_matches_the_block_outer_loop(rolling, market, q):
     assert_same_bundle(simulate(grid, plan.spec, **kwargs), ref)
 
 
-def edge_lookup(grid, t, p, e, eparam=None):
+def edge_lookup(grid, t, p, e):
     """``lookup`` that also puts three block positions outside the box.
 
     Position 5 leaves once 30% of a grid's time span has passed (an abort
@@ -354,7 +363,7 @@ def edge_lookup(grid, t, p, e, eparam=None):
     """
     from carbon_fbsde import pde_kernel
 
-    value, ok = pde_kernel.lookup(grid, t, p, e, eparam)
+    value, ok = pde_kernel.lookup(grid, t, p, e)
     ok = ok.copy()
     ok[5] &= not t - grid.t0 > 0.3 * (grid.tau - grid.t0)
     ok[6] &= t != grid.last_interior_time
