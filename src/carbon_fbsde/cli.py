@@ -35,7 +35,7 @@ from .errors import (ArtifactError, CarbonMarketError, ConfigError,
                      SimulationError, SolverError, ValidationError)
 from .gridio import (GridWriter, canonical_json, file_sha256, read_grid,
                      read_manifest, sha256_hex, start_slice_csv, write_grid)
-from .infinite_period import solve_infinite
+from .infinite_period import certificate_doc, solve_infinite
 from .montecarlo import (events_csv, jump_consistency_test, martingale_test,
                          paths_csv, simulate)
 from .multi_period import (open_field_dir, read_period_grids, solve_periods,
@@ -87,6 +87,10 @@ def _write_manifest(out: Path, command: str, plan: RunPlan, seeds, artifacts: di
         json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n",
         encoding="utf-8")
     return manifest
+
+
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _grid_report(grid, label: str) -> dict:
@@ -144,9 +148,7 @@ def cmd_price_multi(args) -> int:
     artifacts.update(dict.fromkeys(
         f"value_surface_period_{k}.csv" for k in range(1, q + 1)))
     all_ok = all(r["passed"] for r in reports)
-    (out / "diagnostics.json").write_text(
-        json.dumps({"reports": reports, "passed": all_ok}, indent=2,
-                   sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out / "diagnostics.json", {"reports": reports, "passed": all_ok})
     artifacts["diagnostics.json"] = None
 
     _write_manifest(out, "price-multi", plan, [], artifacts,
@@ -179,32 +181,14 @@ def cmd_price_infinite(args) -> int:
         except ConvergenceError as exc:
             cert_dict = getattr(exc, "certificate", None)
             if cert_dict is not None:
-                (out / "picard_certificate.json").write_text(
-                    json.dumps(cert_dict, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+                _write_json(out / "picard_certificate.json", cert_dict)
             raise
         solve_seconds = time.monotonic() - t_start
         grid_digest = write_grid(writer, writer.path)
     report = writer.scanned
     start_slice_csv(grid, out / "value_surface.csv")
-    residuals = list(cert.residuals)
-    table = [{"n": i + 1, "residual": r,
-              "ratio": (r / residuals[i - 1]) if i > 0 and residuals[i - 1] > 0
-              else None}
-             for i, r in enumerate(residuals)]
-    cert_doc = {
-        "iterations": cert.iteration,
-        "converged": cert.converged,
-        "residual": cert.residual,
-        "table": table,
-        "contraction": cert.contraction,
-    }
-    (out / "picard_certificate.json").write_text(
-        json.dumps(cert_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-    (out / "diagnostics.json").write_text(
-        json.dumps({"reports": [report], "passed": report["passed"]},
-                   indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out / "picard_certificate.json", certificate_doc(cert))
+    _write_json(out / "diagnostics.json", {"reports": [report], "passed": report["passed"]})
 
     artifacts = {"w.grid": grid_digest, "value_surface.csv": None,
                  "picard_certificate.json": None, "diagnostics.json": None}
@@ -258,14 +242,14 @@ def _load_field_for_simulation(plan: RunPlan, field_path: Path):
             raise ArtifactError(
                 f"field has {len(entries)} periods, config wants {plan.spec.n_periods}"
             )
-        if abs(manifest["rate"] - plan.spec.coefficients.rate) > 1e-12:
+        if not abs(manifest["rate"] - plan.spec.coefficients.rate) <= 1e-12:  # NaN fails
             raise ArtifactError("field rate does not match the config rate")
         return read_period_grids(field_path, entries)
     if field_path.is_file():
         grid = read_grid(field_path, _recorded_sha256(field_path, plan))
         if plan.horizon != "infinite":
             raise ArtifactError("a bare grid artifact needs an infinite-horizon config")
-        if abs(grid.rate - plan.spec.coefficients.rate) > 1e-12:
+        if not abs(grid.rate - plan.spec.coefficients.rate) <= 1e-12:  # NaN fails
             raise ArtifactError("grid rate does not match the config rate")
         return grid
     raise ArtifactError(f"{field_path}: no field artifact found")
@@ -319,8 +303,7 @@ def cmd_simulate(args) -> int:
         },
         "abort_fraction": bundle.abort_fraction,
     }
-    (out / "simulation_report.json").write_text(
-        json.dumps(reports, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out / "simulation_report.json", reports)
 
     artifacts = dict.fromkeys(["paths.csv", "events.csv", "simulation_report.json"])
     _write_manifest(out, "simulate", plan, [seed], artifacts,

@@ -233,6 +233,8 @@ def _parse_header(raw: bytes, path) -> tuple:
                 or list(header["shape"]) != [nodes.size for nodes in axes]):
             raise ValueError("shape, axes and meta disagree")
         fields.update(rate=float(header["rate"]), meta=meta)
+        if not math.isfinite(fields["rate"]):
+            raise ValueError(f"rate {fields['rate']}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ArtifactError(f"{path}: corrupt grid header ({exc!r})") from exc
     return tuple(nodes.size for nodes in axes), fields

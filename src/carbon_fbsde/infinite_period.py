@@ -30,7 +30,8 @@ from .model import CoefficientSet
 from .pde_kernel import (SliceSink, SolverConfig, ValueGrid, check_dependence,
                          solve_one_period)
 
-__all__ = ["PicardState", "initial_state", "picard_step", "solve_infinite"]
+__all__ = ["PicardState", "initial_state", "picard_step", "solve_infinite",
+           "certificate_doc"]
 
 _log = logging.getLogger(__name__)
 
@@ -158,20 +159,16 @@ def default_max_iter(rate: float, period_length: float,
     return math.ceil(math.log(rel_tol) / math.log(q)) + 10
 
 
-def _partial_certificate(state: PicardState, q: float, tol_l1: float,
-                         max_iter: int) -> dict:
-    """JSON-ready record of a sweep history that failed to certify."""
-    residuals = list(state.residuals)
-    return {
-        "converged": False,
-        "iterations": state.iteration,
-        "residual": state.residual,
-        "tol_l1": tol_l1,
-        "max_iter": max_iter,
-        "contraction_factor": q,
-        "residuals": residuals,
-        "observed_ratios": list(state.observed_ratios),
-    }
+def certificate_doc(state: PicardState) -> dict:
+    """``picard_certificate.json`` of a certificate from :func:`solve_infinite`,
+    converged or not: the sweep table beside the state's contraction record."""
+    r = state.residuals
+    table = [{"n": i + 1, "residual": x,
+              "ratio": (x / r[i - 1]) if i > 0 and r[i - 1] > 0 else None}
+             for i, x in enumerate(r)]
+    return {"iterations": state.iteration, "converged": state.converged,
+            "residual": state.residual, "table": table,
+            "contraction": state.contraction}
 
 
 def solve_infinite(coeffs: CoefficientSet, period_length: float,
@@ -191,6 +188,10 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
     :class:`gridio.GridWriter`, or any sink) that re-solve hands it every
     slice as the march makes it, and the returned grid keeps the start
     slice only; without one, the grid holds every slice.
+
+    A :class:`ConvergenceError` carries the failed history as
+    ``certificate``, in :func:`certificate_doc`'s layout with
+    ``converged`` false.
     """
     if coeffs.rate <= 0.0:
         raise ConfigError(
@@ -209,6 +210,20 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
     check_dependence(coeffs, config, [(period_length, 0.0, cap_per_period)])
 
     q = math.exp(-coeffs.rate * period_length)
+    facts = {"factor": q, "rate": coeffs.rate, "period_length": period_length,
+             "allocation": cap_per_period, "tol_l1": tol_l1, "max_iter": max_iter}
+
+    def certified(state: PicardState, converged: bool,
+                  check: Optional[PicardState]) -> PicardState:
+        """``state`` with its contraction record; the self-consistency
+        figure joins it once the check sweep ``check`` has run."""
+        contraction = dict(facts, observed_ratios=state.observed_ratios[-8:],
+                           min_increase=state.min_increase)
+        if check is not None:
+            contraction.update(self_consistency=check.residual,
+                               min_increase=min(state.min_increase, check.min_increase))
+        return replace(state, converged=converged, contraction=contraction)
+
     state = prev = initial_state(coeffs, config)
     while state.iteration < max_iter:
         prev = state
@@ -220,7 +235,7 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
             f"residual {state.residual:.3g} above tol {tol_l1:.3g} after "
             f"{state.iteration} sweeps (contraction factor {q:.6f})"
         )
-        exc.certificate = _partial_certificate(state, q, tol_l1, max_iter)
+        exc.certificate = certificate_doc(certified(state, False, None))
         raise exc
 
     check = picard_step(state, coeffs, period_length, cap_per_period, config)
@@ -229,7 +244,7 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
             f"self-consistency re-solve moved the field by {check.residual:.3g} "
             f"> 2 * tol = {2 * tol_l1:.3g}"
         )
-        exc.certificate = _partial_certificate(check, q, tol_l1, max_iter)
+        exc.certificate = certificate_doc(certified(state, False, check))
         raise exc
 
     started = time.perf_counter()
@@ -238,19 +253,4 @@ def solve_infinite(coeffs: CoefficientSet, period_length: float,
                state.iteration, grid.meta["n_steps"] + 1,
                "stored" if writer is None else "written",
                time.perf_counter() - started)
-    certificate = replace(
-        state,
-        converged=True,
-        contraction={
-            "factor": q,
-            "rate": coeffs.rate,
-            "period_length": period_length,
-            "allocation": cap_per_period,
-            "tol_l1": tol_l1,
-            "max_iter": max_iter,
-            "observed_ratios": state.observed_ratios[-8:],
-            "self_consistency": check.residual,
-            "min_increase": min(state.min_increase, check.min_increase),
-        },
-    )
-    return grid, certificate
+    return grid, certified(state, True, check)

@@ -10,17 +10,21 @@ agree).
 
 Periods run outside, in one loop for a finite market's period grids and
 the rolling grid alike.  Within a period, blocks run in groups, one pass
-over the period's grid per group, with the steps outside and the group's
-blocks inside.  A field directory's grids are never held: each pass
-streams grid k from its file through a ring of a few time slices,
-hashing it as it goes, so a step finds the slices that bracket t and
-t + dt in the ring.  Grid k + 1's first slice gives the right values at
-the compliance date T_k, settled before any step of period k + 1.  The
+over the period's grid per group; a pass advances the group's paths as
+one vector, step by step, with one field read at t and one at t + dt, so
+a block only keys the noise stream.  A field directory's grids are never
+held: each pass streams grid k from its file through a ring of a few time
+slices, hashing it as it goes, so a step finds the slices that bracket t
+and t + dt in the ring.  Grid k + 1's first slice gives the right values
+at the compliance date T_k, settled before any step of period k + 1.  The
 rolling grid serves every period, held and read in period-local
 coordinates.  The stream holds one row of draws per path across the
 whole horizon, so in every period a block draws its rows again and keeps
-only that period's columns, step-major; a group's draws take at most the
-bytes of the grid that is streamed, not held.
+only that period's columns, step-major; a group's draws take at most
+the bytes of the grid that is streamed, not held.  A no-factor market,
+which draws nothing, sizes its groups the same way; on a small grid that
+keeps its vectors one block wide, which ran faster than one group of all
+paths from 50 000 paths up, at the same peak memory (README).
 
 A path that leaves the stored grid box is frozen where it was and
 reported; the run only fails when more than 0.1% of paths do that.
@@ -56,9 +60,9 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 _BLOCK = 8192
-# slices of a streamed grid that stay readable: the blocks read the bracket of
-# t, then that of t + dt, which the next step's bracket starts at most one
-# slice before; three would do
+# slices of a streamed grid that stay readable: a step reads the bracket of t,
+# then that of t + dt, which the next step's bracket starts at most one slice
+# before; three would do
 _RING = 4
 _DRAW_CHUNK = 1 << 16  # draws per chunk when a block's rows are drawn again
 BRANCH_BELOW, BRANCH_AT, BRANCH_ABOVE, BRANCH_ABORTED = -1, 0, 1, -2
@@ -225,13 +229,13 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
     :class:`ValueGrid`; then ``n_periods`` chooses how many periods to
     roll forward and the price reads the grid in period-local coordinates.
 
-    A period runs in block groups, one pass over its grid each, with the
-    steps outside and the group's blocks inside.  A group's period draws
-    take at most the bytes of a streamed grid, which is never held, and a
-    group has at least one block, so a held grid gets groups of one block;
-    without draws all blocks form one group.  A pass settles the previous
-    compliance date at its grid's first slice, before any step.  A
-    reader's digest is checked when its pass ends, so a corrupt grid
+    A period runs in block groups, one pass over its grid each; a pass
+    steps the group's paths as one vector, and a block only keys the
+    noise stream.  A group's period draws take at most the bytes of a
+    streamed grid, which is never held, and a group has at least one
+    block, so a held grid gets groups of one block.  A pass settles the
+    previous compliance date at its grid's first slice, before any step.
+    A reader's digest is checked when its pass ends, so a corrupt grid
     raises :class:`ArtifactError` after that pass has run.
 
     The factor steps by its exact mean-reverting transition when the
@@ -285,46 +289,38 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
     aborted = np.zeros(n_paths, dtype=bool)
     abort_step = np.full(n_paths, -1, dtype=np.int32)
 
-    # path state carried from period to period; a block works on its slice
+    # path state carried from period to period; a block group works on its slice
     P_all = np.full(n_paths, float(p0)) if has_p else None
     E_all = np.full(n_paths, float(e0))
     Y_all = np.zeros(n_paths)
     alive_all = np.ones(n_paths, dtype=bool)
     eparam_all = E_all.copy()
     ok_date = np.empty(n_paths, dtype=bool)  # left and right value inside the box
-    # the rate and predicted emissions, kept from a step's first half to its
-    # second; owned here, as ``mu`` may return a shared or read-only array
-    mu_all, pred_all = np.empty(n_paths), np.empty(n_paths)
 
-    blocks = [(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
-    mask_buf = np.empty(blocks[0][1], dtype=bool)
-    draw_bytes = 8 * spp * _BLOCK if has_p else 0
+    n_blocks = -(-n_paths // _BLOCK)
     xi_buf = np.empty(0)
     passes = [0] * q
     ring_bytes = 0
     delta_e = None
 
-    def settle(k: int, group: list, grid: Optional[ValueGrid] = None, off: float = 0.0,
+    def settle(k: int, g: slice, grid: Optional[ValueGrid] = None, off: float = 0.0,
                recorded: Optional[CapFunction] = None):
-        """Compliance date T_k for the paths of ``group``.  The right value
-        is read at ``grid``'s start ``off`` lower in emissions, block by block
-        so the lookup's temporaries stay block-sized (on the diagonal when
-        ``recorded`` is the grid's cap); without a grid (after a chained
-        field's last date) it is the payout itself."""
-        g = slice(group[0][0], group[-1][1])
+        """Compliance date T_k for the paths of ``g``.  The right value is
+        read at ``grid``'s start ``off`` lower in emissions (on the diagonal
+        when ``recorded`` is the grid's cap); without a grid (after a
+        chained field's last date) it is the payout itself."""
         E = E_all[g]
         comp_E[k, g] = E
         comp_cap[k, g] = periods[k][4].level(eparam_all[g])
         if grid is None:
             comp_right[k, g] = E >= comp_cap[k, g]
         else:
-            for lo, hi in group:
-                e = E_all[lo:hi] - off
-                p = P_all[lo:hi] if has_p else None
-                comp_right[k, lo:hi], ok = (
-                    lookup(grid, grid.t0, p, e) if recorded is None else
-                    lookup_recorded(grid, grid.t0, p, e, recorded_shifts(grid, recorded, e)))
-                ok_date[lo:hi] &= ok
+            e = E - off
+            p = P_all[g] if has_p else None
+            comp_right[k, g], ok = (
+                lookup(grid, grid.t0, p, e) if recorded is None else
+                lookup_recorded(grid, grid.t0, p, e, recorded_shifts(grid, recorded, e)))
+            ok_date[g] &= ok
         alive = alive_all[g]
         newly = alive > ok_date[g]
         abort_step[g][newly] = (k + 1) * spp
@@ -351,12 +347,12 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
         if streamed:
             ring_bytes = max(ring_bytes, _RING * 8 * math.prod(shape[1:]))
         budget = 8 * math.prod(shape) if streamed else 0
-        size = max(1, budget // draw_bytes) if draw_bytes else len(blocks)
-        group = blocks[b0:b0 + size]
-        glo, width = group[0][0], group[-1][1] - group[0][0]
+        b1 = min(b0 + max(1, budget // (8 * spp * _BLOCK)), n_blocks)
+        g = slice(b0 * _BLOCK, min(b1 * _BLOCK, n_paths))
+        width = g.stop - g.start
         passes[k] += 1
         if k:
-            settle(k - 1, group, grid, e_off, recorded)
+            settle(k - 1, g, grid, e_off, recorded)
 
         dt = (t1 - t0) / spp
         sq = math.sqrt(dt)
@@ -365,78 +361,74 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
                 xi_buf = None  # drop the smaller buffer before the larger one
                 xi_buf = np.empty(spp * width)
             xi = xi_buf[:spp * width].reshape(spp, width)
-        work = []
-        for b, (lo, hi) in enumerate(group, start=b0):
-            if has_p:
-                _draw_columns(xi[:, lo - glo:hi - glo], seed, b, n_steps, k * spp)
-            # a block's reads; the shifts of the recorded emissions hold for the period
-            read = lookup if recorded is None else partial(
-                lookup_recorded, shifts=recorded_shifts(grid, recorded, eparam_all[lo:hi]))
-            work.append((lo, hi, P_all[lo:hi] if has_p else None, E_all[lo:hi],
-                         Y_all[lo:hi], alive_all[lo:hi], mu_all[lo:hi], pred_all[lo:hi], read,
-                         xi[:, lo - glo:hi - glo] if has_p else None, min(keep, hi) - lo))
+            for b in range(b0, b1):
+                lo = (b - b0) * _BLOCK
+                _draw_columns(xi[:, lo:lo + _BLOCK], seed, b, n_steps, k * spp)
+        # the shifts of the recorded emissions hold for the period
+        read = lookup if recorded is None else partial(
+            lookup_recorded, shifts=recorded_shifts(grid, recorded, eparam_all[g]))
+        P = P_all[g] if has_p else None
+        E, Y, alive = E_all[g], Y_all[g], alive_all[g]
+        kept = min(keep, g.stop) - g.start
+        # the rate and predicted emissions, kept from a step's first half to
+        # its second; owned here, as ``mu`` may return a shared or read-only array
+        mu, e_pred, newly = np.empty(width), np.empty(width), np.empty(width, dtype=bool)
 
-        # every block takes the bracket of t before any reads that of t + dt,
-        # so a streamed grid is read forward once per step
+        # the bracket of t is read before that of t + dt, so a streamed grid
+        # is read forward once per step
         for j in range(spp):
             gstep = k * spp + j
             t = times[gstep]
+            y_new, ok = read(grid, t - t_shift, P, E - e_off)
+            np.greater(alive, ok, out=newly)  # alive and not ok
+            if newly.any():
+                abort_step[g][newly] = gstep
+                aborted[g][newly] = True
+                alive &= ok
+            np.copyto(Y, y_new, where=alive)
+
             s = snap_pos.get(gstep)
-            for lo, hi, P, E, Y, alive, mu, e_pred, read, xi_b, kb in work:
-                newly = mask_buf[:hi - lo]
-                y_new, ok = read(grid, t - t_shift, P, E - e_off)
-                np.greater(alive, ok, out=newly)  # alive and not ok
-                if newly.any():
-                    abort_step[lo:hi][newly] = gstep
-                    aborted[lo:hi][newly] = True
-                    alive &= ok
-                np.copyto(Y, y_new, where=alive)
-
-                if s is not None:
-                    if has_p:
-                        snap_P[s, lo:hi] = P
-                    snap_E[s, lo:hi] = E
-                    snap_Y[s, lo:hi] = Y
-                if kb > 0:
-                    if has_p:
-                        path_P[lo:lo + kb, gstep] = P[:kb]
-                    path_E[lo:lo + kb, gstep] = E[:kb]
-                    path_Y[lo:lo + kb, gstep] = Y[:kb]
-
-                np.copyto(mu, np.asarray(coeffs.mu(P, Y), dtype=float))
+            if s is not None:
                 if has_p:
-                    np.copyto(P, _step_factor(coeffs, P, dt, sq, xi_b[j]), where=alive)
-                np.multiply(mu, dt, out=e_pred)
-                e_pred += E
-                e_pred -= e_off
-            t_pred = min(t + dt - t_shift, grid.last_interior_time)
-            for lo, hi, P, E, Y, alive, mu, e_pred, read, _, _ in work:
-                newly = mask_buf[:hi - lo]
-                y_pred, okp = read(grid, t_pred, P, e_pred)
-                np.logical_not(okp, out=newly)
-                np.copyto(y_pred, Y, where=newly)
-                mu += np.asarray(coeffs.mu(P, y_pred), dtype=float)
-                mu *= 0.5
-                mu *= dt
-                mu += E
-                np.copyto(E, mu, where=alive)
+                    snap_P[s, g] = P
+                snap_E[s, g] = E
+                snap_Y[s, g] = Y
+            if kept > 0:
+                if has_p:
+                    path_P[g.start:g.start + kept, gstep] = P[:kept]
+                path_E[g.start:g.start + kept, gstep] = E[:kept]
+                path_Y[g.start:g.start + kept, gstep] = Y[:kept]
+
+            np.copyto(mu, np.asarray(coeffs.mu(P, Y), dtype=float))
+            if has_p:
+                np.copyto(P, _step_factor(coeffs, P, dt, sq, xi[j]), where=alive)
+            np.multiply(mu, dt, out=e_pred)
+            e_pred += E
+            e_pred -= e_off
+            y_pred, okp = read(grid, min(t + dt - t_shift, grid.last_interior_time),
+                               P, e_pred)
+            np.logical_not(okp, out=newly)
+            np.copyto(y_pred, Y, where=newly)
+            mu += np.asarray(coeffs.mu(P, y_pred), dtype=float)
+            mu *= 0.5
+            mu *= dt
+            mu += E
+            np.copyto(E, mu, where=alive)
 
         # left value at T_k from grid k; its last_interior_time is in the
         # same coordinates as the step reads
-        for lo, hi, P, E, _, _, _, _, read, _, _ in work:
-            comp_left[k, lo:hi], ok_date[lo:hi] = read(
-                grid, grid.last_interior_time, P, E - e_off)
+        comp_left[k, g], ok_date[g] = read(grid, grid.last_interior_time, P, E - e_off)
         if k + 1 == q and rolling:  # the rolling grid serves the last date too
-            settle(k, group, grid, e_off + spec.cap_per_period)
+            settle(k, g, grid, e_off + spec.cap_per_period)
         elif k + 1 == q:
-            settle(k, group)
-        return b0 + len(group)
+            settle(k, g)
+        return b1
 
     # periods outside; a chained field's grid k + 1 settles date T_k
     for k in range(q):
         source = _next_grid(sources, k + 1)
         b0 = 0
-        while b0 < len(blocks):
+        while b0 < n_blocks:
             b0 = _read_pass(source, partial(run_pass, k=k, b0=b0))
         source = None  # a held grid of a chained field goes with its period
 

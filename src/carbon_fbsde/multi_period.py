@@ -23,6 +23,7 @@ each grid through a few slices and never holds one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -146,8 +147,8 @@ def open_field_dir(path) -> tuple:
     if manifest.get("format") != _DIR_FORMAT:
         raise ArtifactError(f"{root}: unknown field format {manifest.get('format')!r}")
     rate = manifest.get("rate")
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-        raise ArtifactError(f"{mpath}: manifest needs a numeric 'rate'")
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not math.isfinite(rate):
+        raise ArtifactError(f"{mpath}: manifest needs a finite numeric 'rate'")
     return manifest, entries
 
 

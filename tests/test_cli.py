@@ -176,6 +176,10 @@ def test_price_infinite_budget_exhaustion_exits_5_with_certificate(
                  "--out", str(out)]) == 5
     cert = json.loads((out / "picard_certificate.json").read_text())
     assert cert["converged"] is False
+    # the exit-0 layout; the self-consistency sweep never ran
+    assert set(cert) == {"iterations", "converged", "residual", "table", "contraction"}
+    assert len(cert["table"]) == cert["iterations"] == 1
+    assert "self_consistency" not in cert["contraction"]
 
 
 def test_price_infinite_needs_positive_rate(tmp_path, rolling_config):
@@ -204,6 +208,11 @@ def test_simulate_round_trip_and_determinism(tmp_path, finite_config):
     assert manifest_of(s1)["content_hash"] == manifest_of(s2)["content_hash"]
 
     report = json.loads((s1 / "simulation_report.json").read_text())
+    assert set(report) == {"martingale", "jump", "abort_fraction"}
+    assert set(report["martingale"]) == {"t1", "t2", "delta", "se", "n_used", "passed",
+                                         "statistical"}
+    assert set(report["jump"]) == {"margin_cells", "above_residual", "below_residual",
+                                   "n_above", "n_below", "n_at"}
     assert report["abort_fraction"] == 0.0
     # deterministic degenerate market: drift is reported, never gated
     assert report["martingale"]["statistical"] is False
@@ -313,6 +322,8 @@ FIELD_BREAKS = {
         {**doc, "grids": [{**doc["grids"][0], "file": 1}]}),
     "no-rate": lambda doc: json.dumps(_without(doc, "rate")),
     "rate-not-a-number": lambda doc: json.dumps({**doc, "rate": "0"}),
+    # Python's json reads NaN, and NaN fails every comparison
+    "rate-nan": lambda doc: json.dumps({**doc, "rate": math.nan}),
 }
 
 RUN_BREAKS = {
@@ -523,6 +534,44 @@ def test_a_grid_with_a_recorded_emissions_axis_exits_6(tmp_path, priced_run, cap
     assert "recorded-emissions axis (eparam_nodes)" in capsys.readouterr().err
 
 
+def test_a_bare_grid_with_a_nan_rate_exits_6(tmp_path, rolled_run, capsys):
+    # no run manifest beside it, so only the header speaks for the grid
+    loose = tmp_path / "loose" / "w.grid"
+    loose.parent.mkdir()
+    blob = (rolled_run[0] / "w.grid").read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    head = json.dumps({**json.loads(blob[16:16 + n]), "rate": math.nan}).encode("utf-8")
+    loose.write_bytes(blob[:8] + len(head).to_bytes(8, "little") + head + blob[16 + n:])
+    _refused(tmp_path, rolled_run[1], loose, capsys, "corrupt grid header")
+
+
 def test_simulate_refuses_a_path_with_no_field(tmp_path, priced_run, capsys):
     _refused(tmp_path, priced_run[1], tmp_path / "nowhere", capsys,
              "no field artifact found")
+
+
+# ----------------------------------------------------------------------
+# report layouts
+# ----------------------------------------------------------------------
+
+DIAGNOSTICS_KEYS = {
+    "grid", "passed", "notes", "max_range_violation", "max_monotonicity_violation",
+    "terminal_monotonicity_defect", "scheme_added_monotonicity", "lipschitz_excess",
+    "boundary_left", "boundary_right_residual", "left_tail_mass"}
+
+
+def test_reports_keep_their_key_sets(priced_run, rolled_run):
+    """The JSON report layouts, so a key cannot reach or leave an artifact
+    unnoticed; ``simulation_report.json`` is pinned where simulate runs."""
+    diag = json.loads((priced_run[0] / "diagnostics.json").read_text())
+    assert set(diag) == {"reports", "passed"}
+    assert all(set(r) == DIAGNOSTICS_KEYS for r in diag["reports"])
+    rolled = json.loads((rolled_run[0] / "diagnostics.json").read_text())
+    assert [set(r) for r in rolled["reports"]] == [DIAGNOSTICS_KEYS]
+
+    cert = json.loads((rolled_run[0] / "picard_certificate.json").read_text())
+    assert set(cert) == {"iterations", "converged", "residual", "table", "contraction"}
+    assert all(set(row) == {"n", "residual", "ratio"} for row in cert["table"])
+    assert set(cert["contraction"]) == {
+        "factor", "rate", "period_length", "allocation", "tol_l1", "max_iter",
+        "observed_ratios", "self_consistency", "min_increase"}

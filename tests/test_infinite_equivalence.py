@@ -20,8 +20,8 @@ from carbon_fbsde import infinite_period
 from carbon_fbsde.config import preset_coefficients
 from carbon_fbsde.errors import (ConfigError, ConvergenceError, CoverageError,
                                  InvariantError, ValidationError)
-from carbon_fbsde.infinite_period import (_cells_shape, _partial_certificate,
-                                          _picard_terminal, _shift_geometry,
+from carbon_fbsde.infinite_period import (_cells_shape, _picard_terminal,
+                                          _shift_geometry, certificate_doc,
                                           default_max_iter, solve_infinite)
 from carbon_fbsde.model import CoefficientSet
 from carbon_fbsde.pde_kernel import SolverConfig, ValueGrid, solve_one_period
@@ -116,6 +116,8 @@ def reference_solve_infinite(coeffs: CoefficientSet, period_length: float,
         )
 
     q = math.exp(-coeffs.rate * period_length)
+    facts = {"factor": q, "rate": coeffs.rate, "period_length": period_length,
+             "allocation": cap_per_period, "tol_l1": tol_l1, "max_iter": max_iter}
     state = ReferenceState(iteration=0,
                            start_slice=np.zeros(_cells_shape(coeffs, config)),
                            residual=math.inf, residuals=(), min_increase=0.0,
@@ -130,7 +132,9 @@ def reference_solve_infinite(coeffs: CoefficientSet, period_length: float,
             f"residual {state.residual:.3g} above tol {tol_l1:.3g} after "
             f"{state.iteration} sweeps (contraction factor {q:.6f})"
         )
-        exc.certificate = _partial_certificate(state, q, tol_l1, max_iter)
+        exc.certificate = certificate_doc(replace(state, contraction=dict(
+            facts, observed_ratios=state.observed_ratios[-8:],
+            min_increase=state.min_increase)))
         raise exc
 
     check = reference_picard_step(state, coeffs, period_length,
@@ -140,7 +144,10 @@ def reference_solve_infinite(coeffs: CoefficientSet, period_length: float,
             f"self-consistency re-solve moved the field by {check.residual:.3g} "
             f"> 2 * tol = {2 * tol_l1:.3g}"
         )
-        exc.certificate = _partial_certificate(check, q, tol_l1, max_iter)
+        exc.certificate = certificate_doc(replace(state, contraction=dict(
+            facts, observed_ratios=state.observed_ratios[-8:],
+            self_consistency=check.residual,
+            min_increase=min(state.min_increase, check.min_increase))))
         raise exc
 
     certificate = replace(

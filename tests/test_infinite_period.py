@@ -49,7 +49,7 @@ def test_budget_exhaustion_carries_a_certificate():
         solve_infinite(rolling_coeffs(), 1.0, 1.0, aligned_config(), max_iter=1)
     cert = info.value.certificate
     assert cert["converged"] is False
-    assert len(cert["residuals"]) == 1
+    assert len(cert["table"]) == 1
 
 
 def test_sweeps_increase_and_contract():

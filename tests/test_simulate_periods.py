@@ -3,10 +3,13 @@
 The CLI checks the field's manifests up front and hands ``simulate`` a
 reader per period grid.  Each period runs in block groups, and each group
 streams its grid in one hash-checked pass through a ring of a few slices;
-grid k + 1's first slice settles compliance date T_k.  A group's draws
-take at most the bytes of the grid it streams.  Against the rolling grid,
-which is held and serves every period, the draw buffer holds one block's
-steps of one period.
+grid k + 1's first slice settles compliance date T_k.  A pass advances
+the group's paths as one vector, so it reads the field a fixed number of
+times whatever the number of blocks in the group; a block only keys the
+noise stream.  A group's draws take at most the bytes of the grid it
+streams, and a no-factor market, which draws nothing, sizes its groups
+the same way.  Against the rolling grid, which is held and serves every
+period, the draw buffer holds one block's steps of one period.
 """
 
 import json
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from carbon_fbsde import gridio, simulate, solve_infinite
+from carbon_fbsde import gridio, montecarlo, simulate, solve_infinite
 from carbon_fbsde.cli import main
 from carbon_fbsde.config import build_plan, bundled_preset, load_config
 from carbon_fbsde.gridio import read_grid
@@ -202,3 +205,62 @@ def test_a_corrupt_grid_exits_6_when_its_first_pass_ends(tmp_path, small_factor,
     assert err.count("error: ") == 1 and "sha256" in err, err
     assert not any((out / name).exists()
                    for name in ("paths.csv", "events.csv", "manifest.json"))
+
+
+def test_a_pass_reads_the_field_a_fixed_number_of_times_whatever_its_blocks(
+        small_factor, grid_reads, monkeypatch):
+    """Two reads per step, the left value at the period's date, and the
+    right value of the date before: no read per block."""
+    config, run = small_factor
+    plan = load_config(config)
+    _, entries = open_field_dir(run / "field")
+    readers = read_period_grids(run / "field", entries)
+    grids = tuple(read() for read in readers)
+    steps = 8
+    kwargs = dict(n_paths=4 * _BLOCK + 17, steps_per_period=steps, seed=5, keep_paths=20)
+    # five blocks per period: a group of three, then one of two
+    assert all(g.values.nbytes // (8 * steps * _BLOCK) == 3 for g in grids)
+
+    real = montecarlo.lookup
+
+    def spy(*args, **kwargs):
+        grid_reads.append("lookup")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "lookup", spy)
+    grid_reads.clear()
+    bundle = simulate(readers, plan.spec, **kwargs)
+    expected = []
+    for k, name in enumerate(["period_1.grid", "period_2.grid"]):
+        expected += 2 * ([name] + ["lookup"] * (2 * steps + 1 + (k > 0)))
+    assert grid_reads == expected
+    assert_same_bundle(bundle, reference_simulate(grids, plan.spec, **kwargs))
+
+
+# the no-factor periods on a coarse grid, smaller than one block's draws
+COARSE_NO_FACTOR = {**THREE_PERIODS, "label": "coarse-no-factor",
+                    "grid": {"e_min": -2.0, "e_max": 3.0, "n_e": 100},
+                    "simulation": {**THREE_PERIODS["simulation"], "n_paths": _BLOCK + 17}}
+
+
+def test_a_no_factor_market_sizes_its_groups_as_a_factor_market_does(
+        tmp_path, grid_reads):
+    config = tmp_path / "coarse.json"
+    config.write_text(json.dumps(COARSE_NO_FACTOR))
+    run = tmp_path / "run"
+    assert main(["price-multi", "--config", str(config), "--out", str(run)]) == 0
+    plan = load_config(config)
+    _, entries = open_field_dir(run / "field")
+    readers = read_period_grids(run / "field", entries)
+    grids = tuple(read() for read in readers)
+    sim = COARSE_NO_FACTOR["simulation"]
+    kwargs = dict(n_paths=sim["n_paths"], steps_per_period=sim["steps_per_period"],
+                  keep_paths=sim["keep_paths"], e0=sim["e0"])
+    assert all(g.values.nbytes < 8 * sim["steps_per_period"] * _BLOCK for g in grids)
+
+    grid_reads.clear()
+    bundle = simulate(readers, plan.spec, **kwargs)
+    # one pass per block: without draws the group is still bounded, so its
+    # vectors stay one block wide
+    assert grid_reads == [f"period_{k}.grid" for k in (1, 2, 3) for _ in range(2)]
+    assert_same_bundle(bundle, reference_simulate(grids, plan.spec, **kwargs))
