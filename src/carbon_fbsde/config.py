@@ -500,6 +500,14 @@ def build_plan(tree: dict) -> RunPlan:
         _count(sim[key], f"simulation.{key}")
     for key in ("p0", "e0"):
         _real(sim[key], f"simulation.{key}")
+    times, key = sim.get("snapshot_times"), "simulation.snapshot_times"
+    if times is not None and (not isinstance(times, list) or not times):
+        raise ConfigError(f"{key} must be a non-empty list of times, not {times!r}")
+    t_end = horizon_T * (1 if horizon == "finite" else sim["n_periods"])
+    for i, t in enumerate(times or ()):
+        if not 0.0 <= _real(t, f"{key}[{i}]") <= t_end:
+            raise ConfigError(f"{key}[{i}] = {t!r} lies outside the simulated "
+                              f"horizon [0, {t_end:g}]")
 
     return RunPlan(
         label=resolved["label"], spec=spec, solver=solver,

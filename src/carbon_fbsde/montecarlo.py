@@ -18,13 +18,11 @@ slices, hashing it as it goes, so a step finds the slices that bracket t
 and t + dt in the ring.  Grid k + 1's first slice gives the right values
 at the compliance date T_k, settled before any step of period k + 1.  The
 rolling grid serves every period, held and read in period-local
-coordinates.  The stream holds one row of draws per path across the
-whole horizon, so in every period a block draws its rows again and keeps
-only that period's columns, step-major; a group's draws take at most
-the bytes of the grid that is streamed, not held.  A no-factor market,
-which draws nothing, sizes its groups the same way; on a small grid that
-keeps its vectors one block wide, which ran faster than one group of all
-paths from 50 000 paths up, at the same peak memory (README).
+coordinates.  Each block's stream is opened once and read step-major: at
+every step the block draws a full ``_BLOCK`` of normals, partial last
+block included, so path ``i``'s draw at global step ``s`` is element
+``s * _BLOCK + i % _BLOCK`` of its block's stream whatever the number of
+paths, periods or groups.  Only one step's draws of one group are held.
 
 A path that leaves the stored grid box is frozen where it was and
 reported; the run only fails when more than 0.1% of paths do that.
@@ -62,9 +60,8 @@ _log = logging.getLogger(__name__)
 _BLOCK = 8192
 # slices of a streamed grid that stay readable: a step reads the bracket of t,
 # then that of t + dt, which the next step's bracket starts at most one slice
-# before; three would do
+# before; three would do.  A pass holds these slices and one step's draws.
 _RING = 4
-_DRAW_CHUNK = 1 << 16  # draws per chunk when a block's rows are drawn again
 BRANCH_BELOW, BRANCH_AT, BRANCH_ABOVE, BRANCH_ABORTED = -1, 0, 1, -2
 _BRANCH_NAMES = {BRANCH_BELOW: "below", BRANCH_AT: "at", BRANCH_ABOVE: "above",
                  BRANCH_ABORTED: "aborted"}
@@ -173,24 +170,6 @@ def _next_grid(grids, k: int) -> ValueGrid:
     return grid
 
 
-def _draw_columns(out: np.ndarray, seed: int, b: int, n_steps: int, c0: int) -> None:
-    """Block ``b``'s draws for steps ``c0, c0 + 1, ...``, step-major.
-
-    The stream keyed by (seed, block) holds one row of ``n_steps`` draws
-    per path, so a path sees the same noise whatever else runs.  The rows
-    are drawn again in chunks and only the wanted columns kept:
-    ``out[j, i]`` is path ``i``'s draw for step ``c0 + j``.
-    """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, b],
-                                                            dtype=np.uint64)))
-    steps, bs = out.shape
-    rows = np.empty((min(bs, max(1, _DRAW_CHUNK // n_steps)), n_steps))
-    for r0 in range(0, bs, rows.shape[0]):
-        chunk = rows[:min(rows.shape[0], bs - r0)]
-        rng.standard_normal(out=chunk)
-        out[:, r0:r0 + chunk.shape[0]] = chunk[:, c0:c0 + steps].T
-
-
 def _step_factor(coeffs, P, dt: float, sq: float, xi):
     """One factor step: exact mean-reverting transition when declared."""
     if coeffs.ou_kappa is not None:
@@ -231,9 +210,12 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
 
     A period runs in block groups, one pass over its grid each; a pass
     steps the group's paths as one vector, and a block only keys the
-    noise stream.  A group's period draws take at most the bytes of a
-    streamed grid, which is never held, and a group has at least one
-    block, so a held grid gets groups of one block.  A pass settles the
+    noise stream.  Each block's stream is opened once and read on, step
+    after step, across every period; a pass holds one step's draws of its
+    group.  A group spans as many blocks as make its path steps in one
+    period, at 8 B each, about the bytes of the streamed grid, so a pass
+    re-reads and re-hashes about 8 B per path step; a group has at least
+    one block, so a held grid gets groups of one block.  A pass settles the
     previous compliance date at its grid's first slice, before any step.
     A reader's digest is checked when its pass ends, so a corrupt grid
     raises :class:`ArtifactError` after that pass has run.
@@ -298,9 +280,12 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
     ok_date = np.empty(n_paths, dtype=bool)  # left and right value inside the box
 
     n_blocks = -(-n_paths // _BLOCK)
-    xi_buf = np.empty(0)
+    # one stream per block, read on from period to period and never rewound
+    streams = [np.random.Generator(np.random.Philox(key=np.array([seed, b],
+                                                                dtype=np.uint64)))
+               for b in range(n_blocks)] if has_p else []
     passes = [0] * q
-    ring_bytes = 0
+    ring_bytes = draw_bytes = 0
     delta_e = None
 
     def settle(k: int, g: slice, grid: Optional[ValueGrid] = None, off: float = 0.0,
@@ -336,7 +321,7 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
     def run_pass(grid: ValueGrid, k: int, b0: int) -> int:
         """Period ``k`` for the block group that starts at block ``b0``, in
         one pass over ``grid``; returns the block after the group."""
-        nonlocal xi_buf, ring_bytes, delta_e
+        nonlocal ring_bytes, draw_bytes, delta_e
         t0, t1, t_shift, e_off, cap = periods[k]
         recorded = None if cap.is_constant else cap
         if delta_e is None:  # the first pass; the box check reads only the axes
@@ -357,13 +342,11 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
         dt = (t1 - t0) / spp
         sq = math.sqrt(dt)
         if has_p:
-            if xi_buf.size < spp * width:
-                xi_buf = None  # drop the smaller buffer before the larger one
-                xi_buf = np.empty(spp * width)
-            xi = xi_buf[:spp * width].reshape(spp, width)
-            for b in range(b0, b1):
-                lo = (b - b0) * _BLOCK
-                _draw_columns(xi[:, lo:lo + _BLOCK], seed, b, n_steps, k * spp)
+            # a whole _BLOCK per block and step, so the partial last block
+            # keeps its place in the stream
+            draws = np.empty((b1 - b0, _BLOCK))
+            draw_bytes = max(draw_bytes, draws.nbytes)
+            xi = draws.reshape(-1)[:width]
         # the shifts of the recorded emissions hold for the period
         read = lookup if recorded is None else partial(
             lookup_recorded, shifts=recorded_shifts(grid, recorded, eparam_all[g]))
@@ -401,7 +384,9 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
 
             np.copyto(mu, np.asarray(coeffs.mu(P, Y), dtype=float))
             if has_p:
-                np.copyto(P, _step_factor(coeffs, P, dt, sq, xi[j]), where=alive)
+                for stream, row in zip(streams[b0:b1], draws):
+                    stream.standard_normal(out=row)
+                np.copyto(P, _step_factor(coeffs, P, dt, sq, xi), where=alive)
             np.multiply(mu, dt, out=e_pred)
             e_pred += E
             e_pred -= e_off
@@ -450,10 +435,10 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
         _log.debug("simulate: %d paths x %d steps = %d path steps in %.3f s "
                    "(%.4g paths/s); aborted paths per compliance date %s; "
                    "block groups per period %s, one grid pass each; ring %d B, "
-                   "draw buffer %d B",
+                   "one step's draws %d B",
                    n_paths, n_steps, n_paths * n_steps, seconds,
                    n_paths / seconds, lost.tolist(), passes, ring_bytes,
-                   xi_buf.nbytes)
+                   draw_bytes)
     frac = float(aborted.mean())
     if frac > 1e-3:
         raise SimulationError(

@@ -23,10 +23,7 @@ def smoothed_tree(name: str, width: float = 0.05) -> dict:
     return tree
 
 
-@pytest.fixture()
-def rolling_factor_tree():
-    """The rolling factor market of ``perfbench/rolling-factor.json``,
-    without its grid block."""
+def _rolling_factor_market() -> dict:
     return {
         "label": "rolling-factor", "rate": 0.05, "horizon": "infinite",
         "period_length": 1.0,
@@ -34,6 +31,28 @@ def rolling_factor_tree():
         "coefficients": {"preset": "linear-abatement", "parameters": {
             "m0": 1.4, "m1": 0.1, "m2": 1.0, "kappa": 1.0, "sigma": 0.5}},
     }
+
+
+@pytest.fixture()
+def rolling_factor_tree():
+    """The rolling factor market of ``perfbench/rolling-factor.json``,
+    without its grid block."""
+    return _rolling_factor_market()
+
+
+@pytest.fixture(scope="session")
+def coarse_rolling_factor():
+    """``(spec, grid)``: that market's stationary grid on a coarse box
+    wide enough for three rolled periods."""
+    tree = {**_rolling_factor_market(),
+            "grid": {"e_min": -2.5, "e_max": 3.5, "n_e": 120,
+                     "p_min": -4.0, "p_max": 4.0, "n_p": 13}}
+    plan = build_plan(tree)
+    spec = plan.spec
+    grid, _ = solve_infinite(spec.coefficients, spec.period_length, spec.cap_per_period,
+                             plan.solver, tol_l1=plan.infinite_opts["tol_l1"],
+                             max_iter=plan.infinite_opts.get("max_iter"))
+    return spec, grid
 
 
 @pytest.fixture(scope="session")

@@ -230,6 +230,41 @@ def test_simulate_refuses_a_negative_keep_paths(tmp_path, capsys):
     assert capsys.readouterr().err.count("error: ") == 1
 
 
+@pytest.mark.parametrize("times", ["x", 0.5, ["a"], [math.nan], [math.inf], [1.5],
+                                   [-0.25]],
+                         ids=["word", "number", "list-of-words", "nan", "infinity",
+                              "after-the-horizon", "before-the-start"])
+def test_odd_snapshot_times_exit_2_naming_the_key(tmp_path, priced_run, capsys, times):
+    """``price-multi`` used to price such a config and ``simulate`` then
+    raised a numpy error on words and bare numbers (exit 1) or snapped NaN
+    and infinite times to t = 0 and failed later with a misleading "no
+    snapshot near" message.  Both commands now refuse the config before
+    any field is read."""
+    tree = {**TINY_FINITE, "simulation": {**TINY_FINITE["simulation"],
+                                          "snapshot_times": times}}
+    config = _config(tmp_path, tree)  # NaN and Infinity as JSON reads them
+    assert main(["price-multi", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert main(["simulate", "--config", str(config), "--field",
+                 str(priced_run[0] / "field"), "--out", str(tmp_path / "sim")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and err.count("simulation.snapshot_times") == 2, err
+
+
+def test_snapshot_times_may_span_every_rolled_period(tmp_path, capsys):
+    tree = {**TINY_ROLLING, "simulation": {**TINY_ROLLING["simulation"],
+                                           "snapshot_times": [0.0, 0.5, 2.0]}}
+    config = _config(tmp_path, tree)
+    run = tmp_path / "roll"
+    assert main(["price-infinite", "--config", str(config), "--out", str(run)]) == 0
+    assert main(["simulate", "--config", str(config), "--field", str(run / "w.grid"),
+                 "--out", str(tmp_path / "sim")]) == 0
+    tree["simulation"]["snapshot_times"] = [0.0, 0.5, 2.5]
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(_config(tmp_path, tree)), "--field",
+                 str(run / "w.grid"), "--out", str(tmp_path / "sim2")]) == 2
+    assert "horizon [0, 2]" in capsys.readouterr().err
+
+
 def test_simulate_seed_flag_changes_content(tmp_path, rolling_config):
     priced = tmp_path / "roll"
     assert main(["price-infinite", "--config", str(rolling_config),

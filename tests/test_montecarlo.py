@@ -1,7 +1,8 @@
 """Path simulation tests on small fields.
 
-Randomness is counter-based and keyed by (seed, path block), which is
-what the prefix test below pins down.
+Randomness is counter-based and keyed by (seed, path block), each block
+drawing a whole block of normals per step, which is what the prefix
+tests below pin down.
 """
 
 import numpy as np
@@ -94,6 +95,22 @@ def test_prefix_paths_do_not_depend_on_n_paths(factor_field):
     assert np.array_equal(small.snap_P, large.snap_P[:, :200])
     assert np.array_equal(small.snap_E, large.snap_E[:, :200])
     assert np.array_equal(small.snap_Y, large.snap_Y[:, :200])
+
+
+def test_prefix_paths_hold_across_a_block_boundary(factor_field):
+    """A partial last block still draws a whole block per step, so the
+    300 paths of one partial block are the first 300 of a full block
+    followed by a partial one, through both periods."""
+    spec, field = factor_field
+    kwargs = dict(steps_per_period=32, seed=7, keep_paths=300)
+    small = simulate(field, spec, n_paths=300, **kwargs)
+    large = simulate(field, spec, n_paths=_BLOCK + 17, **kwargs)
+    for name in ("snap_P", "snap_E", "snap_Y", "compliance_E", "compliance_left",
+                 "compliance_right", "branch"):
+        assert np.array_equal(getattr(small, name), getattr(large, name)[:, :300],
+                              equal_nan=name != "branch"), name
+    for name in ("path_P", "path_E", "path_Y"):
+        assert np.array_equal(getattr(small, name), getattr(large, name)), name
 
 
 def test_seed_changes_the_draws(factor_field):

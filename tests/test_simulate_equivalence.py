@@ -3,7 +3,7 @@
 ``reference_simulate`` (with ``reference_period_table`` and
 ``reference_step_factor``) is ``montecarlo.simulate`` as it was when each
 8192-path block ran every period before the next block started: the whole
-field held, one ``(paths, steps)`` draw per block, and per-step ``np.where``
+field held, one ``(steps, 8192)`` draw per block, and per-step ``np.where``
 rebuilds of the state.  Only the reach check, which can only raise, and
 the DEBUG line are left out.  It is kept here, not in the package, as the
 oracle the period-outer loop must reproduce bit for bit, NaN included.
@@ -140,9 +140,9 @@ def reference_simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: 
         alive = np.ones(bs, dtype=bool)
         eparam = E.copy()
 
-        # one row of draws per path across the whole horizon, so path i
+        # one full block of draws per step across the whole horizon, so path i
         # sees the same noise no matter how many paths share its block
-        xi_rows = rng.standard_normal((bs, n_steps)) if has_p else None
+        xi_rows = rng.standard_normal((n_steps, _BLOCK))[:, :bs].T if has_p else None
 
         gstep = 0
         for k, (grid, t0, t1, e_off, cap) in enumerate(periods):

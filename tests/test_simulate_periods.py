@@ -6,18 +6,23 @@ streams its grid in one hash-checked pass through a ring of a few slices;
 grid k + 1's first slice settles compliance date T_k.  A pass advances
 the group's paths as one vector, so it reads the field a fixed number of
 times whatever the number of blocks in the group; a block only keys the
-noise stream.  A group's draws take at most the bytes of the grid it
-streams, and a no-factor market, which draws nothing, sizes its groups
-the same way.  Against the rolling grid, which is held and serves every
-period, the draw buffer holds one block's steps of one period.
+noise stream.  Each block's stream is opened once and read on from step
+to step across every period, so only one step's draws of a group are
+held and the traced peak does not grow with the steps per period, on a
+streamed field and on the held rolling grid alike; a horizon's first
+periods are the whole of a shorter one.  A group's path steps in one
+period, at 8 B each, are about the bytes of the grid it streams, and a
+no-factor market, which draws nothing, sizes its groups the same way.
 """
 
 import json
 import shutil
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from carbon_fbsde import gridio, montecarlo, simulate, solve_infinite
@@ -121,9 +126,72 @@ def test_rolling_draw_buffer_holds_one_period(rolling_factor_tree):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one block's draws for all q periods as a single float64 buffer
+    # one block's draws for all q periods as a single float64 buffer; the
+    # draws now come one step at a time, so the peak is far below it
     all_periods = q * steps * _BLOCK * 8
     assert peak < all_periods, (peak, all_periods)
+
+
+def _traced_peak(run):
+    """``(traced peak in bytes, result)`` of ``run()``."""
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def _peak_growth_with_steps(run) -> tuple:
+    """Traced peak at 256 steps per period less that at 32, and what the
+    256-step run may hold beyond the 32-step one: one group's per-step
+    draws, the kept paths and the time grid."""
+    run(8)  # warm-up
+    (low, _), (high, bundle) = (_traced_peak(partial(run, steps)) for steps in (32, 256))
+    kept = sum(a.nbytes for a in (bundle.path_P, bundle.path_E, bundle.path_Y)
+               if a is not None)
+    return high - low, 8 * _BLOCK + kept + bundle.times.nbytes
+
+
+def test_a_streamed_field_holds_no_more_with_more_steps(priced):
+    config, run = priced
+    plan = load_config(config)
+    _, entries = open_field_dir(run / "field")
+    readers = read_period_grids(run / "field", entries)
+    sim = THREE_PERIODS["simulation"]
+    growth, allowed = _peak_growth_with_steps(lambda steps: simulate(
+        readers, plan.spec, n_paths=sim["n_paths"], steps_per_period=steps,
+        keep_paths=sim["keep_paths"], e0=sim["e0"]))
+    assert growth <= allowed, (growth, allowed)
+
+
+def test_the_rolling_grid_holds_no_more_with_more_steps(coarse_rolling_factor):
+    """A block's draws for a period took 256 * 8192 * 8 B = 16.8 MB; one
+    step's take 64 KB."""
+    spec, grid = coarse_rolling_factor
+    growth, allowed = _peak_growth_with_steps(lambda steps: simulate(
+        grid, spec, n_paths=_BLOCK, steps_per_period=steps, n_periods=2, keep_paths=4))
+    assert growth <= allowed, (growth, allowed)
+
+
+@pytest.mark.parametrize("first", [1, 2])
+def test_a_horizon_starts_as_a_shorter_one(coarse_rolling_factor, first):
+    """A block's stream runs on from period to period, so rolling three
+    periods leaves the first ones as rolling fewer does."""
+    spec, grid = coarse_rolling_factor
+    steps = 16
+    kwargs = dict(n_paths=_BLOCK + 17, steps_per_period=steps, seed=3, keep_paths=20)
+    short = simulate(grid, spec, n_periods=first, **kwargs)
+    full = simulate(grid, spec, n_periods=3, **kwargs)
+    cols = slice(0, first * steps + 1)
+    assert np.array_equal(short.times, full.times[cols])
+    for name in ("path_P", "path_E", "path_Y"):
+        assert np.array_equal(getattr(short, name), getattr(full, name)[:, cols]), name
+    for name in ("compliance_E", "compliance_cap", "compliance_left", "compliance_right",
+                 "branch"):
+        assert np.array_equal(getattr(short, name), getattr(full, name)[:first],
+                              equal_nan=name != "branch"), name
 
 
 def test_simulate_reads_each_period_grid_once_in_order(tmp_path, priced, grid_reads):
