@@ -264,13 +264,21 @@ def cmd_simulate(args) -> int:
     sim = dict(plan.simulation)
     n_paths = args.paths if args.paths is not None else int(sim["n_paths"])
     seed = args.seed if args.seed is not None else int(sim["seed"])
+    # the martingale report reads the start and the first period's midpoint,
+    # so a configured snapshot list gets both
+    t0, t1 = (plan.spec.period_bounds(1) if plan.horizon == "finite"
+              else (0.0, plan.spec.period_length))
+    t_mid = 0.5 * (t0 + t1)
+    snapshot_times = sim.get("snapshot_times")
+    if snapshot_times is not None:
+        snapshot_times = sorted({*map(float, snapshot_times), t0, t_mid})
 
     t_start = time.monotonic()
     bundle = simulate(
         field, plan.spec, n_paths=n_paths,
         steps_per_period=int(sim["steps_per_period"]), seed=seed,
         p0=float(sim["p0"]), e0=float(sim["e0"]),
-        snapshot_times=sim.get("snapshot_times"),
+        snapshot_times=snapshot_times,
         keep_paths=int(sim["keep_paths"]),
         n_periods=int(sim["n_periods"]) if plan.horizon == "infinite" else None,
     )
@@ -279,9 +287,6 @@ def cmd_simulate(args) -> int:
     paths_csv(bundle, out / "paths.csv")
     events_csv(bundle, out / "events.csv")
 
-    ends = bundle.meta["period_ends"]
-    t0 = float(bundle.times[0])
-    t_mid = 0.5 * (t0 + ends[0])
     mart = martingale_test(bundle, bundle.rate, t0,
                            float(bundle.snapshot_times[
                                bundle.snapshot_index(t_mid)]))

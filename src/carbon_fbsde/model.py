@@ -161,24 +161,33 @@ class SampleBox:
         return lo, hi
 
 
-# sampled validation: point pairs drawn, generator seed, relative slack
+# sampled validation: point pairs drawn, relative slack
 _N_SAMPLES = 4096
-_SEED = 0
 _RTOL = 1e-6
 
 
-def _pairs(rng, low, high, n):
-    a = rng.uniform(low, high, size=n)
-    b = rng.uniform(low, high, size=n)
-    return a, b
+def _r_sequence(n: int, dim: int) -> np.ndarray:
+    """Points ``1..n`` of the additive recurrence R_d in ``[0, 1)^dim``.
+
+    Point ``i`` is ``frac(0.5 + i / phi^k)`` on axis ``k = 1..dim``, with
+    ``phi`` the positive root of ``x^(dim + 1) = x + 1``: a deterministic
+    low-discrepancy sequence that fills the cube evenly.
+    """
+    phi = 2.0
+    for _ in range(64):  # a contraction onto the root from above
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    alpha = phi ** -np.arange(1.0, dim + 1.0)
+    return (0.5 + np.arange(1.0, n + 1.0)[:, None] * alpha) % 1.0
 
 
 def validate_coefficients(coeffs: CoefficientSet, box: SampleBox = SampleBox()) -> tuple:
     """Check the declared Lipschitz and monotonicity constants on samples.
 
-    Draws 4096 point pairs inside ``box`` (seed 0) and measures the worst
-    difference quotients of ``mu`` (jointly in ``(p, y)``), of the drift
-    and of the volatility, plus the one-sided monotonicity ratio
+    Takes 4096 point pairs ``(p, y), (p', y')`` inside ``box`` from the
+    additive recurrence R_d over ``(y, y', p, p')`` (over ``(y, y')``
+    without a factor) and measures the worst difference quotients of
+    ``mu`` (jointly in ``(p, y)``), of the drift and of the volatility,
+    plus the one-sided monotonicity ratio
 
         (y - y') * (mu(p, y') - mu(p, y)) / |y - y'|^2
 
@@ -186,17 +195,15 @@ def validate_coefficients(coeffs: CoefficientSet, box: SampleBox = SampleBox()) 
     its declared constant by more than a relative 1e-6, so an empty tuple
     passes.  Non-finite outputs raise :class:`ValidationError` immediately.
     """
-    rng = np.random.default_rng(_SEED)
     d = coeffs.dim_p
-    y_a, y_b = _pairs(rng, box.y_low, box.y_high, _N_SAMPLES)
+    u = _r_sequence(_N_SAMPLES, 2 + 2 * d)
+    y_a, y_b = box.y_low + (box.y_high - box.y_low) * u[:, :2].T
     keep = np.abs(y_a - y_b) > 1e-9
-    y_a, y_b = y_a[keep], y_b[keep]
+    y_a, y_b, u = y_a[keep], y_b[keep], u[keep]
 
     if d > 0:
         lo, hi = box.p_bounds(d)
-        shape = (y_a.size, d)
-        p_a = rng.uniform(lo, hi, size=shape)
-        p_b = rng.uniform(lo, hi, size=shape)
+        p_a, p_b = lo + (hi - lo) * u[:, 2:2 + d], lo + (hi - lo) * u[:, 2 + d:]
         if d == 1:
             p_a, p_b = p_a[:, 0], p_b[:, 0]
         p_dist = np.abs(np.reshape(p_a - p_b, (y_a.size, -1))).sum(axis=1)

@@ -42,6 +42,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import CoverageError, SimulationError, ValidationError
+from .gridio import _CSV_ROWS
 from .model import CapFunction, MarketSpec
 from .pde_kernel import ValueGrid, lookup, lookup_recorded, recorded_shifts
 
@@ -624,6 +625,10 @@ def events_csv(bundle: PathBundle, path: Union[str, Path]) -> None:
         fh.write("path,k,E_Tk,cap,Y_left,Y_right,branch\n")
         for k in range(bundle.n_periods):
             row_fmt = f"%d,{k + 1}" + ",%.17g" * len(columns) + ",%s\n"
-            names = [_BRANCH_NAMES[b] for b in bundle.branch[k].tolist()]
-            cells = zip(range(bundle.n_paths), *(c[k].tolist() for c in columns), names)
-            fh.write("".join([row_fmt % r for r in cells]))
+            # a block of rows at a time, as gridio.start_slice_csv writes
+            for at in range(0, bundle.n_paths, _CSV_ROWS):
+                block = slice(at, at + _CSV_ROWS)
+                names = [_BRANCH_NAMES[b] for b in bundle.branch[k, block].tolist()]
+                cells = zip(range(at, at + len(names)),
+                            *(c[k, block].tolist() for c in columns), names)
+                fh.write("".join([row_fmt % r for r in cells]))

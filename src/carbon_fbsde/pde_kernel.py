@@ -77,6 +77,8 @@ _SLACK = 1e-9  # relative-position tolerance of the stored box
 # flux table of a rate without a closed-form antiderivative: price span, cells
 _TABLE_SPAN = (-0.5, 1.5)
 _TABLE_CELLS = 4096
+# cells per surface call of the terminal projection: a slab of factor rows
+_SLAB_CELLS = 4096
 
 
 # ----------------------------------------------------------------------
@@ -577,16 +579,21 @@ def _project_terminal(surface: TerminalSurface, e_centres_ext: np.ndarray, de: f
     pts = e_centres_ext[:, None] + (0.5 * de) * _GL8_X[None, :]
     wts = 0.5 * _GL8_W
     # axes (p, e), an absent factor dropped; the surface is evaluated at one
-    # quadrature node of every cell at a time, so its temporaries stay the
-    # size of one slice
+    # quadrature node of a slab of factor rows at a time, about _SLAB_CELLS
+    # cells, so its temporaries (a linked surface's lookup makes several)
+    # stay that size
     lead = () if p_nodes is None else (p_nodes.size,)
     e_shape = (1,) * len(lead) + (-1,)
     p = None if p_nodes is None else p_nodes.reshape(p_nodes.shape + (1,))
     vals = np.empty(lead + pts.shape)
-    for j in range(pts.shape[1]):
-        # surfaces that ignore an argument return collapsed axes; the
-        # assignment restores them
-        vals[..., j] = surface(p, pts[:, j].reshape(e_shape))
+    slab = max(1, _SLAB_CELLS // pts.shape[0])
+    for a in range(0, lead[0] if lead else 1, slab):
+        rows = slice(a, a + slab) if lead else slice(None)
+        for j in range(pts.shape[1]):
+            # surfaces that ignore an argument return collapsed axes; the
+            # assignment restores them
+            vals[rows, ..., j] = surface(None if p is None else p[rows],
+                                         pts[:, j].reshape(e_shape))
     cells = np.tensordot(vals, wts, axes=([-1], [0]))
     worst = max(float((-cells).max()), float((cells - 1.0).max()))
     if worst > 1e-9:

@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -263,6 +265,45 @@ def test_snapshot_times_may_span_every_rolled_period(tmp_path, capsys):
     assert main(["simulate", "--config", str(_config(tmp_path, tree)), "--field",
                  str(run / "w.grid"), "--out", str(tmp_path / "sim2")]) == 2
     assert "horizon [0, 2]" in capsys.readouterr().err
+
+
+def test_configured_snapshot_times_keep_the_martingale_report(tmp_path, capsys):
+    """The martingale report reads snapshots at t0 and at the first period's
+    midpoint; a configured list without them used to exit 2 after writing
+    ``paths.csv`` and ``events.csv`` but no manifest."""
+    tree = {**TINY_FINITE, "simulation": {**TINY_FINITE["simulation"],
+                                          "snapshot_times": [1.0]}}
+    config = _config(tmp_path, tree)
+    run, sim = tmp_path / "run", tmp_path / "sim"
+    assert main(["price-multi", "--config", str(config), "--out", str(run)]) == 0
+    assert main(["simulate", "--config", str(config), "--field", str(run / "field"),
+                 "--out", str(sim)]) == 0, capsys.readouterr().err
+    listed = sorted(a["path"] for a in manifest_of(sim)["artifacts"])
+    assert listed == ["events.csv", "paths.csv", "simulation_report.json"]
+    report = json.loads((sim / "simulation_report.json").read_text())
+    assert (report["martingale"]["t1"], report["martingale"]["t2"]) == (0.0, 0.5)
+
+
+def test_price_commands_never_import_numpy_random(tmp_path):
+    """Only ``simulate`` draws random numbers; the price commands validate
+    coefficients on a deterministic sequence."""
+    finite, rolling = tmp_path / "finite.json", tmp_path / "rolling.json"
+    finite.write_text(json.dumps(TINY_FINITE))
+    rolling.write_text(json.dumps(TINY_ROLLING))
+    probe = ("import sys\n"
+             "from carbon_fbsde.cli import main\n"
+             f"assert main(['price-multi', '--config', {str(finite)!r}, "
+             f"'--out', {str(tmp_path / 'multi')!r}]) == 0\n"
+             f"assert main(['price-infinite', '--config', {str(rolling)!r}, "
+             f"'--out', {str(tmp_path / 'roll')!r}]) == 0\n"
+             "loaded = sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
+             "assert not loaded, loaded\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_simulate_seed_flag_changes_content(tmp_path, rolling_config):

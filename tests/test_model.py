@@ -17,6 +17,7 @@ from carbon_fbsde.model import (
     smoothed_indicator,
     validate_coefficients,
 )
+from carbon_fbsde.model import _N_SAMPLES, _r_sequence
 from carbon_fbsde.config import expression_coefficients, preset_coefficients
 
 positive_floats = st.floats(0.05, 5.0)
@@ -59,6 +60,39 @@ def test_validate_coefficients_catches_increasing_rate():
     coeffs = CoefficientSet(dim_p=0, emissions_rate=lambda p, y: np.asarray(y),
                             rate=0.0, lipschitz_L=2.0, mono_l1=0.5, mono_l2=1.0)
     assert validate_coefficients(coeffs)
+
+
+def test_validation_sequence_is_deterministic():
+    assert np.array_equal(_r_sequence(_N_SAMPLES, 4), _r_sequence(_N_SAMPLES, 4))
+    coeffs = expression_coefficients({
+        "mu": "0.6 + 3.0 * p - y - 0.5 * y * y * y", "dim_p": 1, "drift": "-p",
+        "vol": "0.5", "lipschitz_L": 2.0, "mono_l1": 1.5, "mono_l2": 2.0}, rate=0.0)
+    assert validate_coefficients(coeffs) == validate_coefficients(coeffs) != ()
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_validation_pairs_fill_the_box(dim):
+    """Every decile of every axis holds close to a tenth of the points, and
+    the ``(y, y')`` pairs hit every cell of a 10 x 10 split of their square."""
+    u = _r_sequence(_N_SAMPLES, dim)
+    assert u.shape == (_N_SAMPLES, dim) and 0.0 <= u.min() and u.max() < 1.0
+    deciles = (10 * u).astype(int)
+    for axis in deciles.T:
+        counts = np.bincount(axis, minlength=10)
+        assert counts.size == 10 and np.all(np.abs(counts / (_N_SAMPLES / 10) - 1) < 0.03)
+    assert np.unique(10 * deciles[:, 0] + deciles[:, 1]).size == 100
+
+
+@pytest.mark.parametrize("expr", [
+    # slope 1 + 1.5 y^2 in y: at least 1, declared at least 1.1
+    {"mu": "0.6 - y - 0.5 * y * y * y", "dim_p": 0,
+     "lipschitz_L": 3.5, "mono_l1": 1.1, "mono_l2": 3.5},
+    # joint Lipschitz constant 3 (in p), declared 2.7
+    {"mu": "0.6 + 3.0 * p - y", "dim_p": 1, "drift": "-p", "vol": "0.5",
+     "lipschitz_L": 2.7, "mono_l1": 1.0, "mono_l2": 1.0},
+], ids=["mono_l1-10%-high", "lipschitz_L-10%-low"])
+def test_validation_refuses_a_constant_off_by_a_tenth(expr):
+    assert validate_coefficients(expression_coefficients(expr, rate=0.0))
 
 
 def test_sample_box_defaults_cover_the_unit_band():

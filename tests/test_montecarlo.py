@@ -5,6 +5,8 @@ drawing a whole block of normals per step, which is what the prefix
 tests below pin down.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from carbon_fbsde import (
 from carbon_fbsde.config import build_plan, preset_coefficients
 from carbon_fbsde.errors import CoverageError, ValidationError
 from carbon_fbsde.model import MarketSpec, make_cap_allocation
-from carbon_fbsde.montecarlo import _BLOCK, events_csv, paths_csv
+from carbon_fbsde.gridio import _CSV_ROWS
+from carbon_fbsde.montecarlo import _BLOCK, _BRANCH_NAMES, events_csv, paths_csv
 from carbon_fbsde.pde_kernel import SolverConfig, evaluate
 from oracle import ou_moments, solve_grids
 
@@ -281,3 +284,35 @@ def test_csv_writers_shape(tmp_path, factor_field):
     assert len(p_lines) == 1 + 5 * bundle.times.size
     assert e_lines[0] == "path,k,E_Tk,cap,Y_left,Y_right,branch"
     assert len(e_lines) == 1 + 2 * 32
+
+
+def test_events_csv_rows_run_on_across_a_block(tmp_path, factor_field):
+    spec, field = factor_field
+    bundle = simulate(field, spec, n_paths=_CSV_ROWS + 3, steps_per_period=2, seed=0,
+                      keep_paths=0)
+    events_csv(bundle, tmp_path / "events.csv")
+    columns = (bundle.compliance_E, bundle.compliance_cap, bundle.compliance_left,
+               bundle.compliance_right)
+    rows = [",".join([str(i), str(k + 1)] + ["%.17g" % c[k, i] for c in columns]
+                     + [_BRANCH_NAMES[int(bundle.branch[k, i])]])
+            for k in range(bundle.n_periods) for i in range(bundle.n_paths)]
+    lines = (tmp_path / "events.csv").read_text().splitlines()
+    assert lines[1:] == rows
+
+
+def test_events_csv_holds_a_block_of_rows(tmp_path, factor_field):
+    """Eight times the paths may not raise the writer's traced peak past
+    twice that of one block: it holds one block's floats and strings."""
+    spec, field = factor_field
+    peaks = []
+    for n_paths in (_CSV_ROWS, 8 * _CSV_ROWS):
+        bundle = simulate(field, spec, n_paths=n_paths, steps_per_period=2, seed=0,
+                          keep_paths=0)
+        events_csv(bundle, tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            events_csv(bundle, tmp_path / "events.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks

@@ -16,11 +16,16 @@ from carbon_fbsde.errors import CoverageError, ValidationError
 from carbon_fbsde.model import (
     CapFunction,
     CoefficientSet,
+    TerminalSurface,
     indicator_terminal,
     make_cap_msr,
     smoothed_indicator,
 )
 from carbon_fbsde.pde_kernel import (
+    _GL8_W,
+    _GL8_X,
+    _SLAB_CELLS,
+    _project_terminal,
     SliceSink,
     SolverConfig,
     ValueGrid,
@@ -227,6 +232,25 @@ def test_mollify_preserves_constants_and_range():
     vals = soft.fn(None, e)
     assert np.all(vals >= -1e-15) and np.all(vals <= 1.0 + 1e-15)
     assert np.all(np.diff(vals) >= -1e-15), "mollification broke monotonicity"
+
+
+def test_terminal_projection_calls_the_surface_on_slabs():
+    """Slabs of factor rows of at most ``_SLAB_CELLS`` cells cover every row
+    once, and the cell averages equal one whole-array evaluation bit for bit."""
+    p_nodes, de = np.linspace(-1.0, 1.0, 41), 0.02
+    centres = -2.0 + de * np.arange(202)
+    sizes = []
+
+    def fn(p, e):
+        out = 0.5 + 0.4 * np.tanh(e - 0.3 * p)
+        sizes.append(out.size)
+        return out
+
+    cells = _project_terminal(TerminalSurface(fn=fn), centres, de, p_nodes)
+    assert max(sizes) <= _SLAB_CELLS and sum(sizes) == 8 * p_nodes.size * centres.size
+    pts = centres[:, None] + (0.5 * de) * _GL8_X[None, :]
+    whole = np.stack([fn(p_nodes[:, None], pts[None, :, j]) for j in range(8)], axis=-1)
+    assert np.array_equal(cells, np.tensordot(whole, 0.5 * _GL8_W, axes=([-1], [0])))
 
 
 # ----------------------------------------------------------------------
