@@ -42,8 +42,6 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--levels", type=int, default=4)
     ap.add_argument("--base", type=int, default=100, help="cells at the coarsest level")
-    ap.add_argument("--scheme", default="godunov",
-                    choices=["godunov", "engquist-osher"])
     args = ap.parse_args()
 
     coeffs = burgers_coefficients()
@@ -54,8 +52,7 @@ def main() -> None:
     rows = []
     for lvl in range(args.levels):
         n_e = args.base * 2 ** lvl
-        cfg = SolverConfig(e_min=-1.0, e_max=1.0, n_e=n_e, cfl_target=0.9,
-                           flux_scheme=args.scheme)
+        cfg = SolverConfig(e_min=-1.0, e_max=1.0, n_e=n_e, cfl_target=0.9)
         t0 = time.monotonic()
         grid = solve_one_period(coeffs, term, 0.0, 1.0, cfg)
         wall = time.monotonic() - t0
@@ -65,7 +62,6 @@ def main() -> None:
         rows.append((n_e, float(np.abs(err).sum() * de),
                      float(np.abs(err).max()), wall))
 
-    print(f"scheme = {args.scheme}")
     print(f"{'cells':>7} {'L1':>10} {'order':>6} {'sup':>10} {'order':>6} {'sec':>6}")
     for i, (n_e, l1, sup, wall) in enumerate(rows):
         if i == 0:

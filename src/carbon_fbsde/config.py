@@ -23,7 +23,8 @@ stable contract:
         expression: { mu, drift, vol, dim_p, lipschitz_L, mono_l1, mono_l2 }
     terminal { kind, width }       "indicator" | "smoothed-indicator"
     grid { e_min, e_max, n_e, p_min, p_max, n_p, cfl_target, n_steps,
-           viscosity, mollify_width, flux_scheme }      all optional
+           viscosity, margin_factor }       all optional, and no others
+                                            but the retired _RETIRED_GRID
     infinite { tol_l1, max_iter }
     simulation { n_paths, steps_per_period, seed, p0, e0, snapshot_times,
                  keep_paths, n_periods }
@@ -64,6 +65,13 @@ __all__ = [
     "bundled_preset",
 ]
 
+# retired grid keys, each at the one value every run had: the defaults keep
+# them so resolved configs and their hashes stay as they were, and a config
+# may restate that value but set no other
+_RETIRED_GRID = {"mollify_width": 0.0, "flux_scheme": "godunov"}
+_GRID_KEYS = ("e_min", "e_max", "n_e", "p_min", "p_max", "n_p", "cfl_target",
+              "n_steps", "viscosity", "margin_factor")
+
 DEFAULTS = {
     "version": 1,
     "label": "unnamed-run",
@@ -75,8 +83,7 @@ DEFAULTS = {
         "n_p": 97,
         "cfl_target": 0.9,
         "viscosity": 0.0,
-        "mollify_width": 0.0,
-        "flux_scheme": "godunov",
+        **_RETIRED_GRID,
         "margin_factor": 1.5,
     },
     "infinite": {"tol_rel": 1e-4},
@@ -436,6 +443,16 @@ def build_plan(tree: dict) -> RunPlan:
 
     # -- solver grid ---------------------------------------------------
     grid = resolved["grid"]
+    if not isinstance(grid, dict):
+        raise ConfigError(f"grid must be an object, not {grid!r}")
+    for key in grid:
+        if key not in _GRID_KEYS and key not in _RETIRED_GRID:
+            raise ConfigError(f"grid.{key} is not a grid key; the keys are "
+                              f"{', '.join(_GRID_KEYS)}")
+    for key, value in _RETIRED_GRID.items():
+        if grid[key] != value or isinstance(grid[key], bool):
+            raise ConfigError(f"grid.{key} is retired and may only be {value!r}, "
+                              f"not {grid[key]!r}")
     if coeffs.dim_p == 1:
         if "p_min" in grid and "p_max" in grid:
             p_min, p_max = (_real(grid[k], f"grid.{k}") for k in ("p_min", "p_max"))
@@ -481,8 +498,6 @@ def build_plan(tree: dict) -> RunPlan:
             n_steps=(None if grid.get("n_steps") is None
                      else _count(grid["n_steps"], "grid.n_steps")),
             viscosity=_real(grid["viscosity"], "grid.viscosity"),
-            mollify_width=_real(grid["mollify_width"], "grid.mollify_width"),
-            flux_scheme=grid["flux_scheme"],
         )
     except Exception as exc:
         raise ConfigError(f"bad grid block: {exc}") from exc

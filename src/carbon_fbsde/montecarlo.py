@@ -9,16 +9,16 @@ results are bit-identical regardless of how many paths run (prefixes
 agree).
 
 Periods run outside, in one loop for a finite market's period grids and
-the rolling grid alike.  Within a period, blocks run in groups, one pass
-over the period's grid per group; a pass advances the group's paths as
-one vector, step by step, with one field read at t and one at t + dt, so
-a block only keys the noise stream.  A field directory's grids are never
-held: each pass streams grid k from its file through a ring of a few time
-slices, hashing it as it goes, so a step finds the slices that bracket t
-and t + dt in the ring.  Grid k + 1's first slice gives the right values
-at the compliance date T_k, settled before any step of period k + 1.  The
-rolling grid serves every period, held and read in period-local
-coordinates.  Each block's stream is opened once and read step-major: at
+the rolling grid alike.  Within a period, blocks run in groups of
+``_GROUP``, one pass over the period's grid per group; a pass advances
+the group's paths as one vector, step by step, with one field read at t
+and one at t + dt, so a block only keys the noise stream.  A field
+directory's grids are never held: each pass streams grid k from its file
+through a ring of a few time slices, hashing it as it goes, so a step
+finds the slices that bracket t and t + dt in the ring.  Grid k + 1's
+first slice gives the right values at the compliance date T_k, settled
+before any step of period k + 1.  The rolling grid serves every period,
+held and read in period-local coordinates.  Each block's stream is opened once and read step-major: at
 every step the block draws a full ``_BLOCK`` of normals, partial last
 block included, so path ``i``'s draw at global step ``s`` is element
 ``s * _BLOCK + i % _BLOCK`` of its block's stream whatever the number of
@@ -59,6 +59,9 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 _BLOCK = 8192
+# blocks per group, one grid pass each: 32768 paths share a pass, and a
+# path vector of the group takes 256 KB
+_GROUP = 4
 # slices of a streamed grid that stay readable: a step reads the bracket of t,
 # then that of t + dt, which the next step's bracket starts at most one slice
 # before; three would do.  A pass holds these slices and one step's draws.
@@ -209,15 +212,12 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
     :class:`ValueGrid`; then ``n_periods`` chooses how many periods to
     roll forward and the price reads the grid in period-local coordinates.
 
-    A period runs in block groups, one pass over its grid each; a pass
-    steps the group's paths as one vector, and a block only keys the
-    noise stream.  Each block's stream is opened once and read on, step
-    after step, across every period; a pass holds one step's draws of its
-    group.  A group spans as many blocks as make its path steps in one
-    period, at 8 B each, about the bytes of the streamed grid, so a pass
-    re-reads and re-hashes about 8 B per path step; a group has at least
-    one block, so a held grid gets groups of one block.  A pass settles the
-    previous compliance date at its grid's first slice, before any step.
+    A period runs in groups of ``_GROUP`` blocks, one pass over its grid
+    each; a pass steps the group's paths as one vector, and a block only
+    keys the noise stream.  Each block's stream is opened once and read on,
+    step after step, across every period; a pass holds one step's draws of
+    its group.  A pass settles the previous compliance date at its grid's
+    first slice, before any step.
     A reader's digest is checked when its pass ends, so a corrupt grid
     raises :class:`ArtifactError` after that pass has run.
 
@@ -328,12 +328,9 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
         if delta_e is None:  # the first pass; the box check reads only the axes
             _check_reach_box(coeffs, grid, periods, rolling, p0, e0)
             delta_e = grid.delta_e
-        shape = grid.values.shape
-        streamed = not isinstance(grid.values, np.ndarray)
-        if streamed:
-            ring_bytes = max(ring_bytes, _RING * 8 * math.prod(shape[1:]))
-        budget = 8 * math.prod(shape) if streamed else 0
-        b1 = min(b0 + max(1, budget // (8 * spp * _BLOCK)), n_blocks)
+        if not isinstance(grid.values, np.ndarray):  # streamed
+            ring_bytes = max(ring_bytes, _RING * 8 * math.prod(grid.values.shape[1:]))
+        b1 = min(b0 + _GROUP, n_blocks)
         g = slice(b0 * _BLOCK, min(b1 * _BLOCK, n_paths))
         width = g.stop - g.start
         passes[k] += 1

@@ -11,22 +11,22 @@ emissions direction becomes a scalar conservation law with convex flux
 
     f(p, y) = -M(p, y),            M(p, y) = int_0^y mu(p, s) ds,
 
-so a monotone finite-volume update (Godunov or Engquist-Osher) selects
-the correct weak solution and inherits the comparison principle exactly,
-node by node.  The discount term is integrated exactly by a factor
-``exp(-r dt)`` per step, which keeps constant-in-space states constant in
-space to machine precision.
+so a monotone finite-volume update (Godunov's) selects the correct weak
+solution and inherits the comparison principle exactly, node by node.
+The discount term is integrated exactly by a factor ``exp(-r dt)`` per
+step, which keeps constant-in-space states constant in space to machine
+precision.
 
 The flux is convex with minimiser ``y*``, so it splits into a falling part
-``f-(u) = f(min(u, y*))`` and a rising part ``f+(u) = f(max(u, y*))``:
-Godunov is ``max(f+(u_l), f-(u_r))`` and Engquist-Osher
-``f+(u_l) + f-(u_r) - f(y*)`` (LeVeque 2002, ch. 12; Engquist and Osher
-1981).  At a Courant number of at most 1 the march is monotone and
+``f-(u) = f(min(u, y*))`` and a rising part ``f+(u) = f(max(u, y*))``,
+and Godunov's flux is ``max(f+(u_l), f-(u_r))`` (LeVeque 2002, ch. 12).
+One monotone scheme is all the entropy solution needs (Crandall and
+Majda 1980).  At a Courant number of at most 1 the march is monotone and
 discounts towards zero, so every state it reaches lies in
 ``[min(0, phi), max(1, phi)]`` over the terminal cells, ghosts included.
 When that range sits on one side of every ``y*``, as in markets that
 still emit at the penalty price (``y* >= 1``), all waves move one way and
-both schemes reduce to ``f`` of the upwind state: one flux evaluation per
+the flux reduces to ``f`` of the upwind state: one flux evaluation per
 cell and step.
 
 A solve takes hundreds of steps on a state of some hundred kilobytes,
@@ -60,7 +60,6 @@ __all__ = [
     "FluxModel",
     "make_flux",
     "check_dependence",
-    "mollify_terminal",
     "solve_one_period",
     "lookup",
     "recorded_shifts",
@@ -72,7 +71,6 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
-_FLUX_SCHEMES = ("godunov", "engquist-osher")
 _SLACK = 1e-9  # relative-position tolerance of the stored box
 # flux table of a rate without a closed-form antiderivative: price span, cells
 _TABLE_SPAN = (-0.5, 1.5)
@@ -104,8 +102,6 @@ class SolverConfig:
     cfl_target: float = 0.9
     n_steps: Optional[int] = None
     viscosity: float = 0.0
-    mollify_width: float = 0.0
-    flux_scheme: str = "godunov"
 
     def __post_init__(self):
         if not self.e_max > self.e_min:
@@ -114,10 +110,8 @@ class SolverConfig:
             raise ValidationError("need at least 8 emission cells")
         if not 0.0 < self.cfl_target <= 1.0:
             raise ValidationError("cfl_target must lie in (0, 1]")
-        if self.viscosity < 0 or self.mollify_width < 0:
-            raise ValidationError("viscosity and mollify_width must be >= 0")
-        if self.flux_scheme not in _FLUX_SCHEMES:
-            raise ValidationError(f"flux_scheme must be one of {_FLUX_SCHEMES}")
+        if self.viscosity < 0:
+            raise ValidationError("viscosity must be >= 0")
         p_given = [x is not None for x in (self.p_min, self.p_max, self.n_p)]
         if any(p_given) and not all(p_given):
             raise ValidationError("p_min, p_max, n_p must be given together")
@@ -370,9 +364,9 @@ class FluxModel:
 
     The emission rate is strictly decreasing in ``y``, so ``M`` is
     strictly concave and ``f`` strictly convex; its minimiser ``y*``
-    solves ``mu(p, y*) = 0`` and is what the Godunov and
-    Engquist-Osher formulas need.  Array evaluation broadcasts the
-    factor axis at position -2 when the model carries factor rows.
+    solves ``mu(p, y*) = 0`` and is what the Godunov flux needs.  Array
+    evaluation broadcasts the factor axis at position -2 when the model
+    carries factor rows.
 
     ``y*`` comes from one bisection over all factor nodes at once.  With
     ``m0 = mu(p, 0)``, the slope bound ``mono_l1`` puts the root in
@@ -429,7 +423,6 @@ class FluxModel:
             self._ystar_col = self.y_star[:, None]
         else:
             self._ystar_col = self.y_star
-        self.f_at_y_star = self._f(self._ystar_col)
 
     # -- evaluation --------------------------------------------------
 
@@ -453,10 +446,6 @@ class FluxModel:
         val = (Mi * (2 * t3 - 3 * t2 + 1) + h * mi * (t3 - 2 * t2 + t)
                + Mi1 * (-2 * t3 + 3 * t2) + h * mi1 * (t3 - t2))
         return -val
-
-    def f(self, y):
-        """Flux at states ``y`` (factor rows broadcast at axis -2)."""
-        return self._f(y)
 
     # -- structure ---------------------------------------------------
 
@@ -501,26 +490,21 @@ class FluxModel:
             return "left"
         return None
 
-    def interface(self, ul, ur, scheme: str, upwind: Optional[str] = None):
-        """Monotone numerical flux at interfaces between ``ul`` and ``ur``.
+    def interface(self, ul, ur, upwind: Optional[str] = None):
+        """Godunov flux at interfaces between ``ul`` and ``ur``.
 
-        With ``f+(u) = f(max(u, y*))`` and ``f-(u) = f(min(u, y*))``,
-        Godunov is ``max(f+(ul), f-(ur))`` and Engquist-Osher is
-        ``f+(ul) + f-(ur) - f(y*)``.  ``upwind`` from
-        :meth:`upwind_side` promises that every state lies on one side of
-        ``y*``; both schemes then reduce to ``f`` of that side's state.
+        With ``f+(u) = f(max(u, y*))`` and ``f-(u) = f(min(u, y*))`` it is
+        ``max(f+(ul), f-(ur))``.  ``upwind`` from :meth:`upwind_side`
+        promises that every state lies on one side of ``y*``; the flux is
+        then ``f`` of that side's state.
         """
-        if scheme not in _FLUX_SCHEMES:
-            raise ValidationError(f"unknown flux scheme '{scheme}'")
         if upwind == "right":
             return self._f(ur)
         if upwind == "left":
             return self._f(ul)
         plus = self._f(np.maximum(ul, self._ystar_col))
         minus = self._f(np.minimum(ur, self._ystar_col))
-        if scheme == "godunov":
-            return np.maximum(plus, minus)
-        return plus + minus - self.f_at_y_star
+        return np.maximum(plus, minus)
 
 
 def make_flux(coeffs: CoefficientSet, p_nodes: Optional[np.ndarray] = None) -> FluxModel:
@@ -538,36 +522,6 @@ def make_flux(coeffs: CoefficientSet, p_nodes: Optional[np.ndarray] = None) -> F
 # ----------------------------------------------------------------------
 # terminal handling
 # ----------------------------------------------------------------------
-
-def mollify_terminal(surface: TerminalSurface, width: float) -> TerminalSurface:
-    """Convolve a terminal surface in the emissions variable.
-
-    Uses a compactly supported smooth bump of total width ``width``,
-    discretised on Gauss-Legendre nodes with weights normalised to sum
-    to one exactly, so constants, the value range, monotonicity in ``e``
-    and any factor-Lipschitz bound are preserved.  ``width == 0`` is the
-    identity.
-    """
-    if width < 0:
-        raise ValidationError("mollifier width must be >= 0")
-    if width == 0.0:
-        return surface
-    x, w = np.polynomial.legendre.leggauss(33)
-    offsets = 0.5 * width * x
-    bump = np.exp(-1.0 / np.maximum(1.0 - x * x, 1e-300))
-    wts = w * bump
-    wts = wts / wts.sum()
-    base = surface.fn
-
-    def fn(p, e):
-        e = np.asarray(e, dtype=float)
-        acc = 0.0
-        for off, wt in zip(offsets, wts):
-            acc = acc + wt * np.asarray(base(p, e - off), dtype=float)
-        return acc
-
-    return TerminalSurface(fn=fn, label=surface.label + f"~mollified({width:g})")
-
 
 def _project_terminal(surface: TerminalSurface, e_centres_ext: np.ndarray, de: float,
                       p_nodes: Optional[np.ndarray]):
@@ -675,9 +629,9 @@ def _sign_runs(b: np.ndarray) -> list:
     return [(a, c, int(shifts[a])) for a, c in zip(cuts[:-1], cuts[1:])]
 
 
-def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, scheme: str,
-           r: float, steps: np.ndarray, de: float, eps: float,
-           p_ctx, upwind: Optional[str] = None):
+def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
+           steps: np.ndarray, de: float, eps: float, p_ctx,
+           upwind: Optional[str] = None):
     """Explicit backward march; writes every time slice through out_store.
 
     The state lives in a contiguous buffer with a ghost cell at each end
@@ -744,9 +698,9 @@ def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, scheme: str,
         # the flux sees the factor rows it was built for, not the ghost rows
         live = cur[rows]
         if upwind is None:
-            fl[rows][..., 1:] = flux.interface(live[..., :-1], live[..., 1:], scheme)
+            fl[rows][..., 1:] = flux.interface(live[..., :-1], live[..., 1:])
         else:
-            fl[rows] = flux.interface(live, live, scheme, upwind)
+            fl[rows] = flux.interface(live, live, upwind)
         np.subtract(fl_f[1 + shift:n - 1 + shift], fl_f[shift:n - 2 + shift],
                     out=work_f[1:-1])
         work *= lam
@@ -794,7 +748,7 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     terminal cell averages directly, ghost cells included, shaped
     ``([n_p,] n_e + 2)``.  Fixed-point iterations use this to keep the
     terminal a pure translation of stored data, with no quadrature in
-    between.  Mollification does not apply to cell data.
+    between.
 
     With a ``sink`` (:class:`SliceSink`) the march hands it each time
     slice as soon as it is made, and the grid keeps the start slice alone:
@@ -827,15 +781,12 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
         if worst > 1e-9:
             raise ValidationError(f"terminal cells leave [0, 1] by {worst:.3g}")
         term_label = "cells"
-        term_width = 0.0
     else:
         if terminal is None:
             raise ValidationError("need a terminal surface or terminal cells")
-        surface = mollify_terminal(terminal, config.mollify_width)
         centres_ext = np.concatenate([[e_nodes[0] - de], e_nodes, [e_nodes[-1] + de]])
-        cells_ext = _project_terminal(surface, centres_ext, de, p_nodes)
-        term_label = surface.label
-        term_width = config.mollify_width
+        cells_ext = _project_terminal(terminal, centres_ext, de, p_nodes)
+        term_label = terminal.label
     phi_gl, phi_gr = cells_ext[..., 0], cells_ext[..., -1]
     phi_cells = cells_ext[..., 1:-1]
 
@@ -865,11 +816,12 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     grid_meta = {
         "terminal_hash": hashlib.sha256(np.ascontiguousarray(phi_cells).tobytes()).hexdigest(),
         "terminal_label": term_label,
-        "flux_scheme": config.flux_scheme,
+        # retired settings, kept at their one value so headers stay as they were
+        "flux_scheme": "godunov",
         "cfl_target": config.cfl_target,
         "n_steps": n_steps,
         "viscosity": config.viscosity,
-        "mollify_width": term_width,
+        "mollify_width": 0.0,
         "mono_l1": coeffs.mono_l1,
         "lipschitz_L": coeffs.lipschitz_L,
         "coefficients_label": coeffs.label,
@@ -899,8 +851,8 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     else:
         p_ctx = None
 
-    _march(phi_cells, phi_gl, phi_gr, put, flux, config.flux_scheme, coeffs.rate,
-           steps, de, config.viscosity, p_ctx, upwind)
+    _march(phi_cells, phi_gl, phi_gr, put, flux, coeffs.rate, steps, de,
+           config.viscosity, p_ctx, upwind)
     return grid if sink is None else replace(grid, times=times[:1])
 
 

@@ -134,12 +134,20 @@ def test_rate_without_a_sign_change_on_the_y_star_bracket_exits_2(tmp_path, caps
     (("rate",), math.nan, "rate"),
     (("rate",), math.inf, "rate"),
     (("simulation", "steps_per_period"), "many", "simulation.steps_per_period"),
+    (("grid", "n_E"), 10, "grid.n_E"),
+    (("grid", "mollify_width"), 0.1, "grid.mollify_width"),
+    (("grid", "flux_scheme"), "engquist-osher", "grid.flux_scheme"),
+    (("grid",), "coarse", "grid"),
 ], ids=["nan-level", "word-n_e", "word-periods", "nan-rate", "infinite-rate",
-        "word-steps"])
+        "word-steps", "typo-n_E", "retired-mollify_width", "retired-flux_scheme",
+        "word-grid"])
 def test_odd_config_scalars_exit_2_naming_the_key(tmp_path, capsys, where, value, key):
     """A NaN level used to price an all-zero field and exit 0, words raised
     a bare ValueError (exit 1; for the simulation block, in ``simulate``),
-    and a NaN or infinite rate reached the solver (exits 3 and 4)."""
+    and a NaN or infinite rate reached the solver (exits 3 and 4).  A
+    misspelt grid key ran at the default and exited 0, and so did a retired
+    one set to anything but its one value; a grid block that is not an
+    object raised a bare TypeError (exit 1)."""
     tree = bundled_preset("burgers")
     node = tree
     for name in where[:-1]:
@@ -150,6 +158,21 @@ def test_odd_config_scalars_exit_2_naming_the_key(tmp_path, capsys, where, value
     assert main(["price-multi", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.count("error: ") == 1 and key in err, err
+
+
+def test_an_explicit_step_count_above_courant_1_exits_4(tmp_path, capsys):
+    """``grid.n_steps`` pins the step count whatever the stability bound.
+    One step over the period is far above Courant number 1: the march is
+    not monotone, leaves the range, and the run fails its own structural
+    check (the documented contract, not a config error)."""
+    tree = dict(TINY_FINITE, grid={**TINY_FINITE["grid"], "n_steps": 1})
+    path = tmp_path / "one-step.json"
+    path.write_text(json.dumps(tree))
+    out = tmp_path / "x"
+    assert main(["price-multi", "--config", str(path), "--out", str(out)]) == 4
+    assert "structural diagnostics failed" in capsys.readouterr().err
+    report = json.loads((out / "diagnostics.json").read_text())["reports"][0]
+    assert report["max_range_violation"] > 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -113,6 +113,17 @@ def test_plan_hash_is_stable_and_sensitive():
     assert c.config_hash != a.config_hash
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_restating_the_retired_grid_defaults_keeps_the_config_hash(name):
+    """The two retired grid keys stay in the defaults at their one value,
+    so a config may restate it and resolve, and hash, as one that does not."""
+    tree = bundled_preset(name)
+    tree.setdefault("grid", {}).update(mollify_width=0.0, flux_scheme="godunov")
+    plan, bare = build_plan(tree), build_plan(bundled_preset(name))
+    assert plan.resolved == bare.resolved
+    assert plan.config_hash == bare.config_hash
+
+
 def test_plan_rejects_increasing_emission_rate():
     tree = bundled_preset("burgers")
     tree["coefficients"] = {"expression": {"mu": "y", "dim_p": 0,

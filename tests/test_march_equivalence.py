@@ -1,9 +1,10 @@
 """The buffered march and the split flux against the plain array march.
 
 ``reference_march`` and ``reference_interface`` are the kernel's march
-and interface flux as they were written before the march kept its state
+and Godunov flux as they were written before the march kept its state
 in preallocated buffers and the flux split at ``y*``: one array
-expression per term, every temporary fresh.  They are kept here, not in
+expression per term, every temporary fresh, and the textbook Godunov
+formula.  They are kept here, not in
 the package, as the oracle the buffered kernel must reproduce.
 """
 
@@ -17,28 +18,24 @@ from hypothesis import strategies as st
 
 from carbon_fbsde import pde_kernel
 from carbon_fbsde.config import preset_coefficients
-from carbon_fbsde.errors import SolverError, ValidationError
+from carbon_fbsde.errors import SolverError
 from carbon_fbsde.model import CapFunction, indicator_terminal
 from carbon_fbsde.pde_kernel import SolverConfig, make_flux, solve_one_period
 
 
-def reference_interface(flux, ul, ur, scheme):
-    """Monotone numerical flux at interfaces between ``ul`` and ``ur``."""
-    ys = flux._ystar_col
-    if scheme == "godunov":
-        lo = np.minimum(ul, ur)
-        hi = np.maximum(ul, ur)
-        inner = flux._f(np.clip(ys, lo, hi))
-        outer = np.maximum(flux._f(ul), flux._f(ur))
-        return np.where(ul <= ur, inner, outer)
-    if scheme == "engquist-osher":
-        return (flux._f(np.maximum(ul, ys)) + flux._f(np.minimum(ur, ys))
-                - flux.f_at_y_star)
-    raise ValidationError(f"unknown flux scheme '{scheme}'")
+def reference_interface(flux, ul, ur):
+    """Godunov flux at interfaces between ``ul`` and ``ur``: the minimum of
+    ``f`` over ``[ul, ur]`` when ``ul <= ur``, else the maximum over
+    ``[ur, ul]``."""
+    lo = np.minimum(ul, ur)
+    hi = np.maximum(ul, ur)
+    inner = flux._f(np.clip(flux._ystar_col, lo, hi))
+    outer = np.maximum(flux._f(ul), flux._f(ur))
+    return np.where(ul <= ur, inner, outer)
 
 
-def reference_march(u, phi_gl, phi_gr, out_store, flux, scheme,
-                    r, steps, de, eps, p_ctx, upwind=None):
+def reference_march(u, phi_gl, phi_gr, out_store, flux, r, steps, de, eps,
+                    p_ctx, upwind=None):
     """Explicit backward march; writes every time slice through out_store."""
     n_steps = len(steps)
     bound = 1.0
@@ -51,7 +48,7 @@ def reference_march(u, phi_gl, phi_gr, out_store, flux, scheme,
         pad[..., 1:-1] = u
         pad[..., 0] = bound * phi_gl
         pad[..., -1] = bound * phi_gr
-        F = reference_interface(flux, pad[..., :-1], pad[..., 1:], scheme)
+        F = reference_interface(flux, pad[..., :-1], pad[..., 1:])
         unew = u - lam * (F[..., 1:] - F[..., :-1])
         if eps > 0.0:
             unew += (0.5 * eps * eps * dt / de ** 2) * (
@@ -91,8 +88,7 @@ def markets(draw):
     rate = draw(st.sampled_from([0.0, 0.07]))
     factor = draw(st.booleans())
     grid = dict(e_min=-1.0, e_max=1.0, n_e=draw(st.integers(16, 40)),
-                viscosity=draw(st.sampled_from([0.0, 0.05])),
-                flux_scheme=draw(st.sampled_from(["godunov", "engquist-osher"])))
+                viscosity=draw(st.sampled_from([0.0, 0.05])))
     if factor:
         coeffs = preset_coefficients("linear-abatement", {
             "m0": m0, "m1": draw(st.floats(-0.2, 0.2)), "m2": m2,
@@ -134,7 +130,7 @@ def test_buffered_march_reproduces_the_array_march(m):
 @settings(max_examples=60, deadline=None)
 @given(m=markets(), data=st.data())
 def test_split_and_one_sided_fluxes_match_the_reference(m, data):
-    config, scheme = m["config"], m["config"].flux_scheme
+    config = m["config"]
     p_nodes = config.p_nodes() if m["coeffs"].dim_p else None
     flux = make_flux(m["coeffs"], p_nodes)
     side = flux.upwind_side(0.0, 1.0)
@@ -145,10 +141,10 @@ def test_split_and_one_sided_fluxes_match_the_reference(m, data):
     ul, ur = np.random.default_rng(seed).uniform(0.0, 1.0, (2, rows, 25))
     if p_nodes is None:
         ul, ur = ul[0], ur[0]
-    general = flux.interface(ul, ur, scheme)
-    assert np.max(np.abs(general - reference_interface(flux, ul, ur, scheme))) <= 1e-15
+    general = flux.interface(ul, ur)
+    assert np.max(np.abs(general - reference_interface(flux, ul, ur))) <= 1e-15
     if side is not None:
-        one_sided = flux.interface(ul, ur, scheme, upwind=side)
+        one_sided = flux.interface(ul, ur, upwind=side)
         assert np.max(np.abs(one_sided - general)) <= 1e-15
 
 
@@ -157,10 +153,9 @@ def test_too_few_steps_keep_the_general_flux():
     # one-sided flux, exact only for a monotone march, must not be used
     coeffs = preset_coefficients("no-factor", {"m0": 1.02, "m2": 1.0}, 0.0)
     terminal = indicator_terminal(CapFunction.constant(0.0))
-    for scheme in ("godunov", "engquist-osher"):
-        config = SolverConfig(e_min=-1.0, e_max=1.0, n_e=32, n_steps=2, flux_scheme=scheme)
-        got = solve_one_period(coeffs, terminal, 0.0, 0.3, config)
-        with mock.patch.object(pde_kernel, "_march", reference_march):
-            want = solve_one_period(coeffs, terminal, 0.0, 0.3, config)
-        assert got.values.max() > 1.02
-        assert np.max(np.abs(got.values - want.values)) <= 1e-14
+    config = SolverConfig(e_min=-1.0, e_max=1.0, n_e=32, n_steps=2)
+    got = solve_one_period(coeffs, terminal, 0.0, 0.3, config)
+    with mock.patch.object(pde_kernel, "_march", reference_march):
+        want = solve_one_period(coeffs, terminal, 0.0, 0.3, config)
+    assert got.values.max() > 1.02
+    assert np.max(np.abs(got.values - want.values)) <= 1e-14

@@ -34,7 +34,6 @@ from carbon_fbsde.pde_kernel import (
     lookup,
     lookup_recorded,
     make_flux,
-    mollify_terminal,
     recorded_shifts,
     solve_one_period,
 )
@@ -87,38 +86,12 @@ def test_solver_config_rejects_empty_box():
     m2=st.floats(0.3, 2.0),
 )
 def test_interface_flux_is_consistent(u, m0, m2):
-    """Both schemes reduce to the physical flux on constant states."""
+    """The Godunov flux reduces to the physical flux on constant states."""
     coeffs = no_factor(m0, m2)
     flux = make_flux(coeffs)
     exact = -float(coeffs.emissions_antiderivative(None, u))
-    for scheme in ("godunov", "engquist-osher"):
-        got = float(flux.interface(np.array(u), np.array(u), scheme))
-        assert got == pytest.approx(exact, abs=1e-12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    ul=st.floats(-0.2, 1.2),
-    ur=st.floats(-0.2, 1.2),
-    m0=st.floats(0.1, 1.4),
-)
-def test_engquist_osher_dominates_godunov(ul, ur, m0):
-    """The two monotone fluxes agree except across a transonic shock,
-    where the smoother one sits weakly above."""
-    flux = make_flux(no_factor(m0, 1.0))
-    g = float(flux.interface(np.array(ul), np.array(ur), "godunov"))
-    eo = float(flux.interface(np.array(ul), np.array(ur), "engquist-osher"))
-    assert eo >= g - 1e-12
-    ys = float(flux.y_star)
-    transonic_shock = ul > ys > ur
-    if not transonic_shock:
-        assert eo == pytest.approx(g, abs=1e-10)
-
-
-def test_interface_rejects_unknown_scheme():
-    flux = make_flux(no_factor())
-    with pytest.raises(ValidationError):
-        flux.interface(np.array(0.5), np.array(0.5), "lax-wendroff")
+    got = float(flux.interface(np.array(u), np.array(u)))
+    assert got == pytest.approx(exact, abs=1e-12)
 
 
 def test_y_star_is_the_stationary_state():
@@ -142,13 +115,13 @@ def test_table_flux_matches_closed_form():
     f_closed = make_flux(closed)
     f_tabled = make_flux(tabled)
     y = np.linspace(-0.4, 1.4, 257)
-    assert np.max(np.abs(f_closed.f(y) - f_tabled.f(y))) < 1e-9
+    assert np.max(np.abs(f_closed._f(y) - f_tabled._f(y))) < 1e-9
 
 
 def test_factor_flux_rows_follow_the_factor():
     p_nodes = np.array([-1.0, 0.0, 1.0])
     flux = make_flux(factor_coeffs(), p_nodes)
-    vals = flux.f(np.full(3, 0.25)[None, :].T * np.ones(3))
+    vals = flux._f(np.full(3, 0.25)[None, :].T * np.ones(3))
     assert vals.shape[0] == 3
     assert flux.y_star.shape == (3,)
 
@@ -213,26 +186,8 @@ def test_y_star_is_the_last_float_before_the_sign_change(m0, l1, tilt, bend, k):
 
 
 # ----------------------------------------------------------------------
-# terminal mollification
+# terminal projection
 # ----------------------------------------------------------------------
-
-def test_mollify_zero_width_is_identity():
-    surface = indicator_terminal(CapFunction.constant(0.0))
-    assert mollify_terminal(surface, 0.0) is surface
-
-
-def test_mollify_preserves_constants_and_range():
-    flat = constant_surface(1.0)
-    out = mollify_terminal(flat, 0.1)
-    e = np.linspace(-1.0, 1.0, 33)
-    assert np.max(np.abs(out.fn(None, e) - 1.0)) < 1e-12
-
-    sharp = indicator_terminal(CapFunction.constant(0.0))
-    soft = mollify_terminal(sharp, 0.08)
-    vals = soft.fn(None, e)
-    assert np.all(vals >= -1e-15) and np.all(vals <= 1.0 + 1e-15)
-    assert np.all(np.diff(vals) >= -1e-15), "mollification broke monotonicity"
-
 
 def test_terminal_projection_calls_the_surface_on_slabs():
     """Slabs of factor rows of at most ``_SLAB_CELLS`` cells cover every row

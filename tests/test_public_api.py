@@ -4,11 +4,12 @@ A rename that leaves a stale ``__all__`` entry, or that moves a function
 ``perfbench/tracer.py`` patches at run time, fails here instead of at
 import time for users or mid-run under ``--trace 1``.  The command-line
 entry point must also stay free of test-only weight: no scipy, no
-reference-solution module.  And every function or class a module exports
-must be reached from somewhere in the package: a public name that only its
-definition and the export lists mention is dead weight.  Likewise every
-field of a dataclass the package defines must be read somewhere in the
-package or its tests.
+reference-solution module.  And every function or class a module exports,
+and every public method of a class the package defines, must be reached
+from somewhere in the package: a public name that only its definition and
+the export lists mention is dead weight.  Likewise every field of a
+dataclass the package defines must be read somewhere in the package or
+its tests.
 """
 
 import ast
@@ -76,11 +77,14 @@ def _exported_definitions(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in exported}
 
 
-def test_every_exported_definition_is_reached_in_the_package():
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(Path(carbon_fbsde.__file__).parent.glob("*.py"))}
-    # a reference is a name read or an attribute looked up; ``__all__``
-    # strings and ``from ... import`` aliases are the export lists
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(carbon_fbsde.__file__).parent.glob("*.py"))}
+
+
+def _references(trees):
+    """Names read and attributes looked up anywhere in ``trees``; ``__all__``
+    strings and ``from ... import`` aliases are the export lists, not uses."""
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -88,9 +92,36 @@ def test_every_exported_definition_is_reached_in_the_package():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return used
+
+
+def test_every_exported_definition_is_reached_in_the_package():
+    trees = _package_trees()
+    used = _references(trees)
     unreached = sorted(f"{module}.{name}" for module, tree in trees.items()
                        for name in _exported_definitions(tree) - used)
     assert not unreached, f"exported but never reached in the package: {unreached}"
+
+
+def _public_methods(tree):
+    """``(class, method)`` for each method of the tree's classes whose name
+    has no leading underscore, properties included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not stmt.name.startswith("_")):
+                    yield node.name, stmt.name
+
+
+def test_every_public_method_is_reached_in_the_package():
+    """A method is reached when the package looks up an attribute of its
+    name; a method only tests call belongs in the tests."""
+    trees = _package_trees()
+    used = _references(trees)
+    unreached = sorted(f"{module}.{cls}.{name}" for module, tree in trees.items()
+                       for cls, name in _public_methods(tree) if name not in used)
+    assert not unreached, f"public methods never reached in the package: {unreached}"
 
 
 def _dataclass_fields(tree):

@@ -355,19 +355,21 @@ def test_rolling_grid_matches_the_block_outer_loop(rolling, market, q):
 
 
 def edge_lookup(grid, t, p, e):
-    """``lookup`` that also puts three block positions outside the box.
+    """``lookup`` that also puts three positions of every block outside the box.
 
     Position 5 leaves once 30% of a grid's time span has passed (an abort
     mid-period), position 6 at a compliance date's left value and position
     7 at the right value read from a later period's grid (aborts at a date).
+    Positions count within each ``_BLOCK`` of the query, so the same paths
+    leave whether the query spans one block or a group of them.
     """
     from carbon_fbsde import pde_kernel
 
     value, ok = pde_kernel.lookup(grid, t, p, e)
     ok = ok.copy()
-    ok[5] &= not t - grid.t0 > 0.3 * (grid.tau - grid.t0)
-    ok[6] &= t != grid.last_interior_time
-    ok[7] &= not t == grid.t0 > 0.0
+    ok[5::_BLOCK] &= not t - grid.t0 > 0.3 * (grid.tau - grid.t0)
+    ok[6::_BLOCK] &= t != grid.last_interior_time
+    ok[7::_BLOCK] &= not t == grid.t0 > 0.0
     return value, ok
 
 

@@ -1,18 +1,17 @@
 """``simulate --field DIR`` streams its period grids and holds none.
 
 The CLI checks the field's manifests up front and hands ``simulate`` a
-reader per period grid.  Each period runs in block groups, and each group
-streams its grid in one hash-checked pass through a ring of a few slices;
-grid k + 1's first slice settles compliance date T_k.  A pass advances
-the group's paths as one vector, so it reads the field a fixed number of
-times whatever the number of blocks in the group; a block only keys the
-noise stream.  Each block's stream is opened once and read on from step
-to step across every period, so only one step's draws of a group are
-held and the traced peak does not grow with the steps per period, on a
-streamed field and on the held rolling grid alike; a horizon's first
-periods are the whole of a shorter one.  A group's path steps in one
-period, at 8 B each, are about the bytes of the grid it streams, and a
-no-factor market, which draws nothing, sizes its groups the same way.
+reader per period grid.  Each period runs in groups of ``_GROUP`` blocks,
+and each group streams its grid in one hash-checked pass through a ring
+of a few slices; grid k + 1's first slice settles compliance date T_k.
+A pass advances the group's paths as one vector, so it reads the field a
+fixed number of times whatever the number of blocks in the group; a
+block only keys the noise stream.  Each block's stream is opened once and
+read on from step to step across every period, so only one step's draws
+of a group are held and the traced peak does not grow with the steps per
+period, on a streamed field and on the held rolling grid alike; a
+horizon's first periods are the whole of a shorter one.  A no-factor
+market, which draws nothing, groups its blocks the same way.
 """
 
 import json
@@ -29,7 +28,7 @@ from carbon_fbsde import gridio, montecarlo, simulate, solve_infinite
 from carbon_fbsde.cli import main
 from carbon_fbsde.config import build_plan, bundled_preset, load_config
 from carbon_fbsde.gridio import read_grid
-from carbon_fbsde.montecarlo import _BLOCK
+from carbon_fbsde.montecarlo import _BLOCK, _GROUP
 from carbon_fbsde.multi_period import open_field_dir, read_period_grids
 from test_simulate_equivalence import assert_same_bundle, reference_simulate
 
@@ -220,8 +219,7 @@ def test_a_corrupt_later_grid_exits_6_and_writes_nothing(tmp_path, priced, grid_
                    for name in ("paths.csv", "events.csv", "manifest.json"))
 
 
-# the factor preset on a coarse grid: with 32 steps a block's period draws
-# outgrow a period grid, so each period runs one group per block
+# the factor preset on a coarse grid: two blocks, one group per period
 SMALL_FACTOR = {**bundled_preset("two-period-factor"), "label": "small-factor",
                 "grid": {"e_min": -0.7, "e_max": 4.0, "n_e": 160,
                          "p_min": -3.0, "p_max": 3.0, "n_p": 17},
@@ -248,11 +246,10 @@ def test_block_groups_stream_each_grid_once_per_pass(small_factor, grid_reads):
     sim = SMALL_FACTOR["simulation"]
     kwargs = dict(n_paths=sim["n_paths"], steps_per_period=sim["steps_per_period"],
                   seed=sim["seed"], keep_paths=sim["keep_paths"])
-    assert all(g.values.nbytes < 8 * sim["steps_per_period"] * _BLOCK for g in grids)
 
     grid_reads.clear()
     bundle = simulate(readers, plan.spec, **kwargs)
-    assert grid_reads == ["period_1.grid"] * 2 + ["period_2.grid"] * 2
+    assert grid_reads == ["period_1.grid", "period_2.grid"]
     assert_same_bundle(bundle, reference_simulate(grids, plan.spec, **kwargs))
 
 
@@ -267,7 +264,9 @@ def test_a_corrupt_grid_exits_6_when_its_first_pass_ends(tmp_path, small_factor,
     victim.write_bytes(bytes(blob))
 
     out = tmp_path / "sim"
-    assert _simulate(config, broken / "field", out) == 6
+    # five blocks: two passes per period, and period 2's first one fails
+    assert main(["simulate", "--config", str(config), "--field", str(broken / "field"),
+                 "--out", str(out), "--paths", str(4 * _BLOCK + 17)]) == 6
     assert grid_reads == ["period_1.grid"] * 2 + ["period_2.grid"]
     err = capsys.readouterr().err
     assert err.count("error: ") == 1 and "sha256" in err, err
@@ -286,8 +285,8 @@ def test_a_pass_reads_the_field_a_fixed_number_of_times_whatever_its_blocks(
     grids = tuple(read() for read in readers)
     steps = 8
     kwargs = dict(n_paths=4 * _BLOCK + 17, steps_per_period=steps, seed=5, keep_paths=20)
-    # five blocks per period: a group of three, then one of two
-    assert all(g.values.nbytes // (8 * steps * _BLOCK) == 3 for g in grids)
+    # five blocks per period: a group of four, then one of one
+    assert _GROUP == 4
 
     real = montecarlo.lookup
 
@@ -305,7 +304,7 @@ def test_a_pass_reads_the_field_a_fixed_number_of_times_whatever_its_blocks(
     assert_same_bundle(bundle, reference_simulate(grids, plan.spec, **kwargs))
 
 
-# the no-factor periods on a coarse grid, smaller than one block's draws
+# the no-factor periods on a coarse grid, two blocks of paths
 COARSE_NO_FACTOR = {**THREE_PERIODS, "label": "coarse-no-factor",
                     "grid": {"e_min": -2.0, "e_max": 3.0, "n_e": 100},
                     "simulation": {**THREE_PERIODS["simulation"], "n_paths": _BLOCK + 17}}
@@ -324,11 +323,9 @@ def test_a_no_factor_market_sizes_its_groups_as_a_factor_market_does(
     sim = COARSE_NO_FACTOR["simulation"]
     kwargs = dict(n_paths=sim["n_paths"], steps_per_period=sim["steps_per_period"],
                   keep_paths=sim["keep_paths"], e0=sim["e0"])
-    assert all(g.values.nbytes < 8 * sim["steps_per_period"] * _BLOCK for g in grids)
 
     grid_reads.clear()
     bundle = simulate(readers, plan.spec, **kwargs)
-    # one pass per block: without draws the group is still bounded, so its
-    # vectors stay one block wide
-    assert grid_reads == [f"period_{k}.grid" for k in (1, 2, 3) for _ in range(2)]
+    # both blocks in one group, one pass per period, as with draws
+    assert grid_reads == [f"period_{k}.grid" for k in (1, 2, 3)]
     assert_same_bundle(bundle, reference_simulate(grids, plan.spec, **kwargs))
