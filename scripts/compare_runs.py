@@ -5,16 +5,21 @@ Usage: python scripts/compare_runs.py A B
 Every file under either directory is reported as ``identical`` (same
 bytes), ``differs`` or ``only in A``/``only in B``.  A ``.grid`` file
 that differs is read through ``read_grid`` on both sides and reported
-with its maximum absolute deviation.  A ``manifest.json`` is compared
-as JSON without its timing fields (``wall_clock_utc``, ``solve_seconds``,
-``simulate_seconds``), listing the top-level keys that still differ.
+with its maximum absolute deviation.  So is a ``.csv`` file that differs
+but keeps its header, row count and row lengths: the deviation is taken
+over the cells that parse as numbers, and a difference in any other
+cell is noted.  A ``manifest.json`` is compared as JSON without its timing
+fields (``wall_clock_utc``, ``solve_seconds``, ``simulate_seconds``),
+listing the top-level keys that still differ.
 
 Exits 0 when every file matches: same bytes, or manifests equal apart
 from timing.  Exits 1 otherwise.
 """
 
 import argparse
+import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +42,39 @@ def grid_deviation(a: Path, b: Path):
     if ga.values.shape != gb.values.shape:
         return None
     return float(np.max(np.abs(ga.values - gb.values)))
+
+
+def csv_deviation(a: Path, b: Path):
+    """``(deviation, text_differs)`` of two CSV files, or None when their
+    headers, row counts or row lengths disagree.
+
+    ``deviation`` is the maximum absolute difference over the cells that
+    differ and parse as finite numbers on both sides; ``text_differs``
+    says whether any other cell differs.
+    """
+    rows = []
+    for path in (a, b):
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows.append(list(csv.reader(fh)))
+    ra, rb = rows
+    if not ra or not rb or ra[0] != rb[0] or len(ra) != len(rb):
+        return None
+    dev, text = 0.0, False
+    for row_a, row_b in zip(ra[1:], rb[1:]):
+        if len(row_a) != len(row_b):
+            return None
+        for x, y in zip(row_a, row_b):
+            if x == y:
+                continue
+            try:
+                d = abs(float(x) - float(y))
+            except ValueError:
+                d = math.nan
+            if math.isfinite(d):
+                dev = max(dev, d)
+            else:
+                text = True
+    return dev, text
 
 
 def manifest_difference(a: Path, b: Path) -> list:
@@ -76,6 +114,11 @@ def compare(root_a: Path, root_b: Path) -> tuple:
             else:
                 lines.append(f"{name}: differs, axes or shape disagree" if dev is None
                              else f"{name}: differs, max abs deviation {dev:.3g}")
+            ok = False
+        elif a.suffix == ".csv" and (found := csv_deviation(a, b)) is not None:
+            dev, text = found
+            lines.append(f"{name}: differs, max abs deviation {dev:.3g}"
+                         + (", and non-numeric cells differ" if text else ""))
             ok = False
         else:
             lines.append(f"{name}: differs")

@@ -29,7 +29,7 @@ def burgers_coefficients() -> CoefficientSet:
     return CoefficientSet(
         dim_p=0,
         emissions_rate=lambda p, y: -np.asarray(y, dtype=float),
-        emissions_antiderivative=lambda p, y: -0.5 * np.asarray(y, dtype=float) ** 2,
+        emissions_slope=1.0,
         rate=0.0,
         lipschitz_L=1.0,
         mono_l1=1.0,

@@ -173,8 +173,7 @@ def preset_coefficients(name: str, params: dict, rate: float) -> CoefficientSet:
         return CoefficientSet(
             dim_p=0,
             emissions_rate=lambda _p, y: m0 - m2 * np.asarray(y, dtype=float),
-            emissions_antiderivative=lambda _p, y: (
-                m0 * np.asarray(y, dtype=float) - 0.5 * m2 * np.asarray(y, dtype=float) ** 2),
+            emissions_slope=m2,
             rate=rate, lipschitz_L=L, mono_l1=m2, mono_l2=m2,
             label=f"no-factor(m0={m0:g},m2={m2:g})",
         )
@@ -187,9 +186,7 @@ def preset_coefficients(name: str, params: dict, rate: float) -> CoefficientSet:
         dim_p=1,
         emissions_rate=lambda pp, y: (m0 + m1 * np.asarray(pp, dtype=float)
                                       - m2 * np.asarray(y, dtype=float)),
-        emissions_antiderivative=lambda pp, y: (
-            (m0 + m1 * np.asarray(pp, dtype=float)) * np.asarray(y, dtype=float)
-            - 0.5 * m2 * np.asarray(y, dtype=float) ** 2),
+        emissions_slope=m2,
         drift=lambda pp: -kappa * (np.asarray(pp, dtype=float) - p_ref),
         vol=lambda pp: np.full_like(np.asarray(pp, dtype=float), sigma),
         ou_kappa=kappa, ou_sigma=sigma, ou_ref=p_ref,

@@ -72,10 +72,10 @@ class CoefficientSet:
     drift, vol:
         ``b(p)`` and ``sigma(p)`` for the factor; required when
         ``dim_p > 0``.
-    emissions_antiderivative:
-        Optional closed form of ``M(p, y) = int_0^y mu(p, s) ds``.  When
-        present the solver uses it verbatim; otherwise the flux is
-        tabulated by quadrature.
+    emissions_slope:
+        The constant ``m2`` of a rate affine in the price, ``mu(p, 0) -
+        m2 y``, checked by :func:`validate_coefficients`.  The solver then
+        has the flux in closed form; otherwise it tabulates it.
     ou_kappa, ou_sigma, ou_ref:
         Set when the factor is the mean-reverting Gaussian process
         ``dP = -kappa (P - ref) dt + sigma dW``; the simulator then
@@ -91,7 +91,7 @@ class CoefficientSet:
     mono_l2: float
     drift: Optional[Callable] = None
     vol: Optional[Callable] = None
-    emissions_antiderivative: Optional[Callable] = None
+    emissions_slope: Optional[float] = None
     ou_kappa: Optional[float] = None
     ou_sigma: Optional[float] = None
     ou_ref: float = 0.0
@@ -191,9 +191,10 @@ def validate_coefficients(coeffs: CoefficientSet, box: SampleBox = SampleBox()) 
 
         (y - y') * (mu(p, y') - mu(p, y)) / |y - y'|^2
 
-    at fixed factor state.  Returns one message per measured value beyond
-    its declared constant by more than a relative 1e-6, so an empty tuple
-    passes.  Non-finite outputs raise :class:`ValidationError` immediately.
+    at fixed factor state (equal to ``emissions_slope``, when declared).
+    Returns one message per measured value off its declared constant by
+    more than a relative 1e-6, so an empty tuple passes.  Non-finite
+    outputs raise :class:`ValidationError` immediately.
     """
     d = coeffs.dim_p
     u = _r_sequence(_N_SAMPLES, 2 + 2 * d)
@@ -241,6 +242,10 @@ def validate_coefficients(coeffs: CoefficientSet, box: SampleBox = SampleBox()) 
         violations.append(f"monotonicity ratio {mono_min:.6g} below declared l1={l1}")
     if mono_max > l2 * (1 + _RTOL):
         violations.append(f"monotonicity ratio {mono_max:.6g} above declared l2={l2}")
+    m2 = coeffs.emissions_slope
+    if m2 is not None and max(abs(mono_min - m2), abs(mono_max - m2)) > abs(m2) * _RTOL:
+        violations.append(f"monotonicity ratio {mono_min:.6g}..{mono_max:.6g} off the "
+                          f"declared emissions_slope={m2}")
     if lip_b > L * (1 + _RTOL):
         violations.append(f"drift Lipschitz {lip_b:.6g} exceeds declared L={L}")
     if lip_s > L * (1 + _RTOL):

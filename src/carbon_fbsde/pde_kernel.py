@@ -32,8 +32,9 @@ cell and step.
 A solve takes hundreds of steps on a state of some hundred kilobytes,
 and the rolling market repeats it every sweep.  Fresh temporaries of that
 size are paged in again on every step, which costs as much as the
-arithmetic, so the march keeps its state and every intermediate in
-buffers allocated once per solve and updates them in place.
+arithmetic, so the march keeps its state and intermediates in four
+buffers allocated once per solve; a one-sided step with the closed-form
+flux allocates nothing.
 
 State layout: the emissions axis is always last and a factor axis, when
 present, sits immediately before it.  Stored grids use the order
@@ -45,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -72,7 +74,7 @@ __all__ = [
 _log = logging.getLogger(__name__)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _SLACK = 1e-9  # relative-position tolerance of the stored box
-# flux table of a rate without a closed-form antiderivative: price span, cells
+# flux table of a rate without a declared emissions_slope: price span, cells
 _TABLE_SPAN = (-0.5, 1.5)
 _TABLE_CELLS = 4096
 # cells per surface call of the terminal projection: a slab of factor rows
@@ -384,16 +386,14 @@ class FluxModel:
         self._factor = p_nodes is not None
         mu = coeffs.emissions_rate
 
-        if self._factor:
-            p_col = np.asarray(p_nodes, dtype=float)[:, None]
-        else:
-            p_col = None
-        self._p_col = p_col
+        p_col = np.asarray(p_nodes, dtype=float)[:, None] if self._factor else None
 
-        if coeffs.emissions_antiderivative is not None:
-            self._anti = coeffs.emissions_antiderivative
+        if coeffs.emissions_slope is not None:
+            # f(y) = (m2/2) y^2 - c y with c = mu(p, 0)
+            self._c = coeffs.mu(p_col, 0.0)
+            self._half_slope = 0.5 * coeffs.emissions_slope
             self._table = None
-            self._f = self._f_closed
+            self._f_into = self._f_affine
         else:
             # Dense cumulative Gauss-Legendre table with Hermite-cubic
             # evaluation (slopes are mu itself, known exactly).
@@ -402,21 +402,17 @@ class FluxModel:
             h = knots[1] - knots[0]
             mids = 0.5 * (knots[:-1] + knots[1:])
             pts = mids[:, None] + 0.5 * h * _GL8_X[None, :]
-            if self._factor:
-                vals = mu(p_col[..., None], pts[None, ...])
-                incr = (vals * (0.5 * _GL8_W)).sum(axis=-1) * h
-                M = np.concatenate([np.zeros((incr.shape[0], 1)), np.cumsum(incr, axis=-1)], axis=-1)
-                slopes = np.asarray(mu(p_col, knots[None, :]), dtype=float)
-            else:
-                vals = mu(None, pts)
-                incr = (vals * (0.5 * _GL8_W)).sum(axis=-1) * h
-                M = np.concatenate([[0.0], np.cumsum(incr)])
-                slopes = np.asarray(mu(None, knots), dtype=float)
+            ax = (None,) if self._factor else ()  # a leading factor axis
+            vals = mu(p_col[..., None] if self._factor else None, pts[ax])
+            incr = (vals * (0.5 * _GL8_W)).sum(axis=-1) * h
+            M = np.concatenate([np.zeros_like(incr[..., :1]), np.cumsum(incr, axis=-1)], axis=-1)
+            slopes = np.asarray(mu(p_col, knots[ax]), dtype=float)
             # anchor M(0) = 0 exactly at the knot closest to zero
             i0 = int(round(-y0 / h))
             M = M - M[..., i0:i0 + 1]
             self._table = (knots[0], h, knots.size, M, slopes)
-            self._f = self._f_table
+            self._f_into = self._f_table
+        self._f = lambda y: self._f_into(y, None, None)
 
         self.y_star = self._solve_y_star()
         if self._factor:
@@ -426,10 +422,18 @@ class FluxModel:
 
     # -- evaluation --------------------------------------------------
 
-    def _f_closed(self, y):
-        return -np.asarray(self._anti(self._p_col, y), dtype=float)
+    # ``_f_into(y, out, scratch)`` writes ``f(y)`` to ``out`` when ``out``
+    # and ``scratch`` are buffers shaped like ``y``, or to fresh arrays
+    # when they are None; ``_f(y)`` is the latter
 
-    def _f_table(self, y):
+    def _f_affine(self, y, out, scratch):
+        cy = np.multiply(self._c, y, out=scratch)
+        out = np.multiply(y, y, out=out)
+        out *= self._half_slope
+        out -= cy
+        return out
+
+    def _f_table(self, y, out, scratch):
         y0, h, n, M, slopes = self._table
         y = np.asarray(y, dtype=float)
         pos = np.clip((y - y0) / h, 0.0, n - 1.0)
@@ -445,7 +449,7 @@ class FluxModel:
         t2, t3 = t * t, t * t * t
         val = (Mi * (2 * t3 - 3 * t2 + 1) + h * mi * (t3 - 2 * t2 + t)
                + Mi1 * (-2 * t3 + 3 * t2) + h * mi1 * (t3 - t2))
-        return -val
+        return np.negative(val, out=out)
 
     # -- structure ---------------------------------------------------
 
@@ -490,18 +494,18 @@ class FluxModel:
             return "left"
         return None
 
-    def interface(self, ul, ur, upwind: Optional[str] = None):
+    def interface(self, ul, ur, upwind: Optional[str] = None, out=(None, None)):
         """Godunov flux at interfaces between ``ul`` and ``ur``.
 
         With ``f+(u) = f(max(u, y*))`` and ``f-(u) = f(min(u, y*))`` it is
         ``max(f+(ul), f-(ur))``.  ``upwind`` from :meth:`upwind_side`
         promises that every state lies on one side of ``y*``; the flux is
-        then ``f`` of that side's state.
+        then ``f`` of that side's state, written to ``out[0]`` with
+        ``out[1]`` as scratch when they are buffers shaped like the states
+        (the closed form then allocates nothing).
         """
-        if upwind == "right":
-            return self._f(ur)
-        if upwind == "left":
-            return self._f(ul)
+        if upwind is not None:
+            return self._f_into(ur if upwind == "right" else ul, *out)
         plus = self._f(np.maximum(ul, self._ystar_col))
         minus = self._f(np.minimum(ur, self._ystar_col))
         return np.maximum(plus, minus)
@@ -510,7 +514,8 @@ class FluxModel:
 def make_flux(coeffs: CoefficientSet, p_nodes: Optional[np.ndarray] = None) -> FluxModel:
     """Build the numerical flux for a coefficient set.
 
-    Uses the closed-form antiderivative when the coefficients carry one;
+    Evaluates ``f = (m2/2) y^2 - mu(p, 0) y`` in closed form when the
+    coefficients declare the slope ``m2`` of a rate affine in the price;
     otherwise tabulates the integral of the emission rate densely enough
     that evaluation error stays below 1e-10 for smooth rates.
     """
@@ -617,32 +622,25 @@ def _step_sizes(span: float, config: SolverConfig, stab_rate: float) -> np.ndarr
     return steps
 
 
-def _sign_runs(b: np.ndarray) -> list:
-    """``(start, stop, shift)`` runs of factor nodes with one upwind side.
-
-    Node ``j`` sits in row ``j + 1`` of the march's buffers and takes its
-    upwind neighbour from row ``j + shift``: ``j + 2`` (the node above)
-    where ``b > 0``, ``j`` (the node below) elsewhere.
-    """
-    shifts = np.where(b > 0.0, 2, 0)
-    cuts = [0] + [j for j in range(1, b.size) if shifts[j] != shifts[j - 1]] + [b.size]
-    return [(a, c, int(shifts[a])) for a, c in zip(cuts[:-1], cuts[1:])]
-
-
 def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
-           steps: np.ndarray, de: float, eps: float, p_ctx,
-           upwind: Optional[str] = None):
+           steps: np.ndarray, de: float, eps: float, p_ctx, upwind: Optional[str]):
     """Explicit backward march; writes every time slice through out_store.
 
     The state lives in a contiguous buffer with a ghost cell at each end
     of every emissions row and, with a factor, a ghost row at each end of
     the factor axis.  Two such buffers alternate as current and next
-    state; the flux and the update terms have their own, all allocated
-    once.  Each operation covers a whole buffer, or the buffer read flat
-    and shifted by one cell (emissions) or one row (factor), so the work
-    is contiguous; ghost positions get values nobody reads and are reset
-    before each step.  Every interior element sees the same operations,
-    in the same order, as the plain array expressions of the scheme.
+    state; the flux and the update terms have one each.  Each operation
+    covers a whole buffer, its factor rows, or the buffer read flat and
+    shifted by one cell or one row; ghost positions get values nobody
+    reads and are reset before each step.  Without a factor each interior
+    element sees the operations of the plain array expressions of the
+    scheme, in their order.  With one, the factor diffusion and upwind
+    drift, the emissions viscosity and the discount are one stencil with
+    per-row weights ``k_up``, ``k_dn`` (rows above and below), ``k_e``
+    (each emissions neighbour) and ``k_0 = disc - k_up - k_dn - 2 k_e``,
+    nonnegative where the march is monotone; its three factor-row terms
+    are one weighted sum over a three-row window, and it differs from the
+    plain expressions by rounding.
     """
     n_steps = len(steps)
     lead, n_e = u0.shape[:-1], u0.shape[-1]
@@ -657,22 +655,23 @@ def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
         inner = (Ellipsis, slice(1, -1))
         ghosts = (Ellipsis,)
     # zero-filled, so positions no step writes stay finite
-    mem = np.zeros((6 if factor else 4,) + shape)
-    cur, nxt, fl, work = mem[:4]
+    mem = np.zeros((4,) + shape)
+    cur, nxt, fl, work = mem
     fl_f, work_f = fl.reshape(-1), work.reshape(-1)
+    rows = ghosts + (slice(None),)
+    fl_out = (fl[rows], work[rows])  # the one-sided flux and its scratch
     if factor:
         b_col, a_col, dp = p_ctx
-        half_a, coef = mem[4:]
-        # 0.5 (a + eps^2), and the upwind coefficient: (u - u_nb) * coef is
-        # where(b > 0, u_up - u, u - u_dn) * (b / dp); only a zero difference
-        # may change sign, and the add that follows absorbs it
-        half_a[...] = np.pad(0.5 * (a_col + eps * eps), ((1, 1), (0, 0)))
-        coef[...] = np.pad(np.where(b_col > 0.0, -(b_col / dp), b_col / dp), ((1, 1), (0, 0)))
-        runs = _sign_runs(b_col[:, 0])
+        # weights per unit of disc * dt: the diffusion and the upwind drift
+        diff = 0.5 * (a_col + eps * eps) / dp ** 2
+        w_up, w_dn = diff + np.maximum(b_col, 0.0) / dp, diff + np.maximum(-b_col, 0.0) / dp
+        dt_k = None
+        # each state buffer's rows below, at and above every factor row, as
+        # a trailing axis; the state of step k is mem[k % 2]
+        windows = [np.lib.stride_tricks.sliding_window_view(b, 3, axis=-2) for b in mem[:2]]
     # with a one-sided flux fl holds f of each cell's own state, and the
     # interface right of cell j takes f of cell j + 1 ("right") or j
     shift = 0 if upwind == "left" else 1
-    rows = ghosts + (slice(None),)
     n = cur.size
 
     cur[inner] = u0
@@ -686,46 +685,42 @@ def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
         cur[ghosts + (0,)] = bound * phi_gl
         cur[ghosts + (-1,)] = bound * phi_gr
         if factor:
-            top, bot = cur[..., 0:1, :], cur[..., -1:, :]
-            np.multiply(cur[..., 1:2, :], 2.0, out=top)
-            top -= cur[..., 2:3, :]
-            np.maximum(top, 0.0, out=top)
-            np.minimum(top, bound, out=top)
-            np.multiply(cur[..., -2:-1, :], 2.0, out=bot)
-            bot -= cur[..., -3:-2, :]
-            np.maximum(bot, 0.0, out=bot)
-            np.minimum(bot, bound, out=bot)
+            for g, a, b in ((0, 1, 2), (-1, -2, -3)):  # ghost rows
+                ghost = cur[..., g, :]
+                np.multiply(cur[..., a, :], 2.0, out=ghost)
+                ghost -= cur[..., b, :]
+                np.clip(ghost, 0.0, bound, out=ghost)
         # the flux sees the factor rows it was built for, not the ghost rows
         live = cur[rows]
         if upwind is None:
             fl[rows][..., 1:] = flux.interface(live[..., :-1], live[..., 1:])
         else:
-            fl[rows] = flux.interface(live, live, upwind)
+            flux.interface(live, live, upwind, out=fl_out)
         np.subtract(fl_f[1 + shift:n - 1 + shift], fl_f[shift:n - 2 + shift],
                     out=work_f[1:-1])
-        work *= lam
-        np.subtract(cur, work, out=nxt)
-        if eps > 0.0:
-            np.multiply(cur, 2.0, out=work)
-            np.subtract(cur_f[2:], work_f[1:-1], out=work_f[1:-1])
-            work_f[1:-1] += cur_f[:-2]
-            work *= 0.5 * eps * eps * dt / de ** 2
-            nxt += work
         if factor:
-            np.multiply(cur, 2.0, out=work)
-            np.subtract(cur_f[2 * width:], work_f[width:-width], out=work_f[width:-width])
-            work_f[width:-width] += cur_f[:-2 * width]
-            work /= dp ** 2
-            work *= half_a
-            # the flux is spent: its buffer takes the upwind term
-            for a, c, nb in runs:
-                np.subtract(cur[..., a + 1:c + 1, :], cur[..., a + nb:c + nb, :],
-                            out=fl[..., a + 1:c + 1, :])
-            fl *= coef
-            work += fl
-            work *= dt
-            nxt += work
-        nxt *= disc
+            if dt != dt_k:  # the first step and a shorter remainder step
+                dt_k, k_e = dt, disc * dt * 0.5 * eps * eps / de ** 2
+                k_up, k_dn = disc * dt * w_up, disc * dt * w_dn
+                weights = np.concatenate([k_dn, disc - k_up - k_dn - 2.0 * k_e, k_up], axis=-1)
+            # one pass; three multiplies by a broadcast column cost several
+            np.einsum("...ijk,ik->...ij", windows[k % 2], weights, out=nxt[rows])
+            work *= disc * lam
+            nxt -= work
+            if eps > 0.0:
+                np.add(cur_f[2:], cur_f[:-2], out=work_f[1:-1])
+                work *= k_e
+                nxt += work
+        else:
+            work *= lam
+            np.subtract(cur, work, out=nxt)
+            if eps > 0.0:
+                np.multiply(cur, 2.0, out=work)
+                np.subtract(cur_f[2:], work_f[1:-1], out=work_f[1:-1])
+                work_f[1:-1] += cur_f[:-2]
+                work *= 0.5 * eps * eps * dt / de ** 2
+                nxt += work
+            nxt *= disc
         bound *= disc
         cur, nxt = nxt, cur
         u = cur[inner]
@@ -803,10 +798,6 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     if courant <= 1.0:
         upwind = flux.upwind_side(min(0.0, float(cells_ext.min())),
                                   max(1.0, float(cells_ext.max())))
-    _log.debug("solve_one_period: %d steps, Courant number %.4g, %s flux (%s)",
-               n_steps, courant,
-               "general" if upwind is None else f"one-sided ({upwind} state)",
-               "closed form" if flux._table is None else "table")
     # steps run terminal side first, so any shorter remainder step lands
     # between the first two stored slices
     times = tau - np.concatenate([[0.0], np.cumsum(steps)])[::-1]
@@ -851,8 +842,14 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     else:
         p_ctx = None
 
+    started = time.perf_counter()
     _march(phi_cells, phi_gl, phi_gr, put, flux, coeffs.rate, steps, de,
            config.viscosity, p_ctx, upwind)
+    took = time.perf_counter() - started
+    _log.debug("solve_one_period: %d steps, Courant number %.4g, %s flux (%s); march %.4f s, "
+               "%.1f us per step", n_steps, courant,
+               "general" if upwind is None else f"one-sided ({upwind} state)",
+               "closed form" if flux._table is None else "table", took, 1e6 * took / n_steps)
     return grid if sink is None else replace(grid, times=times[:1])
 
 

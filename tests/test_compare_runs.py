@@ -71,3 +71,36 @@ def test_manifest_content_differences_are_named(compare_runs, two_runs, capsys):
     manifest.write_text(json.dumps({**doc, "label": "renamed", "wall_clock_utc": "now"}))
     assert compare_runs.main([str(a), str(b)]) == 1
     assert "manifest.json: differs in label" in capsys.readouterr().out.splitlines()
+
+
+def _rewrite_csv(path, edit):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+
+
+def test_csv_deviation_is_reported_over_the_numeric_cells(compare_runs, two_runs, capsys):
+    a, b = two_runs
+    name = "value_surface_period_1.csv"
+
+    def nudge(lines):
+        e, value = lines[5].split(",")
+        lines[5] = f"{e},{float(value) + 2.5e-13!r}"
+        return lines
+
+    _rewrite_csv(b / name, nudge)
+    assert compare_runs.main([str(a), str(b)]) == 1
+    assert f"{name}: differs, max abs deviation 2.5e-13" in capsys.readouterr().out.splitlines()
+
+
+def test_csv_text_cells_and_reshaped_csvs_are_named(compare_runs, tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, events, paths in (
+            (a, ["path,k,branch", "0,1,below", "1,1,above"], ["path,Y", "0,0.5"]),
+            (b, ["path,k,branch", "0,1,below", "1,1,below"], ["path,Y", "0,0.5", "1,0.25"])):
+        root.mkdir()
+        (root / "events.csv").write_text("\n".join(events) + "\n")
+        (root / "paths.csv").write_text("\n".join(paths) + "\n")
+    assert compare_runs.main([str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "events.csv: differs, max abs deviation 0, and non-numeric cells differ" in lines
+    assert "paths.csv: differs" in lines

@@ -1,5 +1,6 @@
 """Config ingestion: presets, expression coefficients, plan building."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carbon_fbsde import config
 from carbon_fbsde.cli import main
 from carbon_fbsde.config import (
     build_plan,
@@ -46,7 +48,7 @@ def test_factor_preset_carries_ou_parameters():
     coeffs = preset_coefficients("linear-abatement", {}, 0.05)
     assert coeffs.dim_p == 1
     assert coeffs.ou_kappa == 1.0 and coeffs.ou_sigma == 0.5
-    assert coeffs.emissions_antiderivative is not None
+    assert coeffs.emissions_slope is not None
 
 
 # ----------------------------------------------------------------------
@@ -183,6 +185,18 @@ def cubic_factor_tree():
         "mu": "1.4 - y + 0.05*p**3", "drift": "-p", "vol": "0.5", "dim_p": 1,
         "lipschitz_L": 1.0, "mono_l1": 1.0, "mono_l2": 1.0}}
     return tree
+
+
+def test_a_declared_slope_the_rate_lacks_exits_2(tmp_path, monkeypatch):
+    def misdeclared(name, params, rate):
+        coeffs = preset_coefficients(name, params, rate)
+        return dataclasses.replace(coeffs, emissions_slope=1.01 * coeffs.emissions_slope)
+
+    monkeypatch.setattr(config, "preset_coefficients", misdeclared)
+    with pytest.raises(ConfigError, match="emissions_slope"):
+        build_plan(bundled_preset("two-period-factor"))
+    assert main(["price-multi", "--config", "preset:burgers",
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 def test_coefficients_are_validated_on_the_solver_factor_box(tmp_path):

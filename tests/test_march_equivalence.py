@@ -97,7 +97,7 @@ def markets(draw):
     else:
         coeffs = preset_coefficients("no-factor", {"m0": m0, "m2": m2}, rate)
     if draw(st.booleans()):
-        coeffs = dataclasses.replace(coeffs, emissions_antiderivative=None)
+        coeffs = dataclasses.replace(coeffs, emissions_slope=None)
     tau = draw(st.floats(0.1, 0.4))
     if draw(st.booleans()):
         # an explicit step count too small for the stability bound: the

@@ -1,5 +1,7 @@
 """Coefficient, cap, and terminal-condition validation tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,16 @@ def test_validate_coefficients_catches_increasing_rate():
     coeffs = CoefficientSet(dim_p=0, emissions_rate=lambda p, y: np.asarray(y),
                             rate=0.0, lipschitz_L=2.0, mono_l1=0.5, mono_l2=1.0)
     assert validate_coefficients(coeffs)
+
+
+@pytest.mark.parametrize("factor", [False, True], ids=["no-factor", "factor"])
+def test_validation_refuses_a_declared_slope_off_by_one_percent(factor):
+    """The closed-form flux trusts ``emissions_slope``; a slope the rate
+    does not have would price another market."""
+    coeffs = preset_coefficients("linear-abatement", {}, 0.05) if factor else no_factor()
+    off = dataclasses.replace(coeffs, emissions_slope=1.01 * coeffs.emissions_slope)
+    (message,) = validate_coefficients(off)
+    assert "emissions_slope" in message
 
 
 def test_validation_sequence_is_deterministic():

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from carbon_fbsde.config import build_plan, bundled_preset, preset_coefficients
 from carbon_fbsde.errors import CoverageError, ValidationError
+from carbon_fbsde.infinite_period import initial_state, picard_step
 from carbon_fbsde.model import (
     CapFunction,
     CoefficientSet,
@@ -89,7 +92,7 @@ def test_interface_flux_is_consistent(u, m0, m2):
     """The Godunov flux reduces to the physical flux on constant states."""
     coeffs = no_factor(m0, m2)
     flux = make_flux(coeffs)
-    exact = -float(coeffs.emissions_antiderivative(None, u))
+    exact = 0.5 * m2 * u * u - m0 * u  # -int_0^u (m0 - m2 s) ds
     got = float(flux.interface(np.array(u), np.array(u)))
     assert got == pytest.approx(exact, abs=1e-12)
 
@@ -124,6 +127,55 @@ def test_factor_flux_rows_follow_the_factor():
     vals = flux._f(np.full(3, 0.25)[None, :].T * np.ones(3))
     assert vals.shape[0] == 3
     assert flux.y_star.shape == (3,)
+
+
+@pytest.mark.parametrize("factor", [False, True], ids=["no-factor", "factor"])
+def test_in_place_flux_is_the_antiderivative_expression_bit_for_bit(factor):
+    """The one-sided flux written into the march's buffers equals, bit for
+    bit, ``-M`` of the closed-form antiderivative, on states on both sides
+    of the price band."""
+    rng = np.random.default_rng(20)
+    for _ in range(5):
+        m0, m1, m2 = rng.uniform(0.8, 1.8), rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2.0)
+        if factor:
+            coeffs = preset_coefficients("linear-abatement",
+                                         {"m0": m0, "m1": m1, "m2": m2}, 0.05)
+            p_nodes = np.linspace(-3.0, 3.0, 9)
+            y = rng.uniform(-0.5, 1.5, (p_nodes.size, 60))
+            c = m0 + m1 * p_nodes[:, None]
+        else:
+            coeffs, p_nodes = no_factor(m0, m2), None
+            y = rng.uniform(-0.5, 1.5, 60)
+            c = m0
+        assert y.min() < 0.0 and y.max() > 1.0
+        want = -(c * y - 0.5 * m2 * y ** 2)
+        flux = make_flux(coeffs, p_nodes)
+        dest, scratch = np.empty_like(y), np.empty_like(y)
+        for side in ("right", "left"):
+            dest.fill(np.nan)
+            assert flux.interface(y, y, side, out=(dest, scratch)) is dest
+            assert np.array_equal(dest, want)
+            assert np.array_equal(flux.interface(y, y, side), want)
+
+
+def test_a_factor_sweep_allocates_no_state_buffers_per_step():
+    """One Picard sweep of the rolling factor market: the march's four
+    state buffers, the terminal cells and the new start slice, but nothing
+    that grows with the step count."""
+    plan = build_plan(json.loads(ROLLING_FACTOR.read_text()))
+    spec, config = plan.spec, plan.solver
+    args = (spec.coefficients, spec.period_length, spec.cap_per_period, config)
+    # a first sweep does the lazy imports and gives a nonzero start slice
+    state = picard_step(initial_state(spec.coefficients, config), *args)
+    buffer = 8 * (config.n_p + 2) * (config.n_e + 2)
+    tracemalloc.start()
+    try:
+        swept = picard_step(state, *args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert swept.residual > 0.0
+    assert peak <= 8 * buffer, f"peak {peak / buffer:.2f} state buffers"
 
 
 def _y_star_market(name):
@@ -602,3 +654,19 @@ def test_solve_logs_steps_courant_and_flux_path(caplog):
     caplog.clear()
     solve_one_period(no_factor(), terminal, 0.0, 0.5, small_config(n_e=32))
     assert caplog.records == [], "kernel logging is off by default"
+
+
+def test_solve_logs_the_march_time_after_the_march(caplog):
+    terminal = indicator_terminal(CapFunction.constant(0.0))
+    config = small_config(n_e=32, p_min=-2.0, p_max=2.0, n_p=9)
+    quiet = solve_one_period(factor_coeffs(0.05), terminal, 0.0, 0.5, config)
+    with caplog.at_level("DEBUG", logger="carbon_fbsde.pde_kernel"):
+        grid = solve_one_period(factor_coeffs(0.05), terminal, 0.0, 0.5, config)
+    (message,) = [r.getMessage() for r in caplog.records
+                  if r.name == "carbon_fbsde.pde_kernel"]
+    timed = re.search(r"; march (\d+\.\d{4}) s, (\d+\.\d) us per step$", message)
+    assert timed, message
+    assert float(timed.group(2)) > 0.0
+    # the timing goes to the log alone
+    assert grid.meta == quiet.meta
+    assert np.array_equal(grid.values, quiet.values)
