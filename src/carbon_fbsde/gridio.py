@@ -350,15 +350,14 @@ def read_grid(path: Union[str, Path], sha256: Optional[str] = None,
 
 def start_slice_csv(grid: ValueGrid, path: Union[str, Path]) -> None:
     """Write the start-of-period slice as CSV, one row per grid node."""
-    named = [(name, nodes) for name, nodes in (("p", grid.p_nodes), ("e", grid.e_nodes))
-             if nodes is not None]
-    mesh = np.meshgrid(*(nodes for _, nodes in named), indexing="ij")
-    columns = [m.ravel() for m in mesh] + [grid.values[0].ravel()]
-    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    has_p = grid.p_nodes is not None
+    # the node columns are formatted once; each factor row is then one
+    # template with a slot per value, filled by a single %
+    prefixes = ["%.17g," % p for p in grid.p_nodes.tolist()] if has_p else [""]
+    cells = ["%.17g,%%.17g" % e for e in grid.e_nodes.tolist()]
+    values = grid.values[0].reshape(len(prefixes), -1)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([name for name, _ in named] + ["value"]) + "\n")
-        # a block of rows at a time: whole-slice lists of floats and row
-        # strings would outgrow the slice several times over
-        for at in range(0, columns[0].size, _CSV_ROWS):
-            rows = zip(*(c[at:at + _CSV_ROWS].tolist() for c in columns))
-            fh.write("".join([row_fmt % row for row in rows]))
+        fh.write("p,e,value\n" if has_p else "e,value\n")
+        for prefix, row in zip(prefixes, values):
+            template = prefix + ("\n" + prefix).join(cells) + "\n"
+            fh.write(template % tuple(row.tolist()))

@@ -622,7 +622,8 @@ def events_csv(bundle: PathBundle, path: Union[str, Path]) -> None:
         fh.write("path,k,E_Tk,cap,Y_left,Y_right,branch\n")
         for k in range(bundle.n_periods):
             row_fmt = f"%d,{k + 1}" + ",%.17g" * len(columns) + ",%s\n"
-            # a block of rows at a time, as gridio.start_slice_csv writes
+            # a block of rows at a time: whole-column lists of floats and
+            # row strings would outgrow the columns several times over
             for at in range(0, bundle.n_paths, _CSV_ROWS):
                 block = slice(at, at + _CSV_ROWS)
                 names = [_BRANCH_NAMES[b] for b in bundle.branch[k, block].tolist()]

@@ -395,6 +395,7 @@ class FluxModel:
             self._table = None
             self._f_into = self._f_affine
         else:
+            self._c = None
             # Dense cumulative Gauss-Legendre table with Hermite-cubic
             # evaluation (slopes are mu itself, known exactly).
             y0, y1 = _TABLE_SPAN
@@ -427,6 +428,9 @@ class FluxModel:
     # when they are None; ``_f(y)`` is the latter
 
     def _f_affine(self, y, out, scratch):
+        """``(m2/2) y y - c y``, ``c = mu(p, 0)``, in four passes.  With a
+        factor ``c`` is a column, which numpy multiplies by at about a third
+        of its elementwise speed; the march takes ``interface``'s ``scale``."""
         cy = np.multiply(self._c, y, out=scratch)
         out = np.multiply(y, y, out=out)
         out *= self._half_slope
@@ -494,7 +498,8 @@ class FluxModel:
             return "left"
         return None
 
-    def interface(self, ul, ur, upwind: Optional[str] = None, out=(None, None)):
+    def interface(self, ul, ur, upwind: Optional[str] = None, out=(None, None),
+                  scale=None):
         """Godunov flux at interfaces between ``ul`` and ``ur``.
 
         With ``f+(u) = f(max(u, y*))`` and ``f-(u) = f(min(u, y*))`` it is
@@ -503,12 +508,28 @@ class FluxModel:
         then ``f`` of that side's state, written to ``out[0]`` with
         ``out[1]`` as scratch when they are buffers shaped like the states
         (the closed form then allocates nothing).
+
+        ``scale = (g, gc)`` asks for ``g f``, with ``gc = g mu(p, 0)`` at
+        the states' full width.  The one-sided closed form is then
+        ``y (g m2/2 y - gc)`` in three elementwise passes and no scratch;
+        every other flux is computed as without ``scale``, then times ``g``.
         """
         if upwind is not None:
-            return self._f_into(ur if upwind == "right" else ul, *out)
-        plus = self._f(np.maximum(ul, self._ystar_col))
-        minus = self._f(np.minimum(ur, self._ystar_col))
-        return np.maximum(plus, minus)
+            y = ur if upwind == "right" else ul
+            if scale is not None and self._table is None:
+                g, gc = scale
+                val = np.multiply(y, g * self._half_slope, out=out[0])
+                val -= gc
+                val *= y
+                return val
+            val = self._f_into(y, *out)
+        else:
+            plus = self._f(np.maximum(ul, self._ystar_col))
+            minus = self._f(np.minimum(ur, self._ystar_col))
+            val = np.maximum(plus, minus)
+        if scale is not None:
+            val *= scale[0]
+        return val
 
 
 def make_flux(coeffs: CoefficientSet, p_nodes: Optional[np.ndarray] = None) -> FluxModel:
@@ -629,18 +650,23 @@ def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
     The state lives in a contiguous buffer with a ghost cell at each end
     of every emissions row and, with a factor, a ghost row at each end of
     the factor axis.  Two such buffers alternate as current and next
-    state; the flux and the update terms have one each.  Each operation
-    covers a whole buffer, its factor rows, or the buffer read flat and
-    shifted by one cell or one row; ghost positions get values nobody
-    reads and are reset before each step.  Without a factor each interior
-    element sees the operations of the plain array expressions of the
-    scheme, in their order.  With one, the factor diffusion and upwind
-    drift, the emissions viscosity and the discount are one stencil with
-    per-row weights ``k_up``, ``k_dn`` (rows above and below), ``k_e``
-    (each emissions neighbour) and ``k_0 = disc - k_up - k_dn - 2 k_e``,
-    nonnegative where the march is monotone; its three factor-row terms
-    are one weighted sum over a three-row window, and it differs from the
-    plain expressions by rounding.
+    state; the flux has the third, and the fourth holds the update terms
+    without a factor and ``g mu(p, 0)`` with one.  Each operation covers a
+    whole buffer, its factor rows, or the buffer read flat and shifted by
+    one cell or one row; ghost positions get values nobody reads and are
+    reset before each step.  Without a factor each interior element sees
+    the operations of the plain array expressions of the scheme, in their
+    order.  With one, the factor diffusion and upwind drift, the emissions
+    viscosity and the discount are one stencil with per-row weights
+    ``k_up``, ``k_dn`` (rows above and below), ``k_e`` (each emissions
+    neighbour) and ``k_0 = disc - k_up - k_dn - 2 k_e``, nonnegative where
+    the march is monotone; its three factor-row terms are one weighted sum
+    over a three-row window.  The flux comes scaled by the step factor
+    ``g = disc dt / de`` (:meth:`FluxModel.interface`), and its two shifted
+    reads go straight into the stencil sum, so a one-sided closed-form
+    step is six passes besides the viscosity, which then uses the flux
+    buffer as scratch.  The factor march differs from the plain
+    expressions by rounding.
     """
     n_steps = len(steps)
     lead, n_e = u0.shape[:-1], u0.shape[-1]
@@ -659,8 +685,10 @@ def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
     cur, nxt, fl, work = mem
     fl_f, work_f = fl.reshape(-1), work.reshape(-1)
     rows = ghosts + (slice(None),)
-    fl_out = (fl[rows], work[rows])  # the one-sided flux and its scratch
+    # the one-sided flux and its scratch; the scaled flux needs none
+    fl_out = (fl[rows], None if factor else work[rows])
     if factor:
+        gc = work[rows]  # g mu(p, 0) at full width, for the closed form
         b_col, a_col, dp = p_ctx
         # weights per unit of disc * dt: the diffusion and the upwind drift
         diff = 0.5 * (a_col + eps * eps) / dp ** 2
@@ -673,6 +701,7 @@ def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
     # interface right of cell j takes f of cell j + 1 ("right") or j
     shift = 0 if upwind == "left" else 1
     n = cur.size
+    scale = None
 
     cur[inner] = u0
     bound = 1.0
@@ -690,28 +719,32 @@ def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
                 np.multiply(cur[..., a, :], 2.0, out=ghost)
                 ghost -= cur[..., b, :]
                 np.clip(ghost, 0.0, bound, out=ghost)
+        if factor and dt != dt_k:  # the first step and a shorter remainder step
+            dt_k, k_e = dt, disc * dt * 0.5 * eps * eps / de ** 2
+            k_up, k_dn = disc * dt * w_up, disc * dt * w_dn
+            weights = np.concatenate([k_dn, disc - k_up - k_dn - 2.0 * k_e, k_up], axis=-1)
+            scale = (disc * lam, gc)  # the step factor g and g mu(p, 0)
+            if flux._c is not None:
+                np.multiply(flux._c, scale[0], out=gc)
         # the flux sees the factor rows it was built for, not the ghost rows
         live = cur[rows]
         if upwind is None:
-            fl[rows][..., 1:] = flux.interface(live[..., :-1], live[..., 1:])
+            fl[rows][..., 1:] = flux.interface(live[..., :-1], live[..., 1:], scale=scale)
         else:
-            flux.interface(live, live, upwind, out=fl_out)
-        np.subtract(fl_f[1 + shift:n - 1 + shift], fl_f[shift:n - 2 + shift],
-                    out=work_f[1:-1])
+            flux.interface(live, live, upwind, out=fl_out, scale=scale)
         if factor:
-            if dt != dt_k:  # the first step and a shorter remainder step
-                dt_k, k_e = dt, disc * dt * 0.5 * eps * eps / de ** 2
-                k_up, k_dn = disc * dt * w_up, disc * dt * w_dn
-                weights = np.concatenate([k_dn, disc - k_up - k_dn - 2.0 * k_e, k_up], axis=-1)
             # one pass; three multiplies by a broadcast column cost several
             np.einsum("...ijk,ik->...ij", windows[k % 2], weights, out=nxt[rows])
-            work *= disc * lam
-            nxt -= work
+            nxt_f = nxt.reshape(-1)
+            nxt_f[1:-1] -= fl_f[1 + shift:n - 1 + shift]
+            nxt_f[1:-1] += fl_f[shift:n - 2 + shift]
             if eps > 0.0:
-                np.add(cur_f[2:], cur_f[:-2], out=work_f[1:-1])
-                work *= k_e
-                nxt += work
+                np.add(cur_f[2:], cur_f[:-2], out=fl_f[1:-1])
+                fl *= k_e
+                nxt += fl
         else:
+            np.subtract(fl_f[1 + shift:n - 1 + shift], fl_f[shift:n - 2 + shift],
+                        out=work_f[1:-1])
             work *= lam
             np.subtract(cur, work, out=nxt)
             if eps > 0.0:
@@ -907,19 +940,20 @@ def diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
     de = grid.delta_e
     tail_idx = np.nonzero(grid.e_nodes < 0.0)[0]
 
-    # the slice-sized intermediates go to two buffers: fresh ones may be
+    # the slice-sized differences go to one buffer: fresh ones may be
     # mapped and paged in again on every slice
-    buf = np.empty(v.shape[1:])
+    shape = v.shape[1:]
     hi = (slice(None),) * e_axis + (slice(1, None),)
     lo = (slice(None),) * e_axis + (slice(None, -1),)
-    dbuf = np.empty(buf[hi].shape)
+    dbuf = np.empty(shape[:e_axis] + (shape[e_axis] - 1,))
     over, under, dmin, dmax, lefts = np.zeros((5, n))
     # the right-edge residual needs the last slice, which comes last
-    edges = np.empty((n,) + np.take(buf, 0, axis=e_axis).shape)
+    edges = np.empty((n,) + shape[:e_axis])
     tail_mass = 0.0
     for k, s in enumerate(v):
-        over[k] = np.subtract(s, bounds[k], out=buf).max()
-        under[k] = np.negative(s, out=buf).max()
+        # rounding is monotone: max(s - b) is max(s) - b, and max(-s) is -min(s)
+        over[k] = s.max() - bounds[k]
+        under[k] = -s.min()
         if has_diffs:  # np.diff along emissions, into dbuf
             d = np.subtract(s[hi], s[lo], out=dbuf)
             dmin[k], dmax[k] = d.min(), d.max()

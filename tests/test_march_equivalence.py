@@ -13,6 +13,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,4 +159,24 @@ def test_too_few_steps_keep_the_general_flux():
     with mock.patch.object(pde_kernel, "_march", reference_march):
         want = solve_one_period(coeffs, terminal, 0.0, 0.3, config)
     assert got.values.max() > 1.02
+    assert np.max(np.abs(got.values - want.values)) <= 1e-14
+
+
+@pytest.mark.parametrize("closed_form", [True, False], ids=["closed-form", "table"])
+def test_a_factor_march_with_viscosity_and_a_remainder_step(closed_form):
+    # the first step and the shorter last one each rebuild the weights
+    # and g mu(p, 0); the viscosity term runs in the flux buffer
+    coeffs = preset_coefficients("linear-abatement", {
+        "m0": 1.5, "m1": 0.1, "m2": 1.0, "kappa": 0.8, "sigma": 0.4}, 0.07)
+    if not closed_form:
+        coeffs = dataclasses.replace(coeffs, emissions_slope=None)
+    config = SolverConfig(e_min=-1.0, e_max=1.0, n_e=32, p_min=-1.0, p_max=1.0, n_p=7,
+                          viscosity=0.05)
+    terminal = indicator_terminal(CapFunction.constant(0.1))
+    got = solve_one_period(coeffs, terminal, 0.0, 0.3, config)
+    with mock.patch.object(pde_kernel, "_march", reference_march):
+        want = solve_one_period(coeffs, terminal, 0.0, 0.3, config)
+    steps = np.diff(got.times)
+    assert got.meta["n_steps"] > 4 and steps[0] < 0.9 * steps[1]  # the remainder runs last
+    assert make_flux(coeffs, config.p_nodes()).upwind_side(0.0, 1.0) == "right"
     assert np.max(np.abs(got.values - want.values)) <= 1e-14

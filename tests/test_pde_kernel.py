@@ -1,11 +1,13 @@
 """Single-period kernel tests: flux structure, marching, diagnostics."""
 
+import dataclasses
 import json
 import math
 import re
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from carbon_fbsde.pde_kernel import (
     _GL8_X,
     _SLAB_CELLS,
     _project_terminal,
+    FluxModel,
     SliceSink,
     SolverConfig,
     ValueGrid,
@@ -156,6 +159,79 @@ def test_in_place_flux_is_the_antiderivative_expression_bit_for_bit(factor):
             assert flux.interface(y, y, side, out=(dest, scratch)) is dest
             assert np.array_equal(dest, want)
             assert np.array_equal(flux.interface(y, y, side), want)
+
+
+@pytest.mark.parametrize("factor", [False, True], ids=["no-factor", "factor"])
+def test_scaled_flux_is_its_numpy_expression_bit_for_bit(factor):
+    """The flux scaled by a step factor ``g``, with ``g mu(p, 0)`` given at
+    full width, is ``y (g m2/2 y - g c)`` bit for bit and ``g`` times the
+    unscaled flux to rounding, on both upwind sides and on states on both
+    sides of the price band."""
+    rng = np.random.default_rng(25)
+    for _ in range(5):
+        m0, m1, m2 = rng.uniform(0.8, 1.8), rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2.0)
+        g = rng.uniform(1e-3, 0.9)
+        if factor:
+            coeffs = preset_coefficients("linear-abatement",
+                                         {"m0": m0, "m1": m1, "m2": m2}, 0.05)
+            p_nodes = np.linspace(-3.0, 3.0, 9)
+            y = rng.uniform(-0.5, 1.5, (p_nodes.size, 60))
+            c = np.broadcast_to(m0 + m1 * p_nodes[:, None], y.shape)
+        else:
+            coeffs, p_nodes = no_factor(m0, m2), None
+            y = rng.uniform(-0.5, 1.5, 60)
+            c = np.full_like(y, m0)
+        assert y.min() < 0.0 and y.max() > 1.0
+        gc = g * c
+        want = y * (g * 0.5 * m2 * y - g * c)
+        flux = make_flux(coeffs, p_nodes)
+        dest = np.empty_like(y)
+        for side in ("right", "left"):
+            dest.fill(np.nan)
+            assert flux.interface(y, y, side, out=(dest, None), scale=(g, gc)) is dest
+            assert np.array_equal(dest, want)
+            unscaled = flux.interface(y, y, side)
+            assert np.max(np.abs(dest - g * unscaled)) <= 1e-15 * g * np.max(np.abs(unscaled))
+
+
+@pytest.mark.parametrize("factor", [False, True], ids=["no-factor", "factor"])
+def test_scaled_table_flux_is_g_times_the_flux_bit_for_bit(factor):
+    """Without a closed form the scaled flux is the flux times ``g``, on
+    the one-sided and the general path alike."""
+    if factor:
+        coeffs, p_nodes = factor_coeffs(), np.linspace(-1.0, 1.0, 5)
+    else:
+        coeffs, p_nodes = no_factor(1.3), None
+    coeffs = dataclasses.replace(coeffs, emissions_slope=None)
+    flux = make_flux(coeffs, p_nodes)
+    assert flux._table is not None
+    rng = np.random.default_rng(26)
+    ul, ur = rng.uniform(-0.2, 1.2, (2, 5, 40)) if factor else rng.uniform(-0.2, 1.2, (2, 40))
+    g = 0.37
+    for side in ("right", "left"):
+        dest = np.empty_like(ul)
+        got = flux.interface(ul, ur, side, out=(dest, None), scale=(g, None))
+        assert np.array_equal(got, g * flux.interface(ul, ur, side))
+    assert np.array_equal(flux.interface(ul, ur, scale=(g, None)), g * flux.interface(ul, ur))
+
+
+@pytest.mark.parametrize("n_steps", [None, 3], ids=["one-sided", "general"])
+def test_a_factor_solve_calls_the_flux_once_per_step(n_steps):
+    """The march reaches the flux through ``FluxModel.interface`` once per
+    step, which is what the benchmark's flux layer times."""
+    config = small_config(n_e=24, p_min=-1.0, p_max=1.0, n_p=5, n_steps=n_steps)
+    terminal = indicator_terminal(CapFunction.constant(0.0))
+    calls = []
+    interface = FluxModel.interface
+
+    def counting(self, *args, **kwargs):
+        calls.append(kwargs.get("upwind", args[2] if len(args) > 2 else None))
+        return interface(self, *args, **kwargs)
+
+    with mock.patch.object(FluxModel, "interface", counting):
+        grid = solve_one_period(factor_coeffs(), terminal, 0.0, 0.3, config)
+    assert len(calls) == grid.meta["n_steps"] > 1
+    assert (set(calls) == {None}) == (n_steps is not None)
 
 
 def test_a_factor_sweep_allocates_no_state_buffers_per_step():
