@@ -25,7 +25,7 @@ stable contract:
     grid { e_min, e_max, n_e, p_min, p_max, n_p, cfl_target, n_steps,
            viscosity, margin_factor }       all optional, and no others
                                             but the retired _RETIRED_GRID
-    infinite { tol_l1, max_iter }
+    infinite { tol_l1, tol_rel, max_iter }
     simulation { n_paths, steps_per_period, seed, p0, e0, snapshot_times,
                  keep_paths, n_periods }
 
@@ -121,12 +121,31 @@ def _real(value, key: str) -> float:
     raise ConfigError(f"{key} must be a finite number, not {value!r}")
 
 
-def _count(value, key: str) -> int:
-    """``value`` as an int: a finite number with no fractional part."""
+def _positive(value, key: str) -> float:
+    """``value`` as a finite float above 0."""
+    x = _real(value, key)
+    if not x > 0.0:
+        raise ConfigError(f"{key} must be positive, not {value!r}")
+    return x
+
+
+def _count(value, key: str, floor: Optional[int] = None) -> int:
+    """``value`` as an int: a finite number with no fractional part, and
+    at least ``floor`` when one is given."""
     x = _real(value, key)
     if not x.is_integer():
         raise ConfigError(f"{key} must be a whole number, not {value!r}")
+    if floor is not None and x < floor:
+        raise ConfigError(f"{key} must be at least {floor}, not {value!r}")
     return int(x)
+
+
+def _block(tree: dict, key: str) -> dict:
+    """The object under ``key``; any other JSON value raises naming ``key``."""
+    value = tree[key]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, not {value!r}")
+    return value
 
 
 def _reals(values, n: int, key: str) -> tuple:
@@ -404,7 +423,9 @@ def build_plan(tree: dict) -> RunPlan:
     else:
         raise ConfigError("coefficients needs 'preset' or 'expression'")
 
-    term = resolved["terminal"]
+    term = _block(resolved, "terminal")
+    sim = _block(resolved, "simulation")
+    inf_opts = dict(_block(resolved, "infinite"))
     if term["kind"] not in ("indicator", "smoothed-indicator"):
         raise ConfigError(f"unknown terminal.kind {term['kind']!r}")
     width = _real(term.get("width", 0.0), "terminal.width")
@@ -439,9 +460,7 @@ def build_plan(tree: dict) -> RunPlan:
         period_max = tau
 
     # -- solver grid ---------------------------------------------------
-    grid = resolved["grid"]
-    if not isinstance(grid, dict):
-        raise ConfigError(f"grid must be an object, not {grid!r}")
+    grid = _block(resolved, "grid")
     for key in grid:
         if key not in _GRID_KEYS and key not in _RETIRED_GRID:
             raise ConfigError(f"grid.{key} is not a grid key; the keys are "
@@ -456,7 +475,6 @@ def build_plan(tree: dict) -> RunPlan:
         else:
             # the box holds the whole simulated horizon, which for a
             # rolling market is ``n_periods`` periods
-            sim = resolved["simulation"]
             n_roll = 1 if horizon == "finite" else sim["n_periods"]
             if not (isinstance(n_roll, int) and n_roll >= 1):
                 raise ConfigError("simulation.n_periods must be a positive integer")
@@ -504,10 +522,14 @@ def build_plan(tree: dict) -> RunPlan:
         resolved["grid"].update(p_min=p_min, p_max=p_max, n_p=n_p)
     resolved.setdefault("defaults_version", DEFAULTS["version"])
 
-    inf_opts = dict(resolved.get("infinite", {}))
+    for key in ("tol_l1", "tol_rel"):
+        if key in inf_opts:
+            inf_opts[key] = _positive(inf_opts[key], f"infinite.{key}")
     if "tol_l1" not in inf_opts:
         inf_opts["tol_l1"] = inf_opts.get("tol_rel", 1e-4) * (e_max - e_min)
-    sim = dict(resolved["simulation"])
+    if "max_iter" in inf_opts:
+        inf_opts["max_iter"] = _count(inf_opts["max_iter"], "infinite.max_iter", floor=1)
+    sim = dict(sim)
     for key in ("n_paths", "steps_per_period", "seed", "keep_paths", "n_periods"):
         _count(sim[key], f"simulation.{key}")
     for key in ("p0", "e0"):

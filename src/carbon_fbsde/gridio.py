@@ -53,7 +53,6 @@ __all__ = [
 _log = logging.getLogger(__name__)
 _MAGIC = b"CFBGRID1"
 _CHUNK = 1 << 20
-_CSV_ROWS = 1 << 10
 _SERIAL = itertools.count()
 
 
@@ -172,8 +171,8 @@ class GridWriter(SliceSink):
         self._slice = np.empty(shape[1:], dtype="<f8")
         self._at = len(prefix)
 
-    def put(self, it: int, values: np.ndarray) -> None:
-        self._slice[...] = values
+    def put(self, it: int, cells: np.ndarray, c0: int, bound: float) -> None:
+        self.whole(self._slice, cells, c0, bound)
         _pwrite(self._fd, self._slice, self._at + it * self._slice.nbytes)
 
     def _finish(self, path) -> str:
@@ -213,7 +212,7 @@ def write_grid(grid: Union[ValueGrid, GridWriter], path: Union[str, Path]) -> st
         if writer is not grid:
             writer.open(grid, grid.values.shape)
             for it, values in enumerate(grid.values):
-                writer.put(it, values)
+                writer.put(it, values, 0, 0.0)
         return writer._finish(path)
 
 

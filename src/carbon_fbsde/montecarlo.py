@@ -42,7 +42,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import CoverageError, SimulationError, ValidationError
-from .gridio import _CSV_ROWS
 from .model import CapFunction, MarketSpec
 from .pde_kernel import ValueGrid, lookup, lookup_recorded, recorded_shifts
 
@@ -66,6 +65,8 @@ _GROUP = 4
 # then that of t + dt, which the next step's bracket starts at most one slice
 # before; three would do.  A pass holds these slices and one step's draws.
 _RING = 4
+# paths per block of events.csv rows
+_CSV_ROWS = 1 << 10
 BRANCH_BELOW, BRANCH_AT, BRANCH_ABOVE, BRANCH_ABORTED = -1, 0, 1, -2
 _BRANCH_NAMES = {BRANCH_BELOW: "below", BRANCH_AT: "at", BRANCH_ABOVE: "above",
                  BRANCH_ABORTED: "aborted"}

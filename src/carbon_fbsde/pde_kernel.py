@@ -34,7 +34,16 @@ and the rolling market repeats it every sweep.  Fresh temporaries of that
 size are paged in again on every step, which costs as much as the
 arithmetic, so the march keeps its state and intermediates in four
 buffers allocated once per solve; a one-sided step with the closed-form
-flux allocates nothing.
+flux allocates nothing.  The emissions direction has a finite wave speed
+and the explicit step reads at most one neighbour on each side, so a
+column changes only once the numerical domain of dependence reaches it
+(Courant, Friedrichs and Lewy 1928): left of it the state is exactly 0,
+right of it exactly the discounted bound.  The march computes only the
+band in between, widened by one column per step on each side the step
+reads, in its buffers viewed at a width that grows in chunks, and hands
+each slice over as that band with the two constants beside it
+(:class:`SliceSink`).  A band that spans every column is the whole-grid
+march.
 
 State layout: the emissions axis is always last and a factor axis, when
 present, sits immediately before it.  Stored grids use the order
@@ -79,6 +88,8 @@ _TABLE_SPAN = (-0.5, 1.5)
 _TABLE_CELLS = 4096
 # cells per surface call of the terminal projection: a slab of factor rows
 _SLAB_CELLS = 4096
+# columns a band march's buffers widen by when the band leaves them
+_BAND_CHUNK = 32
 
 
 # ----------------------------------------------------------------------
@@ -190,17 +201,28 @@ class SliceSink:
 
     :func:`solve_one_period` calls ``open(grid, shape)`` once before the
     march, with a grid whose axes, full ``times`` and ``meta`` are final
-    and the shape of the whole ``values``, then ``put(it, slice)`` for
-    ``it = n_steps, ..., 0`` as the march makes each slice, one call at a
-    time.  A slice is valid only during its call.  This base class drops
-    every slice, which is all a solve whose start slice is read needs.
+    and the shape of the whole ``values``, then ``put(it, cells, c0,
+    bound)`` for ``it = n_steps, ..., 0`` as the march makes each slice,
+    one call at a time.  ``cells`` holds the slice's emissions columns
+    from ``c0`` on; the columns left of them are 0 and those right of
+    them ``bound`` (:meth:`whole` writes the whole slice).  A slice is
+    valid only during its call.  This base class drops every slice, which
+    is all a solve whose start slice is read needs.
     """
 
     def open(self, grid: "ValueGrid", shape: tuple) -> None:
         pass
 
-    def put(self, it: int, values: np.ndarray) -> None:
+    def put(self, it: int, cells: np.ndarray, c0: int, bound: float) -> None:
         pass
+
+    @staticmethod
+    def whole(out: np.ndarray, cells: np.ndarray, c0: int, bound: float) -> None:
+        """Write the slice that ``cells``, ``c0`` and ``bound`` describe into ``out``."""
+        c1 = c0 + cells.shape[-1]
+        out[..., :c0] = 0.0
+        out[..., c0:c1] = cells
+        out[..., c1:] = bound
 
 
 def _locate(nodes: np.ndarray, x):
@@ -645,87 +667,138 @@ def _step_sizes(span: float, config: SolverConfig, stab_rate: float) -> np.ndarr
 
 def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
            steps: np.ndarray, de: float, eps: float, p_ctx, upwind: Optional[str]):
-    """Explicit backward march; writes every time slice through out_store.
+    """Explicit backward march over the band of columns that can move.
 
-    The state lives in a contiguous buffer with a ghost cell at each end
-    of every emissions row and, with a factor, a ghost row at each end of
-    the factor axis.  Two such buffers alternate as current and next
-    state; the flux has the third, and the fourth holds the update terms
-    without a factor and ``g mu(p, 0)`` with one.  Each operation covers a
-    whole buffer, its factor rows, or the buffer read flat and shifted by
-    one cell or one row; ghost positions get values nobody reads and are
-    reset before each step.  Without a factor each interior element sees
-    the operations of the plain array expressions of the scheme, in their
-    order.  With one, the factor diffusion and upwind drift, the emissions
-    viscosity and the discount are one stencil with per-row weights
-    ``k_up``, ``k_dn`` (rows above and below), ``k_e`` (each emissions
-    neighbour) and ``k_0 = disc - k_up - k_dn - 2 k_e``, nonnegative where
-    the march is monotone; its three factor-row terms are one weighted sum
-    over a three-row window.  The flux comes scaled by the step factor
-    ``g = disc dt / de`` (:meth:`FluxModel.interface`), and its two shifted
-    reads go straight into the stencil sum, so a one-sided closed-form
-    step is six passes besides the viscosity, which then uses the flux
-    buffer as scratch.  The factor march differs from the plain
-    expressions by rounding.
+    Left of the band every cell is exactly 0 and right of it exactly the
+    discounted ``bound``, and a step keeps a cell whose stencil reads only
+    its own constant.  The band starts at the first column of ``u0`` that
+    is not 0 in some row and ends after the last that is not 1, or at a
+    grid edge whose ghost cell is not that constant; each step widens it
+    by one column on each side the step reads from: the left for the
+    one-sided ``"right"`` flux, the right for ``"left"``, both for the
+    general flux or with viscosity.  Factor-row terms stay in a column.
+
+    The state lives in a contiguous buffer over a stretch of columns
+    around the band, with a ghost cell at each end of every emissions row
+    and, with a factor, a ghost row at each end of the factor axis; the
+    ghost columns hold the constant beyond the stretch, or ``bound`` times
+    the terminal ghost at a grid edge.  Four buffers are allocated once at
+    full width and viewed at the stretch's width, which grows by
+    ``_BAND_CHUNK`` columns whenever the band leaves it: two alternate as
+    current and next state, the flux has the third, and the fourth holds
+    the update terms without a factor and ``g mu(p, 0)`` with one.  Each
+    operation covers a whole buffer, its factor rows, or the buffer read
+    flat and shifted by one cell or one row; ghost positions get values
+    nobody reads and are reset before each step.  Without a factor each
+    interior element sees the operations of the plain array expressions
+    of the scheme, in their order.  With one, the factor diffusion and
+    upwind drift, the emissions viscosity and the discount are one stencil
+    with per-row weights ``k_up``, ``k_dn`` (rows above and below), ``k_e``
+    (each emissions neighbour) and ``k_0 = disc - k_up - k_dn - 2 k_e``,
+    nonnegative where the march is monotone; its three factor-row terms
+    are one weighted sum over a three-row window.  The flux comes scaled
+    by the step factor ``g = disc dt / de`` (:meth:`FluxModel.interface`),
+    and its two shifted reads go straight into the stencil sum, so a
+    one-sided closed-form step is six passes besides the viscosity, which
+    then uses the flux buffer as scratch.  The factor march differs from
+    the plain expressions by rounding, which the constant columns beyond
+    the stretch do not take.
+
+    Slice ``it`` goes to ``out_store(it, cells, c0, bound)``, ``cells``
+    being the stretch from column ``c0`` (:meth:`SliceSink.whole`).
     """
     n_steps = len(steps)
-    lead, n_e = u0.shape[:-1], u0.shape[-1]
-    width = n_e + 2
+    n_e = u0.shape[-1]
     factor = p_ctx is not None
     if factor:
-        shape = lead[:-1] + (lead[-1] + 2, width)
-        inner = (Ellipsis, slice(1, -1), slice(1, -1))
-        ghosts = (Ellipsis, slice(1, -1))
+        inner = (slice(1, -1), slice(1, -1))
+        ghosts = (slice(1, -1),)
     else:
-        shape = lead + (width,)
-        inner = (Ellipsis, slice(1, -1))
-        ghosts = (Ellipsis,)
-    # zero-filled, so positions no step writes stay finite
-    mem = np.zeros((4,) + shape)
-    cur, nxt, fl, work = mem
-    fl_f, work_f = fl.reshape(-1), work.reshape(-1)
+        inner = (slice(1, -1),)
+        ghosts = ()
     rows = ghosts + (slice(None),)
-    # the one-sided flux and its scratch; the scaled flux needs none
-    fl_out = (fl[rows], None if factor else work[rows])
+    full = (u0.shape[0] + 2, n_e + 2) if factor else (n_e + 2,)
+    # zero-filled, so positions no step writes stay finite
+    mem = np.zeros((4, math.prod(full)))
+
+    def viewed(width):
+        shape = full[:-1] + (width + 2,)
+        return [b[:math.prod(shape)].reshape(shape) for b in mem]
+
+    # the band [lo, hi) and the stretch [c0, c1) its buffers cover
+    lead = tuple(range(u0.ndim - 1))
+    moved = np.flatnonzero(np.any(u0 != 0.0, axis=lead))
+    below = np.flatnonzero(np.any(u0 != 1.0, axis=lead))
+    lo = 0 if np.any(phi_gl != 0.0) else (int(moved[0]) if moved.size else n_e)
+    hi = n_e if np.any(phi_gr != 1.0) else (int(below[-1]) + 1 if below.size else 0)
+    grow_lo = int(upwind != "left" or eps > 0.0)
+    grow_hi = int(upwind != "right" or eps > 0.0)
+    c0, c1 = lo, hi
+    bufs = viewed(c1 - c0)
+    bufs[0][inner] = u0[..., c0:c1]
+    now, fresh = 0, True  # bufs[now] holds the state
+
     if factor:
-        gc = work[rows]  # g mu(p, 0) at full width, for the closed form
         b_col, a_col, dp = p_ctx
         # weights per unit of disc * dt: the diffusion and the upwind drift
         diff = 0.5 * (a_col + eps * eps) / dp ** 2
         w_up, w_dn = diff + np.maximum(b_col, 0.0) / dp, diff + np.maximum(-b_col, 0.0) / dp
-        dt_k = None
-        # each state buffer's rows below, at and above every factor row, as
-        # a trailing axis; the state of step k is mem[k % 2]
-        windows = [np.lib.stride_tricks.sliding_window_view(b, 3, axis=-2) for b in mem[:2]]
+    dt_k = None
     # with a one-sided flux fl holds f of each cell's own state, and the
     # interface right of cell j takes f of cell j + 1 ("right") or j
     shift = 0 if upwind == "left" else 1
-    n = cur.size
     scale = None
 
-    cur[inner] = u0
     bound = 1.0
-    out_store(n_steps, cur[inner])
+    out_store(n_steps, u0, 0, bound)
     for k in range(n_steps):
+        lo, hi = max(lo - grow_lo, 0), min(hi + grow_hi, n_e)
+        if lo < c0 or hi > c1:
+            # the band moves at most one column a step, so a chunk holds it
+            d0 = max(0, c0 - _BAND_CHUNK) if lo < c0 else c0
+            d1 = min(n_e, c1 + _BAND_CHUNK) if hi > c1 else c1
+            wider = viewed(d1 - d0)
+            cells = wider[1 - now][inner]
+            cells[..., :c0 - d0] = 0.0
+            cells[..., c0 - d0:c1 - d0] = bufs[now][inner]
+            cells[..., c1 - d0:] = bound
+            bufs, now, c0, c1, fresh = wider, 1 - now, d0, d1, True
+        if fresh:
+            fl, work = bufs[2], bufs[3]
+            fl_f, work_f = fl.reshape(-1), work.reshape(-1)
+            n = fl.size
+            # the one-sided flux and its scratch; the scaled flux needs none
+            fl_out = (fl[rows], None if factor else work[rows])
+            if factor:
+                gc = work[rows]  # g mu(p, 0) at the stretch's width, for the closed form
+                # each state buffer's rows below, at and above every factor
+                # row, as a trailing axis
+                windows = [np.lib.stride_tricks.sliding_window_view(b, 3, axis=-2)
+                           for b in bufs[:2]]
+        cur, nxt = bufs[now], bufs[1 - now]
         dt = float(steps[k])
         disc = math.exp(-r * dt)
         lam = dt / de
         cur_f = cur.reshape(-1)
-        cur[ghosts + (0,)] = bound * phi_gl
-        cur[ghosts + (-1,)] = bound * phi_gr
+        cur[ghosts + (0,)] = bound * phi_gl if c0 == 0 else 0.0
+        cur[ghosts + (-1,)] = bound * phi_gr if c1 == n_e else bound
         if factor:
             for g, a, b in ((0, 1, 2), (-1, -2, -3)):  # ghost rows
-                ghost = cur[..., g, :]
-                np.multiply(cur[..., a, :], 2.0, out=ghost)
-                ghost -= cur[..., b, :]
-                np.clip(ghost, 0.0, bound, out=ghost)
-        if factor and dt != dt_k:  # the first step and a shorter remainder step
-            dt_k, k_e = dt, disc * dt * 0.5 * eps * eps / de ** 2
-            k_up, k_dn = disc * dt * w_up, disc * dt * w_dn
-            weights = np.concatenate([k_dn, disc - k_up - k_dn - 2.0 * k_e, k_up], axis=-1)
-            scale = (disc * lam, gc)  # the step factor g and g mu(p, 0)
-            if flux._c is not None:
-                np.multiply(flux._c, scale[0], out=gc)
+                ghost = cur[g]
+                np.multiply(cur[a], 2.0, out=ghost)
+                ghost -= cur[b]
+                np.maximum(ghost, 0.0, out=ghost)
+                np.minimum(ghost, bound, out=ghost)
+            if dt != dt_k:  # the first step and a shorter remainder step
+                dt_k, k_e = dt, disc * dt * 0.5 * eps * eps / de ** 2
+                k_up, k_dn = disc * dt * w_up, disc * dt * w_dn
+                weights = np.concatenate([k_dn, disc - k_up - k_dn - 2.0 * k_e, k_up], axis=-1)
+                fresh = True
+            if fresh:
+                scale = (disc * lam, gc)  # the step factor g and g mu(p, 0)
+                if flux._c is not None:
+                    np.multiply(flux._c, scale[0], out=gc)
+        fresh = False
         # the flux sees the factor rows it was built for, not the ghost rows
         live = cur[rows]
         if upwind is None:
@@ -734,7 +807,7 @@ def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
             flux.interface(live, live, upwind, out=fl_out, scale=scale)
         if factor:
             # one pass; three multiplies by a broadcast column cost several
-            np.einsum("...ijk,ik->...ij", windows[k % 2], weights, out=nxt[rows])
+            np.einsum("...ijk,ik->...ij", windows[now], weights, out=nxt[rows])
             nxt_f = nxt.reshape(-1)
             nxt_f[1:-1] -= fl_f[1 + shift:n - 1 + shift]
             nxt_f[1:-1] += fl_f[shift:n - 2 + shift]
@@ -755,14 +828,13 @@ def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
                 nxt += work
             nxt *= disc
         bound *= disc
-        cur, nxt = nxt, cur
-        u = cur[inner]
-        out_store(n_steps - 1 - k, u)
+        now = 1 - now
+        u = nxt[inner]
+        out_store(n_steps - 1 - k, u, c0, bound)
         if (k + 1) % 32 == 0 and not np.all(np.isfinite(u)):
             raise SolverError(f"state became non-finite at step {k + 1}/{n_steps}")
     if not np.all(np.isfinite(u)):
         raise SolverError("state became non-finite at the final step")
-    return u
 
 
 def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface],
@@ -861,11 +933,15 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     if sink is not None:
         sink.open(grid, (n_steps + 1,) + phi_cells.shape)
 
-    def put(it, state):
+    marched = []  # the width of each marched slice
+
+    def put(it, cells, c0, bound):
         if it < kept:
-            grid.values[it] = state
+            SliceSink.whole(grid.values[it], cells, c0, bound)
         if sink is not None:
-            sink.put(it, state)
+            sink.put(it, cells, c0, bound)
+        if it < n_steps:
+            marched.append(cells.shape[-1])
 
     if p_nodes is not None:
         dp = p_nodes[1] - p_nodes[0]
@@ -879,10 +955,12 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     _march(phi_cells, phi_gl, phi_gr, put, flux, coeffs.rate, steps, de,
            config.viscosity, p_ctx, upwind)
     took = time.perf_counter() - started
-    _log.debug("solve_one_period: %d steps, Courant number %.4g, %s flux (%s); march %.4f s, "
-               "%.1f us per step", n_steps, courant,
+    _log.debug("solve_one_period: %d steps, Courant number %.4g, %s flux (%s), band %.1f%% "
+               "of %d columns; march %.4f s, %.1f us per step", n_steps, courant,
                "general" if upwind is None else f"one-sided ({upwind} state)",
-               "closed form" if flux._table is None else "table", took, 1e6 * took / n_steps)
+               "closed form" if flux._table is None else "table",
+               100.0 * sum(marched) / (n_steps * config.n_e), config.n_e, took,
+               1e6 * took / n_steps)
     return grid if sink is None else replace(grid, times=times[:1])
 
 

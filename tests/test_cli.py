@@ -160,6 +160,31 @@ def test_odd_config_scalars_exit_2_naming_the_key(tmp_path, capsys, where, value
     assert err.count("error: ") == 1 and key in err, err
 
 
+@pytest.mark.parametrize("preset, block, value, key", [
+    ("rolling-r005", "infinite", {"tol_l1": "abc"}, "infinite.tol_l1"),
+    ("rolling-r005", "infinite", {"tol_l1": -1}, "infinite.tol_l1"),
+    ("rolling-r005", "infinite", {"max_iter": "x"}, "infinite.max_iter"),
+    ("rolling-r005", "infinite", {"max_iter": 0}, "infinite.max_iter"),
+    ("rolling-r005", "infinite", {"tol_rel": None}, "infinite.tol_rel"),
+    ("burgers", "terminal", "indicator", "terminal"),
+    ("burgers", "simulation", [], "simulation"),
+], ids=["word-tol_l1", "negative-tol_l1", "word-max_iter", "zero-max_iter",
+        "null-tol_rel", "word-terminal", "list-simulation"])
+def test_odd_infinite_terminal_and_simulation_blocks_exit_2(tmp_path, capsys, preset,
+                                                            block, value, key):
+    """Each of these used to raise out of ``main`` (a TypeError, a math
+    domain error or a KeyError), and ``max_iter: 0`` exited 5 after no
+    sweep."""
+    tree = bundled_preset(preset)
+    tree[block] = value
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(tree))
+    command = "price-infinite" if tree.get("horizon") == "infinite" else "price-multi"
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and key in err, err
+
+
 def test_an_explicit_step_count_above_courant_1_exits_4(tmp_path, capsys):
     """``grid.n_steps`` pins the step count whatever the stability bound.
     One step over the period is far above Courant number 1: the march is

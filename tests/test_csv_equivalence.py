@@ -11,7 +11,6 @@ reproduce byte for byte.
 import numpy as np
 import pytest
 
-from carbon_fbsde import gridio
 from carbon_fbsde.gridio import start_slice_csv
 from carbon_fbsde.montecarlo import (
     _BRANCH_NAMES,
@@ -142,15 +141,13 @@ def _slice_grid(seed: int, has_p: bool, n_e: int) -> ValueGrid:
 
 
 @pytest.mark.parametrize("has_p", [False, True])
-@pytest.mark.parametrize("whole_blocks", [False, True])
+@pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("block", [7, gridio._CSV_ROWS])
-def test_start_slice_csv_matches_savetxt_byte_for_byte(tmp_path, monkeypatch, has_p,
-                                                       whole_blocks, seed, block):
-    """With 7-row blocks a grid of 16 emissions nodes ends in a partial
-    block; with ``whole_blocks`` its rows fill their last block exactly."""
-    monkeypatch.setattr(gridio, "_CSV_ROWS", block)
-    grid = _slice_grid(seed, has_p, 2 * block if whole_blocks else SPECIAL.size + 5)
+@pytest.mark.parametrize("half", [7, 1024])
+def test_start_slice_csv_matches_savetxt_byte_for_byte(tmp_path, has_p, exact, seed, half):
+    """Grids of 16, 14, 2050 and 2048 emissions nodes: ``2 half``, or
+    two more unless ``exact``."""
+    grid = _slice_grid(seed, has_p, 2 * half if exact else 2 * half + 2)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     start_slice_csv(grid, got)
     reference_start_slice_csv(grid, want)

@@ -108,7 +108,7 @@ def test_write_grid_writes_the_whole_grid_format(tmp_path, with_axes):
     with GridWriter(tmp_path / "h.grid", scan=lambda g: seen.append(g.values.shape)) as w:
         w.open(grid, grid.values.shape)
         for it in reversed(range(shape[0])):
-            w.put(it, grid.values[it])
+            w.put(it, grid.values[it], 0, 0.0)
         assert write_grid(w, w.path) == hashlib.sha256(want).hexdigest()
     assert (tmp_path / "h.grid").read_bytes() == want
     assert seen == [shape]
@@ -143,10 +143,10 @@ def poisoned_march(which: int, after: int = 5):
         mine = next(calls) == which
         seen = itertools.count()
 
-        def store(it, state):
+        def store(it, *cells):
             if mine and next(seen) == after:
                 raise SolverError(f"state became non-finite at slice {it}")
-            out_store(it, state)
+            out_store(it, *cells)
         return real(u0, phi_gl, phi_gr, store, *args)
     return march
 

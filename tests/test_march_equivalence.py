@@ -1,11 +1,12 @@
-"""The buffered march and the split flux against the plain array march.
+"""The buffered band march and the split flux against the plain array march.
 
 ``reference_march`` and ``reference_interface`` are the kernel's march
 and Godunov flux as they were written before the march kept its state
-in preallocated buffers and the flux split at ``y*``: one array
-expression per term, every temporary fresh, and the textbook Godunov
-formula.  They are kept here, not in
-the package, as the oracle the buffered kernel must reproduce.
+in preallocated buffers, marched only the band of columns that can move
+and split the flux at ``y*``: one array expression per term over every
+column, every temporary fresh, and the textbook Godunov formula.  They
+are kept here, not in the package, as the oracle the buffered kernel
+must reproduce.
 """
 
 import dataclasses
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 from carbon_fbsde import pde_kernel
 from carbon_fbsde.config import preset_coefficients
 from carbon_fbsde.errors import SolverError
-from carbon_fbsde.model import CapFunction, indicator_terminal
+from carbon_fbsde.gridio import GridWriter, read_grid, write_grid
+from carbon_fbsde.model import CapFunction, TerminalSurface, indicator_terminal
 from carbon_fbsde.pde_kernel import SolverConfig, make_flux, solve_one_period
 
 
@@ -40,7 +42,7 @@ def reference_march(u, phi_gl, phi_gr, out_store, flux, r, steps, de, eps,
     """Explicit backward march; writes every time slice through out_store."""
     n_steps = len(steps)
     bound = 1.0
-    out_store(n_steps, u)
+    out_store(n_steps, u, 0, bound)
     for k in range(n_steps):
         dt = float(steps[k])
         disc = math.exp(-r * dt)
@@ -66,7 +68,7 @@ def reference_march(u, phi_gl, phi_gr, out_store, flux, r, steps, de, eps,
         unew *= disc
         bound *= disc
         u = unew
-        out_store(n_steps - 1 - k, u)
+        out_store(n_steps - 1 - k, u, 0, bound)
         if (k + 1) % 32 == 0 and not np.all(np.isfinite(u)):
             raise SolverError(f"state became non-finite at step {k + 1}/{n_steps}")
     if not np.all(np.isfinite(u)):
@@ -180,3 +182,111 @@ def test_a_factor_march_with_viscosity_and_a_remainder_step(closed_form):
     assert got.meta["n_steps"] > 4 and steps[0] < 0.9 * steps[1]  # the remainder runs last
     assert make_flux(coeffs, config.p_nodes()).upwind_side(0.0, 1.0) == "right"
     assert np.max(np.abs(got.values - want.values)) <= 1e-14
+
+
+# ----------------------------------------------------------------------
+# the band
+# ----------------------------------------------------------------------
+
+def _half_beyond_the_box(p, e):
+    """The indicator of ``e >= 0.05`` inside ``[-1, 1]`` and 0.5 outside:
+    the cells are 0 and 1, the ghost cells neither."""
+    e = np.asarray(e)
+    return np.where(np.abs(e) > 1.0, 0.5, (e >= 0.05).astype(float))
+
+
+def _band_market(regime, factor, viscosity=0.0, courant=None, ghosts=False, tau=0.6):
+    """A market of 240 emission cells over a period long enough that the
+    band leaves its buffer several times; ``courant`` pins a step count
+    that runs at that Courant number."""
+    lo, hi = REGIMES[regime][0]
+    m0 = 0.5 * (lo + hi)
+    grid = dict(e_min=-1.0, e_max=1.0, n_e=240, viscosity=viscosity)
+    if factor:
+        coeffs = preset_coefficients("linear-abatement", {
+            "m0": m0, "m1": 0.1, "m2": 1.0, "kappa": 0.8, "sigma": 0.4}, 0.07)
+        grid.update(p_min=-1.0, p_max=1.0, n_p=7)
+    else:
+        coeffs = preset_coefficients("no-factor", {"m0": m0, "m2": 1.0}, 0.07)
+    if courant is not None:
+        probe = SolverConfig(**grid)
+        rate = pde_kernel._stability_rate(coeffs, probe.p_nodes() if factor else None,
+                                          viscosity, 2.0 / probe.n_e)
+        grid["n_steps"] = math.floor(tau * rate / courant)
+    terminal = (TerminalSurface(fn=_half_beyond_the_box, label="half-beyond") if ghosts
+                else indicator_terminal(CapFunction.constant(0.05)))
+    return dict(coeffs=coeffs, terminal=terminal, config=SolverConfig(**grid), tau=tau)
+
+
+def _banded_solve(m):
+    """The solve of ``m`` and ``(c0, width)`` of every slice its march makes."""
+    bands = []
+    march = pde_kernel._march
+
+    def recording(u0, phi_gl, phi_gr, out_store, *args):
+        def store(it, cells, c0, bound):
+            bands.append((c0, cells.shape[-1]))
+            out_store(it, cells, c0, bound)
+        return march(u0, phi_gl, phi_gr, store, *args)
+
+    with mock.patch.object(pde_kernel, "_march", recording):
+        grid = _solve(m)
+    return grid, bands[1:]  # the terminal slice is handed over whole
+
+
+def _against_reference(m):
+    got, bands = _banded_solve(m)
+    with mock.patch.object(pde_kernel, "_march", reference_march):
+        want = _solve(m)
+    assert np.array_equal(got.times, want.times)
+    assert np.max(np.abs(got.values - want.values)) <= 1e-14
+    return bands
+
+
+@pytest.mark.parametrize("viscosity", [0.0, 0.05], ids=["sharp", "viscous"])
+@pytest.mark.parametrize("factor", [False, True], ids=["no-factor", "factor"])
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_the_band_march_reproduces_the_array_march(regime, factor, viscosity):
+    bands = _against_reference(_band_market(regime, factor, viscosity))
+    starts = {c0 for c0, _ in bands}
+    ends = {c0 + width for c0, width in bands}
+    # the buffer starts narrow and widens by whole chunks, more than once
+    assert bands[0][1] < 240 and len(starts | ends) >= 3
+    side = REGIMES[regime][1]
+    if viscosity == 0.0 and side is not None:
+        # a one-sided step reads one neighbour: the band widens on one side
+        assert len(starts if side == "left" else ends) == 1
+    else:
+        assert len(starts) > 1 and len(ends) > 1
+
+
+@pytest.mark.parametrize("factor", [False, True], ids=["no-factor", "factor"])
+def test_an_under_resolved_band_march_reproduces_the_array_march(factor):
+    m = _band_market("above", factor, courant=1.1)
+    bands = _against_reference(m)
+    # above Courant number 1 the march takes the general flux, which reads
+    # both neighbours
+    assert len({c0 for c0, _ in bands}) > 1 and len({c0 + w for c0, w in bands}) > 1
+
+
+@pytest.mark.parametrize("regime", ["above", "below"])
+@pytest.mark.parametrize("factor", [False, True], ids=["no-factor", "factor"])
+def test_terminal_ghosts_off_the_constants_march_every_column(factor, regime):
+    # a short period: the full-width factor march drifts from the array
+    # march by rounding near the edges, where these ghosts move the field
+    bands = _against_reference(_band_market(regime, factor, ghosts=True, tau=0.15))
+    assert set(bands) == {(0, 240)}
+
+
+@pytest.mark.parametrize("factor", [False, True], ids=["no-factor", "factor"])
+def test_a_band_march_writes_the_kept_grid_to_its_file(tmp_path, factor):
+    m = _band_market("above", factor)
+    kept = _solve(m)
+    with GridWriter(tmp_path / "g.grid") as writer:
+        solve_one_period(m["coeffs"], m["terminal"], 0.0, m["tau"], m["config"],
+                         sink=writer)
+        write_grid(writer, writer.path)
+    written = read_grid(tmp_path / "g.grid")
+    assert written.values.shape == kept.values.shape
+    for got, want in zip(written.values, kept.values):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

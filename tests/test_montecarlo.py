@@ -19,8 +19,7 @@ from carbon_fbsde import (
 from carbon_fbsde.config import build_plan, preset_coefficients
 from carbon_fbsde.errors import CoverageError, ValidationError
 from carbon_fbsde.model import MarketSpec, make_cap_allocation
-from carbon_fbsde.gridio import _CSV_ROWS
-from carbon_fbsde.montecarlo import _BLOCK, _BRANCH_NAMES, events_csv, paths_csv
+from carbon_fbsde.montecarlo import _BLOCK, _BRANCH_NAMES, _CSV_ROWS, events_csv, paths_csv
 from carbon_fbsde.pde_kernel import SolverConfig, evaluate
 from oracle import ou_moments, solve_grids
 
