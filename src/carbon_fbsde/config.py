@@ -25,9 +25,9 @@ stable contract:
     grid { e_min, e_max, n_e, p_min, p_max, n_p, cfl_target, n_steps,
            viscosity, margin_factor }       all optional, and no others
                                             but the retired _RETIRED_GRID
-    infinite { tol_l1, tol_rel, max_iter }
+    infinite { tol_l1, tol_rel, max_iter }  all optional, and no others
     simulation { n_paths, steps_per_period, seed, p0, e0, snapshot_times,
-                 keep_paths, n_periods }
+                 keep_paths, n_periods }    all optional, and no others
 
 Anything omitted comes from the versioned DEFAULTS table below, and the
 fully resolved tree (plus its hash) is what runs and what the manifest
@@ -70,7 +70,10 @@ __all__ = [
 # may restate that value but set no other
 _RETIRED_GRID = {"mollify_width": 0.0, "flux_scheme": "godunov"}
 _GRID_KEYS = ("e_min", "e_max", "n_e", "p_min", "p_max", "n_p", "cfl_target",
-              "n_steps", "viscosity", "margin_factor")
+              "n_steps", "viscosity", "margin_factor", *_RETIRED_GRID)
+_INFINITE_KEYS = ("tol_l1", "tol_rel", "max_iter")
+_SIMULATION_KEYS = ("n_paths", "steps_per_period", "seed", "p0", "e0", "snapshot_times",
+                    "keep_paths", "n_periods")
 
 DEFAULTS = {
     "version": 1,
@@ -140,11 +143,16 @@ def _count(value, key: str, floor: Optional[int] = None) -> int:
     return int(x)
 
 
-def _block(tree: dict, key: str) -> dict:
-    """The object under ``key``; any other JSON value raises naming ``key``."""
+def _block(tree: dict, key: str, keys: Optional[tuple] = None) -> dict:
+    """The object under ``key``; any other JSON value raises naming ``key``,
+    and so does a key of it outside ``keys`` when they are given."""
     value = tree[key]
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be an object, not {value!r}")
+    for name in value if keys is not None else ():
+        if name not in keys:
+            raise ConfigError(f"{key}.{name} is not a {key} key; the keys are "
+                              f"{', '.join(keys)}")
     return value
 
 
@@ -424,8 +432,8 @@ def build_plan(tree: dict) -> RunPlan:
         raise ConfigError("coefficients needs 'preset' or 'expression'")
 
     term = _block(resolved, "terminal")
-    sim = _block(resolved, "simulation")
-    inf_opts = dict(_block(resolved, "infinite"))
+    sim = _block(resolved, "simulation", _SIMULATION_KEYS)
+    inf_opts = dict(_block(resolved, "infinite", _INFINITE_KEYS))
     if term["kind"] not in ("indicator", "smoothed-indicator"):
         raise ConfigError(f"unknown terminal.kind {term['kind']!r}")
     width = _real(term.get("width", 0.0), "terminal.width")
@@ -460,11 +468,7 @@ def build_plan(tree: dict) -> RunPlan:
         period_max = tau
 
     # -- solver grid ---------------------------------------------------
-    grid = _block(resolved, "grid")
-    for key in grid:
-        if key not in _GRID_KEYS and key not in _RETIRED_GRID:
-            raise ConfigError(f"grid.{key} is not a grid key; the keys are "
-                              f"{', '.join(_GRID_KEYS)}")
+    grid = _block(resolved, "grid", _GRID_KEYS)
     for key, value in _RETIRED_GRID.items():
         if grid[key] != value or isinstance(grid[key], bool):
             raise ConfigError(f"grid.{key} is retired and may only be {value!r}, "

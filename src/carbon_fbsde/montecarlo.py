@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import CoverageError, SimulationError, ValidationError
 from .model import CapFunction, MarketSpec
-from .pde_kernel import ValueGrid, lookup, lookup_recorded, recorded_shifts
+from .pde_kernel import FieldReader, ValueGrid, recorded_shifts
 
 __all__ = [
     "PathBundle",
@@ -63,7 +63,8 @@ _BLOCK = 8192
 _GROUP = 4
 # slices of a streamed grid that stay readable: a step reads the bracket of t,
 # then that of t + dt, which the next step's bracket starts at most one slice
-# before; three would do.  A pass holds these slices and one step's draws.
+# before; three would do.  A pass holds these slices, the field's slice at
+# its latest read time and one step's draws.
 _RING = 4
 # paths per block of events.csv rows
 _CSV_ROWS = 1 << 10
@@ -303,10 +304,10 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
             comp_right[k, g] = E >= comp_cap[k, g]
         else:
             e = E - off
-            p = P_all[g] if has_p else None
-            comp_right[k, g], ok = (
-                lookup(grid, grid.t0, p, e) if recorded is None else
-                lookup_recorded(grid, grid.t0, p, e, recorded_shifts(grid, recorded, e)))
+            reader = FieldReader(grid, None if recorded is None
+                                 else recorded_shifts(grid, recorded, e))
+            comp_right[k, g], ok = reader.read(
+                grid.t0, reader.locate(P_all[g] if has_p else None), e)
             ok_date[g] &= ok
         alive = alive_all[g]
         newly = alive > ok_date[g]
@@ -347,21 +348,23 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
             draw_bytes = max(draw_bytes, draws.nbytes)
             xi = draws.reshape(-1)[:width]
         # the shifts of the recorded emissions hold for the period
-        read = lookup if recorded is None else partial(
-            lookup_recorded, shifts=recorded_shifts(grid, recorded, eparam_all[g]))
+        reader = FieldReader(grid, None if recorded is None
+                             else recorded_shifts(grid, recorded, eparam_all[g]))
         P = P_all[g] if has_p else None
+        at = reader.locate(P)
         E, Y, alive = E_all[g], Y_all[g], alive_all[g]
         kept = min(keep, g.stop) - g.start
         # the rate and predicted emissions, kept from a step's first half to
         # its second; owned here, as ``mu`` may return a shared or read-only array
         mu, e_pred, newly = np.empty(width), np.empty(width), np.empty(width, dtype=bool)
 
-        # the bracket of t is read before that of t + dt, so a streamed grid
-        # is read forward once per step
+        # a step makes the slice at t + dt and places the factor there; the
+        # next step's read at t shares both when its bracket is bit-equal,
+        # so a streamed grid is read forward once per step
         for j in range(spp):
             gstep = k * spp + j
             t = times[gstep]
-            y_new, ok = read(grid, t - t_shift, P, E - e_off)
+            y_new, ok = reader.read(t - t_shift, at, E - e_off)
             np.greater(alive, ok, out=newly)  # alive and not ok
             if newly.any():
                 abort_step[g][newly] = gstep
@@ -386,11 +389,12 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
                 for stream, row in zip(streams[b0:b1], draws):
                     stream.standard_normal(out=row)
                 np.copyto(P, _step_factor(coeffs, P, dt, sq, xi), where=alive)
+                at = reader.locate(P)
             np.multiply(mu, dt, out=e_pred)
             e_pred += E
             e_pred -= e_off
-            y_pred, okp = read(grid, min(t + dt - t_shift, grid.last_interior_time),
-                               P, e_pred)
+            y_pred, okp = reader.read(min(t + dt - t_shift, grid.last_interior_time),
+                                      at, e_pred)
             np.logical_not(okp, out=newly)
             np.copyto(y_pred, Y, where=newly)
             mu += np.asarray(coeffs.mu(P, y_pred), dtype=float)
@@ -401,7 +405,7 @@ def simulate(field, spec: MarketSpec, n_paths: int, steps_per_period: int = 512,
 
         # left value at T_k from grid k; its last_interior_time is in the
         # same coordinates as the step reads
-        comp_left[k, g], ok_date[g] = read(grid, grid.last_interior_time, P, E - e_off)
+        comp_left[k, g], ok_date[g] = reader.read(grid.last_interior_time, at, E - e_off)
         if k + 1 == q and rolling:  # the rolling grid serves the last date too
             settle(k, g, grid, e_off + spec.cap_per_period)
         elif k + 1 == q:
@@ -606,28 +610,33 @@ def paths_csv(bundle: PathBundle, path: Union[str, Path]) -> None:
     """Kept trajectories, one row per (path, time)."""
     has_p = bundle.path_P is not None
     columns = ([bundle.path_P] if has_p else []) + [bundle.path_E, bundle.path_Y]
-    row_fmt = "%d" + ",%.17g" * (1 + len(columns)) + "\n"
-    times = bundle.times.tolist()
+    # the time column is formatted once; each kept path is then one
+    # template with a slot per value, filled by a single %
+    cells = ["%.17g" % t + ",%.17g" * len(columns) for t in bundle.times.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("path,t" + (",P" if has_p else "") + ",E,Y\n")
         for row, pidx in enumerate(bundle.kept_idx.tolist()):
-            cells = zip(repeat(pidx), times, *(c[row].tolist() for c in columns))
-            fh.write("".join([row_fmt % r for r in cells]))
+            prefix = "%d," % pidx
+            template = prefix + ("\n" + prefix).join(cells) + "\n"
+            values = np.stack([c[row] for c in columns], -1)
+            fh.write(template % tuple(values.ravel().tolist()))
 
 
 def events_csv(bundle: PathBundle, path: Union[str, Path]) -> None:
     """Compliance-date records for every path."""
     columns = (bundle.compliance_E, bundle.compliance_cap, bundle.compliance_left,
                bundle.compliance_right)
+    slots = ",%.17g" * len(columns)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("path,k,E_Tk,cap,Y_left,Y_right,branch\n")
         for k in range(bundle.n_periods):
-            row_fmt = f"%d,{k + 1}" + ",%.17g" * len(columns) + ",%s\n"
             # a block of rows at a time: whole-column lists of floats and
-            # row strings would outgrow the columns several times over
+            # row strings would outgrow the columns several times over.  A
+            # block is one template with a slot per value, filled by one %
             for at in range(0, bundle.n_paths, _CSV_ROWS):
                 block = slice(at, at + _CSV_ROWS)
                 names = [_BRANCH_NAMES[b] for b in bundle.branch[k, block].tolist()]
-                cells = zip(range(at, at + len(names)),
-                            *(c[k, block].tolist() for c in columns), names)
-                fh.write("".join([row_fmt % r for r in cells]))
+                template = "".join([f"{i},{k + 1}{slots},{name}\n"
+                                    for i, name in enumerate(names, at)])
+                values = np.stack([c[k, block] for c in columns], -1)
+                fh.write(template % tuple(values.ravel().tolist()))

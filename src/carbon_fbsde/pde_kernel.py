@@ -72,6 +72,7 @@ __all__ = [
     "make_flux",
     "check_dependence",
     "solve_one_period",
+    "FieldReader",
     "lookup",
     "recorded_shifts",
     "lookup_recorded",
@@ -231,17 +232,15 @@ def _locate(nodes: np.ndarray, x):
     ok = (pos >= -_SLACK) & (pos <= nodes.size - 1 + _SLACK)
     # clamp before the cast: a huge or infinite position has no int64, and
     # fmax sends NaN to 0
-    i = np.fmin(np.fmax(np.floor(pos), 0.0), nodes.size - 2).astype(np.int64)
-    w = np.clip(pos - i, 0.0, 1.0)
-    return i, w, ok, pos
+    i = np.fmin(np.fmax(np.floor(pos), 0.0), nodes.size - 2)
+    w = np.minimum(np.maximum(pos - i, 0.0), 1.0)
+    return i.astype(np.int64), w, ok, pos
 
 
 def _query_axes(grid: ValueGrid, p, e):
     """``(name, nodes, query)`` for each stored spatial axis, in order."""
     axes = []
     if grid.has_p:
-        if p is None:
-            raise ValidationError("grid has a factor axis; pass p")
         axes.append(("factor", grid.p_nodes, p))
     axes.append(("emissions", grid.e_nodes, e))
     return axes
@@ -260,53 +259,91 @@ def _time_bracket(times: np.ndarray, t: float) -> tuple:
     return it, min(max((t - times[it]) / (times[it + 1] - times[it]), 0.0), 1.0)
 
 
+class FieldReader:
+    """Multilinear reads of one grid through one time slice at a time.
+
+    A read at time ``t`` (:func:`_time_bracket`) needs the field's slice
+    there: stored slice ``it`` when ``wt == 0``, else ``S_it + wt (S_it+1 -
+    S_it)`` in the reader's buffer, made again only when a read's bracket
+    differs bit for bit.  It gathers the ``2^d`` corners from that slice,
+    last axis fastest; :meth:`locate` places the factor once for any number
+    of reads.  ``values`` may be a streamed grid's ring of recent slices.
+    With ``shifts`` from :func:`recorded_shifts` a read is that of
+    :func:`lookup_recorded`.
+    """
+
+    def __init__(self, grid: ValueGrid, shifts: Optional[tuple]):
+        self.grid, self.shifts = grid, shifts
+        self._bracket = self._flat = None
+        self._buffer = np.empty(grid.values.shape[1:])
+
+    def locate(self, p) -> tuple:
+        """The factor's part of a read at ``p``: ``(corners, base, in_box)``,
+        each factor corner's weight and offset in a slice, the flat index of
+        the cell's first node and the factor's in-box mask.  ``p`` is
+        ignored on a grid without a factor axis."""
+        if not self.grid.has_p:
+            return [(1.0, 0)], 0, True
+        if p is None:
+            raise ValidationError("grid has a factor axis; pass p")
+        i, w, ok, _ = _locate(self.grid.p_nodes, p)
+        n = self.grid.e_nodes.size
+        return [(1.0 - w, 0), (w, n)], i * n, ok
+
+    def read(self, t: float, at: tuple, e):
+        """``(value, in_box)`` at time ``t``, the factor place ``at`` from
+        :meth:`locate` and emissions ``e``."""
+        bracket = _time_bracket(self.grid.times, t)
+        if bracket != self._bracket:
+            self._bracket = bracket
+            self._flat = self._slice(*bracket).ravel()
+        if self.shifts is None:
+            return self._gather(at, e)
+        theta, lo, hi, in_box = self.shifts
+        value, _ = self._gather(at, e - lo)
+        upper, _ = self._gather(at, e - hi)
+        value *= 1.0 - theta
+        upper *= theta
+        value += upper
+        return value, in_box & at[2] & _locate(self.grid.e_nodes, e)[2]
+
+    def _slice(self, it: int, wt: float) -> np.ndarray:
+        values = self.grid.values
+        if wt == 0.0:
+            return values[it]
+        # the later slice first: a ring too short for the bracket then
+        # raises instead of overwriting the earlier one
+        out = np.subtract(values[it + 1], values[it], out=self._buffer)
+        out *= wt
+        out += values[it]
+        return out
+
+    def _gather(self, at: tuple, e):
+        """``sum(weight * slice.flat[offset])`` over the corners, in order."""
+        corners, base, in_box = at
+        i, w, ok, _ = _locate(self.grid.e_nodes, e)
+        base = base + i
+        sides = ((1.0 - w, 0), (w, 1))
+        acc = 0.0
+        for wc, oc in corners:
+            for a, c in sides:
+                # a corner's offset moves the slice, not the indices
+                term = self._flat[oc + c:].take(base)
+                term *= wc * a
+                acc += term
+        return acc, in_box & ok
+
+
 def lookup(grid: ValueGrid, t: float, p, e):
     """Multilinear field value at time ``t`` with an in-box mask.
 
-    ``t`` is clamped to ``[t0, tau]`` and bracketed by
-    :func:`_time_bracket`.  Points outside the spatial box are clamped
-    onto it for the value and marked ``False`` in the mask; the caller
-    decides what that means.  Returns ``(value, in_box)``.
-
-    Each axis is located once.  The ``2^d`` cell corners, last axis
-    fastest, get their weight products and flat offsets into a C-ordered
-    slice once, and each bracketing time slice is gathered corner by
-    corner with ``take`` on its raveled view and blended in time.  The
-    slices are read as ``grid.values[it]`` and ``grid.values[it + 1]``, so
-    ``values`` may be the whole array or a streamed grid's ring of recent
-    slices (``gridio.read_grid`` with ``scan``), with the same bracket.
+    ``t`` is clamped to ``[t0, tau]``.  Points outside the spatial box are
+    clamped onto it for the value and marked ``False`` in the mask; the
+    caller decides what that means.  Returns ``(value, in_box)``: one read
+    of a fresh :class:`FieldReader`.
     """
-    it, wt = _time_bracket(grid.times, t)
-    shape = grid.values.shape[1:]
-    stride = math.prod(shape)
-    base, corners, in_box = 0, [(1.0, 0)], True
-    for (_, nodes, x), n in zip(_query_axes(grid, p, e), shape):
-        stride //= n
-        i, w, ok, _ = _locate(nodes, x)
-        base += i * stride
-        corners = [(wc * a, oc + c) for wc, oc in corners
-                   for a, c in ((1.0 - w, 0), (w, stride))]
-        in_box = in_box & ok
-    corners = [(wc, base + oc) for wc, oc in corners]
-
-    value = _gather(grid.values[it], corners)
-    if wt > 0.0:
-        later = _gather(grid.values[it + 1], corners)
-        value *= 1.0 - wt
-        later *= wt
-        value += later
-    return value, in_box
-
-
-def _gather(S: np.ndarray, corners: list):
-    """``sum(weight * S.flat[offset])`` over the corners, in their order."""
-    flat = S.ravel()
-    acc = 0.0
-    for wc, idx in corners:
-        term = flat.take(idx)
-        term *= wc
-        acc += term
-    return acc
+    reader = FieldReader(grid, None)
+    return reader.read(t, reader.locate(p), e)
 
 
 def recorded_shifts(grid: ValueGrid, cap, ep) -> tuple:
@@ -342,15 +379,8 @@ def lookup_recorded(grid: ValueGrid, t: float, p, e, shifts: tuple):
     the box; the in-box mask is that of ``p``, ``e`` and ``ep``.  Returns
     ``(value, in_box)``.
     """
-    theta, lo, hi, in_box = shifts
-    value, _ = lookup(grid, t, p, e - lo)
-    upper, _ = lookup(grid, t, p, e - hi)
-    value *= 1.0 - theta
-    upper *= theta
-    value += upper
-    for _, nodes, x in _query_axes(grid, p, e):
-        in_box = in_box & _locate(nodes, x)[2]
-    return value, in_box
+    reader = FieldReader(grid, shifts)
+    return reader.read(t, reader.locate(p), e)
 
 
 def evaluate(grid: ValueGrid, t: float, p, e):

@@ -168,13 +168,16 @@ def test_odd_config_scalars_exit_2_naming_the_key(tmp_path, capsys, where, value
     ("rolling-r005", "infinite", {"tol_rel": None}, "infinite.tol_rel"),
     ("burgers", "terminal", "indicator", "terminal"),
     ("burgers", "simulation", [], "simulation"),
+    ("rolling-r005", "infinite", {"max_iters": 5}, "infinite.max_iters"),
+    ("burgers", "simulation", {"nn_paths": 5}, "simulation.nn_paths"),
 ], ids=["word-tol_l1", "negative-tol_l1", "word-max_iter", "zero-max_iter",
-        "null-tol_rel", "word-terminal", "list-simulation"])
+        "null-tol_rel", "word-terminal", "list-simulation", "typo-max_iters",
+        "typo-nn_paths"])
 def test_odd_infinite_terminal_and_simulation_blocks_exit_2(tmp_path, capsys, preset,
                                                             block, value, key):
     """Each of these used to raise out of ``main`` (a TypeError, a math
     domain error or a KeyError), and ``max_iter: 0`` exited 5 after no
-    sweep."""
+    sweep.  A misspelt key ran at the default and exited 0."""
     tree = bundled_preset(preset)
     tree[block] = value
     path = tmp_path / "odd.json"

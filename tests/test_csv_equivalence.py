@@ -2,7 +2,8 @@
 
 ``reference_paths_csv`` and ``reference_events_csv`` are the writers as
 they were before they formatted one row per ``%`` operation over
-``tolist()`` columns: one f-string per cell.  ``reference_start_slice_csv``
+``tolist()`` columns, and later one template per kept path or row block:
+one f-string per cell.  ``reference_start_slice_csv``
 is the start-slice writer as it was before, through ``np.savetxt``.  They
 are kept here, not in the package, as the oracle the row writers must
 reproduce byte for byte.
@@ -14,6 +15,7 @@ import pytest
 from carbon_fbsde.gridio import start_slice_csv
 from carbon_fbsde.montecarlo import (
     _BRANCH_NAMES,
+    _CSV_ROWS,
     BRANCH_ABORTED,
     PathBundle,
     events_csv,
@@ -117,6 +119,29 @@ def test_writers_match_the_per_cell_writers_byte_for_byte(tmp_path, has_p,
         writer(bundle, got)
         reference(bundle, want)
         assert got.read_bytes() == want.read_bytes(), writer.__name__
+
+
+@pytest.mark.parametrize("has_p", [False, True])
+def test_paths_csv_formats_each_time_once_byte_for_byte(tmp_path, has_p):
+    """Many kept paths share the formatted time column; times with long
+    expansions, and path indices of one and two digits."""
+    bundle = _bundle(2, has_p, 3, keep=12, steps_per_period=7)
+    bundle.times = bundle.times / 3.0
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    paths_csv(bundle, got)
+    reference_paths_csv(bundle, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("n_paths", [_CSV_ROWS, 2 * _CSV_ROWS + 5])
+def test_events_csv_fills_one_template_per_row_block_byte_for_byte(tmp_path, n_paths):
+    """One whole block, and two whole blocks with a partial one after them."""
+    bundle = _bundle(3, False, 2, n_paths=n_paths, keep=1)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    events_csv(bundle, got)
+    reference_events_csv(bundle, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert b",aborted\n" in got.read_bytes()
 
 
 def test_special_values_are_spelled_as_before(tmp_path):

@@ -3,11 +3,18 @@
 ``reference_locate``, ``reference_interp_slice`` and ``reference_lookup``
 are the kernel's lookup as it was written before it gathered corners with
 ``take`` on the raveled slice: every corner's weight product and index
-tuple rebuilt for each bracketing time slice.  They are kept here, not in
-the package, as the oracle the flat gather must reproduce bit for bit,
-NaN and signed zeros included.  A reserve-rule period's read
-(``lookup_recorded``) is checked against the same blend of two reference
-lookups.
+tuple rebuilt for each read.  The reference blends the two bracketing
+time slices into one, ``S0 + wt (S1 - S0)``, and interpolates on that
+slice; it blended the two slices' interpolated values until the kernel
+made one slice per read.  They are kept here, not in the package, as the
+oracle the flat gather must reproduce bit for bit, NaN and signed zeros
+included.  A reserve-rule period's read (``lookup_recorded``) is checked
+against the same blend of two reference lookups.
+
+``flat_gather_lookup`` is the flat gather as it was before it made that
+slice: both bracketing slices gathered, then blended.  On a stored time
+(``wt == 0``) one slice gives the value, and the kernel must still
+reproduce it bit for bit there.
 """
 
 from itertools import product
@@ -20,7 +27,8 @@ from hypothesis import strategies as st
 
 from carbon_fbsde.gridio import read_grid, write_grid
 from carbon_fbsde.model import make_cap_msr
-from carbon_fbsde.pde_kernel import (_SLACK, ValueGrid, _query_axes, lookup,
+from carbon_fbsde.pde_kernel import (_SLACK, FieldReader, ValueGrid, _locate,
+                                     _query_axes, _time_bracket, lookup,
                                      lookup_recorded, recorded_shifts)
 
 # the second cap of the ``two-period-msr`` preset
@@ -68,9 +76,42 @@ def reference_lookup(grid: ValueGrid, t: float, p, e):
         i, w, ok, _ = reference_locate(nodes, x)
         located.append((i, w))
         in_box = in_box & ok
-    value = reference_interp_slice(grid.values[it], located)
+    S = grid.values[it]
     if wt > 0.0:
-        value = (1.0 - wt) * value + wt * reference_interp_slice(grid.values[it + 1], located)
+        S = S + wt * (grid.values[it + 1] - S)
+    return reference_interp_slice(S, located), in_box
+
+
+def flat_gather_lookup(grid: ValueGrid, t: float, p, e):
+    """``lookup`` as it was when it gathered both bracketing slices: the
+    ``2^d`` corner weights and flat offsets once, each slice gathered
+    corner by corner with ``take``, the two values blended in time."""
+    it, wt = _time_bracket(grid.times, t)
+    shape = grid.values.shape[1:]
+    stride = int(np.prod(shape))
+    base, corners, in_box = 0, [(1.0, 0)], True
+    for (_, nodes, x), n in zip(_query_axes(grid, p, e), shape):
+        stride //= n
+        i, w, ok, _ = _locate(nodes, x)
+        base += i * stride
+        corners = [(wc * a, oc + c) for wc, oc in corners
+                   for a, c in ((1.0 - w, 0), (w, stride))]
+        in_box = in_box & ok
+
+    def gather(S):
+        flat, acc = S.ravel(), 0.0
+        for wc, oc in corners:
+            term = flat.take(base + oc)
+            term *= wc
+            acc += term
+        return acc
+
+    value = gather(grid.values[it])
+    if wt > 0.0:
+        later = gather(grid.values[it + 1])
+        value *= 1.0 - wt
+        later *= wt
+        value += later
     return value, in_box
 
 
@@ -186,6 +227,75 @@ def test_lookup_matches_the_fancy_index_lookup_bit_for_bit(data, kind, shape):
     assert np.array_equal(in_box, ref_in_box)
     assert np.shape(value) == np.shape(ref_value)
     assert type(value) is type(ref_value)
+
+
+@st.composite
+def node_times_of(draw, grid):
+    """A stored time, or one before ``t0`` (clamped onto it): ``wt == 0``."""
+    if draw(st.booleans()):
+        return grid.t0 - draw(st.floats(1e-12, 2.0))
+    return float(grid.times[draw(st.integers(0, grid.times.size - 2))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(GRIDS)),
+       shape=st.sampled_from(["scalar", "array", "mixed"]))
+def test_a_read_on_a_stored_time_is_the_flat_gather_bit_for_bit(data, kind, shape):
+    """No blend where one slice gives the value: the start price, a date's
+    settlement and its left value read exactly what they read before."""
+    grid = GRIDS[kind]
+    t = data.draw(node_times_of(grid))
+    assert _time_bracket(grid.times, t)[1] == 0.0
+    units = data.draw(st.lists(st.tuples(UNIT, UNIT), min_size=1, max_size=12))
+    p, e, ep = _queries(grid, units, shape)
+    with np.errstate(invalid="ignore"):
+        if ep is None:
+            value, in_box = lookup(grid, t, p, e)
+            ref_value, ref_in_box = flat_gather_lookup(grid, t, p, e)
+        else:
+            theta, lo, hi, ep_ok = recorded_shifts(grid, RESERVE_CAP, ep)
+            value, in_box = lookup_recorded(grid, t, p, e, (theta, lo, hi, ep_ok))
+            ref_value, _ = flat_gather_lookup(grid, t, p, e - lo)
+            upper, _ = flat_gather_lookup(grid, t, p, e - hi)
+            ref_value *= 1.0 - theta
+            upper *= theta
+            ref_value += upper
+            ref_in_box = flat_gather_lookup(grid, t, p, e)[1] & ep_ok
+    assert np.array_equal(_bits(value), _bits(ref_value))
+    assert np.array_equal(in_box, ref_in_box)
+    assert type(value) is type(ref_value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(GRIDS)))
+def test_a_reader_sharing_slices_and_factor_places_reads_what_lookup_reads(data, kind):
+    """A run of reads through one :class:`FieldReader`, as a ``simulate``
+    pass makes them: the factor placed once for several reads, times that
+    repeat (a shared slice) or move on, emissions new at every read.  Each
+    read equals a fresh ``lookup`` (or ``lookup_recorded``) bit for bit."""
+    grid = GRIDS[kind]
+    n = data.draw(st.integers(1, 8))
+    units = data.draw(st.lists(st.tuples(UNIT, UNIT), min_size=n, max_size=n))
+    p, e, ep = _queries(grid, units, "array")
+    shifts = None if ep is None else recorded_shifts(grid, RESERVE_CAP, ep)
+    reader = FieldReader(grid, shifts)
+    at = reader.locate(p)
+    t = data.draw(times_of(grid))
+    with np.errstate(invalid="ignore"):
+        for _ in range(data.draw(st.integers(1, 6))):
+            if data.draw(st.booleans()):
+                t = data.draw(times_of(grid))
+            if data.draw(st.booleans()):
+                p, _, _ = _queries(grid, data.draw(st.lists(
+                    st.tuples(UNIT, UNIT), min_size=n, max_size=n)), "array")
+                at = reader.locate(p)
+            _, e, _ = _queries(grid, data.draw(st.lists(
+                st.tuples(UNIT, UNIT), min_size=n, max_size=n)), "array")
+            value, in_box = reader.read(t, at, e)
+            ref_value, ref_in_box = (lookup(grid, t, p, e) if shifts is None
+                                     else lookup_recorded(grid, t, p, e, shifts))
+            assert np.array_equal(_bits(value), _bits(ref_value))
+            assert np.array_equal(in_box, ref_in_box)
 
 
 @pytest.mark.parametrize("kind", ["factor"])

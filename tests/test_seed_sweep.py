@@ -49,3 +49,32 @@ def test_one_line_per_seed_and_a_summary(tmp_path, seed_sweep, capsys):
 def test_refuses_a_malformed_seed_range(seed_sweep, text):
     with pytest.raises(argparse.ArgumentTypeError):
         seed_sweep.seed_range(text)
+
+
+def test_a_saved_table_pairs_the_seeds_of_another_run(tmp_path, seed_sweep, capsys):
+    """``--json`` saves each seed's z, gate result and jump residuals;
+    ``--against`` that table prints each seed's change in z, which is 0
+    against the same checkout, and names a seed whose gate result differs."""
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(TINY_FACTOR))
+    assert main(["price-multi", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    field, table = str(tmp_path / "run" / "field"), tmp_path / "z.json"
+    assert seed_sweep.main([str(config), field, "--seeds", "3-4", "--json", str(table)]) == 0
+    rows = json.loads(table.read_text())
+    assert [row["seed"] for row in rows] == [3, 4]
+    for row in rows:
+        assert set(row) == {"seed", "z", "passed", "above_residual", "below_residual"}
+        assert math.isfinite(row["z"]) and isinstance(row["passed"], bool)
+    capsys.readouterr()
+
+    rows[1]["z"] += 0.5
+    rows[1]["passed"] = not rows[1]["passed"]
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(rows))
+    assert seed_sweep.main([str(config), field, "--seeds", "3-4", "--against", str(other)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-1] == "dz"
+    assert lines[1].split()[-1] == "+0.00e+00"
+    assert lines[2].split()[-1] == "-5.00e-01!"
+    assert lines[-1] == ("paired over 2 seeds: max |dz| 0.5; "
+                         "gate result changed at seeds: [4]")

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from carbon_fbsde import montecarlo, simulate, solve_infinite
+from carbon_fbsde import pde_kernel, simulate, solve_infinite
 from carbon_fbsde.config import build_plan, bundled_preset
 from carbon_fbsde.errors import ValidationError
 from carbon_fbsde.model import MarketSpec
@@ -354,18 +354,19 @@ def test_rolling_grid_matches_the_block_outer_loop(rolling, market, q):
     assert_same_bundle(simulate(grid, plan.spec, **kwargs), ref)
 
 
-def edge_lookup(grid, t, p, e):
-    """``lookup`` that also puts three positions of every block outside the box.
+def edge_read(reader, t, at, e, read=pde_kernel.FieldReader.read):
+    """``FieldReader.read`` that also puts three positions of every block
+    outside the box.
 
-    Position 5 leaves once 30% of a grid's time span has passed (an abort
-    mid-period), position 6 at a compliance date's left value and position
-    7 at the right value read from a later period's grid (aborts at a date).
-    Positions count within each ``_BLOCK`` of the query, so the same paths
-    leave whether the query spans one block or a group of them.
+    Every read goes through it, ``lookup`` and ``simulate``'s shared reads
+    alike.  Position 5 leaves once 30% of a grid's time span has passed (an
+    abort mid-period), position 6 at a compliance date's left value and
+    position 7 at the right value read from a later period's grid (aborts
+    at a date).  Positions count within each ``_BLOCK`` of the query, so the
+    same paths leave whether the query spans one block or a group of them.
     """
-    from carbon_fbsde import pde_kernel
-
-    value, ok = pde_kernel.lookup(grid, t, p, e)
+    grid = reader.grid
+    value, ok = read(reader, t, at, e)
     ok = ok.copy()
     ok[5::_BLOCK] &= not t - grid.t0 > 0.3 * (grid.tau - grid.t0)
     ok[6::_BLOCK] &= t != grid.last_interior_time
@@ -375,8 +376,7 @@ def edge_lookup(grid, t, p, e):
 
 @pytest.mark.parametrize("case", ["chained", "rolling"])
 def test_aborts_mid_period_and_at_dates_match(chained, rolling, monkeypatch, case):
-    monkeypatch.setattr(montecarlo, "lookup", edge_lookup)
-    monkeypatch.setitem(globals(), "lookup", edge_lookup)
+    monkeypatch.setattr(pde_kernel.FieldReader, "read", edge_read)
     plan, field = (chained if case == "chained" else rolling)["factor"]
     steps = 16
     kwargs = dict(n_paths=_BLOCK + 17, steps_per_period=steps, seed=4, keep_paths=10,
@@ -391,3 +391,45 @@ def test_aborts_mid_period_and_at_dates_match(chained, rolling, monkeypatch, cas
     assert ref.abort_step[rows[1:len(lost)]].tolist() == [steps] * (len(lost) - 1)
     assert (ref.branch[0, rows[1:len(lost)]] == BRANCH_ABORTED).all()
     assert np.isnan(ref.compliance_left[0, rows[1:len(lost)]]).all()
+
+
+@pytest.mark.parametrize("market, steps, shared", [
+    ("factor", 16, True), ("flat", 16, True), ("factor", 24, False), ("msr", 24, False),
+])
+def test_a_pass_makes_one_slice_per_step_plus_the_first(chained, rolling, monkeypatch,
+                                                        market, steps, shared):
+    """A reader makes a slice exactly at each read whose time bracket
+    differs from that of the read before.  In a pass the predictor read of
+    a step and the next step's read share their slice when their brackets
+    are bit-equal, so a pass makes one slice per step, plus the first: on
+    unit periods in 16 steps every time is exact and they all are.  At 24
+    steps a few are not, and steps past the grid's last interior time read
+    beyond the predictor's clamped time; each such step makes one more."""
+    reads, made = {}, {}
+    real_read, real_slice = pde_kernel.FieldReader.read, pde_kernel.FieldReader._slice
+
+    def read(reader, t, at, e):
+        reads.setdefault(reader, []).append(
+            pde_kernel._time_bracket(reader.grid.times, t))
+        return real_read(reader, t, at, e)
+
+    def make(reader, it, wt):
+        made.setdefault(reader, []).append((it, wt))
+        return real_slice(reader, it, wt)
+
+    monkeypatch.setattr(pde_kernel.FieldReader, "read", read)
+    monkeypatch.setattr(pde_kernel.FieldReader, "_slice", make)
+    plan, field = chained[market] if market in chained else rolling[market]
+    simulate(field, plan.spec, n_paths=300, steps_per_period=steps, seed=0,
+             n_periods=2 if market in rolling else None)
+    passes = 0
+    for reader, brackets in reads.items():
+        assert made[reader] == [b for j, b in enumerate(brackets)
+                                if j == 0 or b != brackets[j - 1]]
+        if len(brackets) == 2 * steps + 1:  # a pass: two reads a step, one at T_k
+            passes += 1
+            # the predictor read of step j - 1 and the read of step j
+            unshared = sum(brackets[2 * j - 1] != brackets[2 * j] for j in range(1, steps))
+            assert len(made[reader]) == steps + 1 + unshared
+            assert (unshared == 0) == shared
+    assert passes == 2

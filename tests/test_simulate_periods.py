@@ -24,12 +24,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carbon_fbsde import gridio, montecarlo, simulate, solve_infinite
+from carbon_fbsde import gridio, simulate, solve_infinite
 from carbon_fbsde.cli import main
 from carbon_fbsde.config import build_plan, bundled_preset, load_config
 from carbon_fbsde.gridio import read_grid
 from carbon_fbsde.montecarlo import _BLOCK, _GROUP
 from carbon_fbsde.multi_period import open_field_dir, read_period_grids
+from carbon_fbsde.pde_kernel import FieldReader
 from test_simulate_equivalence import assert_same_bundle, reference_simulate
 
 # three equal periods on a fine emissions grid, so one period grid (about
@@ -288,18 +289,19 @@ def test_a_pass_reads_the_field_a_fixed_number_of_times_whatever_its_blocks(
     # five blocks per period: a group of four, then one of one
     assert _GROUP == 4
 
-    real = montecarlo.lookup
+    real = FieldReader.read
 
     def spy(*args, **kwargs):
-        grid_reads.append("lookup")
+        grid_reads.append("read")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "lookup", spy)
+    # every field read, ``lookup``'s included, is one ``FieldReader.read``
+    monkeypatch.setattr(FieldReader, "read", spy)
     grid_reads.clear()
     bundle = simulate(readers, plan.spec, **kwargs)
     expected = []
     for k, name in enumerate(["period_1.grid", "period_2.grid"]):
-        expected += 2 * ([name] + ["lookup"] * (2 * steps + 1 + (k > 0)))
+        expected += 2 * ([name] + ["read"] * (2 * steps + 1 + (k > 0)))
     assert grid_reads == expected
     assert_same_bundle(bundle, reference_simulate(grids, plan.spec, **kwargs))
 
