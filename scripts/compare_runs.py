@@ -4,13 +4,18 @@ Usage: python scripts/compare_runs.py A B
 
 Every file under either directory is reported as ``identical`` (same
 bytes), ``differs`` or ``only in A``/``only in B``.  A ``.grid`` file
-that differs is read through ``read_grid`` on both sides and reported
-with its maximum absolute deviation.  So is a ``.csv`` file that differs
-but keeps its header, row count and row lengths: the deviation is taken
-over the cells that parse as numbers, and a difference in any other
-cell is noted.  A ``manifest.json`` is compared as JSON without its timing
-fields (``wall_clock_utc``, ``solve_seconds``, ``simulate_seconds``),
-listing the top-level keys that still differ.
+that differs is read through ``read_grid`` on both sides.  When its
+axes, rate, meta and values agree bit for bit (values compared as uint64,
+so a signed zero or a NaN payload counts) it is reported as differing in
+bytes only, as a grid written in another container format is; otherwise
+it is reported with its maximum absolute deviation, and a deviation of 0
+between values whose bits differ says so.  A ``.csv`` file that differs
+but keeps its header, row count and row lengths is reported with its
+maximum absolute deviation too: the deviation is taken over the cells
+that parse as numbers, and a difference in any other cell is noted.  A
+``manifest.json`` is compared as JSON without its timing fields
+(``wall_clock_utc``, ``solve_seconds``, ``simulate_seconds``), listing
+the top-level keys that still differ.
 
 Exits 0 when every file matches: same bytes, or manifests equal apart
 from timing.  Exits 1 otherwise.
@@ -31,8 +36,18 @@ from carbon_fbsde.gridio import read_grid
 TIMING_KEYS = ("wall_clock_utc", "solve_seconds", "simulate_seconds")
 
 
+def _bits(x) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
 def grid_deviation(a: Path, b: Path):
-    """Maximum absolute difference of two grids, or None if their axes differ."""
+    """``(deviation, values_same, rest_same)`` of two grids, or None if their
+    axes or shapes differ.
+
+    ``deviation`` is the maximum absolute difference of the values,
+    ``values_same`` whether they agree bit for bit, and ``rest_same``
+    whether the axes, the rate and the meta do too.
+    """
     ga, gb = read_grid(a), read_grid(b)
     axes = ("times", "e_nodes", "p_nodes")
     for name in axes:
@@ -41,7 +56,23 @@ def grid_deviation(a: Path, b: Path):
             return None
     if ga.values.shape != gb.values.shape:
         return None
-    return float(np.max(np.abs(ga.values - gb.values)))
+    rest_same = (ga.meta == gb.meta and _bits(ga.rate) == _bits(gb.rate)
+                 and all(getattr(ga, n) is None or np.array_equal(_bits(getattr(ga, n)),
+                                                                  _bits(getattr(gb, n)))
+                         for n in axes))
+    return (float(np.max(np.abs(ga.values - gb.values))),
+            np.array_equal(_bits(ga.values), _bits(gb.values)), rest_same)
+
+
+def _grid_line(found) -> str:
+    if found is None:
+        return "differs, axes or shape disagree"
+    dev, values_same, rest_same = found
+    if values_same:
+        return ("differs in bytes only" if rest_same
+                else "differs in axes, rate or meta") + ", values bit-identical"
+    return (f"differs, max abs deviation {dev:.3g}"
+            + (", and value bits differ" if dev == 0.0 else ""))
 
 
 def csv_deviation(a: Path, b: Path):
@@ -108,12 +139,9 @@ def compare(root_a: Path, root_b: Path) -> tuple:
                 lines.append(f"{name}: identical apart from timing")
         elif a.suffix == ".grid":
             try:
-                dev = grid_deviation(a, b)
+                lines.append(f"{name}: {_grid_line(grid_deviation(a, b))}")
             except ArtifactError as exc:
                 lines.append(f"{name}: differs, unreadable grid ({exc})")
-            else:
-                lines.append(f"{name}: differs, axes or shape disagree" if dev is None
-                             else f"{name}: differs, max abs deviation {dev:.3g}")
             ok = False
         elif a.suffix == ".csv" and (found := csv_deviation(a, b)) is not None:
             dev, text = found

@@ -3,12 +3,13 @@
 The file format is a single JSON object.  Keys the CLI treats as a
 stable contract:
 
+    comment                 free text, read by nobody
     label                   free-form run name
     rate                    interest rate r
     horizon                 "finite" (default) | "infinite"
     periods                 finite: list of period end times T_1 < ... < T_q
     period_length           infinite: tau
-    cap { kind, parameters }
+    cap { kind, parameters }        the parameters of the kind, and no others
         kind "levels":      parameters.levels = [L_1, ..., L_q]
         kind "allocation":  parameters.allocations = [c_1, ..., c_q],
                             parameters.mode = "banking-borrowing-withdrawal"
@@ -21,7 +22,7 @@ stable contract:
         preset "linear-abatement":  mu = m0 + m1 p - m2 y,
                                     dP = -kappa (P - p_ref) dt + sigma dW
         expression: { mu, drift, vol, dim_p, lipschitz_L, mono_l1, mono_l2 }
-    terminal { kind, width }       "indicator" | "smoothed-indicator"
+    terminal { kind, width }       kind "indicator" | "smoothed-indicator"
     grid { e_min, e_max, n_e, p_min, p_max, n_p, cfl_target, n_steps,
            viscosity, margin_factor }       all optional, and no others
                                             but the retired _RETIRED_GRID
@@ -29,10 +30,12 @@ stable contract:
     simulation { n_paths, steps_per_period, seed, p0, e0, snapshot_times,
                  keep_paths, n_periods }    all optional, and no others
 
-Anything omitted comes from the versioned DEFAULTS table below, and the
-fully resolved tree (plus its hash) is what runs and what the manifest
-records, so a "default" run is reproducible across releases that bump
-the table.
+Every block is an object, and a key that neither the top level nor a
+block lists above (``version`` and ``defaults_version`` of the resolved
+tree besides) exits 2 naming its dotted path.  Anything omitted comes
+from the versioned DEFAULTS table below, and the fully resolved tree
+(plus its hash) is what runs and what the manifest records, so a
+"default" run is reproducible across releases that bump the table.
 """
 
 from __future__ import annotations
@@ -74,6 +77,20 @@ _GRID_KEYS = ("e_min", "e_max", "n_e", "p_min", "p_max", "n_p", "cfl_target",
 _INFINITE_KEYS = ("tol_l1", "tol_rel", "max_iter")
 _SIMULATION_KEYS = ("n_paths", "steps_per_period", "seed", "p0", "e0", "snapshot_times",
                     "keep_paths", "n_periods")
+_TOP_KEYS = ("version", "defaults_version", "comment", "label", "rate", "horizon",
+             "periods", "period_length", "cap", "coefficients", "terminal", "grid",
+             "infinite", "simulation")
+_TERMINAL_KEYS = ("kind", "width")
+_CAP_KEYS = ("kind", "parameters")
+_MSR_KEYS = ("c1", "c2", "kappa_low", "kappa_high", "top_up", "retain_fraction")
+# the keys of cap.parameters, per cap.kind of each horizon
+_CAP_PARAMETERS = {
+    "finite": {"levels": ("levels",), "allocation": ("allocations", "mode"),
+               "msr": _MSR_KEYS},
+    "infinite": {"per-period": ("allocation",)},
+}
+_COEFFICIENT_KEYS = ("preset", "parameters", "expression")
+_EXPRESSION_KEYS = ("mu", "drift", "vol", "dim_p", "lipschitz_L", "mono_l1", "mono_l2")
 
 DEFAULTS = {
     "version": 1,
@@ -143,16 +160,16 @@ def _count(value, key: str, floor: Optional[int] = None) -> int:
     return int(x)
 
 
-def _block(tree: dict, key: str, keys: Optional[tuple] = None) -> dict:
-    """The object under ``key``; any other JSON value raises naming ``key``,
-    and so does a key of it outside ``keys`` when they are given."""
-    value = tree[key]
+def _block(value, name: str, keys: Optional[tuple] = None) -> dict:
+    """``value`` as the object at the dotted path ``name`` (the config root
+    when empty); any other JSON value raises naming ``name``, and so does a
+    key of it outside ``keys`` when they are given, naming its own path."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be an object, not {value!r}")
-    for name in value if keys is not None else ():
-        if name not in keys:
-            raise ConfigError(f"{key}.{name} is not a {key} key; the keys are "
-                              f"{', '.join(keys)}")
+        raise ConfigError(f"{name or 'config root'} must be an object, not {value!r}")
+    for key in value if keys is not None else ():
+        if key not in keys:
+            raise ConfigError(f"{name + '.' if name else ''}{key} is not a "
+                              f"{name or 'top-level'} key; the keys are {', '.join(keys)}")
     return value
 
 
@@ -181,7 +198,7 @@ def _lipschitz_envelope(l1: float, *candidates: float) -> float:
 
 
 def preset_coefficients(name: str, params: dict, rate: float) -> CoefficientSet:
-    base = DEFAULTS["coefficients"].get(name)
+    base = DEFAULTS["coefficients"].get(name) if isinstance(name, str) else None
     if base is None:
         raise ConfigError(f"unknown coefficient preset '{name}'; "
                           f"have {sorted(DEFAULTS['coefficients'])}")
@@ -334,14 +351,17 @@ def _merge(base: dict, over: dict) -> dict:
 
 
 def _build_caps(tree: dict, horizon: str, n_periods: int):
-    cap = tree.get("cap")
-    if cap is None or "kind" not in cap:
+    cap = _block(tree["cap"], "cap", _CAP_KEYS) if "cap" in tree else {}
+    if "kind" not in cap:
         raise ConfigError("config needs cap.kind")
     kind = cap["kind"]
-    params = cap.get("parameters", {})
+    if horizon == "infinite" and kind != "per-period":
+        raise ConfigError("infinite horizon needs cap.kind = 'per-period'")
+    keys = _CAP_PARAMETERS[horizon].get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ConfigError(f"unknown cap.kind {kind!r}")
+    params = _block(cap["parameters"], "cap.parameters", keys) if "parameters" in cap else {}
     if horizon == "infinite":
-        if kind != "per-period":
-            raise ConfigError("infinite horizon needs cap.kind = 'per-period'")
         lam = params.get("allocation")
         if lam is None or _real(lam, "cap.parameters.allocation") <= 0:
             raise ConfigError("cap.parameters.allocation must be positive")
@@ -356,12 +376,10 @@ def _build_caps(tree: dict, horizon: str, n_periods: int):
     if kind == "msr":
         if n_periods != 2:
             raise ConfigError("the msr cap rule is defined for two periods")
-        need = ("c1", "c2", "kappa_low", "kappa_high", "top_up", "retain_fraction")
-        missing = [k for k in need if k not in params]
+        missing = [k for k in _MSR_KEYS if k not in params]
         if missing:
             raise ConfigError(f"cap.parameters missing {missing}")
-        return make_cap_msr(*(_real(params[k], f"cap.parameters.{k}") for k in need))
-    raise ConfigError(f"unknown cap.kind '{kind}'")
+        return make_cap_msr(*(_real(params[k], f"cap.parameters.{k}") for k in _MSR_KEYS))
 
 
 def _auto_e_grid(spec_levels, speed: float, horizon_T: float,
@@ -411,8 +429,9 @@ def _auto_e_grid(spec_levels, speed: float, horizon_T: float,
 
 def build_plan(tree: dict) -> RunPlan:
     """Resolve a raw config tree against the defaults into a RunPlan."""
-    if not isinstance(tree, dict):
-        raise ConfigError("config root must be a JSON object")
+    _block(tree, "", _TOP_KEYS)
+    if not isinstance(tree.get("comment", ""), str):
+        raise ConfigError(f"comment must be text, not {tree['comment']!r}")
     resolved = _merge({k: v for k, v in DEFAULTS.items() if k != "coefficients"},
                       tree)
     rate = _real(resolved["rate"], "rate")
@@ -420,20 +439,23 @@ def build_plan(tree: dict) -> RunPlan:
     if horizon not in ("finite", "infinite"):
         raise ConfigError(f"horizon must be finite or infinite, not {horizon!r}")
 
-    coeff_cfg = resolved.get("coefficients")
-    if not coeff_cfg:
+    if not resolved.get("coefficients"):
         raise ConfigError("config needs a coefficients block")
+    coeff_cfg = _block(resolved["coefficients"], "coefficients", _COEFFICIENT_KEYS)
     if "preset" in coeff_cfg:
-        coeffs = preset_coefficients(coeff_cfg["preset"],
-                                     coeff_cfg.get("parameters", {}), rate)
+        params = (_block(coeff_cfg["parameters"], "coefficients.parameters")
+                  if "parameters" in coeff_cfg else {})
+        coeffs = preset_coefficients(coeff_cfg["preset"], params, rate)
     elif "expression" in coeff_cfg:
-        coeffs = expression_coefficients(coeff_cfg["expression"], rate)
+        coeffs = expression_coefficients(
+            _block(coeff_cfg["expression"], "coefficients.expression", _EXPRESSION_KEYS),
+            rate)
     else:
         raise ConfigError("coefficients needs 'preset' or 'expression'")
 
-    term = _block(resolved, "terminal")
-    sim = _block(resolved, "simulation", _SIMULATION_KEYS)
-    inf_opts = dict(_block(resolved, "infinite", _INFINITE_KEYS))
+    term = _block(resolved["terminal"], "terminal", _TERMINAL_KEYS)
+    sim = _block(resolved["simulation"], "simulation", _SIMULATION_KEYS)
+    inf_opts = dict(_block(resolved["infinite"], "infinite", _INFINITE_KEYS))
     if term["kind"] not in ("indicator", "smoothed-indicator"):
         raise ConfigError(f"unknown terminal.kind {term['kind']!r}")
     width = _real(term.get("width", 0.0), "terminal.width")
@@ -468,7 +490,7 @@ def build_plan(tree: dict) -> RunPlan:
         period_max = tau
 
     # -- solver grid ---------------------------------------------------
-    grid = _block(resolved, "grid", _GRID_KEYS)
+    grid = _block(resolved["grid"], "grid", _GRID_KEYS)
     for key, value in _RETIRED_GRID.items():
         if grid[key] != value or isinstance(grid[key], bool):
             raise ConfigError(f"grid.{key} is retired and may only be {value!r}, "

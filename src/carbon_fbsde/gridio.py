@@ -1,22 +1,31 @@
 """Binary persistence for solved grids, plus canonical hashing helpers.
 
 The container is deliberately dumb: an 8-byte magic, a little-endian
-uint64 header length, a canonical-JSON header describing the axes and
-metadata, then the raw float64 payload in C order, one time slice after
-another.  Writing the same grid twice produces byte-identical files,
-which the artifact checks rely on.
+uint64 header length, a canonical-JSON header describing the axes, the
+metadata and the stretch table, then the raw float64 payload.  A solve
+computes only a band of each time slice's emissions columns; left of the
+slice's stretch ``[c0, c1)`` every value is 0 and from ``c1`` on it is
+the slice's discounted ``bound`` (``ValueGrid.stretches``).  So the
+header's ``stretches`` lists ``[c0, c1, bound]`` per time slice, and the
+payload holds each slice's stretch alone, ``rows x (c1 - c0)`` values in
+C order, one slice after another in time order.  Reading a slice expands
+its stretch back to the whole slice, so every value reads back bit for
+bit.  Writing the same grid twice produces byte-identical files, which
+the artifact checks rely on.  Files of the first format (magic
+``CFBGRID1``, whole slices and no table) are still read, as a table of
+whole stretches.
 
 A grid file is written a time slice at a time: a :class:`GridWriter`
-takes the header before the march starts and puts each slice at its
-offset as the march makes it, last slice first, into a temporary file
-beside the target.  :func:`write_grid` then reads the payload back once,
-slice by slice, hashing every byte and handing the slices to the
-writer's ``scan`` (the structural diagnostics), and moves the file into
-place; a failure before that leaves nothing behind.  ``read_grid``
-checks a recorded digest in the pass that reads the file, into one array
-or, with ``scan``, one slice at a time into a ring of the latest few.
-Only this module hashes a grid; ``file_sha256`` is for the other
-artifacts.
+takes the header, table included, before the march starts and puts each
+slice's stretch at its offset as the march makes it, last slice first,
+into a temporary file beside the target.  :func:`write_grid` then reads
+the payload back once, slice by slice, hashing every byte and handing
+the whole slices to the writer's ``scan`` (the structural diagnostics),
+and moves the file into place; a failure before that leaves nothing
+behind.  ``read_grid`` checks a recorded digest in the pass that reads
+the file, into one array or, with ``scan``, one slice at a time into a
+ring of the latest few.  Only this module hashes a grid; ``file_sha256``
+is for the other artifacts.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import os
 import struct
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -51,7 +61,8 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
-_MAGIC = b"CFBGRID1"
+_MAGIC = b"CFBGRID2"
+_WHOLE_SLICES = b"CFBGRID1"  # the first format: whole slices, no stretch table
 _CHUNK = 1 << 20
 _SERIAL = itertools.count()
 
@@ -120,16 +131,20 @@ def read_manifest(path: Union[str, Path], list_key: str, fields: tuple) -> tuple
     return doc, entries
 
 
-def _prefix(grid: ValueGrid, shape: tuple) -> bytes:
+def _whole(shape: tuple) -> list:
+    """The stretch table of slices stored whole."""
+    return [(0, shape[-1], 0.0)] * shape[0]
+
+
+def _prefix(grid: ValueGrid, shape: tuple, stretches: list) -> bytes:
     """Magic, header length and header of a grid whose values have ``shape``."""
     header = {
         "times": grid.times.tolist(),
         "e_nodes": grid.e_nodes.tolist(),
         "p_nodes": None if grid.p_nodes is None else grid.p_nodes.tolist(),
-        # always null, so grid files keep their bytes; readers refuse any other value
-        "eparam_nodes": None,
         "rate": float(grid.rate),
         "shape": list(shape),
+        "stretches": stretches,
         "meta": jsonable(grid.meta),
     }
     head = canonical_json(header).encode("utf-8")
@@ -146,13 +161,15 @@ def _pwrite(fd: int, data, at: int) -> None:
 class GridWriter(SliceSink):
     """A grid file for ``path``, written one time slice at a time.
 
-    ``open`` writes the header to a temporary file in ``path``'s
-    directory and ``put`` places each slice at its offset, in any order;
-    :func:`write_grid` then finishes the file: it reads the payload back
-    once, hashes it and hands it to ``scan``, whose result it keeps as
-    ``scanned``, and moves the file to ``path``.  Used as a context
-    manager, the writer removes its temporary file when it leaves without
-    having been finished, so a failed solve leaves no partial grid.
+    ``open`` writes the header, with the grid's stretch table (whole
+    slices for a grid without one), to a temporary file in ``path``'s
+    directory and ``put`` places each slice's stretch at its offset, in
+    any order; :func:`write_grid` then finishes the file: it reads the
+    payload back once, hashes it and hands it to ``scan``, whose result it
+    keeps as ``scanned``, and moves the file to ``path``.  Used as a
+    context manager, the writer removes its temporary file when it leaves
+    without having been finished, so a failed solve leaves no partial
+    grid.
     """
 
     def __init__(self, path: Union[str, Path],
@@ -163,17 +180,23 @@ class GridWriter(SliceSink):
         self._fd = self._tmp = None
 
     def open(self, grid: ValueGrid, shape: tuple) -> None:
-        prefix = _prefix(grid, shape)
+        self._stretches = _whole(shape) if grid.stretches is None else grid.stretches
+        prefix = _prefix(grid, shape, self._stretches)
         self._tmp = self.path.with_name(
             f".{self.path.name}.{os.getpid()}-{next(_SERIAL)}.tmp")
         self._fd = os.open(self._tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
         _pwrite(self._fd, prefix, 0)
-        self._slice = np.empty(shape[1:], dtype="<f8")
-        self._at = len(prefix)
+        rows = math.prod(shape[1:-1])
+        self._at = list(itertools.accumulate(
+            (8 * rows * (c1 - c0) for c0, c1, _ in self._stretches), initial=len(prefix)))
 
     def put(self, it: int, cells: np.ndarray, c0: int, bound: float) -> None:
-        self.whole(self._slice, cells, c0, bound)
-        _pwrite(self._fd, self._slice, self._at + it * self._slice.nbytes)
+        s0, s1, _ = self._stretches[it]
+        if not c0 <= s0 <= s1 <= c0 + cells.shape[-1]:
+            raise ValueError(f"slice {it} holds columns [{c0}, {c0 + cells.shape[-1]}), "
+                             f"not its stretch [{s0}, {s1})")
+        stretch = cells[..., s0 - c0:s1 - c0]
+        _pwrite(self._fd, np.ascontiguousarray(stretch, dtype="<f8"), self._at[it])
 
     def _finish(self, path) -> str:
         os.close(self._fd)
@@ -199,28 +222,65 @@ class GridWriter(SliceSink):
             self._tmp = None
 
 
+def _kept_stretches(grid: ValueGrid) -> list:
+    """``grid.stretches`` where a slice holds 0 left of its stretch and its
+    bound right of it, bit for bit; any other slice, and every slice of a
+    grid whose table is missing or of another length, is kept whole."""
+    values = grid.values
+    if grid.stretches is None or len(grid.stretches) != len(values):
+        return _whole(values.shape)
+    kept = []
+    for s, (c0, c1, bound) in zip(values, grid.stretches):
+        bits = np.asarray(s, dtype="<f8").view(np.uint64)
+        honest = (not bits[..., :c0].any()
+                  and bool(np.all(bits[..., c1:] == np.float64(bound).view(np.uint64))))
+        kept.append((c0, c1, bound) if honest else (0, values.shape[-1], bound))
+    return kept
+
+
 def write_grid(grid: Union[ValueGrid, GridWriter], path: Union[str, Path]) -> str:
     """Write a grid file at ``path``; returns the sha256 of its bytes.
 
     ``grid`` is a :class:`ValueGrid` holding every time slice, or a
     :class:`GridWriter` for ``path`` that a solve has put every slice
-    into.  Either way the payload is read back once, one slice at a time,
-    into the digest and the writer's ``scan``.
+    into.  A grid's slices keep the stretches of its table where the
+    values outside them are the constants it names (a solved grid's are),
+    so a solve kept in memory writes the file its streamed solve writes.
+    Either way the payload is read back once, one slice at a time, into
+    the digest and the writer's ``scan``.
     """
     writer = grid if isinstance(grid, GridWriter) else GridWriter(path)
     with writer:
         if writer is not grid:
-            writer.open(grid, grid.values.shape)
+            writer.open(replace(grid, stretches=_kept_stretches(grid)), grid.values.shape)
             for it, values in enumerate(grid.values):
                 writer.put(it, values, 0, 0.0)
         return writer._finish(path)
 
 
-def _parse_header(raw: bytes, path) -> tuple:
-    """Payload shape and ValueGrid fields of a header whose axes fit its shape."""
+def _stretch_table(entries, shape: tuple) -> list:
+    """The ``(c0, c1, bound)`` of each time slice, from a header's ``stretches``."""
+    if not isinstance(entries, list) or len(entries) != shape[0]:
+        raise ValueError(f"a stretch table for {shape[0]} time slices, not {entries!r:.60}")
+    table = []
+    for c0, c1, bound in entries:
+        if not (type(c0) is int and type(c1) is int and 0 <= c0 <= c1 <= shape[-1]):
+            raise ValueError(f"stretch [{c0!r}, {c1!r}) of {shape[-1]} columns")
+        if type(bound) is not float or not math.isfinite(bound):
+            raise ValueError(f"stretch bound {bound!r}")
+        table.append((c0, c1, bound))
+    return table
+
+
+def _parse_header(raw: bytes, path, whole: bool) -> tuple:
+    """Payload shape and ValueGrid fields, stretch table included, of a
+    header whose axes fit its shape; ``whole`` reads a first-format header,
+    whose slices are stored whole."""
     try:
         header = json.loads(raw.decode("utf-8"))
-        if header["eparam_nodes"] is not None:
+        if not isinstance(header, dict):
+            raise ValueError("not an object")
+        if header.get("eparam_nodes") is not None:
             raise ArtifactError(f"{path}: a reserve-rule grid with a recorded-emissions "
                                 "axis (eparam_nodes), no longer read; price it again")
         fields = {key: None if key == "p_nodes" and header[key] is None
@@ -231,19 +291,22 @@ def _parse_header(raw: bytes, path) -> tuple:
         if (any(nodes.ndim != 1 for nodes in axes) or not isinstance(meta, dict)
                 or list(header["shape"]) != [nodes.size for nodes in axes]):
             raise ValueError("shape, axes and meta disagree")
-        fields.update(rate=float(header["rate"]), meta=meta)
+        shape = tuple(nodes.size for nodes in axes)
+        fields.update(rate=float(header["rate"]), meta=meta,
+                      stretches=_whole(shape) if whole
+                      else _stretch_table(header["stretches"], shape))
         if not math.isfinite(fields["rate"]):
             raise ValueError(f"rate {fields['rate']}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ArtifactError(f"{path}: corrupt grid header ({exc!r})") from exc
-    return tuple(nodes.size for nodes in axes), fields
+    return shape, fields
 
 
 @contextmanager
 def _open_grid(path):
     """``(file, hasher, shape, fields)`` of a grid file whose header parses
-    and whose payload has the header's size; the file stands at the
-    payload and the hasher has taken every byte before it."""
+    and whose payload has the size its stretch table gives; the file
+    stands at the payload and the hasher has taken every byte before it."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -251,14 +314,14 @@ def _open_grid(path):
     with fh:
         size = os.fstat(fh.fileno()).st_size
         lead = fh.read(16)
-        if lead[:8] != _MAGIC:
+        if lead[:8] not in (_MAGIC, _WHOLE_SLICES):
             raise ArtifactError(f"{path}: not a grid file (bad magic)")
         head_len = int.from_bytes(lead[8:], "little")
         if head_len > size - 16:
             raise ArtifactError(f"{path}: truncated before the payload")
         head = fh.read(head_len)
-        shape, fields = _parse_header(head, path)
-        expect = 8 * math.prod(shape)
+        shape, fields = _parse_header(head, path, whole=lead[:8] == _WHOLE_SLICES)
+        expect = 8 * math.prod(shape[1:-1]) * sum(c1 - c0 for c0, c1, _ in fields["stretches"])
         if size - 16 - head_len != expect:
             raise ArtifactError(
                 f"{path}: payload is {size - 16 - head_len} bytes, expected {expect}"
@@ -269,24 +332,29 @@ def _open_grid(path):
 class _Slices:
     """The time slices of an open grid file, for one pass in order.
 
-    Slice ``k`` is read into ``out[k % len(out)]`` and goes through the
-    file's hasher.  Iterating yields the slices in order; indexing with
-    ``k`` reads forward to slice ``k``, which must still be one of the
-    last ``len(out)`` read.
+    Slice ``k``'s stretch is read into the first bytes of ``out[k %
+    len(out)]``, goes through the file's hasher and is expanded there to
+    the whole slice (:meth:`SliceSink.whole`).  Iterating yields the
+    slices in order; indexing with ``k`` reads forward to slice ``k``,
+    which must still be one of the last ``len(out)`` read.
     """
 
-    def __init__(self, fh, hasher, shape: tuple, path, out: np.ndarray):
+    def __init__(self, fh, hasher, shape: tuple, stretches: list, path, out: np.ndarray):
         self.shape = shape
         self._fh, self._hasher, self._path = fh, hasher, path
+        self._stretches = stretches
         self._out = out
         self._read = 0
 
     def _next(self) -> np.ndarray:
         s = self._out[self._read % len(self._out)]
-        view = memoryview(s.reshape(-1).view(np.uint8))
+        c0, c1, bound = self._stretches[self._read]
+        cells = s.reshape(-1)[:math.prod(s.shape[:-1]) * (c1 - c0)]
+        view = memoryview(cells.view(np.uint8))
         if self._fh.readinto(view) != len(view):
             raise ArtifactError(f"{self._path}: file shrank while being read")
         self._hasher.update(view)
+        SliceSink.whole(s, cells.reshape(s.shape[:-1] + (c1 - c0,)), c0, bound)
         self._read += 1
         return s
 
@@ -316,7 +384,7 @@ def _scan(path, scan, ring: int = 1) -> tuple:
     whatever it leaves unread is read and hashed after it returns.
     """
     with _open_grid(path) as (fh, hasher, shape, fields):
-        slices = _Slices(fh, hasher, shape, path,
+        slices = _Slices(fh, hasher, shape, fields["stretches"], path,
                          out=np.empty((ring,) + shape[1:], dtype="<f8"))
         result = None if scan is None else scan(ValueGrid(values=slices, **fields))
         slices.drain()
@@ -341,7 +409,8 @@ def read_grid(path: Union[str, Path], sha256: Optional[str] = None,
         _checked(path, sha256, digest)
         return result
     with _open_grid(path) as (fh, hasher, shape, fields):
-        slices = _Slices(fh, hasher, shape, path, out=np.empty(shape, dtype="<f8"))
+        slices = _Slices(fh, hasher, shape, fields["stretches"], path,
+                         out=np.empty(shape, dtype="<f8"))
         slices.drain()
     _checked(path, sha256, hasher.hexdigest())
     return ValueGrid(values=slices._out, **fields)

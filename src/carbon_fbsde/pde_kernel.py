@@ -38,12 +38,15 @@ flux allocates nothing.  The emissions direction has a finite wave speed
 and the explicit step reads at most one neighbour on each side, so a
 column changes only once the numerical domain of dependence reaches it
 (Courant, Friedrichs and Lewy 1928): left of it the state is exactly 0,
-right of it exactly the discounted bound.  The march computes only the
-band in between, widened by one column per step on each side the step
-reads, in its buffers viewed at a width that grows in chunks, and hands
-each slice over as that band with the two constants beside it
-(:class:`SliceSink`).  A band that spans every column is the whole-grid
-march.
+right of it exactly the discounted bound.  Before the march a solve
+computes that band for every step, from the terminal's moving columns,
+the step sizes and the rate: it widens by one column per step on each
+side the step reads, and the march's buffers cover it in a stretch of
+columns that grows in chunks.  The march follows that schedule and
+hands each slice over as its stretch with the two constants beside it
+(:class:`SliceSink`); the grid carries the schedule, so a grid file
+stores the stretches alone.  A band that spans every column is the
+whole-grid march.
 
 State layout: the emissions axis is always last and a factor axis, when
 present, sits immediately before it.  Stored grids use the order
@@ -158,6 +161,10 @@ class ValueGrid:
     ``values`` is stored in ``(t, p, e)`` order with an absent factor axis
     dropped.  The final time slice holds the projected terminal data;
     the field's left limit at the period end is the last interior slice.
+    ``stretches``, when known, holds one ``(c0, c1, bound)`` per time
+    slice: the slice's emissions columns left of ``c0`` are 0 and those
+    from ``c1`` on ``bound`` (the band schedule of the solve, or the
+    table of a grid file).
     """
 
     times: np.ndarray
@@ -166,6 +173,7 @@ class ValueGrid:
     rate: float
     p_nodes: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
+    stretches: Optional[list] = None
 
     @property
     def t0(self) -> float:
@@ -201,14 +209,16 @@ class SliceSink:
     """Where a solve sends its time slices instead of keeping them.
 
     :func:`solve_one_period` calls ``open(grid, shape)`` once before the
-    march, with a grid whose axes, full ``times`` and ``meta`` are final
-    and the shape of the whole ``values``, then ``put(it, cells, c0,
-    bound)`` for ``it = n_steps, ..., 0`` as the march makes each slice,
-    one call at a time.  ``cells`` holds the slice's emissions columns
-    from ``c0`` on; the columns left of them are 0 and those right of
-    them ``bound`` (:meth:`whole` writes the whole slice).  A slice is
-    valid only during its call.  This base class drops every slice, which
-    is all a solve whose start slice is read needs.
+    march, with a grid whose axes, full ``times``, ``meta`` and
+    ``stretches`` (the band schedule, one ``(c0, c1, bound)`` per slice)
+    are final and the shape of the whole ``values``, then ``put(it,
+    cells, c0, bound)`` for ``it = n_steps, ..., 0`` as the march makes
+    each slice, one call at a time.  ``cells`` holds the slice's
+    emissions columns from ``c0`` on, and they are the stretch of the
+    schedule; the columns left of them are 0 and those right of them
+    ``bound`` (:meth:`whole` writes the whole slice).  A slice is valid
+    only during its call.  This base class drops every slice, which is
+    all a solve whose start slice is read needs.
     """
 
     def open(self, grid: "ValueGrid", shape: tuple) -> None:
@@ -219,10 +229,11 @@ class SliceSink:
 
     @staticmethod
     def whole(out: np.ndarray, cells: np.ndarray, c0: int, bound: float) -> None:
-        """Write the slice that ``cells``, ``c0`` and ``bound`` describe into ``out``."""
+        """Write the slice that ``cells``, ``c0`` and ``bound`` describe into
+        ``out``; ``cells`` may be a view of ``out``'s own first bytes."""
         c1 = c0 + cells.shape[-1]
-        out[..., :c0] = 0.0
         out[..., c0:c1] = cells
+        out[..., :c0] = 0.0
         out[..., c1:] = bound
 
 
@@ -695,31 +706,72 @@ def _step_sizes(span: float, config: SolverConfig, stab_rate: float) -> np.ndarr
     return steps
 
 
+def _band_schedule(u0, phi_gl, phi_gr, steps: np.ndarray, r: float, eps: float,
+                   upwind: Optional[str]) -> tuple:
+    """``(start, stretches)``: the columns a march from ``u0`` covers.
+
+    Left of the band of columns that can move every cell is exactly 0 and
+    right of it exactly the discounted bound, and a step keeps a cell
+    whose stencil reads only its own constant.  The band starts at the
+    first column of ``u0`` that is not 0 in some row and ends after the
+    last that is not 1, or at a grid edge whose ghost cell is not that
+    constant; each step widens it by one column on each side the step
+    reads from: the left for the one-sided ``"right"`` flux, the right for
+    ``"left"``, both for the general flux or with viscosity.  Factor-row
+    terms stay in a column.
+
+    ``start`` is the first band ``(lo, hi)``.  The march covers the band
+    with a stretch of columns that starts as ``start`` and grows by
+    ``_BAND_CHUNK`` columns on a side whenever the band leaves it;
+    ``stretches[it]`` is ``(c0, c1, bound)`` of time slice ``it``, with
+    ``bound`` the product of the step discounts ``exp(-r dt)`` from the
+    terminal, and the terminal slice ``stretches[-1]`` is whole.
+    """
+    n_e = u0.shape[-1]
+    lead = tuple(range(u0.ndim - 1))
+    moved = np.flatnonzero(np.any(u0 != 0.0, axis=lead))
+    below = np.flatnonzero(np.any(u0 != 1.0, axis=lead))
+    lo = 0 if np.any(phi_gl != 0.0) else (int(moved[0]) if moved.size else n_e)
+    hi = n_e if np.any(phi_gr != 1.0) else (int(below[-1]) + 1 if below.size else 0)
+    grow_lo = int(upwind != "left" or eps > 0.0)
+    grow_hi = int(upwind != "right" or eps > 0.0)
+    n = len(steps)
+    stretches = [None] * n + [(0, n_e, 1.0)]
+    start = c0, c1 = lo, hi
+    bound = 1.0
+    for k, dt in enumerate(steps.tolist()):
+        lo, hi = max(lo - grow_lo, 0), min(hi + grow_hi, n_e)
+        # the band moves at most one column a step, so a chunk holds it
+        if lo < c0:
+            c0 = max(0, c0 - _BAND_CHUNK)
+        if hi > c1:
+            c1 = min(n_e, c1 + _BAND_CHUNK)
+        bound *= math.exp(-r * dt)
+        stretches[n - 1 - k] = (c0, c1, bound)
+    return start, stretches
+
+
 def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
-           steps: np.ndarray, de: float, eps: float, p_ctx, upwind: Optional[str]):
-    """Explicit backward march over the band of columns that can move.
+           steps: np.ndarray, de: float, eps: float, p_ctx, band: tuple):
+    """Explicit backward march over the stretches of a band schedule.
 
-    Left of the band every cell is exactly 0 and right of it exactly the
-    discounted ``bound``, and a step keeps a cell whose stencil reads only
-    its own constant.  The band starts at the first column of ``u0`` that
-    is not 0 in some row and ends after the last that is not 1, or at a
-    grid edge whose ghost cell is not that constant; each step widens it
-    by one column on each side the step reads from: the left for the
-    one-sided ``"right"`` flux, the right for ``"left"``, both for the
-    general flux or with viscosity.  Factor-row terms stay in a column.
+    ``band`` is ``(upwind, start, stretches)``: the one-sided flux's
+    upwind side or None (:meth:`FluxModel.interface`) and
+    :func:`_band_schedule`'s schedule for it, which says which columns
+    each step computes; beyond them the state is its constants.
 
-    The state lives in a contiguous buffer over a stretch of columns
-    around the band, with a ghost cell at each end of every emissions row
-    and, with a factor, a ghost row at each end of the factor axis; the
-    ghost columns hold the constant beyond the stretch, or ``bound`` times
-    the terminal ghost at a grid edge.  Four buffers are allocated once at
-    full width and viewed at the stretch's width, which grows by
-    ``_BAND_CHUNK`` columns whenever the band leaves it: two alternate as
-    current and next state, the flux has the third, and the fourth holds
-    the update terms without a factor and ``g mu(p, 0)`` with one.  Each
-    operation covers a whole buffer, its factor rows, or the buffer read
-    flat and shifted by one cell or one row; ghost positions get values
-    nobody reads and are reset before each step.  Without a factor each
+    The state lives in a contiguous buffer over the stretch of columns,
+    with a ghost cell at each end of every emissions row and, with a
+    factor, a ghost row at each end of the factor axis; the ghost columns
+    hold the constant beyond the stretch, or ``bound`` times the terminal
+    ghost at a grid edge.  Four buffers are allocated once at full width
+    and viewed at the stretch's width, which grows whenever the schedule
+    says so: two alternate as current and next state, the flux has the
+    third, and the fourth holds the update terms without a factor and
+    ``g mu(p, 0)`` with one.  Each operation covers a whole buffer, its
+    factor rows, or the buffer read flat and shifted by one cell or one
+    row; ghost positions get values nobody reads and are reset before
+    each step.  Without a factor each
     interior element sees the operations of the plain array expressions
     of the scheme, in their order.  With one, the factor diffusion and
     upwind drift, the emissions viscosity and the discount are one stencil
@@ -755,15 +807,8 @@ def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
         shape = full[:-1] + (width + 2,)
         return [b[:math.prod(shape)].reshape(shape) for b in mem]
 
-    # the band [lo, hi) and the stretch [c0, c1) its buffers cover
-    lead = tuple(range(u0.ndim - 1))
-    moved = np.flatnonzero(np.any(u0 != 0.0, axis=lead))
-    below = np.flatnonzero(np.any(u0 != 1.0, axis=lead))
-    lo = 0 if np.any(phi_gl != 0.0) else (int(moved[0]) if moved.size else n_e)
-    hi = n_e if np.any(phi_gr != 1.0) else (int(below[-1]) + 1 if below.size else 0)
-    grow_lo = int(upwind != "left" or eps > 0.0)
-    grow_hi = int(upwind != "right" or eps > 0.0)
-    c0, c1 = lo, hi
+    # the stretch [c0, c1) the buffers cover
+    upwind, (c0, c1), stretches = band
     bufs = viewed(c1 - c0)
     bufs[0][inner] = u0[..., c0:c1]
     now, fresh = 0, True  # bufs[now] holds the state
@@ -782,16 +827,10 @@ def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
     bound = 1.0
     out_store(n_steps, u0, 0, bound)
     for k in range(n_steps):
-        lo, hi = max(lo - grow_lo, 0), min(hi + grow_hi, n_e)
-        if lo < c0 or hi > c1:
-            # the band moves at most one column a step, so a chunk holds it
-            d0 = max(0, c0 - _BAND_CHUNK) if lo < c0 else c0
-            d1 = min(n_e, c1 + _BAND_CHUNK) if hi > c1 else c1
+        d0, d1, after = stretches[n_steps - 1 - k]
+        if (d0, d1) != (c0, c1):
             wider = viewed(d1 - d0)
-            cells = wider[1 - now][inner]
-            cells[..., :c0 - d0] = 0.0
-            cells[..., c0 - d0:c1 - d0] = bufs[now][inner]
-            cells[..., c1 - d0:] = bound
+            SliceSink.whole(wider[1 - now][inner], bufs[now][inner], c0 - d0, bound)
             bufs, now, c0, c1, fresh = wider, 1 - now, d0, d1, True
         if fresh:
             fl, work = bufs[2], bufs[3]
@@ -857,7 +896,7 @@ def _march(u0, phi_gl, phi_gr, out_store, flux: FluxModel, r: float,
                 work *= 0.5 * eps * eps * dt / de ** 2
                 nxt += work
             nxt *= disc
-        bound *= disc
+        bound = after
         now = 1 - now
         u = nxt[inner]
         out_store(n_steps - 1 - k, u, c0, bound)
@@ -882,11 +921,12 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
 
     With a ``sink`` (:class:`SliceSink`) the march hands it each time
     slice as soon as it is made, and the grid keeps the start slice alone:
-    it holds ``times[:1]`` and ``values[:1]`` of the full solve, bit for
-    bit, with the same ``meta`` (``n_steps`` still counts the steps
-    marched).  A :class:`gridio.GridWriter` sink puts each slice in its
-    place in a grid file, so the solve holds about one slice besides the
-    march's buffers; the base class drops them.
+    it holds ``times[:1]``, ``values[:1]`` and ``stretches[:1]`` of the
+    full solve, bit for bit, with the same ``meta`` (``n_steps`` still
+    counts the steps marched).  A :class:`gridio.GridWriter` sink puts
+    each slice's stretch in its place in a grid file, so the solve holds
+    about one stretch besides the march's buffers; the base class drops
+    them.
     """
     if not tau > t0:
         raise ValidationError("need tau > t0")
@@ -954,24 +994,22 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
     }
     if meta:
         grid_meta.update(meta)
+    start, stretches = _band_schedule(phi_cells, phi_gl, phi_gr, steps, coeffs.rate,
+                                      config.viscosity, upwind)
     # the march hands over slices n_steps, ..., 0; with a sink the grid
     # keeps the last one only
     kept = n_steps + 1 if sink is None else 1
     grid = ValueGrid(times=times, e_nodes=e_nodes,
                      values=np.empty((kept,) + phi_cells.shape), rate=coeffs.rate,
-                     p_nodes=p_nodes, meta=grid_meta)
+                     p_nodes=p_nodes, meta=grid_meta, stretches=stretches)
     if sink is not None:
         sink.open(grid, (n_steps + 1,) + phi_cells.shape)
-
-    marched = []  # the width of each marched slice
 
     def put(it, cells, c0, bound):
         if it < kept:
             SliceSink.whole(grid.values[it], cells, c0, bound)
         if sink is not None:
             sink.put(it, cells, c0, bound)
-        if it < n_steps:
-            marched.append(cells.shape[-1])
 
     if p_nodes is not None:
         dp = p_nodes[1] - p_nodes[0]
@@ -983,15 +1021,15 @@ def solve_one_period(coeffs: CoefficientSet, terminal: Optional[TerminalSurface]
 
     started = time.perf_counter()
     _march(phi_cells, phi_gl, phi_gr, put, flux, coeffs.rate, steps, de,
-           config.viscosity, p_ctx, upwind)
+           config.viscosity, p_ctx, (upwind, start, stretches))
     took = time.perf_counter() - started
     _log.debug("solve_one_period: %d steps, Courant number %.4g, %s flux (%s), band %.1f%% "
                "of %d columns; march %.4f s, %.1f us per step", n_steps, courant,
                "general" if upwind is None else f"one-sided ({upwind} state)",
                "closed form" if flux._table is None else "table",
-               100.0 * sum(marched) / (n_steps * config.n_e), config.n_e, took,
-               1e6 * took / n_steps)
-    return grid if sink is None else replace(grid, times=times[:1])
+               100.0 * sum(c1 - c0 for c0, c1, _ in stretches[:-1]) / (n_steps * config.n_e),
+               config.n_e, took, 1e6 * took / n_steps)
+    return grid if sink is None else replace(grid, times=times[:1], stretches=stretches[:1])
 
 
 # ----------------------------------------------------------------------

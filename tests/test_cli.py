@@ -13,7 +13,7 @@ import pytest
 
 from carbon_fbsde import gridio
 from carbon_fbsde.cli import main
-from carbon_fbsde.config import bundled_preset
+from carbon_fbsde.config import build_plan, bundled_preset
 from carbon_fbsde.gridio import read_grid, write_grid
 from carbon_fbsde.pde_kernel import ValueGrid
 
@@ -186,6 +186,60 @@ def test_odd_infinite_terminal_and_simulation_blocks_exit_2(tmp_path, capsys, pr
     assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.count("error: ") == 1 and key in err, err
+
+
+def _exit_code_and_error(tmp_path, capsys, tree) -> tuple:
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(tree))
+    command = "price-infinite" if tree.get("horizon") == "infinite" else "price-multi"
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "x")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, block, value, key", [
+    ("burgers", "cap", 5, "cap"),
+    ("rolling-r005", "cap", {"kind": "per-period", "parameters": 3}, "cap.parameters"),
+    ("burgers", "coefficients", 7, "coefficients"),
+    ("burgers", "coefficients", {"preset": "linear-abatement", "parameters": []},
+     "coefficients.parameters"),
+], ids=["int-cap", "int-cap-parameters", "int-coefficients", "list-coefficient-parameters"])
+def test_odd_cap_and_coefficient_blocks_exit_2(tmp_path, capsys, preset, block, value, key):
+    """Each of these used to raise out of ``main``: a TypeError, or an
+    AttributeError for the cap parameters."""
+    tree = bundled_preset(preset)
+    tree[block] = value
+    code, err = _exit_code_and_error(tmp_path, capsys, tree)
+    assert code == 2
+    assert err.count("error: ") == 1 and f"{key} must be an object" in err, err
+
+
+@pytest.mark.parametrize("preset, where, key", [
+    ("burgers", ("terminal", "widht"), "terminal.widht"),
+    ("burgers", ("cap", "kinds"), "cap.kinds"),
+    ("rolling-r005", ("cap", "parameters", "alocation"), "cap.parameters.alocation"),
+    ("burgers", ("cap", "parameters", "allocations"), "cap.parameters.allocations"),
+    ("two-period-factor", ("coefficients", "parameter"), "coefficients.parameter"),
+    ("burgers", ("bogus",), "bogus"),
+], ids=["typo-terminal-width", "typo-cap-kind", "typo-rolling-allocation",
+        "other-kind-allocations", "typo-coefficient-parameters", "top-level-bogus"])
+def test_unknown_keys_exit_2_naming_the_dotted_key(tmp_path, capsys, preset, where, key):
+    """Each used to run at its defaults and exit 0; ``allocations`` is a key
+    of the allocation cap, not of the levels cap burgers has."""
+    tree = bundled_preset(preset)
+    node = tree
+    for name in where[:-1]:
+        node = node[name]
+    node[where[-1]] = 1.0
+    code, err = _exit_code_and_error(tmp_path, capsys, tree)
+    assert code == 2
+    assert err.count("error: ") == 1 and f"{key} is not a" in err, err
+
+
+def test_a_comment_is_free_text_and_leaves_the_run_alone(tmp_path, capsys):
+    tree = bundled_preset("burgers")
+    assert build_plan(dict(tree, comment="why this run")).resolved["comment"] == "why this run"
+    code, err = _exit_code_and_error(tmp_path, capsys, dict(tree, comment=["a", "list"]))
+    assert code == 2 and "comment must be text" in err, err
 
 
 def test_an_explicit_step_count_above_courant_1_exits_4(tmp_path, capsys):
@@ -635,7 +689,8 @@ def give_a_recorded_axis(field, name: str) -> None:
     blob = path.read_bytes()
     n = int.from_bytes(blob[8:16], "little")
     header = json.loads(blob[16:16 + n])
-    values = np.frombuffer(blob[16 + n:], dtype="<f8").reshape(header["shape"])
+    del header["stretches"]  # the earlier format stores whole slices
+    values = read_grid(path).values
     header["eparam_nodes"] = [0.0, 1.0]
     header["shape"].append(2)
     head = gridio.canonical_json(header).encode("utf-8")

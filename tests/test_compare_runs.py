@@ -4,11 +4,13 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from carbon_fbsde.cli import main
 from carbon_fbsde.gridio import read_grid, write_grid
 from test_cli import give_a_recorded_axis
+from test_gridio import first_format_blob
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py"
 
@@ -51,6 +53,25 @@ def test_grid_deviation_and_missing_files_are_reported(compare_runs, two_runs, c
     lines = capsys.readouterr().out.splitlines()
     assert "field/period_1.grid: differs, max abs deviation 3e-12" in lines
     assert "extra.txt: only in A" in lines
+
+
+def test_a_grid_in_another_container_is_reported_bit_identical(compare_runs, two_runs,
+                                                               capsys):
+    a, b = two_runs
+    grid_path = b / "field" / "period_1.grid"
+    grid = read_grid(grid_path)
+    grid_path.write_bytes(first_format_blob(grid))
+    assert compare_runs.main([str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "field/period_1.grid: differs in bytes only, values bit-identical" in lines
+
+    # a signed zero differs by 0 but not bit for bit
+    flipped = np.flatnonzero(grid.values.ravel() == 0.0)[0]
+    grid.values.ravel()[flipped] = -0.0
+    write_grid(grid, grid_path)
+    assert compare_runs.main([str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "field/period_1.grid: differs, max abs deviation 0, and value bits differ" in lines
 
 
 def test_a_grid_with_a_recorded_emissions_axis_is_reported_unreadable(

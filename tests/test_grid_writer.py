@@ -13,6 +13,7 @@ import itertools
 import json
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from carbon_fbsde.gridio import (GridWriter, canonical_json, jsonable, read_grid
 from carbon_fbsde.infinite_period import solve_infinite
 from carbon_fbsde.model import CapFunction, indicator_terminal
 from carbon_fbsde.pde_kernel import SolverConfig, ValueGrid, diagnostics, solve_one_period
+from test_march_equivalence import REGIMES, _band_market
 
 # a no-factor rolling market on a fine emissions grid: cell width 0.004,
 # so the allocation is 250 cells and falls on the edge of cell 625, and a
@@ -52,17 +54,26 @@ SMALL_ROLLING_FACTOR = {
 
 
 def reference_grid_bytes(grid: ValueGrid) -> bytes:
-    """The whole-grid writer's file: prefix, header, then the array's buffer."""
+    """The grid file of ``grid``: prefix, header with the stretch table
+    (whole slices for a grid without one), then each slice's stretch in
+    time order."""
+    n_e = grid.values.shape[-1]
+    table = grid.stretches or [(0, n_e, 0.0)] * grid.values.shape[0]
+    payload = []
+    for s, (c0, c1, bound) in zip(grid.values, table):
+        # outside its stretch a slice holds 0 on the left and its bound on the right
+        assert not s[..., :c0].view(np.uint64).any()
+        assert np.all(s[..., c1:].view(np.uint64) == np.float64(bound).view(np.uint64))
+        payload.append(np.ascontiguousarray(s[..., c0:c1], dtype="<f8").tobytes())
     header = {
         "times": grid.times.tolist(), "e_nodes": grid.e_nodes.tolist(),
         "p_nodes": None if grid.p_nodes is None else grid.p_nodes.tolist(),
-        "eparam_nodes": None,
         "rate": float(grid.rate), "shape": list(grid.values.shape),
+        "stretches": [[c0, c1, bound] for c0, c1, bound in table],
         "meta": jsonable(grid.meta),
     }
     head = canonical_json(header).encode("utf-8")
-    return (b"CFBGRID1" + struct.pack("<Q", len(head)) + head
-            + np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
+    return b"CFBGRID2" + struct.pack("<Q", len(head)) + head + b"".join(payload)
 
 
 def _solve_cases():
@@ -131,6 +142,84 @@ def test_a_solve_writes_the_file_of_its_whole_grid(tmp_path, case):
     assert np.array_equal(start.times, full.times[:1])
     assert start.meta == full.meta
     assert _files(tmp_path) == ["g.grid"]
+
+
+# ----------------------------------------------------------------------
+# stretches
+# ----------------------------------------------------------------------
+
+def _recorded_solve(m, sink=None):
+    """The solve of ``m`` with ``(it, c0, c1, bound)`` of every slice its
+    march hands over."""
+    puts = []
+    march = pde_kernel._march
+
+    def recording(u0, phi_gl, phi_gr, out_store, *args):
+        def store(it, cells, c0, bound):
+            puts.append((it, c0, c0 + cells.shape[-1], bound))
+            out_store(it, cells, c0, bound)
+        return march(u0, phi_gl, phi_gr, store, *args)
+
+    with mock.patch.object(pde_kernel, "_march", recording):
+        grid = solve_one_period(m["coeffs"], m["terminal"], 0.0, m["tau"], m["config"],
+                                sink=sink)
+    return grid, puts
+
+
+@pytest.mark.parametrize("viscosity", [0.0, 0.05], ids=["sharp", "viscous"])
+@pytest.mark.parametrize("factor", [False, True], ids=["no-factor", "factor"])
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_a_streamed_file_holds_the_stretches_and_reads_back_the_solve(
+        tmp_path, regime, factor, viscosity):
+    """One-sided (``above``, ``below``) and general (``inside``) fluxes,
+    with and without a factor and viscosity."""
+    m = _band_market(regime, factor, viscosity)
+    kept, puts = _recorded_solve(m)
+    n_e = m["config"].n_e
+    # the schedule is what the march puts: the terminal whole, then each
+    # slice's stretch with its bound
+    assert kept.stretches[-1] == (0, n_e, 1.0)
+    assert [(it, c0, c1, bound) for it, (c0, c1, bound) in enumerate(kept.stretches)][::-1] \
+        == puts
+    assert min(c1 - c0 for c0, c1, _ in kept.stretches) < n_e
+
+    with GridWriter(tmp_path / "g.grid") as writer:
+        start, streamed = _recorded_solve(m, sink=writer)
+        write_grid(writer, writer.path)
+    assert streamed == puts
+    assert start.stretches == kept.stretches[:1]
+    blob = (tmp_path / "g.grid").read_bytes()
+    assert blob == reference_grid_bytes(kept)
+    rows = kept.values[0].size // n_e
+    payload = len(blob) - 16 - int.from_bytes(blob[8:16], "little")
+    assert payload == 8 * rows * sum(c1 - c0 for c0, c1, _ in kept.stretches)
+    back = read_grid(tmp_path / "g.grid")
+    assert np.array_equal(back.values.view(np.uint64), kept.values.view(np.uint64))
+    assert back.stretches == kept.stretches
+    # the grid kept in memory writes the same file
+    write_grid(kept, tmp_path / "kept.grid")
+    assert (tmp_path / "kept.grid").read_bytes() == blob
+
+
+@pytest.mark.parametrize("case", ["no-factor", "factor", "general-flux"])
+def test_writing_a_grid_read_from_a_file_gives_the_file_back(tmp_path, case):
+    coeffs, terminal, config = _solve_cases()[case]
+    write_grid(solve_one_period(coeffs, terminal, 0.0, 0.5, config), tmp_path / "a.grid")
+    write_grid(read_grid(tmp_path / "a.grid"), tmp_path / "b.grid")
+    assert (tmp_path / "b.grid").read_bytes() == (tmp_path / "a.grid").read_bytes()
+
+
+def test_a_slice_that_leaves_its_constants_is_stored_whole(tmp_path):
+    m = _band_market("above", False)
+    grid, n_e = _recorded_solve(m)[0], m["config"].n_e
+    it = next(i for i, (c0, _, _) in enumerate(grid.stretches) if c0 > 0)
+    grid.values[it, 0] = -0.0  # equal to 0, but not its bits
+    write_grid(grid, tmp_path / "g.grid")
+    back = read_grid(tmp_path / "g.grid")
+    want = list(grid.stretches)
+    want[it] = (0, n_e, grid.stretches[it][2])
+    assert back.stretches == want
+    assert np.array_equal(back.values.view(np.uint64), grid.values.view(np.uint64))
 
 
 def poisoned_march(which: int, after: int = 5):

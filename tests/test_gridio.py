@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from carbon_fbsde.cli import main
+from carbon_fbsde.config import preset_coefficients
 from carbon_fbsde.errors import ArtifactError
 from carbon_fbsde.gridio import (
     canonical_json,
@@ -19,7 +22,8 @@ from carbon_fbsde.gridio import (
     start_slice_csv,
     write_grid,
 )
-from carbon_fbsde.pde_kernel import ValueGrid
+from carbon_fbsde.model import CapFunction, indicator_terminal
+from carbon_fbsde.pde_kernel import SolverConfig, ValueGrid, solve_one_period
 
 
 def sample_grid(with_axes: bool = False) -> ValueGrid:
@@ -158,6 +162,154 @@ def test_damaged_grids_raise_only_artifact_error(valid_blob, fuzz_path, data):
         return
     axes = (grid.times, grid.p_nodes, grid.e_nodes)
     assert grid.values.shape == tuple(a.size for a in axes if a is not None)
+
+
+# ----------------------------------------------------------------------
+# stretch tables and the first format
+# ----------------------------------------------------------------------
+
+TABLE = [(2, 6, 0.8), (3, 6, 0.85), (3, 7, 0.9), (4, 7, 0.95), (4, 8, 0.97), (0, 9, 1.0)]
+
+
+def banded_grid() -> ValueGrid:
+    """A factor grid whose slices hold 0 left of their stretch and their
+    bound right of it."""
+    grid = sample_grid(True)
+    for s, (c0, c1, bound) in zip(grid.values, TABLE):
+        s[..., :c0] = 0.0
+        s[..., c1:] = bound
+    grid.stretches = list(TABLE)
+    return grid
+
+
+@pytest.fixture(scope="module")
+def banded_blob(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("banded") / "g.grid"
+    write_grid(banded_grid(), path)
+    return path.read_bytes()
+
+
+def split(blob: bytes) -> tuple:
+    """``(header, payload)`` of a grid file."""
+    n = struct.unpack("<Q", blob[8:16])[0]
+    return json.loads(blob[16:16 + n]), blob[16 + n:]
+
+
+def joined(magic: bytes, header: dict, payload: bytes) -> bytes:
+    head = json.dumps(header).encode()  # NaN and Infinity as JSON reads them
+    return magic + struct.pack("<Q", len(head)) + head + payload
+
+
+def test_a_banded_grid_stores_its_stretches_alone(tmp_path, banded_blob):
+    header, payload = split(banded_blob)
+    assert banded_blob[:8] == b"CFBGRID2"
+    assert header["stretches"] == [list(entry) for entry in TABLE]
+    assert len(payload) == 8 * 4 * sum(c1 - c0 for c0, c1, _ in TABLE)
+    path = tmp_path / "g.grid"
+    path.write_bytes(banded_blob)
+    grid = banded_grid()
+    back = read_grid(path, hashlib.sha256(banded_blob).hexdigest())
+    assert np.array_equal(back.values.view(np.uint64), grid.values.view(np.uint64))
+    assert back.stretches == TABLE
+    scanned = read_grid(path, scan=lambda g: [s.copy() for s in g.values])
+    assert np.array_equal(np.array(scanned), grid.values)
+    write_grid(back, tmp_path / "again.grid")
+    assert (tmp_path / "again.grid").read_bytes() == banded_blob
+
+
+def first_format_blob(grid: ValueGrid) -> bytes:
+    """The file of the first format: no stretch table, whole slices."""
+    header = {"times": grid.times.tolist(), "e_nodes": grid.e_nodes.tolist(),
+              "p_nodes": None if grid.p_nodes is None else grid.p_nodes.tolist(),
+              "eparam_nodes": None, "rate": grid.rate, "shape": list(grid.values.shape),
+              "meta": jsonable(grid.meta)}
+    head = canonical_json(header).encode("utf-8")
+    return (b"CFBGRID1" + struct.pack("<Q", len(head)) + head
+            + np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
+
+
+def test_a_first_format_file_reads_as_whole_stretches_and_verifies(tmp_path):
+    coeffs = preset_coefficients("no-factor", {"m0": 1.2, "m2": 1.0}, 0.05)
+    config = SolverConfig(e_min=-1.0, e_max=1.0, n_e=120)
+    solved = solve_one_period(coeffs, indicator_terminal(CapFunction.constant(0.0)),
+                              0.0, 0.5, config)
+    blob = first_format_blob(solved)
+    path = tmp_path / "old.grid"
+    path.write_bytes(blob)
+    back = read_grid(path, hashlib.sha256(blob).hexdigest())
+    assert np.array_equal(back.values.view(np.uint64), solved.values.view(np.uint64))
+    assert back.stretches == [(0, 120, 0.0)] * solved.values.shape[0]
+    scanned = read_grid(path, scan=lambda g: [s.copy() for s in g.values])
+    assert np.array_equal(np.array(scanned).view(np.uint64), solved.values.view(np.uint64))
+    assert main(["verify", str(path)]) == 0
+    # written again, it is a file of the current format with the same values
+    write_grid(back, tmp_path / "new.grid")
+    assert (tmp_path / "new.grid").read_bytes()[:8] == b"CFBGRID2"
+    again = read_grid(tmp_path / "new.grid")
+    assert np.array_equal(again.values.view(np.uint64), solved.values.view(np.uint64))
+
+
+def _set(table, i, at, value):
+    table[i][at] = value
+
+
+MALFORMED_TABLES = {
+    "short-table": lambda t: t.pop(),
+    "long-table": lambda t: t.append([0, 9, 1.0]),
+    "c0-past-c1": lambda t: t.__setitem__(1, [6, 3, 0.85]),
+    "c1-past-n_e": lambda t: _set(t, 2, 1, 10),
+    "negative-c0": lambda t: _set(t, 2, 0, -1),
+    "fractional-c0": lambda t: _set(t, 0, 0, 2.5),
+    "nan-bound": lambda t: _set(t, 3, 2, math.nan),
+    "infinite-bound": lambda t: _set(t, 3, 2, math.inf),
+    "word-bound": lambda t: _set(t, 3, 2, "x"),
+    "short-entry": lambda t: t.__setitem__(0, [2, 6]),
+    "wider-than-the-payload": lambda t: _set(t, 0, 1, 7),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MALFORMED_TABLES))
+def test_a_malformed_stretch_table_exits_6(tmp_path, banded_blob, damage):
+    header, payload = split(banded_blob)
+    MALFORMED_TABLES[damage](header["stretches"])
+    path = tmp_path / "bad.grid"
+    path.write_bytes(joined(b"CFBGRID2", header, payload))
+    with pytest.raises(ArtifactError):
+        read_grid(path)
+    assert main(["verify", str(path)]) == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_stretch_tables_raise_only_artifact_error(banded_blob, fuzz_path, data):
+    """A table of another length, an entry whose columns are not whole
+    numbers with ``0 <= c0 <= c1 <= n_e`` or whose bound is not a finite
+    float, and a payload whose size disagrees with the table each raise
+    ArtifactError."""
+    header, payload = split(banded_blob)
+    table = header["stretches"]
+    kind = data.draw(st.sampled_from(["length", "columns", "bound", "payload"]), label="kind")
+    i = data.draw(st.integers(0, len(table) - 1), label="entry")
+    if kind == "length":
+        n = data.draw(st.integers(0, 12).filter(lambda n: n != len(TABLE)), label="n")
+        table[:] = (table * 3)[:n]
+    elif kind == "columns":
+        column = st.one_of(st.integers(-3, 12), st.floats(allow_nan=True), st.none(),
+                           st.booleans(), st.text(max_size=2))
+        c0, c1 = data.draw(column, label="c0"), data.draw(column, label="c1")
+        assume(not (type(c0) is int and type(c1) is int and 0 <= c0 <= c1 <= 9))
+        table[i][:2] = [c0, c1]
+    elif kind == "bound":
+        table[i][2] = data.draw(st.one_of(
+            st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(), st.none(),
+            st.booleans(), st.text(max_size=2), st.lists(st.floats(0, 1), max_size=2)),
+            label="bound")
+    else:
+        cut = data.draw(st.integers(-64, 64).filter(bool), label="bytes")
+        payload = payload[:cut] if cut < 0 else payload + bytes(cut)
+    fuzz_path.write_bytes(joined(b"CFBGRID2", header, payload))
+    with pytest.raises(ArtifactError):
+        read_grid(fuzz_path)
 
 
 def test_canonical_json_is_order_insensitive():
