@@ -13,9 +13,14 @@ between values whose bits differ says so.  A ``.csv`` file that differs
 but keeps its header, row count and row lengths is reported with its
 maximum absolute deviation too: the deviation is taken over the cells
 that parse as numbers, and a difference in any other cell is noted.  A
-``manifest.json`` is compared as JSON without its timing fields
-(``wall_clock_utc``, ``solve_seconds``, ``simulate_seconds``), listing
-the top-level keys that still differ.
+``manifest.json`` or ``field_manifest.json`` is compared as JSON without
+its timing fields (``wall_clock_utc``, ``solve_seconds``,
+``simulate_seconds``), listing the top-level keys that still differ, or
+saying ``differs in grid digests only`` when nothing else differs but the
+digests that follow from the grids' bytes: a run manifest's
+``content_hash`` and the ``sha256`` and ``bytes`` of its grid and field
+manifest entries, and a field manifest's grid ``sha256`` entries.  The
+field manifest and the grids are then reported on their own lines.
 
 Exits 0 when every file matches: same bytes, or manifests equal apart
 from timing.  Exits 1 otherwise.
@@ -108,14 +113,30 @@ def csv_deviation(a: Path, b: Path):
     return dev, text
 
 
-def manifest_difference(a: Path, b: Path) -> list:
-    """Top-level manifest keys that differ once timing fields are dropped."""
+def _digests_dropped(doc: dict) -> dict:
+    """A manifest without the digests that follow from the grids' bytes."""
+    doc = {k: v for k, v in doc.items() if k != "content_hash"}
+    for key in ("artifacts", "grids"):
+        if isinstance(doc.get(key), list):
+            doc[key] = [{k: v for k, v in e.items() if k not in ("sha256", "bytes")}
+                        if isinstance(e, dict) and (key == "grids" or str(e.get("path")).endswith(
+                            (".grid", "field_manifest.json")))
+                        else e for e in doc[key]]
+    return doc
+
+
+def manifest_difference(a: Path, b: Path) -> str:
+    """How two manifests differ once timing fields are dropped: not at all
+    (``""``), in grid digests only, or in the top-level keys named."""
     docs = []
     for path in (a, b):
         doc = json.loads(path.read_text(encoding="utf-8"))
         docs.append({k: v for k, v in doc.items() if k not in TIMING_KEYS})
-    return sorted(k for k in set(docs[0]) | set(docs[1])
+    keys = sorted(k for k in set(docs[0]) | set(docs[1])
                   if docs[0].get(k) != docs[1].get(k))
+    if keys and _digests_dropped(docs[0]) == _digests_dropped(docs[1]):
+        return "differs in grid digests only"
+    return f"differs in {', '.join(keys)}" if keys else ""
 
 
 def compare(root_a: Path, root_b: Path) -> tuple:
@@ -130,13 +151,10 @@ def compare(root_a: Path, root_b: Path) -> tuple:
             ok = False
         elif a.read_bytes() == b.read_bytes():
             lines.append(f"{name}: identical")
-        elif a.name == "manifest.json":
-            keys = manifest_difference(a, b)
-            if keys:
-                lines.append(f"{name}: differs in {', '.join(keys)}")
-                ok = False
-            else:
-                lines.append(f"{name}: identical apart from timing")
+        elif a.name in ("manifest.json", "field_manifest.json"):
+            found = manifest_difference(a, b)
+            lines.append(f"{name}: {found or 'identical apart from timing'}")
+            ok = ok and not found
         elif a.suffix == ".grid":
             try:
                 lines.append(f"{name}: {_grid_line(grid_deviation(a, b))}")

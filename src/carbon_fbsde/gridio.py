@@ -8,9 +8,10 @@ slice's stretch ``[c0, c1)`` every value is 0 and from ``c1`` on it is
 the slice's discounted ``bound`` (``ValueGrid.stretches``).  So the
 header's ``stretches`` lists ``[c0, c1, bound]`` per time slice, and the
 payload holds each slice's stretch alone, ``rows x (c1 - c0)`` values in
-C order, one slice after another in time order.  Reading a slice expands
-its stretch back to the whole slice, so every value reads back bit for
-bit.  Writing the same grid twice produces byte-identical files, which
+C order, one slice after another in time order.  A reader that indexes
+whole slices expands each stretch back to the whole slice, so every value
+reads back bit for bit; a scan may take the stretches unexpanded
+instead.  Writing the same grid twice produces byte-identical files, which
 the artifact checks rely on.  Files of the first format (magic
 ``CFBGRID1``, whole slices and no table) are still read, as a table of
 whole stretches.
@@ -20,12 +21,12 @@ takes the header, table included, before the march starts and puts each
 slice's stretch at its offset as the march makes it, last slice first,
 into a temporary file beside the target.  :func:`write_grid` then reads
 the payload back once, slice by slice, hashing every byte and handing
-the whole slices to the writer's ``scan`` (the structural diagnostics),
-and moves the file into place; a failure before that leaves nothing
-behind.  ``read_grid`` checks a recorded digest in the pass that reads
-the file, into one array or, with ``scan``, one slice at a time into a
-ring of the latest few.  Only this module hashes a grid; ``file_sha256``
-is for the other artifacts.
+the slices to the writer's ``scan`` (the structural diagnostics, which
+read them as stretches), and moves the file into place; a failure
+before that leaves nothing behind.  ``read_grid`` checks a recorded
+digest in the pass that reads the file, into one array or, with
+``scan``, one slice at a time into a ring of the latest few.  Only this
+module hashes a grid; ``file_sha256`` is for the other artifacts.
 """
 
 from __future__ import annotations
@@ -195,8 +196,9 @@ class GridWriter(SliceSink):
         if not c0 <= s0 <= s1 <= c0 + cells.shape[-1]:
             raise ValueError(f"slice {it} holds columns [{c0}, {c0 + cells.shape[-1]}), "
                              f"not its stretch [{s0}, {s1})")
-        stretch = cells[..., s0 - c0:s1 - c0]
-        _pwrite(self._fd, np.ascontiguousarray(stretch, dtype="<f8"), self._at[it])
+        # flat: a memoryview of an empty stretch with rows cannot be cast
+        stretch = np.ascontiguousarray(cells[..., s0 - c0:s1 - c0], dtype="<f8").reshape(-1)
+        _pwrite(self._fd, stretch, self._at[it])
 
     def _finish(self, path) -> str:
         os.close(self._fd)
@@ -222,20 +224,14 @@ class GridWriter(SliceSink):
             self._tmp = None
 
 
-def _kept_stretches(grid: ValueGrid) -> list:
-    """``grid.stretches`` where a slice holds 0 left of its stretch and its
-    bound right of it, bit for bit; any other slice, and every slice of a
-    grid whose table is missing or of another length, is kept whole."""
-    values = grid.values
-    if grid.stretches is None or len(grid.stretches) != len(values):
-        return _whole(values.shape)
-    kept = []
-    for s, (c0, c1, bound) in zip(values, grid.stretches):
-        bits = np.asarray(s, dtype="<f8").view(np.uint64)
-        honest = (not bits[..., :c0].any()
-                  and bool(np.all(bits[..., c1:] == np.float64(bound).view(np.uint64))))
-        kept.append((c0, c1, bound) if honest else (0, values.shape[-1], bound))
-    return kept
+def _kept(s: np.ndarray, stretch: tuple) -> tuple:
+    """``stretch``, ``(c0, c1, bound)``, where slice ``s`` holds 0 left of
+    it and its bound right of it, bit for bit; else the whole slice."""
+    c0, c1, bound = stretch
+    bits = np.asarray(s, dtype="<f8").view(np.uint64)
+    if not bits[..., :c0].any() and np.all(bits[..., c1:] == np.float64(bound).view(np.uint64)):
+        return stretch
+    return (0, s.shape[-1], bound)
 
 
 def write_grid(grid: Union[ValueGrid, GridWriter], path: Union[str, Path]) -> str:
@@ -252,7 +248,10 @@ def write_grid(grid: Union[ValueGrid, GridWriter], path: Union[str, Path]) -> st
     writer = grid if isinstance(grid, GridWriter) else GridWriter(path)
     with writer:
         if writer is not grid:
-            writer.open(replace(grid, stretches=_kept_stretches(grid)), grid.values.shape)
+            values, table = grid.values, grid.stretches
+            kept = (_whole(values.shape) if table is None or len(table) != len(values)
+                    else [_kept(s, stretch) for s, stretch in zip(values, table)])
+            writer.open(replace(grid, stretches=kept), values.shape)
             for it, values in enumerate(grid.values):
                 writer.put(it, values, 0, 0.0)
         return writer._finish(path)
@@ -333,10 +332,12 @@ class _Slices:
     """The time slices of an open grid file, for one pass in order.
 
     Slice ``k``'s stretch is read into the first bytes of ``out[k %
-    len(out)]``, goes through the file's hasher and is expanded there to
-    the whole slice (:meth:`SliceSink.whole`).  Iterating yields the
-    slices in order; indexing with ``k`` reads forward to slice ``k``,
-    which must still be one of the last ``len(out)`` read.
+    len(out)]`` and goes through the file's hasher.  :meth:`stretches`
+    yields each slice as that stretch, ``(cells, c0, bound)``, and
+    expands none; iterating yields the slices expanded in their slots to
+    whole slices (:meth:`SliceSink.whole`), and indexing with ``k`` reads
+    forward to slice ``k``, expanded, which must still be one of the last
+    ``len(out)`` read.  One pass takes one of the three.
     """
 
     def __init__(self, fh, hasher, shape: tuple, stretches: list, path, out: np.ndarray):
@@ -346,7 +347,9 @@ class _Slices:
         self._out = out
         self._read = 0
 
-    def _next(self) -> np.ndarray:
+    def _stretch(self) -> tuple:
+        """``(cells, c0, bound)`` of the next slice, its stretch ``cells``
+        read and hashed into the first bytes of its slot."""
         s = self._out[self._read % len(self._out)]
         c0, c1, bound = self._stretches[self._read]
         cells = s.reshape(-1)[:math.prod(s.shape[:-1]) * (c1 - c0)]
@@ -354,9 +357,21 @@ class _Slices:
         if self._fh.readinto(view) != len(view):
             raise ArtifactError(f"{self._path}: file shrank while being read")
         self._hasher.update(view)
-        SliceSink.whole(s, cells.reshape(s.shape[:-1] + (c1 - c0,)), c0, bound)
         self._read += 1
+        return cells.reshape(s.shape[:-1] + (c1 - c0,)), c0, bound
+
+    def _next(self) -> np.ndarray:
+        s = self._out[self._read % len(self._out)]
+        SliceSink.whole(s, *self._stretch())
         return s
+
+    def stretches(self):
+        """Each slice's ``(cells, c0, bound)`` in order, ``cells`` valid
+        until ``len(out)`` more are read."""
+        if self._read:
+            raise RuntimeError("the slices of a grid file are read once")
+        while self._read < self.shape[0]:
+            yield self._stretch()
 
     def __iter__(self):
         if self._read:
@@ -372,8 +387,9 @@ class _Slices:
         return self._out[k % len(self._out)]
 
     def drain(self) -> None:
+        """Read and hash the slices not read yet, expanding none."""
         while self._read < self.shape[0]:
-            self._next()
+            self._stretch()
 
 
 def _scan(path, scan, ring: int = 1) -> tuple:
@@ -397,11 +413,12 @@ def read_grid(path: Union[str, Path], sha256: Optional[str] = None,
 
     With ``scan`` given nothing is loaded: the file is read once, one
     time slice at a time, and ``scan`` is called with a grid whose
-    ``values`` yields those slices in order, or gives slice ``k`` as
-    ``values[k]`` by reading forward to it; each slice stays valid until
-    ``ring`` more are read.  Its result is returned.  With ``sha256``
-    given, a file whose digest differs is refused once every byte is
-    read.  Any unreadable, truncated or malformed file raises
+    ``values`` yields those slices in order, gives slice ``k`` as
+    ``values[k]`` by reading forward to it, or yields each slice's
+    stretch unexpanded from ``values.stretches()``; each slice stays
+    valid until ``ring`` more are read.  Its result is returned.  With
+    ``sha256`` given, a file whose digest differs is refused once every
+    byte is read.  Any unreadable, truncated or malformed file raises
     :class:`ArtifactError`.
     """
     if scan is not None:
@@ -409,21 +426,25 @@ def read_grid(path: Union[str, Path], sha256: Optional[str] = None,
         _checked(path, sha256, digest)
         return result
     with _open_grid(path) as (fh, hasher, shape, fields):
-        slices = _Slices(fh, hasher, shape, fields["stretches"], path,
-                         out=np.empty(shape, dtype="<f8"))
-        slices.drain()
+        values = np.empty(shape, dtype="<f8")
+        for _ in _Slices(fh, hasher, shape, fields["stretches"], path, out=values):
+            pass
     _checked(path, sha256, hasher.hexdigest())
-    return ValueGrid(values=slices._out, **fields)
+    return ValueGrid(values=values, **fields)
 
 
 def start_slice_csv(grid: ValueGrid, path: Union[str, Path]) -> None:
     """Write the start-of-period slice as CSV, one row per grid node."""
     has_p = grid.p_nodes is not None
-    # the node columns are formatted once; each factor row is then one
-    # template with a slot per value, filled by a single %
+    s = grid.values[0]
+    c0, c1, bound = _kept(s, grid.stretches[0]) if grid.stretches else (0, s.shape[-1], 0.0)
+    # the node columns and the constants beside the stretch are formatted
+    # once; each factor row is then one template with a slot per value of
+    # the stretch, filled by a single %
     prefixes = ["%.17g," % p for p in grid.p_nodes.tolist()] if has_p else [""]
-    cells = ["%.17g,%%.17g" % e for e in grid.e_nodes.tolist()]
-    values = grid.values[0].reshape(len(prefixes), -1)
+    fills = ["%.17g" % 0.0] * c0 + ["%.17g"] * (c1 - c0) + ["%.17g" % bound] * (s.shape[-1] - c1)
+    cells = ["%.17g," % e + fill for e, fill in zip(grid.e_nodes.tolist(), fills)]
+    values = s[..., c0:c1].reshape(len(prefixes), -1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("p,e,value\n" if has_p else "e,value\n")
         for prefix, row in zip(prefixes, values):

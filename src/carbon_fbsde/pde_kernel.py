@@ -1071,53 +1071,69 @@ def diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
     """Scan a solved grid; ``mono_l1`` is the rate's monotonicity constant.
 
     The scan reads ``grid.values`` once, one time slice at a time and in
-    order, so the slices may come straight from a file
-    (:func:`gridio.read_grid` with ``scan``); it keeps six extrema and the
-    right-edge column per slice.  Max and min are exact and propagate
-    NaN, so each figure is the whole-grid reduction's, up to the sign of
-    a zero.
+    order, each slice as its stretch and the two constants beside it, so
+    the slices may come straight from a file (:func:`gridio.read_grid`
+    with ``scan``) and none is expanded.  It reduces over the slice with
+    each constant run cut to two columns: the same extrema, end columns
+    and emissions differences as the whole slice, less repeated zero
+    differences.  It keeps six extrema and the right-edge column per
+    slice.  Max and min are exact and propagate NaN, so each figure is the
+    whole-grid reduction's, up to the sign of a zero.
     """
     v = grid.values
-    n = v.shape[0]
-    e_axis = 1 if grid.has_p else 0  # within one slice
+    shape = v.shape[1:]
+    n, n_e = v.shape[0], shape[-1]
     ages = grid.tau - grid.times
     bounds = np.exp(-grid.rate * ages)
-    has_diffs = v.shape[1 + e_axis] > 1
     de = grid.delta_e
     tail_idx = np.nonzero(grid.e_nodes < 0.0)[0]
 
-    # the slice-sized differences go to one buffer: fresh ones may be
-    # mapped and paged in again on every slice
-    shape = v.shape[1:]
-    hi = (slice(None),) * e_axis + (slice(1, None),)
-    lo = (slice(None),) * e_axis + (slice(None, -1),)
-    dbuf = np.empty(shape[:e_axis] + (shape[e_axis] - 1,))
+    # the cut slice and its differences go to two buffers: fresh ones may
+    # be mapped and paged in again on every slice
+    rows = math.prod(shape[:-1])
+    sbuf, dbuf = np.empty(rows * n_e), np.empty(rows * n_e)
+
+    def viewed(buf, width):
+        return buf[:rows * width].reshape(shape[:-1] + (width,))
+
     over, under, dmin, dmax, lefts = np.zeros((5, n))
     # the right-edge residual needs the last slice, which comes last
-    edges = np.empty((n,) + shape[:e_axis])
+    edges = np.empty((n,) + shape[:-1])
     tail_mass = 0.0
-    for k, s in enumerate(v):
+    # an array's slices are whole stretches
+    stretches = ((s, 0, 0.0) for s in v) if isinstance(v, np.ndarray) else v.stretches()
+    for k, (cells, c0, bound) in enumerate(stretches):
+        w = cells.shape[-1]
+        if k == 0 and tail_idx.size:
+            # the same elements as the whole slice's, summed in the same order
+            if c0 <= tail_idx[0] and tail_idx[-1] < c0 + w:
+                s, idx = cells, tail_idx - c0
+            else:
+                s, idx = viewed(sbuf, n_e), tail_idx
+                SliceSink.whole(s, cells, c0, bound)
+            tail_mass = float(np.max(np.take(s, idx, axis=-1).sum(axis=-1)) * de)
+        a, z = min(c0, 2), min(n_e - c0 - w, 2)
+        s = cells
+        if a or z:
+            s = viewed(sbuf, a + w + z)
+            s[..., :a] = 0.0
+            s[..., a:a + w] = cells
+            s[..., a + w:] = bound
         # rounding is monotone: max(s - b) is max(s) - b, and max(-s) is -min(s)
         over[k] = s.max() - bounds[k]
         under[k] = -s.min()
-        if has_diffs:  # np.diff along emissions, into dbuf
-            d = np.subtract(s[hi], s[lo], out=dbuf)
-            dmin[k], dmax[k] = d.min(), d.max()
-        lefts[k] = np.abs(np.take(s, 0, axis=e_axis)).max()
-        edges[k] = np.take(s, -1, axis=e_axis)
-        if k == 0 and tail_idx.size:
-            tail = np.take(s, tail_idx, axis=e_axis)
-            tail_mass = float(np.max(tail.sum(axis=e_axis)) * de)
+        # np.diff along emissions, into dbuf; delta_e needs two columns
+        d = np.subtract(s[..., 1:], s[..., :-1], out=viewed(dbuf, s.shape[-1] - 1))
+        dmin[k], dmax[k] = d.min(), d.max()
+        lefts[k] = np.abs(s[..., 0]).max()
+        edges[k] = s[..., -1]
     range_viol = max(float(over.max()), float(under.max()))
 
-    if has_diffs:
-        per_slice = np.maximum(0.0, -dmin)
-        mono_viol = float(per_slice.max())
-        term_defect = float(per_slice[-1])
-        mono_added = float(max(0.0, per_slice[:-1].max() - term_defect)) \
-            if per_slice.size > 1 else 0.0
-    else:
-        mono_viol = term_defect = mono_added = 0.0
+    per_slice = np.maximum(0.0, -dmin)
+    mono_viol = float(per_slice.max())
+    term_defect = float(per_slice[-1])
+    mono_added = float(max(0.0, per_slice[:-1].max() - term_defect)) \
+        if per_slice.size > 1 else 0.0
 
     aged = ages >= min_age - 1e-12
     q = dmax / de

@@ -1,5 +1,6 @@
 """scripts/compare_runs.py on two tiny runs of the burgers preset."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -125,3 +126,41 @@ def test_csv_text_cells_and_reshaped_csvs_are_named(compare_runs, tmp_path, caps
     lines = capsys.readouterr().out.splitlines()
     assert "events.csv: differs, max abs deviation 0, and non-numeric cells differ" in lines
     assert "paths.csv: differs" in lines
+
+
+def test_manifests_that_differ_in_grid_digests_only_are_named(compare_runs, two_runs,
+                                                               capsys):
+    """A grid rewritten in another container, with both manifests recording
+    its new digest, as a container change leaves them."""
+    a, b = two_runs
+    grid_path = b / "field" / "period_1.grid"
+    grid_path.write_bytes(first_format_blob(read_grid(grid_path)))
+    digest = hashlib.sha256(grid_path.read_bytes()).hexdigest()
+    field_manifest = b / "field" / "field_manifest.json"
+    doc = json.loads(field_manifest.read_text())
+    doc["grids"][0]["sha256"] = digest
+    field_manifest.write_text(json.dumps(doc, indent=1))
+    manifest = b / "manifest.json"
+    run = json.loads(manifest.read_text())
+    for entry in run["artifacts"]:
+        path = b / entry["path"]
+        if entry["path"] in ("field/period_1.grid", "field/field_manifest.json"):
+            entry.update(sha256=hashlib.sha256(path.read_bytes()).hexdigest(),
+                         bytes=path.stat().st_size)
+    run["content_hash"] = "sha256:" + "0" * 64
+    manifest.write_text(json.dumps(run))
+
+    assert compare_runs.main([str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "manifest.json: differs in grid digests only" in lines
+    assert "field/field_manifest.json: differs in grid digests only" in lines
+    assert "field/period_1.grid: differs in bytes only, values bit-identical" in lines
+
+    # any other difference is still named by its keys
+    field_manifest.write_text(json.dumps({**doc, "rate": 0.5}))
+    run["artifacts"][-1]["sha256"] = "f" * 64
+    manifest.write_text(json.dumps(run))
+    assert compare_runs.main([str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "manifest.json: differs in artifacts, content_hash" in lines
+    assert "field/field_manifest.json: differs in grids, rate" in lines

@@ -12,7 +12,7 @@ reproduce byte for byte.
 import numpy as np
 import pytest
 
-from carbon_fbsde.gridio import start_slice_csv
+from carbon_fbsde.gridio import _kept, start_slice_csv
 from carbon_fbsde.montecarlo import (
     _BRANCH_NAMES,
     _CSV_ROWS,
@@ -178,3 +178,47 @@ def test_start_slice_csv_matches_savetxt_byte_for_byte(tmp_path, has_p, exact, s
     reference_start_slice_csv(grid, want)
     assert got.read_bytes() == want.read_bytes()
     assert b"nan" in got.read_bytes() and b"-0," in got.read_bytes()
+
+
+BOUND = 0.9512294245007168
+
+
+def _stretched_grid(has_p: bool, n_e: int, c0: int, c1: int) -> ValueGrid:
+    """A grid whose start slice is 0 left of ``[c0, c1)`` and ``BOUND``
+    right of it, with every special value inside."""
+    grid = _slice_grid(3, has_p, n_e)
+    s = grid.values[0]
+    s[..., :c0] = 0.0
+    s[..., c1:] = BOUND
+    grid.stretches = [(c0, c1, BOUND), (0, n_e, 1.0)]
+    return grid
+
+
+@pytest.mark.parametrize("has_p", [False, True])
+@pytest.mark.parametrize("c0, c1", [(3, 17), (1, 19), (0, 17), (3, 20), (0, 20), (0, 0),
+                                    (9, 9), (20, 20), (5, 6)])
+def test_a_stretched_start_slice_formats_its_constants_once_byte_for_byte(
+        tmp_path, has_p, c0, c1):
+    grid = _stretched_grid(has_p, 20, c0, c1)
+    assert _kept(grid.values[0], grid.stretches[0]) == (c0, c1, BOUND)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    start_slice_csv(grid, got)
+    reference_start_slice_csv(grid, want)
+    assert got.read_bytes() == want.read_bytes()
+    if c1 < 20:
+        assert b",0.95122942450071679\n" in got.read_bytes()
+
+
+@pytest.mark.parametrize("has_p", [False, True])
+@pytest.mark.parametrize("column, value", [
+    (1, 5e-324), (1, -0.0), (1, np.nan),  # left of the stretch, not 0 bit for bit
+    (18, np.nextafter(BOUND, 2.0)), (18, np.nextafter(BOUND, 0.0)), (19, np.nan)])
+def test_a_start_slice_off_its_constants_is_written_whole_byte_for_byte(
+        tmp_path, has_p, column, value):
+    grid = _stretched_grid(has_p, 20, 3, 17)
+    grid.values[0][..., column] = value
+    assert _kept(grid.values[0], grid.stretches[0]) == (0, 20, BOUND)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    start_slice_csv(grid, got)
+    reference_start_slice_csv(grid, want)
+    assert got.read_bytes() == want.read_bytes()

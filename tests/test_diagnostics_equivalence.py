@@ -4,19 +4,26 @@
 written before it read one time slice at a time: every reduction taken
 over the whole grid at once, with full-grid temporaries.  It is kept
 here, not in the package, as the oracle the slice-wise scan must
-reproduce field for field, NaN included.
+reproduce field for field, NaN included, on grids held in memory and on
+grids read back from their files, where each slice comes as its stretch
+and the two constants beside it.
 """
 
 import dataclasses
 import math
+import tempfile
 import tracemalloc
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carbon_fbsde.gridio import read_grid, write_grid
 from carbon_fbsde.pde_kernel import KernelDiagnostics, ValueGrid, diagnostics
+from test_gridio import first_format_blob
 
 
 def reference_diagnostics(grid: ValueGrid, mono_l1: float, tol: float = 1e-12,
@@ -150,3 +157,76 @@ def test_slice_scan_keeps_no_grid_sized_temporary(has_p):
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * values.nbytes, f"peak {peak} B for a {values.nbytes} B grid"
+
+
+# a long bound, as a discounted one is, and bounds that break the range
+BOUNDS = [0.9512294245007168, 1.0, 0.5, 0.0, -0.0, 1.25, -0.3]
+CELL_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.3, -0.2, 0.5]
+
+
+@st.composite
+def stretch_tables(draw, n_e: int, n_t: int):
+    """One ``(c0, c1)`` per slice: empty stretches at 0, mid-grid and
+    ``n_e``, whole slices, one-column stretches and constant runs of one
+    and two columns among random ones."""
+    mid = n_e // 2
+    picks = st.sampled_from([(0, 0), (mid, mid), (n_e, n_e), (0, n_e), (mid, mid + 1),
+                             (1, n_e - 1), (2, n_e - 2), (1, n_e), (0, n_e - 2)])
+    spans = st.tuples(st.integers(0, n_e), st.integers(0, n_e))
+    return [tuple(sorted(draw(st.one_of(picks, spans)))) for _ in range(n_t)]
+
+
+@st.composite
+def stretched_grids(draw):
+    """Grids whose slices are 0 left of a stretch and a bound right of it,
+    with special values and range or monotonicity breaks in the stretch
+    and at its edges, and a left tail of no, some or every column."""
+    n_t = draw(st.integers(1, 6))
+    n_p = draw(st.sampled_from([None, 1, 3]))
+    n_e = draw(st.integers(2, 9))
+    table = draw(stretch_tables(n_e, n_t))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = () if n_p is None else (n_p,)
+    values = np.empty((n_t,) + rows + (n_e,))
+    stretches = []
+    p_special = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    for s, (c0, c1) in zip(values, table):
+        bound = float(rng.choice(BOUNDS))
+        cells = np.sort(rng.uniform(0.0, 1.0, rows + (c1 - c0,)), axis=-1) * bound
+        cells = np.where(rng.random(cells.shape) < p_special,
+                         rng.choice(CELL_SPECIALS, cells.shape), cells)
+        if c1 > c0 and draw(st.booleans()):  # a break at one edge of the stretch
+            cells[..., draw(st.sampled_from([0, -1]))] = rng.choice([-0.2, 1.3, np.nan])
+        s[..., :c0] = 0.0
+        s[..., c0:c1] = cells
+        s[..., c1:] = bound
+        stretches.append((c0, c1, bound))
+    times = np.cumsum(np.concatenate([[0.0], rng.uniform(0.01, 0.3, n_t - 1)]))
+    e_lo = draw(st.sampled_from([-3.0, -0.6, -0.05, 0.2]))
+    return ValueGrid(
+        times=times, e_nodes=np.linspace(e_lo, e_lo + 2.0, n_e), values=values,
+        rate=draw(st.sampled_from([0.0, 0.05, 0.7])),
+        p_nodes=None if n_p is None else np.linspace(-1.0, 1.0, n_p), stretches=stretches)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=stretched_grids(), first_format=st.booleans(),
+       mono_l1=st.sampled_from([0.5, 1.0, 3.0]), min_age=st.sampled_from([0.0, 0.1, 0.4]))
+def test_a_file_scan_of_stretches_matches_the_whole_grid_scan(grid, first_format,
+                                                              mono_l1, min_age):
+    """A file's slices reach the scan as stretches, unexpanded; the figures
+    are those of the whole grid."""
+    # infinite cells make inf - inf, a NaN on both sides
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(invalid="ignore"):
+        path = Path(tmp) / "g.grid"
+        if first_format:
+            path.write_bytes(first_format_blob(grid))
+        else:
+            write_grid(grid, path)
+            assert read_grid(path).stretches == grid.stretches
+        got = read_grid(path, scan=partial(diagnostics, mono_l1=mono_l1, min_age=min_age))
+        want = reference_diagnostics(grid, mono_l1, min_age=min_age)
+    for f in dataclasses.fields(KernelDiagnostics):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b), f.name
+        assert _same(a, b), (f.name, a, b)

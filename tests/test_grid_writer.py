@@ -353,3 +353,22 @@ def test_price_infinite_and_verify_hold_far_less_than_one_grid(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * grid_bytes, (target, peak, grid_bytes)
+
+
+def test_a_factor_solve_whose_slices_are_all_constant_writes_its_grid(tmp_path):
+    """A cap far below the grid penalises every path: the terminal is 1 in
+    every cell, the one-sided band is empty, and each slice is stored as no
+    cells at all, which a factor grid's rows must not trip over."""
+    coeffs = preset_coefficients("linear-abatement", {"m0": 1.4, "m1": 0.1, "m2": 1.0,
+                                                      "kappa": 1.0, "sigma": 0.5}, 0.05)
+    config = SolverConfig(e_min=-1.0, e_max=1.0, n_e=60, p_min=-2.0, p_max=2.0, n_p=9)
+    terminal = indicator_terminal(CapFunction.constant(-5.0))
+    held = solve_one_period(coeffs, terminal, 0.0, 0.5, config)
+    assert all(c0 == c1 for c0, c1, _ in held.stretches[:-1])
+    with GridWriter(tmp_path / "g.grid", scan=lambda g: diagnostics(g, 1.0)) as writer:
+        solve_one_period(coeffs, terminal, 0.0, 0.5, config, sink=writer)
+        digest = write_grid(writer, writer.path)
+    assert writer.scanned == diagnostics(held, 1.0)
+    back = read_grid(tmp_path / "g.grid", digest)
+    assert np.array_equal(back.values.view(np.uint64), held.values.view(np.uint64))
+    assert write_grid(held, tmp_path / "held.grid") == digest

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from carbon_fbsde.gridio import (
     write_grid,
 )
 from carbon_fbsde.model import CapFunction, indicator_terminal
-from carbon_fbsde.pde_kernel import SolverConfig, ValueGrid, solve_one_period
+from carbon_fbsde.pde_kernel import SliceSink, SolverConfig, ValueGrid, solve_one_period
 
 
 def sample_grid(with_axes: bool = False) -> ValueGrid:
@@ -337,3 +338,47 @@ def test_start_slice_csv(tmp_path):
     start_slice_csv(grid, out)
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1 + grid.e_nodes.size
+
+
+@pytest.fixture()
+def whole_calls(monkeypatch):
+    """Every ``SliceSink.whole`` call as ``(module, caller)``."""
+    calls = []
+    expand = SliceSink.whole
+
+    def spy(out, cells, c0, bound):
+        caller = sys._getframe(1)
+        calls.append((caller.f_globals["__name__"].rpartition(".")[2], caller.f_code.co_name))
+        expand(out, cells, c0, bound)
+    monkeypatch.setattr(SliceSink, "whole", staticmethod(spy))
+    return calls
+
+
+def test_the_price_commands_read_back_expands_no_slice(tmp_path, whole_calls):
+    """Each grid file's read-back hands the diagnostics stretches: besides
+    the march's own calls only the start slice each solve keeps is
+    expanded, plus at most slice 0 for the left tail; ``simulate`` still
+    expands the slices of its ring."""
+    multi, infinite = tmp_path / "multi", tmp_path / "infinite"
+    assert main(["price-multi", "--config", "preset:two-period-factor",
+                 "--out", str(multi)]) == 0
+    assert whole_calls and ("pde_kernel", "put") in whole_calls
+    assert {"pde_kernel"} == {module for module, _ in whole_calls}
+    assert whole_calls.count(("pde_kernel", "put")) == 2  # one kept slice a period
+    assert whole_calls.count(("pde_kernel", "diagnostics")) <= 2  # one per grid
+
+    whole_calls.clear()
+    assert main(["verify", str(multi)]) == 0
+    assert set(whole_calls) <= {("pde_kernel", "diagnostics")} and len(whole_calls) <= 2
+
+    whole_calls.clear()
+    assert main(["price-infinite", "--config", "preset:rolling-r005",
+                 "--out", str(infinite)]) == 0
+    assert set(whole_calls) <= {("pde_kernel", "put"), ("pde_kernel", "_march"),
+                                ("pde_kernel", "diagnostics")}
+    assert whole_calls.count(("pde_kernel", "diagnostics")) <= 1
+
+    whole_calls.clear()
+    assert main(["simulate", "--config", "preset:two-period-factor", "--field",
+                 str(multi / "field"), "--paths", "200", "--out", str(tmp_path / "sim")]) == 0
+    assert ("gridio", "_next") in whole_calls
